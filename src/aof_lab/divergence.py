@@ -9,6 +9,13 @@ Cells where both the compared law and the reference vanish contribute zero.
 The conditional mutual information always uses the product reference
 ``P(y|x) P(z|x) P(x)``, which dominates the triple law, so degenerate
 (deterministic) conditionals are handled exactly rather than rejected.
+
+One kernel computes the conditional mutual information, over a stack of
+(x, y, z) cubes with no loop over conditioning cells; a single joint law is
+a stack of one.  ``epsilon_coefficient`` walks the lag grid one layout at a
+time (the sources whose future lag is nonzero), asks the provider for each
+layout's laws as stacks and scatters the values back into the
+lexicographic grid.
 """
 
 from __future__ import annotations
@@ -16,12 +23,17 @@ from __future__ import annotations
 import itertools
 import json
 from dataclasses import dataclass
-from typing import TYPE_CHECKING, Iterable
+from typing import TYPE_CHECKING, Iterable, Sequence
 
 import numpy as np
 
-from .errors import IncompatibleSpaceError, PositivityError, ReferenceNotInteriorError
-from .spaces import JointPmf, Pmf
+from .errors import AofLabError, IncompatibleSpaceError, PositivityError, ReferenceNotInteriorError
+from .laws import DEFAULT_MAX_CELLS, STACK_CELLS
+from .spaces import JointPmf, OutcomeSpace, Pmf
+
+# triple mass above this on a cell whose product reference is zero breaks the
+# domination the conditional mutual information relies on
+POSITIVITY_ATOL = 1e-15
 
 if TYPE_CHECKING:  # pragma: no cover
     from .laws import LawProvider
@@ -59,6 +71,34 @@ def chi2_divergence(p, q) -> float:
     return float((d * d / qa[pos]).sum())
 
 
+def _chi2_cmi_stack(cubes: np.ndarray, x_spaces: Sequence[OutcomeSpace]) -> np.ndarray:
+    """Chi-squared conditional MI of every cube in a ``(G, n_x, n_y, n_z)``
+    stack, where the x axis runs row-major over ``x_spaces``.
+
+    Raises :class:`PositivityError` naming every conditioning cell, by its
+    labels, that puts mass on a zero product-reference cell.
+    """
+    w = cubes.sum(axis=(2, 3))
+    py = cubes.sum(axis=3)
+    pz = cubes.sum(axis=2)
+    # a conditioning cell without mass has an all-zero slab and reference
+    ref = py[:, :, :, None] * pz[:, :, None, :] / np.where(w > 0.0, w, 1.0)[:, :, None, None]
+    pos = ref > 0.0
+    stray = (~pos & (cubes > POSITIVITY_ATOL)).any(axis=(0, 2, 3))
+    if np.any(stray):
+        shape = tuple(len(space) for space in x_spaces)
+        cells = [
+            tuple(space.labels[i] for space, i in zip(x_spaces, np.unravel_index(x, shape)))
+            for x in np.flatnonzero(stray)
+        ]
+        raise PositivityError(
+            f"positivity violated: triple mass on a zero product-reference cell at {cells}", cells
+        )
+    d = cubes - ref
+    terms = np.divide(d * d, ref, out=np.zeros_like(ref), where=pos)
+    return terms.sum(axis=(1, 2, 3))
+
+
 def chi2_conditional_mi(
     joint: JointPmf, target: str, future: Iterable[str], given: Iterable[str]
 ) -> float:
@@ -78,27 +118,8 @@ def chi2_conditional_mi(
     sub = joint.arrange([*given, target, *future])
     n_y = len(joint.space(target))
     n_z = int(np.prod([len(joint.space(n)) for n in future], dtype=np.int64))
-    n_x = sub.probs.size // (n_y * n_z)
-    cube = sub.probs.reshape(n_x, n_y, n_z)
-    total = 0.0
-    for x in range(n_x):
-        slab = cube[x]
-        w = slab.sum()
-        if w <= 0.0:
-            continue
-        py = slab.sum(axis=1)
-        pz = slab.sum(axis=0)
-        ref = np.outer(py, pz) / w
-        pos = ref > 0.0
-        stray = slab[~pos]
-        if np.any(stray > 1e-15):
-            raise PositivityError(
-                "positivity violated: triple mass on a zero product-reference cell",
-                [int(x)],
-            )
-        d = slab[pos] - ref[pos]
-        total += float((d * d / ref[pos]).sum())
-    return total
+    cube = sub.probs.reshape(1, -1, n_y, n_z)
+    return float(_chi2_cmi_stack(cube, [joint.space(n) for n in given])[0])
 
 
 @dataclass(frozen=True)
@@ -132,6 +153,13 @@ class EpsilonReport:
             json.dump(self.to_json_dict(), fh)
 
 
+def _grid_requests(tau: tuple[int, ...], mu: tuple[int, ...]) -> list[tuple[str, int]]:
+    requests = [("y", 0)]
+    for l, (t, u) in enumerate(zip(tau, mu), start=1):
+        requests += [(f"x{l}", t), (f"x{l}", t + u)]
+    return requests
+
+
 def epsilon_coefficient(laws: "LawProvider", tau_max: int = 8, mu_max: int = 8) -> EpsilonReport:
     """Maximize the chi-squared conditional MI over the capped lag grid.
 
@@ -140,43 +168,66 @@ def epsilon_coefficient(laws: "LawProvider", tau_max: int = 8, mu_max: int = 8) 
     at lags tau, features at lags tau + mu).  Ties in the maximum go to the
     lexicographically smallest (tau, mu) pair, so the result is independent
     of evaluation order.
+
+    Grid points are evaluated one layout at a time: the layout is the set of
+    sources with a nonzero future lag, which fixes the law's variables and
+    the split into conditioning and future blocks.  The lags a grid needs
+    follow from the caps, so there is no span cap; a model whose laws
+    exceed ``DEFAULT_MAX_CELLS`` cells is rejected before any law is built.
     """
     if tau_max < 0 or mu_max < 0:
         raise IncompatibleSpaceError("lag caps must be nonnegative")
     m = laws.m
-    best = -1.0
-    best_pair = None
-    grid_values = []
-    for tau in itertools.product(range(tau_max + 1), repeat=m):
-        for mu in itertools.product(range(mu_max + 1), repeat=m):
-            if all(u == 0 for u in mu):
-                continue
-            requests = [("y", 0)]
-            x_names = []
-            z_names = []
-            for l in range(m):
-                var = f"x{l + 1}"
-                requests.append((var, tau[l]))
-                x_names.append(f"{var}@{tau[l]}")
-                z_lag = tau[l] + mu[l]
-                requests.append((var, z_lag))
-                z_names.append(f"{var}@{z_lag}")
-            law = laws.window_law(requests)
-            future = [n for n in dict.fromkeys(z_names) if n not in set(x_names)]
-            value = chi2_conditional_mi(law.law, "y@0", future, list(dict.fromkeys(x_names)))
-            grid_values.append((tau, mu, value))
-            if value > best:
-                best = value
-                best_pair = (tau, mu)
-    if best_pair is None:
+    taus = list(itertools.product(range(tau_max + 1), repeat=m))
+    mus = [mu for mu in itertools.product(range(mu_max + 1), repeat=m) if any(mu)]
+    if not mus:
         raise IncompatibleSpaceError("empty lag grid: mu_max must allow a nonzero lag")
+    y_space = laws.target_space
+    x_spaces = [laws.feature_space(l) for l in range(1, m + 1)]
+    n_x = int(np.prod([len(space) for space in x_spaces]))
+    largest = n_x * len(y_space) * n_x
+    if largest > DEFAULT_MAX_CELLS:
+        raise AofLabError(
+            f"epsilon grid laws need up to {largest} cells (cap {DEFAULT_MAX_CELLS}); "
+            "--lag-cap, --tau-max and --mu-max only choose the lags searched, "
+            "so use a model with fewer sources, fewer symbols or a shorter window"
+        )
+
+    values = np.empty((len(taus), len(mus)))
+    for mask in itertools.product((False, True), repeat=m):
+        cols = [j for j, mu in enumerate(mus) if tuple(u > 0 for u in mu) == mask]
+        if not cols:
+            continue
+        # law axes: y@0, then per source x@tau and, when masked, x@(tau + mu)
+        given_axes, future_axes, axis = [], [], 1
+        for future in mask:
+            given_axes.append(axis)
+            if future:
+                future_axes.append(axis + 1)
+            axis += 1 + future
+        order = [0, *(a + 1 for a in given_axes), 1, *(a + 1 for a in future_axes)]
+        n_z = int(np.prod([len(x_spaces[l]) for l in range(m) if mask[l]]))
+        points = [(t, j) for t in range(len(taus)) for j in cols]
+        chunk = max(1, STACK_CELLS // (n_x * len(y_space) * n_z))
+        for start in range(0, len(points), chunk):
+            part = points[start:start + chunk]
+            _, probs = laws.window_law_stack([_grid_requests(taus[t], mus[j]) for t, j in part])
+            cubes = probs.transpose(order).reshape(len(part), n_x, len(y_space), n_z)
+            rows, columns = zip(*part)
+            values[list(rows), list(columns)] = _chi2_cmi_stack(cubes, x_spaces)
+
+    best = int(np.argmax(values))  # first maximum in lexicographic (tau, mu) order
+    t, j = divmod(best, len(mus))
+    grid = tuple(
+        (tau, mu, value) for tau, row in zip(taus, values.tolist()) for mu, value in zip(mus, row)
+    )
     return EpsilonReport(
-        epsilon=float(np.sqrt(max(best, 0.0))),
-        argmax_tau=best_pair[0],
-        argmax_mu=best_pair[1],
+        epsilon=float(np.sqrt(max(values[t, j], 0.0))),
+        argmax_tau=taus[t],
+        argmax_mu=mus[j],
         tau_max=tau_max,
         mu_max=mu_max,
-        grid=tuple(grid_values),
+        grid=grid,
     )
 
 

@@ -158,15 +158,17 @@ def conditional_cross_entropy(
     rows_q, _, _ = _cond_matrix(joint_train, target, given)
     wt = rows_t.sum(axis=1)
     wq = rows_q.sum(axis=1)
+    x_spaces = [joint_test.space(n) for n in given]
+
+    def x_label(flat: int) -> tuple:
+        idx = np.unravel_index(flat, tuple(len(s) for s in x_spaces))
+        return tuple(s.labels[i] for s, i in zip(x_spaces, idx))
+
     untrained = (wt > 0.0) & (wq == 0.0)
     if np.any(untrained):
-        x_shape = tuple(len(joint_test.space(n)) for n in given)
-        cells = []
-        for flat in np.flatnonzero(untrained):
-            idx = np.unravel_index(flat, x_shape)
-            cells.append(tuple(joint_test.space(n).labels[i] for n, i in zip(given, idx)))
+        cells = [x_label(flat) for flat in np.flatnonzero(untrained)]
         raise UntrainedCellError(f"untrained conditioning cells: {cells}", cells)
-    live = wt > 0.0
+    live = np.flatnonzero(wt > 0.0)
     rows_t = rows_t[live]
     rows_q = rows_q[live]
     wq_live = wq[live]
@@ -175,9 +177,9 @@ def conditional_cross_entropy(
         q = rows_q / wq_live[:, None]
         bad = (rows_t > 0.0) & (q == 0.0)
         if np.any(bad):
-            cells = list(zip(*np.nonzero(bad)))
+            cells = [(x_label(live[r]), y_space.labels[y]) for r, y in zip(*np.nonzero(bad))]
             raise UnboundedCrossEntropyError(
-                "unbounded cross-entropy: trained conditional excludes test outcomes", cells
+                f"unbounded cross-entropy: trained conditional excludes test outcomes at {cells}", cells
             )
         return -float(xlogy(rows_t, q).sum())
     if loss.kind == QUADRATIC:

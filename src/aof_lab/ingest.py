@@ -24,7 +24,7 @@ import numpy as np
 
 from .aoi import SENTINEL, AgeDistribution, AgeProcess
 from .errors import AofLabError, IncompatibleSpaceError
-from .laws import WindowLaw, canonical_requests, source_index, variable_name
+from .laws import WindowLaw, canonical_requests, source_index, stack_window_laws, variable_name
 from .spaces import JointPmf, OutcomeSpace
 
 DEFAULT_MIN_WINDOWS = 30
@@ -360,6 +360,9 @@ class EmpiricalLawProvider:
                 law = WindowLaw(law=smoothed, requests=key, meta=dict(law.meta, smoothed=self.pseudo_count))
             self._cache[key] = law
         return law
+
+    def window_law_stack(self, request_sets: Sequence[Sequence]):
+        return stack_window_laws([self.window_law(r) for r in request_sets])
 
 
 def dynamic_age_law(

@@ -9,6 +9,12 @@ pairs such as ``("y", 0)`` or ``("x2", 3)``.
 Providers produce window laws on demand: exact providers unroll a process
 model, empirical providers count sliding windows in a dataset, and the
 mixture provider blends two compatible providers cell by cell.
+
+Grid searches ask for many laws that share one *layout*: the same variables
+in the same positions, only their lags differ.  ``window_law_stack`` returns
+such a batch as one array with a leading batch axis, so a caller can
+evaluate a statistic over the whole batch without building a ``JointPmf``
+per law.
 """
 
 from __future__ import annotations
@@ -16,10 +22,24 @@ from __future__ import annotations
 from dataclasses import dataclass, field
 from typing import Mapping, Protocol, Sequence
 
+import numpy as np
+
 from .errors import IncompatibleSpaceError
 from .spaces import JointPmf, OutcomeSpace, mix_joints
 
 Request = tuple[str, int]
+
+# largest table (law cells, or elementary cells times hidden states) one law
+# may need; guards against grids whose laws cannot fit in memory
+DEFAULT_MAX_CELLS = 4_000_000
+
+# most cells a batched law evaluation keeps live at once; stacks larger than
+# this are built and consumed in chunks
+STACK_CELLS = 2**18
+
+# (bare variable, space) per axis of every law in a stack, e.g.
+# (("y", Y), ("x1", X1), ("x1", X1)) for requests y@0, x1@a, x1@b with a < b
+Layout = tuple[tuple[str, OutcomeSpace], ...]
 
 
 def parse_request(req) -> Request:
@@ -74,6 +94,22 @@ class WindowLaw:
         raise IncompatibleSpaceError(f"unknown variable {name!r}")
 
 
+def stack_window_laws(laws: Sequence[WindowLaw]) -> tuple[Layout, np.ndarray]:
+    """Stack laws that share one layout into ``(layout, probs[G, ...])``."""
+    if not laws:
+        raise IncompatibleSpaceError("at least one request set is required")
+    layouts = [
+        tuple((var, space) for (var, _), (_, space) in zip(law.requests, law.law.variables))
+        for law in laws
+    ]
+    for law, layout in zip(laws, layouts):
+        if layout != layouts[0]:
+            raise IncompatibleSpaceError(
+                f"request sets do not share one layout: {law.requests} vs {laws[0].requests}"
+            )
+    return layouts[0], np.stack([law.law.probs for law in laws])
+
+
 class LawProvider(Protocol):
     """Anything that can produce exact-or-estimated window laws."""
 
@@ -91,6 +127,11 @@ class LawProvider(Protocol):
         ...
 
     def window_law(self, requests: Sequence) -> WindowLaw:
+        ...
+
+    def window_law_stack(self, request_sets: Sequence[Sequence]) -> tuple[Layout, np.ndarray]:
+        """Laws of request sets that share one layout, as ``(layout,
+        probs[G, ...])`` with ``probs[g]`` the law of ``request_sets[g]``."""
         ...
 
 
@@ -138,6 +179,11 @@ class MixtureLawProvider:
         b = self.other.window_law(reqs)
         mixed = mix_joints([(1.0 - self.eta, a.law), (self.eta, b.law)])
         return WindowLaw(law=mixed, requests=reqs, meta={"mixture_eta": self.eta})
+
+    def window_law_stack(self, request_sets: Sequence[Sequence]) -> tuple[Layout, np.ndarray]:
+        layout, a = self.base.window_law_stack(request_sets)
+        _, b = self.other.window_law_stack(request_sets)
+        return layout, (1.0 - self.eta) * a + self.eta * b
 
 
 def positional_rename(law: WindowLaw) -> Mapping[str, str]:

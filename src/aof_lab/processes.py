@@ -10,7 +10,20 @@ window length of one keeps the bare symbol.
 lagged features and targets.  It scans the needed slot range once, carrying
 a table over (accumulated observed variables, current state): the chain is
 collapsed on the fly, so cost grows with the size of the answer rather than
-with the number of state paths.
+with the number of state paths.  It is also the reference the batched
+kernel is tested against.
+
+``exact_window_laws`` evaluates many request sets of one layout at once.
+Under stationarity a window law is the HMM forward recursion
+``pi D T^g1 D T^g2 ... D 1`` (Rabiner 1989), where each ``D`` applies the
+emission kernels read at an occupied slot and ``g_i`` are the gaps between
+occupied slots.  Request sets that read the same kernels at their occupied
+slots, and map those reads to variables the same way, differ only in their
+gaps, so they run as one recursion over a stacked table with ``T^g`` taken
+from powers of the transition matrix computed once.
+
+Both snap the total mass of a law back to one after checking that it is
+within ``NORMALIZATION_ATOL`` of one.
 """
 
 from __future__ import annotations
@@ -25,6 +38,9 @@ import numpy as np
 from .errors import AofLabError, IncompatibleSpaceError, NotNormalizedError, SpanCapError
 from .ingest import Dataset
 from .laws import (
+    DEFAULT_MAX_CELLS,
+    STACK_CELLS,
+    Layout,
     LawProvider,
     MixtureLawProvider,
     Request,
@@ -34,10 +50,9 @@ from .laws import (
     source_index,
     variable_name,
 )
-from .spaces import JointPmf, OutcomeSpace
+from .spaces import NORMALIZATION_ATOL, JointPmf, OutcomeSpace
 
 DEFAULT_SPAN_CAP = 16
-DEFAULT_MAX_CELLS = 4_000_000
 
 STATIONARY_ATOL = 1e-12
 
@@ -311,9 +326,110 @@ def exact_window_law(
     probs = np.bincount(flat_index.ravel(), weights=elem.ravel(), minlength=total_cells)
     probs = probs.reshape(tuple(len(space) for _, space, _ in var_entries))
     # matrix products drift at float precision; snap the total back to one
-    probs = probs / probs.sum()
+    total = probs.sum()
+    if abs(total - 1.0) > NORMALIZATION_ATOL:
+        raise NotNormalizedError(f"window law sums to {total!r} before normalization")
+    probs = probs / total
     law = JointPmf(tuple((name, space) for name, space, _ in var_entries), probs)
     return WindowLaw(law=law, requests=reqs, meta={"source": "exact"})
+
+
+def exact_window_laws(
+    model: ProcessModel,
+    request_sets: Sequence[Sequence],
+    max_cells: int = DEFAULT_MAX_CELLS,
+) -> tuple[Layout, np.ndarray]:
+    """Exact laws of request sets that share one layout, as one stack.
+
+    Returns ``(layout, probs)`` where ``probs[g]`` is the law
+    ``exact_window_law`` gives for ``request_sets[g]``, up to float rounding.
+    Request sets are grouped by their elementary read pattern: the (kind,
+    source) reads at each occupied slot plus the reads each variable takes.
+    Each group runs as one forward recursion over a (laws, states, cells)
+    table whose steps multiply by ``T^gap``, and one offset ``bincount`` maps
+    elementary cells to variable cells.  There is no span cap: powers of the
+    transition matrix go up to the widest gap asked for.  Tables are built
+    in chunks of at most ``STACK_CELLS`` cells.
+    """
+    reqs_list = [canonical_requests(r) for r in request_sets]
+    if not reqs_list or not reqs_list[0]:
+        raise IncompatibleSpaceError("at least one variable must be requested")
+    variables = tuple(var for var, _ in reqs_list[0])
+    groups: dict[tuple, list[tuple[int, np.ndarray]]] = {}
+    for g, reqs in enumerate(reqs_list):
+        if tuple(var for var, _ in reqs) != variables:
+            raise IncompatibleSpaceError(
+                f"request sets do not share one layout: {reqs} vs {reqs_list[0]}"
+            )
+        per_request, reads = _elementary_reads(model, reqs)
+        slots = sorted({slot for _, _, slot in reads})
+        pattern = tuple(
+            tuple((kind, src) for kind, src, _ in at)
+            for _, at in itertools.groupby(reads, key=lambda r: r[2])
+        )
+        axis_of = {read: i for i, read in enumerate(reads)}
+        taps = tuple(tuple(axis_of[r] for r in per_request[req]) for req in reqs)
+        groups.setdefault((pattern, taps), []).append((g, np.diff(slots)))
+
+    layout = tuple(
+        (var, model.target_space if var == "y" else model.feature_space(source_index(var)))
+        for var in variables
+    )
+    var_sizes = [len(space) for _, space in layout]
+    var_strides = np.cumprod([1, *var_sizes[:0:-1]])[::-1]
+    total = int(np.prod(var_sizes))
+    n_states = model.n_states
+    max_gap = max(
+        (int(gaps.max()) for members in groups.values() for _, gaps in members if gaps.size), default=0
+    )
+    # the table keeps states on the axis before the cells, so every step
+    # works on long contiguous rows: a step by g slots is (T^g)' @ table
+    steps = np.empty((max_gap + 1, n_states, n_states))
+    steps[0] = np.eye(n_states)
+    for k in range(1, max_gap + 1):
+        steps[k] = model.transition.T @ steps[k - 1]
+    emission = {("y", 0): model.target_kernel}
+    emission.update({("x", l): e for l, e in enumerate(model.emissions, start=1)})
+
+    probs = np.empty((len(reqs_list), total))
+    for (pattern, taps), members in groups.items():
+        sizes = [emission[read].shape[1] for at in pattern for read in at]
+        n_cells = int(np.prod(sizes))
+        if n_cells * n_states > max_cells:
+            raise AofLabError(f"unrolled law would need {n_cells * n_states} cells (cap {max_cells})")
+        # variable cell of every elementary cell: a feature reads its window
+        # newest first, so read j of a b-slot window is digit b - 1 - j
+        coeff = np.zeros(len(sizes), dtype=np.int64)
+        for stride, axes in zip(var_strides, taps):
+            for j, axis in enumerate(axes):
+                coeff[axis] += stride * sizes[axis] ** (len(axes) - 1 - j)
+        # each read adds the new outermost cell axis, so the last read varies slowest
+        cell_of = np.zeros(1, dtype=np.int64)
+        for size, c in zip(sizes[::-1], coeff[::-1]):
+            cell_of = (cell_of[:, None] + c * np.arange(size)).ravel()
+
+        chunk = max(1, STACK_CELLS // (n_cells * n_states))
+        for start in range(0, len(members), chunk):
+            part = members[start:start + chunk]
+            gaps = np.array([gap for _, gap in part])
+            table = np.broadcast_to(model.stationary[:, None], (len(part), n_states, 1))
+            for i, at in enumerate(pattern):
+                if i:
+                    table = steps[gaps[:, i - 1]] @ table
+                for read in at:
+                    table = table[:, :, None, :] * emission[read][:, :, None]
+                    table = table.reshape(len(part), n_states, -1)
+            elem = table.sum(axis=1)
+            offsets = np.arange(len(part))[:, None] * total
+            laws = np.bincount(
+                (cell_of + offsets).ravel(), weights=elem.ravel(), minlength=len(part) * total
+            ).reshape(len(part), total)
+            sums = laws.sum(axis=1)
+            drift = float(np.abs(sums - 1.0).max())
+            if drift > NORMALIZATION_ATOL:
+                raise NotNormalizedError(f"window laws sum to 1 +- {drift!r} before normalization")
+            probs[[g for g, _ in part]] = laws / sums[:, None]
+    return layout, probs.reshape(len(reqs_list), *var_sizes)
 
 
 @dataclass(eq=False)
@@ -343,6 +459,11 @@ class ExactLawProvider:
             law = exact_window_law(self.model, key, self.span_cap, self.max_cells)
             self._cache[key] = law
         return law
+
+    def window_law_stack(self, request_sets: Sequence[Sequence]) -> tuple[Layout, np.ndarray]:
+        """Batched laws straight from the kernel; the cache is neither read
+        nor filled, and ``span_cap`` does not apply."""
+        return exact_window_laws(self.model, request_sets, self.max_cells)
 
 
 def make_markov_observable(

@@ -144,6 +144,32 @@ def chi2_cmi_direct(joint: JointPmf, target: str, future, given) -> float:
     return total
 
 
+def epsilon_direct(law_at, m: int, tau_max: int, mu_max: int):
+    """Markov-deviation grid search one law at a time.
+
+    ``law_at(requests)`` returns the joint law of one grid point; each value
+    is the literal triple sum of ``chi2_cmi_direct``.  Returns (epsilon,
+    argmax_tau, argmax_mu, grid values in lexicographic (tau, mu) order);
+    ties go to the first maximum.
+    """
+    best, best_pair, values = -1.0, None, []
+    for tau in itertools.product(range(tau_max + 1), repeat=m):
+        for mu in itertools.product(range(mu_max + 1), repeat=m):
+            if not any(mu):
+                continue
+            requests, given, future = [("y", 0)], [], []
+            for l in range(m):
+                requests += [(f"x{l + 1}", tau[l]), (f"x{l + 1}", tau[l] + mu[l])]
+                given.append(f"x{l + 1}@{tau[l]}")
+                if mu[l]:
+                    future.append(f"x{l + 1}@{tau[l] + mu[l]}")
+            value = chi2_cmi_direct(law_at(requests), "y@0", future, given)
+            values.append(value)
+            if value > best:
+                best, best_pair = value, (tau, mu)
+    return math.sqrt(max(best, 0.0)), best_pair[0], best_pair[1], values
+
+
 def upclosed_subsets(points):
     """All up-closed subsets of a finite set of integer vectors."""
     points = list(points)

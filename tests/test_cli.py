@@ -144,6 +144,28 @@ def test_epsilon_markov_zero_and_sweep(runner, tmp_path):
     assert eps[0] > eps[1] > eps[2] > 0
 
 
+@pytest.mark.parametrize(
+    "gen_args",
+    [["--window", str(w), "--delay", str(d)] for w in (1, 2, 3) for d in (0, 1, 2)]
+    + [["--sources", "2", "--window", "2"]],
+)
+def test_epsilon_default_caps_on_every_window_and_delay(runner, tmp_path, gen_args):
+    _invoke(runner, ["--seed", "3", "--out", str(tmp_path), "gen", *gen_args])
+    res = _invoke(runner, ["--out", str(tmp_path), "epsilon", "--model", str(tmp_path / "model.json")])
+    assert res.exit_code == 0, res.output
+    data = json.loads((tmp_path / "epsilon.json").read_text())
+    assert data["tau_max"] == data["mu_max"] == 8
+    assert data["epsilon"] > 0
+
+
+def test_epsilon_rejects_oversized_laws_naming_the_flags(runner, tmp_path):
+    _invoke(runner, ["--out", str(tmp_path), "gen", "--sources", "3", "--symbols", "4",
+                     "--window", "2"])
+    res = runner.invoke(main, ["--out", str(tmp_path), "epsilon", "--model", str(tmp_path / "model.json")])
+    assert res.exit_code != 0
+    assert "--lag-cap" in res.output and "--tau-max" in res.output and "--mu-max" in res.output
+
+
 def test_beta_same_file_zero(runner, tmp_path):
     _invoke(runner, ["--seed", "6", "--out", str(tmp_path), "gen", "--kind", "markov"])
     model = ProcessModel.load(tmp_path / "model.json")

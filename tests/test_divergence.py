@@ -2,6 +2,7 @@ import numpy as np
 import pytest
 
 from aof_lab import (
+    EmpiricalLawProvider,
     ExactLawProvider,
     JointPmf,
     OutcomeSpace,
@@ -17,10 +18,13 @@ from aof_lab import (
     mix_joints,
     mix_toward_markov,
     quadratic_loss,
+    sample_trajectory,
 )
-from aof_lab.errors import IncompatibleSpaceError, ReferenceNotInteriorError
+from aof_lab.divergence import _chi2_cmi_stack
+from aof_lab.errors import IncompatibleSpaceError, PositivityError, ReferenceNotInteriorError
+from aof_lab.processes import exact_window_law
 
-from oracles import chi2_cmi_direct, chi2_mc, loglog_slope, random_joint, random_pmf
+from oracles import chi2_cmi_direct, chi2_mc, epsilon_direct, loglog_slope, random_joint, random_pmf
 
 
 def test_chi2_zero_iff_equal():
@@ -219,3 +223,46 @@ def test_epsilon_report_json_fields(tmp_path):
     assert set(data) == {"epsilon", "tau_max", "mu_max", "argmax_tau", "argmax_mu"}
     rep.save(tmp_path / "eps.json")
     assert (tmp_path / "eps.json").exists()
+
+
+def _assert_matches_oracle(provider, law_at, caps):
+    rep = epsilon_coefficient(provider, caps, caps)
+    eps, tau, mu, values = epsilon_direct(law_at, provider.m, caps, caps)
+    assert abs(rep.epsilon - eps) <= 1e-12
+    assert (rep.argmax_tau, rep.argmax_mu) == (tau, mu)
+    assert np.abs(np.array([v for _, _, v in rep.grid]) - values).max() <= 1e-12
+
+
+@pytest.mark.parametrize(
+    "shape, caps",
+    [
+        (dict(n_sources=1, window=2, delay=1), 3),
+        (dict(n_sources=1, window=3, delay=0), 4),
+        (dict(n_sources=2, n_symbols=(2, 3), n_targets=3), 2),
+        (dict(n_sources=3, window=2), 1),
+    ],
+)
+def test_epsilon_matches_per_law_oracle_on_exact_laws(shape, caps):
+    model = make_hidden_nonmarkov(11, n_states=4, noise=0.2, concentration=0.5, **shape)
+    _assert_matches_oracle(ExactLawProvider(model), lambda r: exact_window_law(model, r).law, caps)
+
+
+def test_epsilon_matches_per_law_oracle_on_mixture_and_empirical_laws():
+    markov = make_markov_observable(12, n_states=3, n_sources=2, n_targets=2)
+    hidden = make_hidden_nonmarkov(13, n_states=4, n_sources=2, n_symbols=3, n_targets=2, noise=0.3)
+    mix = mix_toward_markov(hidden, markov, 0.3)
+    _assert_matches_oracle(mix, lambda r: mix.window_law(r).law, 2)
+    data = EmpiricalLawProvider(sample_trajectory(make_hidden_nonmarkov(14, window=2), 4000, 14),
+                                pseudo_count=0.5)
+    _assert_matches_oracle(data, lambda r: data.window_law(r).law, 2)
+
+
+def test_chi2_cmi_positivity_error_names_conditioning_cells():
+    x_spaces = [OutcomeSpace(("a", "b")), OutcomeSpace((0, 1, 2))]
+    cubes = np.full((2, 6, 2, 2), 1.0 / 48)
+    # signed mass cancels a target marginal, zeroing the reference under it
+    cubes[0, 1, 0] = [0.1, -0.1]
+    cubes[1, 5, 1] = [-0.1, 0.1]
+    with pytest.raises(PositivityError) as exc:
+        _chi2_cmi_stack(cubes, x_spaces)
+    assert exc.value.cells == [("a", 1), ("b", 2)]

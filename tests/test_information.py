@@ -220,6 +220,19 @@ def test_cross_entropy_unbounded_error():
         cross_entropy(p, q, log_loss())
 
 
+def test_conditional_cross_entropy_log_certificate_names_labels():
+    x = OutcomeSpace(("lo", "mid", "hi"))
+    y = OutcomeSpace(("no", "yes"))
+    variables = (("x", x), ("y", y))
+    # "lo" carries no test mass, so the offending row is the second live row
+    test = JointPmf(variables, np.array([[0.0, 0.0], [0.25, 0.25], [0.25, 0.25]]))
+    train = JointPmf(variables, np.array([[0.2, 0.2], [0.2, 0.2], [0.2, 0.0]]))
+    with pytest.raises(UnboundedCrossEntropyError) as exc:
+        conditional_cross_entropy(test, train, "y", ["x"], log_loss())
+    assert exc.value.cells == [(("hi",), "yes")]
+    assert "('hi',), 'yes'" in str(exc.value)
+
+
 def test_conditional_cross_entropy_matches_termwise_sum():
     rng = np.random.default_rng(17)
     vs = _vars(2, 2, 2, names=["x1", "x2", "y"])

@@ -1,7 +1,10 @@
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from aof_lab import (
+    EmpiricalLawProvider,
     ExactLawProvider,
     OutcomeSpace,
     ProcessModel,
@@ -14,6 +17,8 @@ from aof_lab import (
     sample_trajectory,
 )
 from aof_lab.errors import AofLabError, IncompatibleSpaceError, SpanCapError
+from aof_lab.processes import _stationary_distribution, exact_window_laws
+from aof_lab.spaces import NORMALIZATION_ATOL
 
 from oracles import loglog_slope
 
@@ -23,6 +28,66 @@ def _two_state(flip=0.3):
     eye = np.eye(2)
     space = OutcomeSpace((0, 1))
     return ProcessModel.build(T, [eye], [space], eye, space)
+
+
+@settings(max_examples=80, deadline=None)
+@given(
+    n=st.integers(2, 7),
+    period=st.integers(2, 7),
+    log_eps=st.floats(-9.0, -2.0),
+    seed=st.integers(0, 2**32 - 1),
+)
+def test_stationary_distribution_accurate_on_near_periodic_chains(n, period, log_eps, seed):
+    # a period-d chain (state i moves only to class i % d + 1) nudged by eps
+    # toward a random chain: eigenvalues near the d-th roots of unity
+    rng = np.random.default_rng(seed)
+    d = min(period, n)
+    cls = np.arange(n) % d
+    periodic = rng.random((n, n)) * (cls[None, :] == (cls[:, None] + 1) % d)
+    periodic /= periodic.sum(axis=1, keepdims=True)
+    eps = 10.0**log_eps
+    T = (1.0 - eps) * periodic + eps * rng.dirichlet(np.ones(n), size=n)
+    pi = _stationary_distribution(T)
+    assert pi.min() >= 0.0 and abs(pi.sum() - 1.0) <= NORMALIZATION_ATOL
+    assert np.abs(pi @ T - pi).sum() <= 1e-12
+
+
+@settings(max_examples=60, deadline=None)
+@given(data=st.data())
+def test_window_law_stack_matches_per_request_laws(data):
+    m = data.draw(st.integers(1, 3))
+    model = make_hidden_nonmarkov(
+        data.draw(st.integers(0, 10_000)), n_states=3, n_sources=m, n_symbols=2, n_targets=2,
+        window=data.draw(st.integers(1, 3)), delay=data.draw(st.integers(0, 2)),
+    )
+    # one layout: a number of target lags and of lags per source (at most
+    # three features); lags 0..4 overlap windows and repeat read patterns
+    n_y = data.draw(st.integers(0, 2))
+    counts = data.draw(st.lists(st.integers(0, 2), min_size=m, max_size=m)
+                       .filter(lambda c: sum(c) <= 3 and n_y + sum(c) >= 1))
+    lags = lambda k: st.lists(st.integers(0, 4), min_size=k, max_size=k, unique=True)
+    sets = []
+    for _ in range(data.draw(st.integers(1, 6))):
+        reqs = [("y", lag) for lag in data.draw(lags(n_y))]
+        for l, k in enumerate(counts, start=1):
+            reqs += [(f"x{l}", lag) for lag in data.draw(lags(k))]
+        sets.append(reqs)
+    layout, probs = exact_window_laws(model, sets)
+    assert probs.shape[0] == len(sets)
+    for reqs, stacked in zip(sets, probs):
+        law = exact_window_law(model, reqs)
+        assert [(v, s.labels) for v, s in layout] == [(v, s.labels) for (v, _), (_, s) in
+                                                      zip(law.requests, law.law.variables)]
+        assert np.abs(stacked - law.law.probs).max() <= 1e-12
+
+
+def test_window_law_stack_rejects_mixed_layouts():
+    model = make_hidden_nonmarkov(1, n_sources=2)
+    mixed = [[("y", 0), ("x1", 1)], [("y", 0), ("x2", 1)]]
+    with pytest.raises(IncompatibleSpaceError):
+        exact_window_laws(model, mixed)
+    with pytest.raises(IncompatibleSpaceError):
+        EmpiricalLawProvider(sample_trajectory(model, 500, 1)).window_law_stack(mixed)
 
 
 def test_stationary_and_primitivity_checks():
