@@ -1,9 +1,11 @@
-"""Small shared helpers: atomic file output and capped thread fan-out."""
+"""Small shared helpers: atomic file output, CSV rendering and capped
+thread fan-out."""
 
 from __future__ import annotations
 
+import csv
+import io
 import os
-import tempfile
 from concurrent.futures import ThreadPoolExecutor
 from pathlib import Path
 from typing import Callable, Sequence
@@ -31,14 +33,25 @@ def thread_map(fn: Callable, items: Sequence) -> list:
         return list(pool.map(fn, items))
 
 
+def csv_text(header, rows, delimiter: str = ",") -> str:
+    """Render a header and rows the way ``csv.writer`` writes them."""
+    buf = io.StringIO()
+    writer = csv.writer(buf, delimiter=delimiter)
+    writer.writerow(header)
+    writer.writerows(rows)
+    return buf.getvalue()
+
+
 def write_text_atomic(path, text: str) -> None:
     """Write via a sibling temp file and rename, so readers never see a
-    partial report."""
+    partial report.  The temp file is created with mode 0o666, so the file
+    gets the permissions a plain ``open()`` would give it under the umask."""
     path = Path(path)
     path.parent.mkdir(parents=True, exist_ok=True)
-    fd, tmp = tempfile.mkstemp(dir=path.parent, prefix=f".{path.name}.", suffix=".tmp")
+    tmp = path.with_name(f".{path.name}.{os.urandom(8).hex()}.tmp")
+    fd = os.open(tmp, os.O_WRONLY | os.O_CREAT | os.O_EXCL, 0o666)
     try:
-        with os.fdopen(fd, "w", encoding="utf-8") as fh:
+        with os.fdopen(fd, "w", encoding="utf-8", newline="") as fh:
             fh.write(text)
         os.replace(tmp, path)
     except BaseException:

@@ -21,13 +21,13 @@ law from another.
 
 from __future__ import annotations
 
-import csv
 import json
 from dataclasses import dataclass, field
 from typing import Sequence
 
 import numpy as np
 
+from ._util import csv_text, write_text_atomic
 from .aoi import AgeDistribution, OrderingVerdict, stochastic_order_multivariate
 from .divergence import BetaReport, EpsilonReport, beta_between, epsilon_coefficient
 from .errors import AofLabError, IncompatibleSpaceError
@@ -125,8 +125,7 @@ class DecompositionReport:
         }
 
     def save(self, path) -> None:
-        with open(path, "w", encoding="utf-8") as fh:
-            json.dump(self.to_json_dict(), fh, indent=2)
+        write_text_atomic(path, json.dumps(self.to_json_dict(), indent=2))
 
 
 def decompose(
@@ -215,12 +214,9 @@ class LossCurve:
         return self.meta["nonmonotonicity_index"]
 
     def to_csv(self, path) -> None:
-        m = len(self.grid[0])
-        with open(path, "w", newline="", encoding="utf-8") as fh:
-            writer = csv.writer(fh)
-            writer.writerow([f"delta_{l}" for l in range(1, m + 1)] + ["loss"])
-            for vec, val in zip(self.grid, self.values):
-                writer.writerow(list(vec) + [val])
+        header = [f"delta_{l}" for l in range(1, len(self.grid[0]) + 1)] + ["loss"]
+        rows = (list(vec) + [val] for vec, val in zip(self.grid, self.values))
+        write_text_atomic(path, csv_text(header, rows))
 
     def to_json_dict(self) -> dict:
         return {

@@ -6,27 +6,32 @@ feature delivered by ``t``.  Slots before the first delivery carry a
 sentinel and must be trimmed before any aggregation.
 
 Stochastic ordering of age vectors is decided by monotone-coupling
-feasibility (a max-flow problem): mass of the smaller distribution must be
+feasibility (a max-flow problem, solved here by shortest augmenting paths
+over a dense dominance matrix): mass of the smaller distribution must be
 transportable to the larger one along componentwise-dominating edges.  On
-failure the minimum cut yields a violating upper set as a certificate.
+failure the smallest minimum cut yields the upper set with the largest
+violation as a certificate.
 """
 
 from __future__ import annotations
 
 import csv
 import json
+import math
 from dataclasses import dataclass
 from typing import Iterable, Mapping, Sequence
 
-import networkx as nx
 import numpy as np
 
+from ._util import csv_text, write_text_atomic
 from .errors import AofLabError, IncompatibleSpaceError, WarmupError
-from .spaces import NORMALIZATION_ATOL, Pmf
+from .spaces import NORMALIZATION_ATOL, OutcomeSpace, Pmf
 
 SENTINEL = -1
 
 FLOW_ATOL = 1e-9
+# Residual capacity at or below which a transport edge counts as saturated.
+RESIDUAL_ATOL = 1e-13
 
 
 @dataclass(frozen=True)
@@ -54,12 +59,8 @@ class DeliveryTrace:
         return len(self.events)
 
     def to_csv(self, path) -> None:
-        with open(path, "w", newline="", encoding="utf-8") as fh:
-            writer = csv.writer(fh)
-            writer.writerow(["source_id", "G", "D"])
-            for l, src in enumerate(self.events, start=1):
-                for g, d in src:
-                    writer.writerow([l, g, d])
+        rows = ([l, g, d] for l, src in enumerate(self.events, start=1) for g, d in src)
+        write_text_atomic(path, csv_text(["source_id", "G", "D"], rows))
 
     @classmethod
     def from_csv(cls, path) -> "DeliveryTrace":
@@ -100,15 +101,12 @@ class AgeProcess:
         return bool(np.any(self.ages[:, start:stop] == SENTINEL))
 
     def to_csv(self, path) -> None:
-        with open(path, "w", newline="", encoding="utf-8") as fh:
-            writer = csv.writer(fh)
-            writer.writerow(["t"] + [f"age_{l}" for l in range(1, self.m + 1)])
-            for t in range(self.horizon):
-                row = [t]
-                for l in range(self.m):
-                    a = int(self.ages[l, t])
-                    row.append("" if a == SENTINEL else a)
-                writer.writerow(row)
+        header = ["t"] + [f"age_{l}" for l in range(1, self.m + 1)]
+        rows = (
+            [t] + ["" if a == SENTINEL else a for a in column]
+            for t, column in enumerate(self.ages.T.tolist())
+        )
+        write_text_atomic(path, csv_text(header, rows))
 
     @classmethod
     def from_csv(cls, path) -> "AgeProcess":
@@ -126,6 +124,7 @@ def age_process(trace: DeliveryTrace, horizon: int) -> AgeProcess:
     """Evaluate the age of every source at every slot in [0, horizon)."""
     if horizon <= 0:
         raise AofLabError("horizon must be positive")
+    slots = np.arange(horizon)
     ages = np.full((trace.m, horizon), SENTINEL, dtype=np.int64)
     for l, src in enumerate(trace.events):
         if not src:
@@ -133,10 +132,8 @@ def age_process(trace: DeliveryTrace, horizon: int) -> AgeProcess:
         by_delivery = sorted(src, key=lambda gd: gd[1])
         deliveries = np.array([d for _, d in by_delivery])
         freshest = np.maximum.accumulate(np.array([g for g, _ in by_delivery]))
-        for t in range(horizon):
-            k = int(np.searchsorted(deliveries, t, side="right"))
-            if k > 0:
-                ages[l, t] = t - freshest[k - 1]
+        k = np.searchsorted(deliveries, slots, side="right")
+        ages[l, k > 0] = slots[k > 0] - freshest[k[k > 0] - 1]
     return AgeProcess(ages)
 
 
@@ -190,8 +187,6 @@ class AgeDistribution:
         values: dict[int, float] = {}
         for vec, p in zip(self.vectors, self.probs):
             values[vec[l]] = values.get(vec[l], 0.0) + float(p)
-        from .spaces import OutcomeSpace
-
         space = OutcomeSpace(tuple(sorted(values)))
         return Pmf(space, np.array([values[v] for v in space.labels]))
 
@@ -206,8 +201,7 @@ class AgeDistribution:
         return cls(tuple(tuple(v) for v in data["vectors"]), np.asarray(data["probs"], dtype=float))
 
     def save(self, path) -> None:
-        with open(path, "w", encoding="utf-8") as fh:
-            json.dump(self.to_json_dict(), fh)
+        write_text_atomic(path, json.dumps(self.to_json_dict()))
 
     @classmethod
     def load(cls, path) -> "AgeDistribution":
@@ -227,13 +221,8 @@ def empirical_age_distribution(
             "warm-up not trimmed: sentinel ages inside the aggregation window "
             f"(first delivery has not happened by slot {start})"
         )
-    counts: dict[tuple[int, ...], int] = {}
-    for t in range(window.shape[1]):
-        vec = tuple(int(v) for v in window[:, t])
-        counts[vec] = counts.get(vec, 0) + 1
-    total = window.shape[1]
-    vecs = tuple(sorted(counts))
-    return AgeDistribution(vecs, np.array([counts[v] / total for v in vecs]))
+    vecs, counts = np.unique(window.T, axis=0, return_counts=True)
+    return AgeDistribution(tuple(map(tuple, vecs.tolist())), counts / window.shape[1])
 
 
 def sample_path_dominates(a: AgeProcess, b: AgeProcess) -> bool:
@@ -295,50 +284,76 @@ class OrderingVerdict:
         }
 
 
-def _dominates(x: tuple[int, ...], z: tuple[int, ...]) -> bool:
-    return all(a <= b for a, b in zip(x, z))
+def _dominance(lower: np.ndarray, upper: np.ndarray) -> np.ndarray:
+    """``[i, j]`` is true iff ``lower[i] <= upper[j]`` componentwise."""
+    return np.all(lower[:, None, :] <= upper[None, :, :], axis=2)
+
+
+def _max_transport(supply: np.ndarray, demand: np.ndarray, allowed: np.ndarray):
+    """Maximum flow from supply to demand points along the ``allowed``
+    (uncapacitated) edges by shortest augmenting paths (Edmonds & Karp
+    1972), each breadth-first search expanding one layer at a time.  Returns
+    the flow value and the mask of supply points the final residual graph
+    still reaches: the source side of the smallest minimum cut.  Residuals
+    up to ``RESIDUAL_ATOL`` count as saturated, so rounding cannot move it.
+    """
+    supply, demand = supply.astype(float), demand.astype(float)
+    flow, total = np.zeros(allowed.shape), 0.0
+    while True:
+        seen_p, seen_q = supply > RESIDUAL_ATOL, np.zeros(len(demand), dtype=bool)
+        via_q, via_p = np.full(len(supply), -1), np.full(len(demand), -1)
+        frontier, end = np.flatnonzero(seen_p), -1
+        while frontier.size:
+            step = allowed[frontier] & ~seen_q
+            reached = np.flatnonzero(step.any(axis=0))
+            if not reached.size:
+                break
+            via_p[reached] = frontier[step[:, reached].argmax(axis=0)]
+            seen_q[reached] = True
+            sinks = reached[demand[reached] > RESIDUAL_ATOL]
+            if sinks.size:
+                end = sinks[0]
+                break
+            back = (flow[:, reached] > RESIDUAL_ATOL).T & ~seen_p
+            frontier = np.flatnonzero(back.any(axis=0))
+            via_q[frontier] = reached[back[:, frontier].argmax(axis=0)]
+            seen_p[frontier] = True
+        if end < 0:
+            return total, seen_p
+        # the path alternates ps[k] -> qs[k] forward and qs[k + 1] -> ps[k] back
+        qs, ps = [end], [via_p[end]]
+        while via_q[ps[-1]] >= 0:
+            qs.append(via_q[ps[-1]])
+            ps.append(via_p[qs[-1]])
+        delta = min(supply[ps[-1]], demand[end], *flow[ps[:-1], qs[1:]])
+        flow[ps, qs] += delta
+        flow[ps[:-1], qs[1:]] -= delta
+        supply[ps[-1]] -= delta
+        demand[end] -= delta
+        total += delta
 
 
 def stochastic_order_multivariate(p: AgeDistribution, q: AgeDistribution) -> OrderingVerdict:
     """Decide multivariate stochastic dominance by coupling feasibility.
 
     ``p`` is stochastically smaller than ``q`` iff a transport plan moves all
-    of ``p``'s mass to ``q`` using only componentwise-increasing edges; this
-    max-flow check is equivalent to comparing the two laws on every upper
-    set.  On failure the minimum cut produces a violating upper set.
+    of ``p``'s mass to ``q`` along componentwise-increasing edges (Strassen
+    1965).  The mass left unmoved is the largest violation ``p(U) - q(U)``
+    over upper sets ``U``; on failure the witness is the smallest such set,
+    generated by the supply points the residual graph still reaches.
     """
     if p.m != q.m:
         raise IncompatibleSpaceError(f"component count mismatch: {p.m} vs {q.m}")
-    graph = nx.DiGraph()
-    for i, (vec, pr) in enumerate(zip(p.vectors, p.probs)):
-        graph.add_edge("s", ("p", i), capacity=float(pr))
-        for j, zvec in enumerate(q.vectors):
-            if _dominates(vec, zvec):
-                graph.add_edge(("p", i), ("q", j), capacity=2.0)
-    for j, (zvec, qr) in enumerate(zip(q.vectors, q.probs)):
-        graph.add_edge(("q", j), "t", capacity=float(qr))
-    if not graph.has_node("s") or not graph.has_node("t"):
-        raise AofLabError("degenerate supports")
-    flow_value, _ = nx.maximum_flow(graph, "s", "t")
+    vp, vq = np.asarray(p.vectors), np.asarray(q.vectors)
+    allowed = _dominance(vp, vq)
+    flow_value, reached = _max_transport(p.probs, q.probs, allowed)
     if flow_value >= 1.0 - FLOW_ATOL:
         return OrderingVerdict(holds=True)
-    _, (s_side, _) = nx.minimum_cut(graph, "s", "t")
-    generators = [p.vectors[i] for kind, i in (n for n in s_side if n != "s") if kind == "p"]
-    minimal = [
-        g for g in generators if not any(other != g and _dominates(other, g) for other in generators)
-    ]
-    witness_gen = tuple(sorted(set(minimal)))
-    p_mass = sum(
-        float(pr)
-        for vec, pr in zip(p.vectors, p.probs)
-        if any(_dominates(g, vec) for g in witness_gen)
+    cut = vp[reached]
+    minimal = ~(_dominance(cut, cut) & ~np.eye(len(cut), dtype=bool)).any(axis=0)
+    witness = UpperSetWitness(
+        generators=tuple(sorted(map(tuple, cut[minimal].tolist()))),
+        p_mass=math.fsum(p.probs[_dominance(cut, vp).any(axis=0)]),
+        q_mass=math.fsum(q.probs[allowed[reached].any(axis=0)]),
     )
-    q_mass = sum(
-        float(qr)
-        for vec, qr in zip(q.vectors, q.probs)
-        if any(_dominates(g, vec) for g in witness_gen)
-    )
-    return OrderingVerdict(
-        holds=False,
-        witness=UpperSetWitness(generators=witness_gen, p_mass=p_mass, q_mass=q_mass),
-    )
+    return OrderingVerdict(holds=False, witness=witness)

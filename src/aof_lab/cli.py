@@ -9,16 +9,14 @@ parallelism for grid and sweep evaluation.
 
 from __future__ import annotations
 
-import csv
 import functools
-import io
 import json
 from pathlib import Path
 
 import click
 
 from . import analysis, aoi, divergence, ingest, laws, losses, processes
-from ._util import thread_map, write_text_atomic
+from ._util import csv_text, thread_map, write_text_atomic
 from .errors import AofLabError
 from .spaces import JointPmf
 
@@ -116,26 +114,20 @@ def _parse_etas(spec: str) -> list[float]:
     return [float(v) for v in spec.split(",")]
 
 
-def _csv_text(header, rows) -> str:
-    buf = io.StringIO()
-    writer = csv.writer(buf)
-    writer.writerow(header)
-    for row in rows:
-        writer.writerow(row)
-    return buf.getvalue()
-
-
 def _emit_json(path: Path, payload: dict) -> None:
     write_text_atomic(path, json.dumps(payload, indent=2) + "\n")
     click.echo(f"wrote {path}")
 
 
-def _emit_csv(path: Path, header, rows, meta: dict) -> None:
-    write_text_atomic(path, _csv_text(header, rows))
+def _emit_csv(path: Path, write, meta: dict) -> None:
+    """Write a CSV through ``write(path)``, then its meta sidecar."""
+    write(path)
     click.echo(f"wrote {path}")
-    meta_path = path.with_suffix(path.suffix + ".meta.json")
-    write_text_atomic(meta_path, json.dumps(meta, indent=2) + "\n")
-    click.echo(f"wrote {meta_path}")
+    _emit_json(path.with_suffix(path.suffix + ".meta.json"), meta)
+
+
+def _table(header, rows):
+    return lambda path: write_text_atomic(path, csv_text(header, rows))
 
 
 @click.group()
@@ -188,15 +180,8 @@ def gen(ctx, kind, states, sources, symbols, targets, window, delay, noise, conc
     payload["config"] = {**cfg, "kind": kind, "length": length}
     _emit_json(out / "model.json", payload)
     if length > 0:
-        import os
-
-        dataset = processes.sample_trajectory(model, length, cfg["seed"])
-        out.mkdir(parents=True, exist_ok=True)
-        target = out / "trajectory.csv"
-        tmp = out / ".trajectory.csv.tmp"
-        dataset.to_csv(tmp)
-        os.replace(tmp, target)
-        click.echo(f"wrote {target}")
+        processes.sample_trajectory(model, length, cfg["seed"]).to_csv(out / "trajectory.csv")
+        click.echo(f"wrote {out / 'trajectory.csv'}")
 
 
 @main.command("age-curve")
@@ -222,21 +207,13 @@ def age_curve(ctx, model_path, data_path, grid, windows):
             lambda b: analysis.loss_curve(processes.ExactLawProvider(model.with_window(b)), vectors, loss),
             blist,
         )
-        for b, curve in zip(blist, curves):
-            path = out / f"curve_b{b}.csv"
-            rows = [list(v) + [val] for v, val in zip(curve.grid, curve.values)]
-            header = [f"delta_{l}" for l in range(1, provider.m + 1)] + ["loss"]
-            write_text_atomic(path, _csv_text(header, rows))
-            click.echo(f"wrote {path}")
-            meta["curves"][f"b={b}"] = {"nonmonotonicity_index": curve.nonmonotonicity_index}
+        named = [(f"b={b}", f"curve_b{b}.csv", curve) for b, curve in zip(blist, curves)]
     else:
-        curve = analysis.loss_curve(provider, vectors, loss)
-        path = out / "curve.csv"
-        rows = [list(v) + [val] for v, val in zip(curve.grid, curve.values)]
-        header = [f"delta_{l}" for l in range(1, provider.m + 1)] + ["loss"]
-        write_text_atomic(path, _csv_text(header, rows))
-        click.echo(f"wrote {path}")
-        meta["curves"]["default"] = {"nonmonotonicity_index": curve.nonmonotonicity_index}
+        named = [("default", "curve.csv", analysis.loss_curve(provider, vectors, loss))]
+    for name, filename, curve in named:
+        curve.to_csv(out / filename)
+        click.echo(f"wrote {out / filename}")
+        meta["curves"][name] = {"nonmonotonicity_index": curve.nonmonotonicity_index}
     _emit_json(out / "age_curve.meta.json", meta)
 
 
@@ -295,8 +272,8 @@ def epsilon(ctx, model_path, data_path, tau_max, mu_max, sweep, mix_ref, etas):
             eta_values,
         )
         rows = [[eta, rep.epsilon] for eta, rep in zip(eta_values, reports)]
-        _emit_csv(out / "epsilon_sweep.csv", ["eta", "epsilon"],
-                  rows, {"config": {**cfg, "tau_max": tau_max, "mu_max": mu_max, "etas": etas}})
+        _emit_csv(out / "epsilon_sweep.csv", _table(["eta", "epsilon"], rows),
+                  {"config": {**cfg, "tau_max": tau_max, "mu_max": mu_max, "etas": etas}})
     else:
         rep = divergence.epsilon_coefficient(provider, tau_max, mu_max)
         payload = rep.to_json_dict()
@@ -378,11 +355,11 @@ def cross_loss(ctx, train_path, test_path, ages_path, sweep, etas):
             eta_values,
         )
         rows = [[eta, b, training, t, t - training] for eta, (b, t) in zip(eta_values, results)]
-        _emit_csv(out / "cross_loss.csv", ["eta", "beta", "training", "testing", "gap"], rows, meta)
+        _emit_csv(out / "cross_loss.csv", _table(["eta", "beta", "training", "testing", "gap"], rows), meta)
     else:
         b, t = evaluate(processes.ExactLawProvider(test_model))
         rows = [[b, training, t, t - training]]
-        _emit_csv(out / "cross_loss.csv", ["beta", "training", "testing", "gap"], rows, meta)
+        _emit_csv(out / "cross_loss.csv", _table(["beta", "training", "testing", "gap"], rows), meta)
 
 
 @main.command("simulate-aoi")
@@ -396,16 +373,7 @@ def simulate_aoi(ctx, trace_path, horizon):
     cfg = _settings(ctx)
     trace = aoi.DeliveryTrace.from_csv(trace_path)
     ages = aoi.age_process(trace, horizon)
-    out = Path(cfg["out"])
-    rows = []
-    for t in range(ages.horizon):
-        row = [t]
-        for l in range(ages.m):
-            a = int(ages.ages[l, t])
-            row.append("" if a == aoi.SENTINEL else a)
-        rows.append(row)
-    header = ["t"] + [f"age_{l}" for l in range(1, ages.m + 1)]
-    _emit_csv(out / "ages.csv", header, rows,
+    _emit_csv(Path(cfg["out"]) / "ages.csv", ages.to_csv,
               {"config": {**cfg, "trace": trace_path, "horizon": horizon}})
 
 

@@ -27,6 +27,7 @@ from typing import TYPE_CHECKING, Iterable, Sequence
 
 import numpy as np
 
+from ._util import write_text_atomic
 from .errors import AofLabError, IncompatibleSpaceError, PositivityError, ReferenceNotInteriorError
 from .laws import DEFAULT_MAX_CELLS, STACK_CELLS
 from .spaces import JointPmf, OutcomeSpace, Pmf
@@ -149,8 +150,7 @@ class EpsilonReport:
         }
 
     def save(self, path) -> None:
-        with open(path, "w", encoding="utf-8") as fh:
-            json.dump(self.to_json_dict(), fh)
+        write_text_atomic(path, json.dumps(self.to_json_dict()))
 
 
 def _grid_requests(tau: tuple[int, ...], mu: tuple[int, ...]) -> list[tuple[str, int]]:
@@ -242,8 +242,7 @@ class BetaReport:
         return {"beta": self.beta, "divergence": self.divergence}
 
     def save(self, path) -> None:
-        with open(path, "w", encoding="utf-8") as fh:
-            json.dump(self.to_json_dict(), fh)
+        write_text_atomic(path, json.dumps(self.to_json_dict()))
 
 
 def beta_between(train: JointPmf, test: JointPmf) -> BetaReport:

@@ -22,6 +22,7 @@ from typing import Mapping, Sequence
 
 import numpy as np
 
+from ._util import csv_text, write_text_atomic
 from .aoi import SENTINEL, AgeDistribution, AgeProcess
 from .errors import AofLabError, IncompatibleSpaceError
 from .laws import WindowLaw, canonical_requests, source_index, stack_window_laws, variable_name
@@ -65,6 +66,10 @@ def _object_column(values) -> np.ndarray:
     for i, v in enumerate(values):
         arr[i] = tuple(v) if isinstance(v, (tuple, list, np.ndarray)) else v
     return arr
+
+
+def _csv_header(m: int) -> list[str]:
+    return ["t"] + [f"x_{l}" for l in range(1, m + 1)] + [f"age_{l}" for l in range(1, m + 1)] + ["y"]
 
 
 @dataclass(frozen=True, eq=False)
@@ -121,21 +126,14 @@ class Dataset:
         raise IncompatibleSpaceError(f"unknown column {name!r}")
 
     def to_csv(self, path, delimiter: str = ",") -> None:
-        with open(path, "w", newline="", encoding="utf-8") as fh:
-            writer = csv.writer(fh, delimiter=delimiter)
-            header = (
-                ["t"]
-                + [f"x_{l}" for l in range(1, self.m + 1)]
-                + [f"age_{l}" for l in range(1, self.m + 1)]
-                + ["y"]
-            )
-            writer.writerow(header)
-            for i in range(len(self)):
-                row = [int(self.t[i])]
-                row += [_render_cell(self.xs[l][i]) for l in range(self.m)]
-                row += [int(self.ages[l][i]) for l in range(self.m)]
-                row.append(_render_cell(self.y[i]))
-                writer.writerow(row)
+        rows = (
+            [int(self.t[i])]
+            + [_render_cell(self.xs[l][i]) for l in range(self.m)]
+            + [int(self.ages[l][i]) for l in range(self.m)]
+            + [_render_cell(self.y[i])]
+            for i in range(len(self))
+        )
+        write_text_atomic(path, csv_text(_csv_header(self.m), rows, delimiter))
 
     @classmethod
     def from_csv(cls, path, delimiter: str = ",") -> "Dataset":
@@ -144,12 +142,7 @@ class Dataset:
             header = next(reader)
             x_cols = [h for h in header if h.startswith("x_")]
             m = len(x_cols)
-            expected = (
-                ["t"]
-                + [f"x_{l}" for l in range(1, m + 1)]
-                + [f"age_{l}" for l in range(1, m + 1)]
-                + ["y"]
-            )
+            expected = _csv_header(m)
             if header != expected:
                 raise AofLabError(f"unexpected header {header}; want {expected}")
             t, y = [], []

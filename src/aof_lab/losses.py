@@ -13,6 +13,12 @@ loss over that action space, attained by the Bayes action:
 * finite-table — an explicit action list with a loss table; the Bayes action
   is found by exhaustive search.
 
+Each kind is one kernel on an outcome space: ``fit`` maps rows of outcome
+masses to one Bayes-action code per row, ``losses`` maps codes to the
+``(rows, outcomes)`` matrix of ``L(y, a)``, and ``encode``/``decode``
+translate codes to and from public actions.  Every expected loss, entropy
+and cross entropy is :func:`risk` of such a matrix.
+
 Ties are always broken by the first label/action in the fixed ordering, so
 repeated calls on identical inputs return identical actions.
 """
@@ -20,10 +26,9 @@ repeated calls on identical inputs return identical actions.
 from __future__ import annotations
 
 from dataclasses import dataclass
-from typing import Any, Sequence
+from typing import Any, Callable, Sequence
 
 import numpy as np
-from scipy.special import xlogy
 
 from .errors import IncompatibleSpaceError, UnboundedCrossEntropyError
 from .spaces import OutcomeSpace, Pmf
@@ -32,6 +37,94 @@ LOGARITHMIC = "logarithmic"
 QUADRATIC = "quadratic"
 ZERO_ONE = "zero-one"
 FINITE_TABLE = "finite-table"
+
+
+def _per_mass(values: np.ndarray, mass: np.ndarray) -> np.ndarray:
+    """``values / mass``, with zeros where ``mass`` is zero."""
+    return np.divide(values, mass, out=np.zeros(values.shape), where=mass > 0.0)
+
+
+class _Kernel:
+    """One loss kind bound to an outcome space."""
+
+    def __init__(self, loss: "LossSpec", space: OutcomeSpace):
+        self.space = space
+
+
+class _LogKernel(_Kernel):
+    def fit(self, rows):
+        return _per_mass(rows, rows.sum(axis=1, keepdims=True))
+
+    def losses(self, codes):
+        return -np.log(codes, out=np.full(codes.shape, -np.inf), where=codes > 0.0)
+
+    def encode(self, action):
+        if not isinstance(action, Pmf):
+            raise IncompatibleSpaceError("logarithmic actions are pmfs")
+        if action.space.labels != self.space.labels:
+            raise IncompatibleSpaceError("action pmf lives on a different space")
+        return action.probs
+
+    def decode(self, code):
+        return Pmf(self.space, code)
+
+
+class _QuadraticKernel(_Kernel):
+    def __init__(self, loss: "LossSpec", space: OutcomeSpace):
+        if not space.is_numeric:
+            raise IncompatibleSpaceError("quadratic loss needs a numeric outcome space")
+        self.levels = space.levels()
+
+    def fit(self, rows):
+        return _per_mass(rows @ self.levels, rows.sum(axis=1))
+
+    def losses(self, codes):
+        return (self.levels[None, :] - codes[:, None]) ** 2
+
+    def encode(self, action):
+        return float(action)
+
+    def decode(self, code):
+        return float(code)
+
+
+class _ZeroOneKernel(_Kernel):
+    def fit(self, rows):
+        return np.argmax(rows, axis=1)
+
+    def losses(self, codes):
+        return (np.arange(len(self.space))[None, :] != codes[:, None]).astype(float)
+
+    def encode(self, action):
+        return self.space.index(action)
+
+    def decode(self, code):
+        return self.space.labels[code]
+
+
+class _TableKernel(_Kernel):
+    def __init__(self, loss: "LossSpec", space: OutcomeSpace):
+        self.table, self.actions = loss.aligned_table(space), loss.actions
+
+    def fit(self, rows):
+        return np.argmin(rows @ self.table, axis=1)
+
+    def losses(self, codes):
+        return self.table[:, codes].T
+
+    def encode(self, action):
+        return self.actions.index(action)
+
+    def decode(self, code):
+        return self.actions[code]
+
+
+_KERNELS = {
+    LOGARITHMIC: _LogKernel,
+    QUADRATIC: _QuadraticKernel,
+    ZERO_ONE: _ZeroOneKernel,
+    FINITE_TABLE: _TableKernel,
+}
 
 
 @dataclass(frozen=True, eq=False)
@@ -44,7 +137,7 @@ class LossSpec:
     table: np.ndarray | None = None
 
     def __post_init__(self):
-        if self.kind not in (LOGARITHMIC, QUADRATIC, ZERO_ONE, FINITE_TABLE):
+        if self.kind not in _KERNELS:
             raise IncompatibleSpaceError(f"unknown loss kind {self.kind!r}")
         if self.kind == FINITE_TABLE:
             if self.outcomes is None or self.actions is None or self.table is None:
@@ -70,11 +163,12 @@ class LossSpec:
             raise IncompatibleSpaceError(f"loss table missing outcomes {missing}")
         return self.table[rows, :]
 
+    def kernel(self, space: OutcomeSpace):
+        """This loss's kernel on ``space``; raises if the space cannot serve it."""
+        return _KERNELS[self.kind](self, space)
+
     def check_space(self, space: OutcomeSpace) -> None:
-        if self.kind == QUADRATIC and not space.is_numeric:
-            raise IncompatibleSpaceError("quadratic loss needs a numeric outcome space")
-        if self.kind == FINITE_TABLE:
-            self.aligned_table(space)
+        self.kernel(space)
 
 
 def log_loss() -> LossSpec:
@@ -93,6 +187,29 @@ def table_loss(outcomes: Sequence, actions: Sequence, table) -> LossSpec:
     return LossSpec(FINITE_TABLE, tuple(outcomes), tuple(actions), np.asarray(table, dtype=float))
 
 
+def risk(
+    mass: np.ndarray,
+    losses: np.ndarray,
+    space: OutcomeSpace,
+    row_label: Callable[[int], Any] | None = None,
+) -> float:
+    """Sum of ``mass * losses`` over the ``(rows, outcomes)`` cells with mass.
+
+    An infinite loss on a cell with mass raises
+    :class:`UnboundedCrossEntropyError` naming each such cell by its outcome
+    label, paired with ``row_label(row)`` when rows are conditioning cells.
+    """
+    live = mass > 0.0
+    bad = live & np.isinf(losses)
+    if bad.any():
+        cells = [
+            space.labels[y] if row_label is None else (row_label(r), space.labels[y])
+            for r, y in zip(*np.nonzero(bad))
+        ]
+        raise UnboundedCrossEntropyError(f"unbounded cross-entropy: zero action probability on {cells}", cells)
+    return float(np.multiply(mass, losses, out=np.zeros(mass.shape), where=live).sum())
+
+
 @dataclass(frozen=True, eq=False)
 class BayesResult:
     """Minimizing action and its expected loss."""
@@ -103,21 +220,10 @@ class BayesResult:
 
 def bayes_action(p: Pmf, loss: LossSpec) -> BayesResult:
     """Minimize expected loss under ``p`` over the loss's action space."""
-    loss.check_space(p.space)
-    if loss.kind == LOGARITHMIC:
-        value = -float(xlogy(p.probs, p.probs).sum())
-        return BayesResult(p, value)
-    if loss.kind == QUADRATIC:
-        v = p.space.levels()
-        mu = float(p.probs @ v)
-        return BayesResult(mu, float(p.probs @ (v - mu) ** 2))
-    if loss.kind == ZERO_ONE:
-        i = int(np.argmax(p.probs))
-        return BayesResult(p.space.labels[i], float(1.0 - p.probs[i]))
-    table = loss.aligned_table(p.space)
-    expected = p.probs @ table
-    j = int(np.argmin(expected))
-    return BayesResult(loss.actions[j], float(expected[j]))
+    kernel = loss.kernel(p.space)
+    mass = p.probs[None, :]
+    codes = kernel.fit(mass)
+    return BayesResult(kernel.decode(codes[0]), risk(mass, kernel.losses(codes), p.space))
 
 
 def entropy(p: Pmf, loss: LossSpec) -> float:
@@ -132,24 +238,6 @@ def expected_loss(p: Pmf, action, loss: LossSpec) -> float:
     action probability on the support of ``p`` raises
     :class:`UnboundedCrossEntropyError`.
     """
-    loss.check_space(p.space)
-    if loss.kind == LOGARITHMIC:
-        if not isinstance(action, Pmf):
-            raise IncompatibleSpaceError("logarithmic actions are pmfs")
-        if action.space.labels != p.space.labels:
-            raise IncompatibleSpaceError("action pmf lives on a different space")
-        bad = (p.probs > 0.0) & (action.probs == 0.0)
-        if np.any(bad):
-            cells = [p.space.labels[i] for i in np.flatnonzero(bad)]
-            raise UnboundedCrossEntropyError(
-                f"zero action probability on supported outcomes {cells}", cells
-            )
-        return -float(xlogy(p.probs, action.probs).sum())
-    if loss.kind == QUADRATIC:
-        v = p.space.levels()
-        return float(p.probs @ (v - float(action)) ** 2)
-    if loss.kind == ZERO_ONE:
-        return float(1.0 - p.prob(action))
-    table = loss.aligned_table(p.space)
-    j = loss.actions.index(action)
-    return float(p.probs @ table[:, j])
+    kernel = loss.kernel(p.space)
+    codes = np.asarray([kernel.encode(action)])
+    return risk(p.probs[None, :], kernel.losses(codes), p.space)

@@ -35,6 +35,7 @@ from typing import Sequence
 
 import numpy as np
 
+from ._util import write_text_atomic
 from .errors import AofLabError, IncompatibleSpaceError, NotNormalizedError, SpanCapError
 from .ingest import Dataset
 from .laws import (
@@ -208,8 +209,7 @@ class ProcessModel:
         }
 
     def save(self, path) -> None:
-        with open(path, "w", encoding="utf-8") as fh:
-            json.dump(self.to_json_dict(), fh)
+        write_text_atomic(path, json.dumps(self.to_json_dict()))
 
     @classmethod
     def from_json_dict(cls, data: dict) -> "ProcessModel":

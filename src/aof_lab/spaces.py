@@ -14,6 +14,7 @@ from typing import Any, Iterable, Mapping, Sequence
 
 import numpy as np
 
+from ._util import write_text_atomic
 from .errors import IncompatibleSpaceError, NotNormalizedError
 
 Label = Any
@@ -277,8 +278,7 @@ class JointPmf:
         return cls(variables, probs)
 
     def save(self, path) -> None:
-        with open(path, "w", encoding="utf-8") as fh:
-            json.dump(self.to_json_dict(), fh)
+        write_text_atomic(path, json.dumps(self.to_json_dict()))
 
     @classmethod
     def load(cls, path) -> "JointPmf":

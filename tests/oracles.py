@@ -203,6 +203,18 @@ def stochastic_order_upper_sets(p, q, atol=1e-9) -> bool:
     return True
 
 
+def max_upper_set_violation(p, q) -> float:
+    """Largest p(U) - q(U) over up-closed subsets U of the joint support,
+    the empty set included, by exhaustive enumeration."""
+    support = sorted(set(p.vectors) | set(q.vectors))
+    mass_p = dict(zip(p.vectors, p.probs))
+    mass_q = dict(zip(q.vectors, q.probs))
+    return max(
+        sum(mass_p.get(v, 0.0) for v in subset) - sum(mass_q.get(v, 0.0) for v in subset)
+        for subset in upclosed_subsets(support)
+    )
+
+
 def loglog_slope(xs, ys) -> float:
     return float(np.polyfit(np.log(np.asarray(xs)), np.log(np.asarray(ys)), 1)[0])
 

@@ -17,7 +17,7 @@ from aof_lab import (
 from aof_lab.aoi import SENTINEL
 from aof_lab.errors import AofLabError, IncompatibleSpaceError, WarmupError
 
-from oracles import stochastic_order_upper_sets
+from oracles import max_upper_set_violation, stochastic_order_upper_sets
 
 
 def test_sawtooth_trace():
@@ -171,6 +171,69 @@ def test_flow_verdict_agrees_with_upper_set_enumeration():
         checked += 1
         agree += got.holds == want
     assert checked == agree == 120
+
+
+def _permuted(dist, order):
+    return AgeDistribution(tuple(dist.vectors[i] for i in order), dist.probs[order])
+
+
+@given(st.integers(0, 2**32 - 1), st.integers(1, 3), st.integers(1, 8))
+@settings(max_examples=150, deadline=None)
+def test_flow_witness_is_the_maximum_violation(seed, m, size):
+    rng = np.random.default_rng(seed)
+    pool = sorted({tuple(int(v) for v in rng.integers(0, 4, size=m)) for _ in range(size)})
+    side = rng.integers(0, 3, size=len(pool))  # 0: p only, 1: q only, 2: both
+    in_p, in_q = side != 1, side != 0
+    in_p[0] = in_q[-1] = True
+    dists = []
+    for mask in (in_p, in_q):
+        probs = rng.random(int(mask.sum())) + 0.05
+        dists.append(AgeDistribution(tuple(v for v, keep in zip(pool, mask) if keep), probs / probs.sum()))
+    p, q = dists
+    got = stochastic_order_multivariate(p, q)
+    assert got.holds == stochastic_order_upper_sets(p, q)
+    if not got.holds:
+        w = got.witness
+        assert set(w.generators) <= set(p.vectors)
+        assert w.p_mass == pytest.approx(sum(pr for v, pr in zip(p.vectors, p.probs) if w.contains(v)), abs=1e-15)
+        assert w.q_mass == pytest.approx(sum(qr for v, qr in zip(q.vectors, q.probs) if w.contains(v)), abs=1e-15)
+        assert abs((w.p_mass - w.q_mass) - max_upper_set_violation(p, q)) <= 1e-12
+    again = stochastic_order_multivariate(
+        _permuted(p, rng.permutation(len(p.vectors))), _permuted(q, rng.permutation(len(q.vectors)))
+    )
+    assert again == got
+
+
+def _bench_shaped_support(rng, n=200, box=40):
+    flat = rng.choice(box * box, size=n, replace=False)
+    return tuple(map(tuple, np.stack(np.unravel_index(flat, (box, box)), axis=1).tolist()))
+
+
+def test_witness_is_identical_under_support_permutation():
+    fixed = np.random.default_rng(20210301)
+    pts, pts_a, pts_b = (_bench_shaped_support(fixed) for _ in range(3))
+    rng = np.random.default_rng(7)
+    alpha = np.full(200, 20.0)
+    probs = rng.dirichlet(alpha)
+    hold_a = AgeDistribution(pts, probs)
+    hold_b = AgeDistribution(tuple((x + 1, y + 2) for x, y in pts), probs)
+    fail_a = AgeDistribution(pts_a, rng.dirichlet(alpha))
+    fail_b = AgeDistribution(pts_b, rng.dirichlet(alpha))
+    assert stochastic_order_multivariate(hold_a, hold_b).holds
+    verdict = stochastic_order_multivariate(fail_a, fail_b)
+    assert not verdict.holds
+    w = verdict.witness
+    # no one-coordinate upper set {v_c > x} violates more than the witness
+    for c in range(2):
+        for x in range(40):
+            pm = sum(pr for v, pr in zip(fail_a.vectors, fail_a.probs) if v[c] > x)
+            qm = sum(qr for v, qr in zip(fail_b.vectors, fail_b.probs) if v[c] > x)
+            assert pm - qm <= w.p_mass - w.q_mass + 1e-12
+    for _ in range(3):
+        again = stochastic_order_multivariate(
+            _permuted(fail_a, rng.permutation(200)), _permuted(fail_b, rng.permutation(200))
+        )
+        assert again == verdict
 
 
 def test_pathwise_coupling_implies_stochastic_order():

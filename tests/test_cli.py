@@ -1,5 +1,9 @@
 import csv
 import json
+import os
+import subprocess
+import sys
+from pathlib import Path
 
 import numpy as np
 import pytest
@@ -31,6 +35,47 @@ def test_gen_deterministic_given_seed(runner, tmp_path):
     model_b["config"].pop("out")
     assert model_a == model_b  # identical up to the echoed output directory
     assert (a / "trajectory.csv").read_text() == (b / "trajectory.csv").read_text()
+
+
+def test_gen_ignores_a_stale_temp_path_in_out(runner, tmp_path):
+    (tmp_path / ".trajectory.csv.tmp").mkdir()
+    res = _invoke(runner, ["--seed", "9", "--out", str(tmp_path), "gen", "--length", "20"])
+    assert res.exit_code == 0
+    assert len((tmp_path / "trajectory.csv").read_text().splitlines()) == 21
+
+
+def test_every_output_gets_the_mode_of_a_plain_open(runner, tmp_path):
+    out = tmp_path / "out"
+    _invoke(runner, ["--seed", "3", "--out", str(out), "gen", "--length", "40"])
+    DeliveryTrace((((0, 1), (3, 5)),)).to_csv(tmp_path / "trace.csv")
+    AgeDistribution.point_mass((1, 3)).save(tmp_path / "a.json")
+    AgeDistribution.point_mass((2, 2)).save(tmp_path / "b.json")
+    model = str(out / "model.json")
+    exact_window_law(ProcessModel.load(model), [("y", 0), ("x1", 1)]).law.save(tmp_path / "law.json")
+    law = str(tmp_path / "law.json")
+    for args in (["age-curve", "--model", model, "--grid", "0..1"],
+                 ["decompose", "--model", model, "--delta", "1"],
+                 ["epsilon", "--model", model, "--tau-max", "1", "--mu-max", "1"],
+                 ["cross-loss", "--train", model, "--test", model],
+                 ["beta", "--train", law, "--test", law],
+                 ["order-check", "--dist-a", str(tmp_path / "a.json"), "--dist-b", str(tmp_path / "b.json")],
+                 ["simulate-aoi", "--trace", str(tmp_path / "trace.csv"), "--horizon", "6"]):
+        assert _invoke(runner, ["--out", str(out), *args]).exit_code == 0
+    with open(out / "probe", "w", encoding="utf-8"):
+        pass
+    plain = (out / "probe").stat().st_mode & 0o777
+    (out / "probe").unlink()
+    written = sorted(out.iterdir())
+    assert len(written) == 12
+    assert {p.name: p.stat().st_mode & 0o777 for p in written} == {p.name: plain for p in written}
+
+
+def test_cli_import_loads_neither_scipy_nor_networkx():
+    src = Path(__file__).resolve().parent.parent / "src"
+    env = {**os.environ, "PYTHONPATH": os.pathsep.join([str(src), os.environ.get("PYTHONPATH", "")])}
+    code = "import sys, aof_lab.cli; print(sorted({'scipy', 'networkx'} & set(sys.modules)))"
+    res = subprocess.run([sys.executable, "-c", code], env=env, capture_output=True, text=True, check=True)
+    assert res.stdout.strip() == "[]"
 
 
 def test_gen_length_zero_skips_dataset(runner, tmp_path):

@@ -1,3 +1,4 @@
+import itertools
 import math
 
 import numpy as np
@@ -9,11 +10,13 @@ from aof_lab import (
     JointPmf,
     OutcomeSpace,
     Pmf,
+    bayes_action,
     conditional_cross_entropy,
     conditional_entropy,
     conditional_mutual_information,
     cross_entropy,
     entropy,
+    expected_loss,
     log_loss,
     mutual_information,
     quadratic_loss,
@@ -220,6 +223,16 @@ def test_cross_entropy_unbounded_error():
         cross_entropy(p, q, log_loss())
 
 
+def test_cross_entropy_certificate_names_outcome_labels():
+    space = OutcomeSpace(("lo", "mid", "hi"))
+    p = Pmf(space, np.array([0.5, 0.25, 0.25]))
+    q = Pmf(space, np.array([0.5, 0.5, 0.0]))
+    with pytest.raises(UnboundedCrossEntropyError) as exc:
+        cross_entropy(p, q, log_loss())
+    assert exc.value.cells == ["hi"]
+    assert "'hi'" in str(exc.value)
+
+
 def test_conditional_cross_entropy_log_certificate_names_labels():
     x = OutcomeSpace(("lo", "mid", "hi"))
     y = OutcomeSpace(("no", "yes"))
@@ -280,3 +293,71 @@ def test_information_nonnegative_on_random_joints(seed):
     j = random_joint(rng, _vars(2, 3, 2, names=["x1", "x2", "y"]))
     for loss in ALL_LOSSES:
         assert mutual_information(j, "y", ["x1", "x2"], loss) >= -1e-10
+
+
+_X_SPACES = (("x1", OutcomeSpace(("a", "b", "c"))), ("x2", OutcomeSpace(("p", "q"))))
+_Y_SPACE = OutcomeSpace((0, 1, 3))
+
+
+def _sparse_joint(rng, n_given, support=None):
+    """A random law with zero outcome cells and zero-mass conditioning cells,
+    kept inside ``support`` when one is given."""
+    variables = (*_X_SPACES[:n_given], ("y", _Y_SPACE))
+    shape = tuple(len(space) for _, space in variables)
+    raw = rng.random(shape) * (rng.random(shape) < 0.6)
+    rows = raw.reshape(-1, len(_Y_SPACE))
+    rows[rng.random(rows.shape[0]) < 0.3] = 0.0
+    if support is not None:
+        raw = raw * support
+    if raw.sum() == 0.0:
+        allowed = np.flatnonzero(np.ones(shape) if support is None else support)
+        raw.flat[allowed[rng.integers(len(allowed))]] = 1.0
+    return JointPmf(variables, raw / raw.sum())
+
+
+@given(st.integers(0, 2**32 - 1), st.integers(0, 2))
+@settings(max_examples=80, deadline=None)
+def test_loss_kernels_on_sparse_laws(seed, n_given):
+    rng = np.random.default_rng(seed)
+    test = _sparse_joint(rng, n_given)
+    if rng.random() < 0.5:  # train covers the test support, so most cases evaluate
+        train = _sparse_joint(rng, n_given, support=(test.probs > 0) | (rng.random(test.probs.shape) < 0.3))
+        train = JointPmf(train.variables, (train.probs + 0.5 * test.probs) / 1.5)
+    else:
+        train = _sparse_joint(rng, n_given)
+    given = [name for name, _ in _X_SPACES[:n_given]]
+    table = table_loss(_Y_SPACE.labels, ("u", "v", "w"), rng.random((3, 3)))
+    cells = list(itertools.product(*(space.labels for _, space in _X_SPACES[:n_given])))
+    rows_t = test.arrange([*given, "y"]).probs.reshape(-1, len(_Y_SPACE))
+    rows_q = train.arrange([*given, "y"]).probs.reshape(-1, len(_Y_SPACE))
+    untrained = [c for c, rt, rq in zip(cells, rows_t, rows_q) if rt.sum() > 0 and rq.sum() == 0]
+    for loss in (*ALL_LOSSES, table):
+        want = per_cell_bayes_search(test, "y", given, loss)
+        assert conditional_entropy(test, "y", given, loss) == pytest.approx(want, abs=1e-12)
+        if loss.kind == "quadratic":
+            want = expected_conditional_variance(test, "y", given)
+            assert conditional_entropy(test, "y", given, loss) == pytest.approx(want, abs=1e-12)
+        if untrained:
+            with pytest.raises(UntrainedCellError) as exc:
+                conditional_cross_entropy(test, train, "y", given, loss)
+            assert exc.value.cells == untrained
+            continue
+        total, offending = 0.0, []
+        for cell, rt, rq in zip(cells, rows_t, rows_q):
+            if rt.sum() == 0:
+                continue
+            if loss.kind == "logarithmic":
+                for y, pt, pq in zip(_Y_SPACE.labels, rt, rq):
+                    if pt > 0 and pq == 0:
+                        offending.append((cell, y) if n_given else y)
+                    elif pt > 0:
+                        total -= pt * math.log(pq / rq.sum())
+            else:
+                action = bayes_action(Pmf(_Y_SPACE, rq / rq.sum()), loss).action
+                total += rt.sum() * expected_loss(Pmf(_Y_SPACE, rt / rt.sum()), action, loss)
+        if offending:
+            with pytest.raises(UnboundedCrossEntropyError) as exc:
+                conditional_cross_entropy(test, train, "y", given, loss)
+            assert exc.value.cells == offending
+        else:
+            assert conditional_cross_entropy(test, train, "y", given, loss) == pytest.approx(total, abs=1e-12)
