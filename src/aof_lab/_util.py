@@ -1,36 +1,19 @@
-"""Small shared helpers: atomic file output, CSV rendering and capped
-thread fan-out."""
+"""Small shared helpers: atomic file output and CSV rendering."""
 
 from __future__ import annotations
 
 import csv
 import io
 import os
-from concurrent.futures import ThreadPoolExecutor
 from pathlib import Path
-from typing import Callable, Sequence
-
-THREADS_ENV = "AOF_LAB_THREADS"
 
 
 def thread_count() -> int:
-    raw = os.environ.get(THREADS_ENV, "").strip()
-    if not raw:
-        return 1
-    count = int(raw)
-    if count < 1:
-        raise ValueError(f"{THREADS_ENV} must be a positive integer, got {raw!r}")
-    return count
-
-
-def thread_map(fn: Callable, items: Sequence) -> list:
-    """Apply ``fn`` over ``items`` preserving order, fanning out only when
-    the thread cap allows it.  Results are independent of worker count."""
-    workers = thread_count()
-    if workers == 1 or len(items) <= 1:
-        return [fn(item) for item in items]
-    with ThreadPoolExecutor(max_workers=workers) as pool:
-        return list(pool.map(fn, items))
+    """Worker threads the package uses: always one.  Grid and sweep
+    evaluation is batched numpy work under the interpreter lock, where
+    extra threads measured no gain, so there is no fan-out to configure;
+    the function stays for the benchmark, which records it."""
+    return 1
 
 
 def csv_text(header, rows, delimiter: str = ",") -> str:

@@ -32,7 +32,7 @@ from .aoi import AgeDistribution, OrderingVerdict, stochastic_order_multivariate
 from .divergence import BetaReport, EpsilonReport, beta_between, epsilon_coefficient
 from .errors import AofLabError, IncompatibleSpaceError
 from .information import conditional_cross_entropy, conditional_entropy
-from .laws import LawProvider, positional_rename, variable_name
+from .laws import Layout, LawProvider, variable_name
 from .losses import LossSpec
 from .spaces import JointPmf, OutcomeSpace
 
@@ -48,22 +48,23 @@ def _age_vector(delta: Sequence[int], m: int) -> AgeVector:
     return vec
 
 
-def _law_at(laws: LawProvider, lags: dict[int, int]):
-    """Window law over y@0 and x_l at the given per-source lags."""
-    requests = [("y", 0)] + [(f"x{l}", lag) for l, lag in lags.items()]
-    return laws.window_law(requests)
+def _constant_age_laws(laws: LawProvider, vectors: Sequence[AgeVector]) -> tuple[Layout, np.ndarray]:
+    """Laws of (y@0, x1@d1, ..., xm@dm) at each age vector, as one stack whose
+    layout is (y, x1, ..., xm)."""
+    return laws.window_law_stack(
+        [[("y", 0)] + [(f"x{l + 1}", d) for l, d in enumerate(vec)] for vec in vectors]
+    )
 
 
-def _entropy_at(laws: LawProvider, lags: dict[int, int], loss: LossSpec) -> float:
-    law = _law_at(laws, lags)
-    given = [variable_name(f"x{l}", lag) for l, lag in sorted(lags.items())]
-    return conditional_entropy(law.law, "y@0", given, loss)
+def _min_training_losses(laws: LawProvider, vectors: Sequence[AgeVector], loss: LossSpec) -> list[float]:
+    layout, stack = _constant_age_laws(laws, vectors)
+    features = [f"x{l + 1}" for l in range(laws.m)]
+    return [conditional_entropy(JointPmf(layout, p), "y", features, loss) for p in stack]
 
 
 def min_training_loss(laws: LawProvider, delta: Sequence[int], loss: LossSpec) -> float:
     """Exact minimum expected loss at the constant age vector ``delta``."""
-    vec = _age_vector(delta, laws.m)
-    return _entropy_at(laws, {l + 1: vec[l] for l in range(laws.m)}, loss)
+    return _min_training_losses(laws, [_age_vector(delta, laws.m)], loss)[0]
 
 
 def _staircase_entropy(
@@ -230,9 +231,11 @@ class LossCurve:
 def loss_curve(laws: LawProvider, grid: Sequence[Sequence[int]], loss: LossSpec) -> LossCurve:
     """Evaluate the minimum training loss over a grid of age vectors."""
     vectors = [_age_vector(g, laws.m) for g in grid]
+    if not vectors:
+        raise AofLabError("grid must hold at least one age vector")
     if len(set(vectors)) != len(vectors):
         raise AofLabError("grid points must be distinct")
-    values = [min_training_loss(laws, v, loss) for v in vectors]
+    values = _min_training_losses(laws, vectors, loss)
     index = 0.0
     value_of = dict(zip(vectors, values))
     for vec, val in value_of.items():
@@ -251,28 +254,14 @@ def loss_curve(laws: LawProvider, grid: Sequence[Sequence[int]], loss: LossSpec)
 AGE_VARIABLE = "age"
 
 
-def _positional_law(laws: LawProvider, vec: AgeVector) -> JointPmf:
-    """Constant-age law with lag-free names x1..xm, y."""
-    law = _law_at(laws, {l + 1: vec[l] for l in range(laws.m)})
-    renamed = law.law.rename(positional_rename(law))
-    return renamed.arrange([f"x{l + 1}" for l in range(laws.m)] + ["y"])
-
-
 def dynamic_joint(laws: LawProvider, ages: AgeDistribution) -> JointPmf:
     """Joint law of (age vector, held features, target) under dynamic ages."""
     if ages.m != laws.m:
         raise IncompatibleSpaceError("age distribution and provider disagree on sources")
-    age_space = OutcomeSpace(ages.vectors)
-    slabs = []
-    for vec, weight in zip(ages.vectors, ages.probs):
-        slabs.append(float(weight) * _positional_law(laws, vec).probs)
-    probs = np.stack(slabs, axis=0)
-    variables = (
-        (AGE_VARIABLE, age_space),
-        *((f"x{l + 1}", laws.feature_space(l + 1)) for l in range(laws.m)),
-        ("y", laws.target_space),
-    )
-    return JointPmf(variables, probs)
+    layout, stack = _constant_age_laws(laws, ages.vectors)
+    weights = ages.probs.reshape((-1,) + (1,) * (stack.ndim - 1))
+    variables = ((AGE_VARIABLE, OutcomeSpace(ages.vectors)), *layout[1:], layout[0])
+    return JointPmf(variables, np.moveaxis(stack, 1, -1) * weights)
 
 
 def joint_training_loss(

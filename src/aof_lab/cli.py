@@ -3,8 +3,7 @@
 Every command is deterministic given its flags plus ``--seed``; outputs are
 written atomically (temp file + rename) and each report carries the
 effective configuration that produced it.  Flags override config-file
-values, which override defaults.  ``AOF_LAB_THREADS`` caps internal
-parallelism for grid and sweep evaluation.
+values, which override defaults.
 """
 
 from __future__ import annotations
@@ -16,7 +15,7 @@ from pathlib import Path
 import click
 
 from . import analysis, aoi, divergence, ingest, laws, losses, processes
-from ._util import csv_text, thread_map, write_text_atomic
+from ._util import csv_text, write_text_atomic
 from .errors import AofLabError
 from .spaces import JointPmf
 
@@ -203,10 +202,9 @@ def age_curve(ctx, model_path, data_path, grid, windows):
         if model is None:
             raise click.ClickException("--windows needs a --model law source")
         blist = [int(b) for b in windows.split(",")]
-        curves = thread_map(
-            lambda b: analysis.loss_curve(processes.ExactLawProvider(model.with_window(b)), vectors, loss),
-            blist,
-        )
+        curves = [
+            analysis.loss_curve(processes.ExactLawProvider(model.with_window(b)), vectors, loss) for b in blist
+        ]
         named = [(f"b={b}", f"curve_b{b}.csv", curve) for b, curve in zip(blist, curves)]
     else:
         named = [("default", "curve.csv", analysis.loss_curve(provider, vectors, loss))]
@@ -265,12 +263,10 @@ def epsilon(ctx, model_path, data_path, tau_max, mu_max, sweep, mix_ref, etas):
             raise click.ClickException("--sweep needs --model and --mix-ref model files")
         ref = processes.ProcessModel.load(mix_ref)
         eta_values = _parse_etas(etas)
-        reports = thread_map(
-            lambda eta: divergence.epsilon_coefficient(
-                processes.mix_toward_markov(model, ref, eta), tau_max, mu_max
-            ),
-            eta_values,
-        )
+        reports = [
+            divergence.epsilon_coefficient(processes.mix_toward_markov(model, ref, eta), tau_max, mu_max)
+            for eta in eta_values
+        ]
         rows = [[eta, rep.epsilon] for eta, rep in zip(eta_values, reports)]
         _emit_csv(out / "epsilon_sweep.csv", _table(["eta", "epsilon"], rows),
                   {"config": {**cfg, "tau_max": tau_max, "mu_max": mu_max, "etas": etas}})
@@ -348,12 +344,10 @@ def cross_loss(ctx, train_path, test_path, ages_path, sweep, etas):
 
     if sweep:
         eta_values = _parse_etas(etas)
-        results = thread_map(
-            lambda eta: evaluate(
-                laws.MixtureLawProvider(base=train_prov, other=processes.ExactLawProvider(test_model), eta=eta)
-            ),
-            eta_values,
-        )
+        test_prov = processes.ExactLawProvider(test_model)
+        results = [
+            evaluate(laws.MixtureLawProvider(base=train_prov, other=test_prov, eta=eta)) for eta in eta_values
+        ]
         rows = [[eta, b, training, t, t - training] for eta, (b, t) in zip(eta_values, results)]
         _emit_csv(out / "cross_loss.csv", _table(["eta", "beta", "training", "testing", "gap"], rows), meta)
     else:

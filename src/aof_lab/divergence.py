@@ -171,8 +171,7 @@ def epsilon_coefficient(laws: "LawProvider", tau_max: int = 8, mu_max: int = 8) 
 
     Grid points are evaluated one layout at a time: the layout is the set of
     sources with a nonzero future lag, which fixes the law's variables and
-    the split into conditioning and future blocks.  The lags a grid needs
-    follow from the caps, so there is no span cap; a model whose laws
+    the split into conditioning and future blocks.  A model whose laws
     exceed ``DEFAULT_MAX_CELLS`` cells is rejected before any law is built.
     """
     if tau_max < 0 or mu_max < 0:

@@ -52,6 +52,3 @@ class PositivityError(AofLabError):
 class WarmupError(AofLabError):
     """An age process still contains pre-first-delivery slots."""
 
-
-class SpanCapError(AofLabError):
-    """A requested lag window exceeds the configured unrolling cap."""

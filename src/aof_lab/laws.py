@@ -20,7 +20,7 @@ per law.
 from __future__ import annotations
 
 from dataclasses import dataclass, field
-from typing import Mapping, Protocol, Sequence
+from typing import Protocol, Sequence
 
 import numpy as np
 
@@ -86,12 +86,6 @@ class WindowLaw:
     @property
     def names(self) -> tuple[str, ...]:
         return self.law.names
-
-    def lag_of(self, name: str) -> int:
-        for var, lag in self.requests:
-            if variable_name(var, lag) == name:
-                return lag
-        raise IncompatibleSpaceError(f"unknown variable {name!r}")
 
 
 def stack_window_laws(laws: Sequence[WindowLaw]) -> tuple[Layout, np.ndarray]:
@@ -184,13 +178,3 @@ class MixtureLawProvider:
         layout, a = self.base.window_law_stack(request_sets)
         _, b = self.other.window_law_stack(request_sets)
         return layout, (1.0 - self.eta) * a + self.eta * b
-
-
-def positional_rename(law: WindowLaw) -> Mapping[str, str]:
-    """Map lag-tagged names to bare positional names ('x1@3' -> 'x1')."""
-    mapping = {}
-    for var, lag in law.requests:
-        mapping[variable_name(var, lag)] = var
-    if len(set(mapping.values())) != len(mapping):
-        raise IncompatibleSpaceError("law repeats a variable at several lags; cannot drop lags")
-    return mapping

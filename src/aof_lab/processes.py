@@ -6,37 +6,32 @@ feature processing delay.  The feature of source ``l`` at slot ``t`` is the
 tuple of its last ``b`` emissions ending at ``t - delay`` (newest first); a
 window length of one keeps the bare symbol.
 
-``exact_window_law`` produces the exact joint distribution of any set of
-lagged features and targets.  It scans the needed slot range once, carrying
-a table over (accumulated observed variables, current state): the chain is
-collapsed on the fly, so cost grows with the size of the answer rather than
-with the number of state paths.  It is also the reference the batched
-kernel is tested against.
-
-``exact_window_laws`` evaluates many request sets of one layout at once.
-Under stationarity a window law is the HMM forward recursion
+Every exact window law comes from one builder, ``exact_window_laws``.  Under
+stationarity a window law is the HMM forward recursion
 ``pi D T^g1 D T^g2 ... D 1`` (Rabiner 1989), where each ``D`` applies the
 emission kernels read at an occupied slot and ``g_i`` are the gaps between
 occupied slots.  Request sets that read the same kernels at their occupied
 slots, and map those reads to variables the same way, differ only in their
 gaps, so they run as one recursion over a stacked table with ``T^g`` taken
-from powers of the transition matrix computed once.
+from powers of the transition matrix computed once.  ``exact_window_law`` is
+the case of one request set.  ``max_cells`` bounds the power table as well
+as each law's table, so no separate cap limits how far apart lags may lie.
 
-Both snap the total mass of a law back to one after checking that it is
-within ``NORMALIZATION_ATOL`` of one.
+The builder snaps the total mass of each law back to one after checking
+that it is within ``NORMALIZATION_ATOL`` of one.
 """
 
 from __future__ import annotations
 
 import itertools
 import json
-from dataclasses import dataclass, field, replace
+from dataclasses import dataclass, replace
 from typing import Sequence
 
 import numpy as np
 
 from ._util import write_text_atomic
-from .errors import AofLabError, IncompatibleSpaceError, NotNormalizedError, SpanCapError
+from .errors import AofLabError, IncompatibleSpaceError, NotNormalizedError
 from .ingest import Dataset
 from .laws import (
     DEFAULT_MAX_CELLS,
@@ -52,8 +47,6 @@ from .laws import (
     variable_name,
 )
 from .spaces import NORMALIZATION_ATOL, JointPmf, OutcomeSpace
-
-DEFAULT_SPAN_CAP = 16
 
 STATIONARY_ATOL = 1e-12
 
@@ -249,89 +242,14 @@ def _elementary_reads(model: ProcessModel, requests: tuple[Request, ...]):
 
 
 def exact_window_law(
-    model: ProcessModel,
-    requests: Sequence,
-    span_cap: int = DEFAULT_SPAN_CAP,
-    max_cells: int = DEFAULT_MAX_CELLS,
+    model: ProcessModel, requests: Sequence, *, max_cells: int = DEFAULT_MAX_CELLS
 ) -> WindowLaw:
-    """Exact joint law of the requested lagged variables under stationarity."""
+    """Exact joint law of the requested lagged variables under stationarity,
+    with variables named ``y@0``, ``x1@3`` and so on."""
     reqs = canonical_requests(requests)
-    if not reqs:
-        raise IncompatibleSpaceError("at least one variable must be requested")
-    per_request, reads = _elementary_reads(model, reqs)
-    slots = [r[2] for r in reads]
-    span = max(slots) - min(slots)
-    if span > span_cap:
-        raise SpanCapError(f"lag span {span} exceeds cap {span_cap}")
-
-    def read_size(read) -> int:
-        kind, src, _ = read
-        return len(model.target_space) if kind == "y" else len(model.emission_spaces[src - 1])
-
-    n_cells = 1
-    for r in reads:
-        n_cells *= read_size(r)
-    if n_cells * model.n_states > max_cells:
-        raise AofLabError(f"unrolled law would need {n_cells * model.n_states} cells (cap {max_cells})")
-
-    reads_at: dict[int, list] = {}
-    for r in reads:
-        reads_at.setdefault(r[2], []).append(r)
-    order: list = []
-    table = model.stationary.copy()
-    lo, hi = min(slots), max(slots)
-    for slot in range(lo, hi + 1):
-        for read in reads_at.get(slot, ()):
-            kind, src, _ = read
-            kernel = model.target_kernel if kind == "y" else model.emissions[src - 1]
-            table = np.einsum("...s,sk->...ks", table, kernel)
-            order.append(read)
-        if slot < hi:
-            table = table @ model.transition
-    elem = table.sum(axis=-1)
-
-    axis_of = {read: i for i, read in enumerate(order)}
-    var_entries = []
-    for var, lag in reqs:
-        src = source_index(var)
-        if src is None:
-            space = model.target_space
-            weights = [(axis_of[per_request[(var, lag)][0]], 1)]
-        else:
-            space = model.feature_space(src)
-            k = len(model.emission_spaces[src - 1])
-            reads_v = per_request[(var, lag)]
-            weights = [
-                (axis_of[r], k ** (model.window - 1 - j)) for j, r in enumerate(reads_v)
-            ]
-        var_entries.append((variable_name(var, lag), space, weights))
-
-    coeff = np.zeros(len(order), dtype=np.int64)
-    strides = []
-    stride = 1
-    for _, space, _ in reversed(var_entries):
-        strides.append(stride)
-        stride *= len(space)
-    strides.reverse()
-    total_cells = stride
-    for (_, _, weights), var_stride in zip(var_entries, strides):
-        for axis, weight in weights:
-            coeff[axis] += var_stride * weight
-
-    flat_index = np.zeros(elem.shape, dtype=np.int64)
-    for axis, size in enumerate(elem.shape):
-        shape = [1] * elem.ndim
-        shape[axis] = size
-        flat_index = flat_index + coeff[axis] * np.arange(size, dtype=np.int64).reshape(shape)
-    probs = np.bincount(flat_index.ravel(), weights=elem.ravel(), minlength=total_cells)
-    probs = probs.reshape(tuple(len(space) for _, space, _ in var_entries))
-    # matrix products drift at float precision; snap the total back to one
-    total = probs.sum()
-    if abs(total - 1.0) > NORMALIZATION_ATOL:
-        raise NotNormalizedError(f"window law sums to {total!r} before normalization")
-    probs = probs / total
-    law = JointPmf(tuple((name, space) for name, space, _ in var_entries), probs)
-    return WindowLaw(law=law, requests=reqs, meta={"source": "exact"})
+    layout, probs = exact_window_laws(model, [reqs], max_cells)
+    variables = tuple((variable_name(var, lag), space) for (var, lag), (_, space) in zip(reqs, layout))
+    return WindowLaw(law=JointPmf(variables, probs[0]), requests=reqs, meta={"source": "exact"})
 
 
 def exact_window_laws(
@@ -341,15 +259,15 @@ def exact_window_laws(
 ) -> tuple[Layout, np.ndarray]:
     """Exact laws of request sets that share one layout, as one stack.
 
-    Returns ``(layout, probs)`` where ``probs[g]`` is the law
-    ``exact_window_law`` gives for ``request_sets[g]``, up to float rounding.
-    Request sets are grouped by their elementary read pattern: the (kind,
-    source) reads at each occupied slot plus the reads each variable takes.
-    Each group runs as one forward recursion over a (laws, states, cells)
+    Returns ``(layout, probs)`` where ``probs[g]`` is the law of
+    ``request_sets[g]``.  Request sets are grouped by their elementary read
+    pattern: the (kind, source) reads at each occupied slot plus the reads
+    each variable takes.  Each group runs as one forward recursion over a (laws, states, cells)
     table whose steps multiply by ``T^gap``, and one offset ``bincount`` maps
-    elementary cells to variable cells.  There is no span cap: powers of the
-    transition matrix go up to the widest gap asked for.  Tables are built
-    in chunks of at most ``STACK_CELLS`` cells.
+    elementary cells to variable cells.  Powers of the transition matrix go
+    up to the widest gap asked for; a power table or a law table larger than
+    ``max_cells`` is rejected before it is built.  Tables are built in chunks
+    of at most ``STACK_CELLS`` cells.
     """
     reqs_list = [canonical_requests(r) for r in request_sets]
     if not reqs_list or not reqs_list[0]:
@@ -382,6 +300,11 @@ def exact_window_laws(
     max_gap = max(
         (int(gaps.max()) for members in groups.values() for _, gaps in members if gaps.size), default=0
     )
+    if (max_gap + 1) * n_states**2 > max_cells:
+        raise AofLabError(
+            f"lag gap {max_gap} would need {max_gap + 1} transition powers of "
+            f"{n_states}x{n_states} cells (cap {max_cells})"
+        )
     # the table keeps states on the axis before the cells, so every step
     # works on long contiguous rows: a step by g slots is (T^g)' @ table
     steps = np.empty((max_gap + 1, n_states, n_states))
@@ -434,12 +357,11 @@ def exact_window_laws(
 
 @dataclass(eq=False)
 class ExactLawProvider:
-    """Caching provider of exact window laws for one model."""
+    """Exact window laws of one model, built on demand by the stacked forward
+    recursion; ``max_cells`` bounds the tables behind every law."""
 
     model: ProcessModel
-    span_cap: int = DEFAULT_SPAN_CAP
     max_cells: int = DEFAULT_MAX_CELLS
-    _cache: dict = field(default_factory=dict, repr=False)
 
     @property
     def m(self) -> int:
@@ -453,16 +375,9 @@ class ExactLawProvider:
         return self.model.target_space
 
     def window_law(self, requests: Sequence) -> WindowLaw:
-        key = canonical_requests(requests)
-        law = self._cache.get(key)
-        if law is None:
-            law = exact_window_law(self.model, key, self.span_cap, self.max_cells)
-            self._cache[key] = law
-        return law
+        return exact_window_law(self.model, requests, max_cells=self.max_cells)
 
     def window_law_stack(self, request_sets: Sequence[Sequence]) -> tuple[Layout, np.ndarray]:
-        """Batched laws straight from the kernel; the cache is neither read
-        nor filled, and ``span_cap`` does not apply."""
         return exact_window_laws(self.model, request_sets, self.max_cells)
 
 

@@ -6,6 +6,7 @@ from the vectorized production code paths.
 
 from __future__ import annotations
 
+import functools
 import itertools
 import math
 
@@ -168,6 +169,54 @@ def epsilon_direct(law_at, m: int, tau_max: int, mu_max: int):
             if value > best:
                 best, best_pair = value, (tau, mu)
     return math.sqrt(max(best, 0.0)), best_pair[0], best_pair[1], values
+
+
+def _window_reads(model, requests):
+    """Per request, the (variable, slot) emissions it reads, newest first:
+    lag k reads slot -k, a feature the window ending at slot -(k + delay)."""
+    return [
+        [("y", -lag)] if var == "y" else [(var, -(lag + model.delay) - j) for j in range(model.window)]
+        for var, lag in requests
+    ]
+
+
+def occupied_slots(model, requests) -> int:
+    return len({slot for reads in _window_reads(model, requests) for _, slot in reads})
+
+
+def window_law_by_enumeration(model, requests) -> np.ndarray:
+    """Exact window law of distinct ``requests``, axes in their order, by
+    summing over the hidden states at the occupied slots.
+
+    A state tuple s_0..s_n at the sorted slots weighs
+    pi(s_0) * prod matrix_power(T, gap_i)[s_i, s_i+1].  Given the tuple the
+    emissions read are independent, so it adds the outer product of their
+    emission rows, scattered into variable cells: a b-slot feature window is
+    read newest first, so its read j is digit b - 1 - j.
+    """
+    taps = _window_reads(model, requests)
+    reads = sorted({r for t in taps for r in t}, key=lambda r: (r[1], r[0]))
+    slots = sorted({slot for _, slot in reads})
+
+    def kernel(var):
+        return model.target_kernel if var == "y" else model.emissions[int(var[1:]) - 1]
+
+    sizes = [kernel(var).shape[1] for var, _ in reads]
+    outcome = np.indices(sizes).reshape(len(reads), -1)
+    cells = tuple(
+        sum(outcome[reads.index(r)] * sizes[reads.index(r)] ** (len(t) - 1 - j) for j, r in enumerate(t))
+        for t in taps
+    )
+    law = np.zeros(tuple(kernel(t[0][0]).shape[1] ** len(t) for t in taps))
+    powers = [np.linalg.matrix_power(model.transition, b - a) for a, b in zip(slots, slots[1:])]
+    for states in itertools.product(range(model.n_states), repeat=len(slots)):
+        weight = model.stationary[states[0]]
+        for power, a, b in zip(powers, states, states[1:]):
+            weight *= power[a, b]
+        state_at = dict(zip(slots, states))
+        rows = [kernel(var)[state_at[slot]] for var, slot in reads]
+        np.add.at(law, cells, weight * functools.reduce(np.multiply.outer, rows).ravel())
+    return law
 
 
 def upclosed_subsets(points):

@@ -24,7 +24,7 @@ from aof_lab import (
     quadratic_loss,
 )
 from aof_lab import testing_loss as eval_testing_loss
-from aof_lab.errors import IncompatibleSpaceError
+from aof_lab.errors import AofLabError, IncompatibleSpaceError
 
 from oracles import loglog_slope, per_cell_bayes_search
 
@@ -179,6 +179,8 @@ def test_loss_curve_rejects_duplicate_grid_points():
     prov = ExactLawProvider(_hidden(14))
     with pytest.raises(Exception):
         loss_curve(prov, [(1,), (1,)], log_loss())
+    with pytest.raises(AofLabError, match="at least one age vector"):
+        loss_curve(prov, [], log_loss())
 
 
 def test_joint_training_identity_and_inequality():

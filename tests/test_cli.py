@@ -196,11 +196,18 @@ def test_epsilon_markov_zero_and_sweep(runner, tmp_path):
 )
 def test_epsilon_default_caps_on_every_window_and_delay(runner, tmp_path, gen_args):
     _invoke(runner, ["--seed", "3", "--out", str(tmp_path), "gen", *gen_args])
-    res = _invoke(runner, ["--out", str(tmp_path), "epsilon", "--model", str(tmp_path / "model.json")])
+    model = str(tmp_path / "model.json")
+    res = _invoke(runner, ["--out", str(tmp_path), "epsilon", "--model", model])
     assert res.exit_code == 0, res.output
     data = json.loads((tmp_path / "epsilon.json").read_text())
     assert data["tau_max"] == data["mu_max"] == 8
     assert data["epsilon"] > 0
+    # lags up to 16 on every model, whatever its window and delay
+    two = "--sources" in gen_args
+    for args in (["age-curve", "--grid", "0..16x0..16" if two else "0..16"],
+                 ["decompose", "--delta", "16,16" if two else "16"]):
+        res = _invoke(runner, ["--out", str(tmp_path), args[0], "--model", model, *args[1:]])
+        assert res.exit_code == 0, res.output
 
 
 def test_epsilon_rejects_oversized_laws_naming_the_flags(runner, tmp_path):
@@ -320,19 +327,3 @@ def test_untrained_cell_exits_nonzero(runner, tmp_path):
                                "--ages", str(tmp_path / "ages.json")])
     assert res.exit_code != 0
     assert "untrained" in res.output.lower()
-
-
-def test_thread_cap_does_not_change_results(runner, tmp_path, monkeypatch):
-    _invoke(runner, ["--seed", "7", "--out", str(tmp_path), "gen", "--kind", "hidden",
-                     "--states", "4", "--symbols", "2", "--targets", "2"])
-    args = ["--out", None, "age-curve", "--model", str(tmp_path / "model.json"),
-            "--grid", "0..3", "--windows", "1,2"]
-    outputs = {}
-    for label, workers in (("serial", "1"), ("parallel", "3")):
-        monkeypatch.setenv("AOF_LAB_THREADS", workers)
-        out = tmp_path / label
-        args[1] = str(out)
-        res = _invoke(runner, args)
-        assert res.exit_code == 0
-        outputs[label] = [(out / f"curve_b{b}.csv").read_text() for b in (1, 2)]
-    assert outputs["serial"] == outputs["parallel"]

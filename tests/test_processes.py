@@ -1,6 +1,8 @@
+import tracemalloc
+
 import numpy as np
 import pytest
-from hypothesis import given, settings
+from hypothesis import assume, given, settings
 from hypothesis import strategies as st
 
 from aof_lab import (
@@ -16,11 +18,12 @@ from aof_lab import (
     mix_toward_markov,
     sample_trajectory,
 )
-from aof_lab.errors import AofLabError, IncompatibleSpaceError, SpanCapError
+from aof_lab.errors import AofLabError, IncompatibleSpaceError
+from aof_lab.laws import DEFAULT_MAX_CELLS, canonical_requests
 from aof_lab.processes import _stationary_distribution, exact_window_laws
 from aof_lab.spaces import NORMALIZATION_ATOL
 
-from oracles import loglog_slope
+from oracles import loglog_slope, occupied_slots, window_law_by_enumeration
 
 
 def _two_state(flip=0.3):
@@ -72,13 +75,17 @@ def test_window_law_stack_matches_per_request_laws(data):
         for l, k in enumerate(counts, start=1):
             reqs += [(f"x{l}", lag) for lag in data.draw(lags(k))]
         sets.append(reqs)
+    # the oracle enumerates 3 ** (occupied slots) hidden-state tuples
+    assume(all(occupied_slots(model, reqs) <= 7 for reqs in sets))
     layout, probs = exact_window_laws(model, sets)
     assert probs.shape[0] == len(sets)
     for reqs, stacked in zip(sets, probs):
+        expected = window_law_by_enumeration(model, canonical_requests(reqs))
         law = exact_window_law(model, reqs)
         assert [(v, s.labels) for v, s in layout] == [(v, s.labels) for (v, _), (_, s) in
                                                       zip(law.requests, law.law.variables)]
-        assert np.abs(stacked - law.law.probs).max() <= 1e-12
+        assert np.abs(stacked - expected).max() <= 1e-12
+        assert np.abs(law.law.probs - expected).max() <= 1e-12
 
 
 def test_window_law_stack_rejects_mixed_layouts():
@@ -195,10 +202,23 @@ def test_delay_shifts_feature_slots():
     assert np.allclose(a.law.probs, b.law.probs, atol=1e-14)
 
 
-def test_span_cap_enforced():
+def test_wide_lag_matches_enumeration():
     model = _two_state()
-    with pytest.raises(SpanCapError):
-        exact_window_law(model, [("y", 0), ("x1", 40)])
+    law = exact_window_law(model, [("y", 0), ("x1", 40)])
+    expected = window_law_by_enumeration(model, [("y", 0), ("x1", 40)])
+    assert np.abs(law.law.probs - expected).max() <= 1e-12
+
+
+def test_oversized_gap_rejected_before_allocation():
+    model = _two_state()
+    tracemalloc.start()
+    try:
+        with pytest.raises(AofLabError, match=rf"gap {10**7} .*cap {DEFAULT_MAX_CELLS}"):
+            exact_window_law(model, [("y", 0), ("x1", 10**7)])
+        _, peak = tracemalloc.get_traced_memory()
+    finally:
+        tracemalloc.stop()
+    assert peak < 2**20
 
 
 def test_markov_observable_invariants():
