@@ -1,4 +1,4 @@
-"""Small shared helpers: atomic file output and CSV rendering."""
+"""Small shared helpers: atomic file output, CSV rendering and parsing."""
 
 from __future__ import annotations
 
@@ -6,6 +6,8 @@ import csv
 import io
 import os
 from pathlib import Path
+
+from .errors import AofLabError
 
 
 def thread_count() -> int:
@@ -23,6 +25,16 @@ def csv_text(header, rows, delimiter: str = ",") -> str:
     writer.writerow(header)
     writer.writerows(rows)
     return buf.getvalue()
+
+
+def csv_int(text, path, line: int, column: str) -> int:
+    """Parse one integer CSV cell; a bad or missing cell is an error that
+    names the file, the line and the column."""
+    try:
+        return int(text)
+    except (TypeError, ValueError):
+        what = "missing" if text is None else f"{text!r} is not an integer"
+        raise AofLabError(f"{path}, line {line}, column {column!r}: {what}") from None
 
 
 def write_text_atomic(path, text: str) -> None:

@@ -23,7 +23,7 @@ from typing import Iterable, Mapping, Sequence
 
 import numpy as np
 
-from ._util import csv_text, write_text_atomic
+from ._util import csv_int, csv_text, write_text_atomic
 from .errors import AofLabError, IncompatibleSpaceError, WarmupError
 from .spaces import NORMALIZATION_ATOL, OutcomeSpace, Pmf
 
@@ -65,11 +65,18 @@ class DeliveryTrace:
     @classmethod
     def from_csv(cls, path) -> "DeliveryTrace":
         per_source: dict[int, list[tuple[int, int]]] = {}
+        columns = ("source_id", "G", "D")
         with open(path, newline="", encoding="utf-8") as fh:
-            for row in csv.DictReader(fh):
-                per_source.setdefault(int(row["source_id"]), []).append(
-                    (int(row["G"]), int(row["D"]))
-                )
+            reader = csv.DictReader(fh)
+            missing = [c for c in columns if c not in (reader.fieldnames or ())]
+            if missing:
+                raise AofLabError(f"{path}, line 1: missing column(s) {', '.join(map(repr, missing))}")
+            for row in reader:
+                try:
+                    source, g, d = int(row["source_id"]), int(row["G"]), int(row["D"])
+                except (TypeError, ValueError):
+                    source, g, d = (csv_int(row[c], path, reader.line_num, c) for c in columns)
+                per_source.setdefault(source, []).append((g, d))
         if not per_source:
             raise AofLabError("empty delivery trace")
         sources = [per_source[k] for k in sorted(per_source)]

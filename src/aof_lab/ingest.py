@@ -8,6 +8,11 @@ receiver holds at that slot, their ages, and the target.  Two usages exist:
 * dynamic-age datasets carry pre-staled features; per-age laws are built by
   grouping rows on their age vector, no shifting involved.
 
+Each label column is held as int64 codes into the space of labels it
+contains, encoded once when the dataset is built; labels appear again only
+when a column is read back, written to CSV or named in a law.  Counting a
+law is one ``np.bincount`` over mixed-radix cell codes.
+
 Strict positivity is never imposed silently: empty cells stay empty unless
 ``smooth`` is called with an explicit pseudo-count.
 """
@@ -15,20 +20,25 @@ Strict positivity is never imposed silently: empty cells stay empty unless
 from __future__ import annotations
 
 import csv
+import itertools
 import json
+import math
 import warnings
 from dataclasses import dataclass, field
-from typing import Mapping, Sequence
+from typing import Mapping, NamedTuple, Sequence
 
 import numpy as np
 
-from ._util import csv_text, write_text_atomic
+from ._util import csv_int, csv_text, write_text_atomic
 from .aoi import SENTINEL, AgeDistribution, AgeProcess
 from .errors import AofLabError, IncompatibleSpaceError
 from .laws import WindowLaw, canonical_requests, source_index, stack_window_laws, variable_name
 from .spaces import JointPmf, OutcomeSpace
 
 DEFAULT_MIN_WINDOWS = 30
+
+# dataset CSV rows parsed per batch: bounds the cell strings alive at once
+CSV_CHUNK_ROWS = 8192
 
 # first-half/second-half marginal drift beyond this raises a warning
 STATIONARITY_WARN = 0.5
@@ -56,31 +66,108 @@ def _render_cell(value) -> str:
     return str(value)
 
 
-def _object_column(values) -> np.ndarray:
-    """1-D object array; keeps tuple cells intact (np.asarray would split
-    equal-length tuples into a 2-D array)."""
-    if isinstance(values, np.ndarray) and values.ndim > 1:
-        values = [tuple(row) for row in values]
-    values = list(values)
-    arr = np.empty(len(values), dtype=object)
-    for i, v in enumerate(values):
-        arr[i] = tuple(v) if isinstance(v, (tuple, list, np.ndarray)) else v
-    return arr
+def _plain(value):
+    """Hashable plain-Python label: numpy scalars become Python scalars and
+    sequences become tuples."""
+    if isinstance(value, np.generic):
+        return value.item()
+    if isinstance(value, (tuple, list, np.ndarray)):
+        return tuple(_plain(v) for v in value)
+    return value
+
+
+class CodedColumn(NamedTuple):
+    """A label column as int64 codes into an outcome space."""
+
+    space: OutcomeSpace
+    codes: np.ndarray
+
+    def labels(self) -> np.ndarray:
+        """The column's labels as a 1-D object array (tuples kept whole)."""
+        table = np.empty(len(self.space), dtype=object)
+        for i, label in enumerate(self.space.labels):
+            table[i] = label
+        return table[self.codes]
+
+
+def _compact(labels: Sequence, codes: np.ndarray) -> CodedColumn:
+    """Keep the labels that ``codes`` (indices into the pairwise distinct
+    ``labels``) use, ordered by type name then ``repr``, and recode."""
+    used = np.flatnonzero(np.bincount(codes, minlength=len(labels))).tolist()
+    order = sorted(used, key=lambda i: (str(type(labels[i])), repr(labels[i])))
+    recode = np.zeros(len(labels), dtype=np.int64)
+    recode[order] = np.arange(len(order))
+    codes = recode[codes]
+    codes.setflags(write=False)
+    return CodedColumn(OutcomeSpace(tuple(labels[i] for i in order)), codes)
+
+
+def _encode(values: Sequence) -> CodedColumn:
+    """Code plain labels by equality; the first of equal labels stands for
+    them all, as in ``set(values)``."""
+    index = {v: i for i, v in enumerate(dict.fromkeys(values))}
+    codes = np.fromiter(map(index.__getitem__, values), np.int64, len(values))
+    return _compact(list(index), codes)
+
+
+def _recode(column: CodedColumn, codes: np.ndarray, space: OutcomeSpace, name: str) -> np.ndarray:
+    """Translate ``codes`` of ``column`` into indices of ``space``; every
+    label that occurs in ``codes`` must be in ``space``."""
+    table = np.array([space.index(lab) if lab in space else -1 for lab in column.space.labels], dtype=np.int64)
+    out = table[codes]
+    if np.any(out < 0):
+        missing = [column.space.labels[c] for c in np.unique(codes[out < 0]).tolist()]
+        raise IncompatibleSpaceError(
+            f"{name}: labels {', '.join(map(repr, missing))} not in the given space"
+        )
+    return out
+
+
+def _count(codes: Sequence[np.ndarray], shape: tuple[int, ...]) -> np.ndarray:
+    """Cell counts of aligned code columns: one bincount over mixed-radix
+    cell codes, reshaped to ``shape`` (row-major, first column slowest)."""
+    flat = np.zeros(len(codes[0]) if codes else 0, dtype=np.int64)
+    for column, size in zip(codes, shape):
+        flat = flat * size + column
+    return np.bincount(flat, minlength=math.prod(shape)).reshape(shape)
 
 
 def _csv_header(m: int) -> list[str]:
     return ["t"] + [f"x_{l}" for l in range(1, m + 1)] + [f"age_{l}" for l in range(1, m + 1)] + ["y"]
 
 
+def _raise_bad_row(path, delimiter: str, expected: list[str]):
+    """Re-read a dataset CSV row by row and raise for its first malformed
+    row: a ragged one, or a non-integer slot or age cell."""
+    with open(path, newline="", encoding="utf-8") as fh:
+        reader = csv.reader(fh, delimiter=delimiter)
+        next(reader)
+        for row in reader:
+            if len(row) != len(expected):
+                where = (f"column {expected[len(row)]!r} is missing" if len(row) < len(expected)
+                         else f"cells after column {expected[-1]!r}")
+                raise AofLabError(f"{path}, line {reader.line_num}: {len(row)} cells, want {len(expected)}; {where}")
+            for text, name in zip(row, expected):
+                if name == "t" or name.startswith("age_"):
+                    csv_int(text, path, reader.line_num, name)
+    raise AofLabError(f"{path}: changed while it was read")
+
+
 @dataclass(frozen=True, eq=False)
 class Dataset:
-    """Columnar time-series rows (t, x_1..x_m, age_1..age_m, y)."""
+    """Columnar time-series rows (t, x_1..x_m, age_1..age_m, y).
+
+    A feature or target column may be given as labels or as a
+    :class:`CodedColumn`; either way ``columns`` holds the codes of x_1..x_m
+    and y against the labels each column contains, and ``xs`` and ``y``
+    hold the labels."""
 
     t: np.ndarray
     xs: tuple[np.ndarray, ...]
     ages: tuple[np.ndarray, ...]
     y: np.ndarray
     meta: dict = field(default_factory=dict)
+    columns: tuple[CodedColumn, ...] = field(init=False, repr=False)
 
     def __post_init__(self):
         t = np.asarray(self.t, dtype=np.int64)
@@ -90,19 +177,31 @@ class Dataset:
             raise AofLabError("slot indices must be strictly increasing")
         if len(self.xs) != len(self.ages):
             raise AofLabError("need one age column per feature column")
-        xs = tuple(_object_column(col) for col in self.xs)
         ages = tuple(np.asarray(col, dtype=np.int64) for col in self.ages)
-        y = _object_column(self.y)
-        for col in (*xs, *ages, y):
+        given = [
+            col if isinstance(col, CodedColumn) else [_plain(v) for v in col] for col in (*self.xs, self.y)
+        ]
+        for col in (*ages, *(c.codes if isinstance(c, CodedColumn) else c for c in given)):
             if len(col) != len(t):
                 raise AofLabError("column lengths disagree")
+        columns = []
+        for col in given:
+            if isinstance(col, CodedColumn):
+                codes = np.asarray(col.codes, dtype=np.int64)
+                if codes.ndim != 1 or codes.min() < 0 or codes.max() >= len(col.space):
+                    raise AofLabError("column codes must index the column's space")
+                columns.append(_compact(col.space.labels, codes))
+            else:
+                columns.append(_encode(col))
         for col in ages:
             if np.any(col < 0):
                 raise AofLabError("ages must be nonnegative")
+        labels = [col.labels() for col in columns]
         object.__setattr__(self, "t", t)
-        object.__setattr__(self, "xs", xs)
+        object.__setattr__(self, "xs", tuple(labels[:-1]))
         object.__setattr__(self, "ages", ages)
-        object.__setattr__(self, "y", y)
+        object.__setattr__(self, "y", labels[-1])
+        object.__setattr__(self, "columns", tuple(columns))
 
     @property
     def m(self) -> int:
@@ -110,6 +209,13 @@ class Dataset:
 
     def __len__(self) -> int:
         return len(self.t)
+
+    def coded(self, var: str) -> CodedColumn:
+        """Codes of variable ``'y'`` or ``'x<l>'``."""
+        src = source_index(var)
+        if src is not None and not 1 <= src <= self.m:
+            raise IncompatibleSpaceError(f"dataset has {self.m} sources; got {var!r}")
+        return self.columns[-1 if src is None else src - 1]
 
     def column(self, name: str) -> np.ndarray:
         if name == "y":
@@ -126,39 +232,52 @@ class Dataset:
         raise IncompatibleSpaceError(f"unknown column {name!r}")
 
     def to_csv(self, path, delimiter: str = ",") -> None:
-        rows = (
-            [int(self.t[i])]
-            + [_render_cell(self.xs[l][i]) for l in range(self.m)]
-            + [int(self.ages[l][i]) for l in range(self.m)]
-            + [_render_cell(self.y[i])]
-            for i in range(len(self))
-        )
+        cells = [np.array([_render_cell(lab) for lab in col.space.labels], dtype=object)[col.codes]
+                 for col in self.columns]
+        rows = zip(self.t, *cells[:-1], *self.ages, cells[-1])
         write_text_atomic(path, csv_text(_csv_header(self.m), rows, delimiter))
 
     @classmethod
     def from_csv(cls, path, delimiter: str = ",") -> "Dataset":
         with open(path, newline="", encoding="utf-8") as fh:
             reader = csv.reader(fh, delimiter=delimiter)
-            header = next(reader)
-            x_cols = [h for h in header if h.startswith("x_")]
-            m = len(x_cols)
+            header = next(reader, None)
+            if header is None:
+                raise AofLabError(f"{path}: empty file; want a header row")
+            m = len([h for h in header if h.startswith("x_")])
             expected = _csv_header(m)
             if header != expected:
-                raise AofLabError(f"unexpected header {header}; want {expected}")
-            t, y = [], []
-            xs = [[] for _ in range(m)]
-            ages = [[] for _ in range(m)]
-            for row in reader:
-                t.append(int(row[0]))
-                for l in range(m):
-                    xs[l].append(_parse_cell(row[1 + l]))
-                    ages[l].append(int(row[1 + m + l]))
-                y.append(_parse_cell(row[1 + 2 * m]))
+                raise AofLabError(f"{path}: unexpected header {header}; want {expected}")
+            is_int = [name == "t" or name.startswith("age_") for name in expected]
+            ints = [[] for _ in expected]
+            texts = [{} for _ in expected]  # distinct cell text -> its code, in first-seen order
+            codes = [[] for _ in expected]
+            while chunk := list(itertools.islice(reader, CSV_CHUNK_ROWS)):
+                if any(len(row) != len(expected) for row in chunk):
+                    _raise_bad_row(path, delimiter, expected)
+                for k, cells in enumerate(zip(*chunk)):
+                    if is_int[k]:
+                        try:
+                            ints[k].append(np.array(list(map(int, cells)), dtype=np.int64))
+                        except ValueError:
+                            _raise_bad_row(path, delimiter, expected)
+                        continue
+                    index = texts[k]
+                    for text in dict.fromkeys(cells):
+                        index.setdefault(text, len(index))
+                    codes[k].append(np.fromiter(map(index.__getitem__, cells), np.int64, len(cells)))
+        if not ints[0]:
+            raise AofLabError(f"{path}: no data rows")
+
+        def labels(k: int) -> CodedColumn:
+            parsed = _encode([_parse_cell(text) for text in texts[k]])
+            return CodedColumn(parsed.space, parsed.codes[np.concatenate(codes[k])])
+
         return cls(
-            t=np.asarray(t, dtype=np.int64),
-            xs=tuple(np.asarray(col, dtype=object) for col in xs),
-            ages=tuple(np.asarray(col, dtype=np.int64) for col in ages),
-            y=np.asarray(y, dtype=object),
+            t=np.concatenate(ints[0]),
+            xs=tuple(labels(1 + l) for l in range(m)),
+            ages=tuple(np.concatenate(ints[1 + m + l]) for l in range(m)),
+            y=labels(len(expected) - 1),
         )
 
 
@@ -209,34 +328,42 @@ class Quantizer:
 
 
 def quantize(dataset: Dataset, quantizer: Quantizer) -> Dataset:
-    """Deterministically bin the configured numeric columns."""
-    new_xs = list(dataset.xs)
-    new_y = dataset.y
+    """Deterministically bin the configured numeric columns: one
+    ``searchsorted`` per column, over the labels it contains."""
+    new_xs = list(dataset.columns[:-1])
+    new_y = dataset.columns[-1]
     for name in quantizer.columns:
-        col = dataset.column(name)
-        if any(isinstance(v, (str, tuple)) for v in col):
+        kind, _, idx = name.partition("_")
+        if name != "y" and not (kind == "x" and idx.isdigit()):
+            raise IncompatibleSpaceError(f"cannot quantize column {name!r}; only x_<l> and y hold labels")
+        column = dataset.coded("y" if name == "y" else f"x{idx}")
+        if any(isinstance(v, (str, tuple)) for v in column.space.labels):
             raise IncompatibleSpaceError(f"column {name!r} is not numeric; cannot quantize")
-        binned = np.asarray([quantizer.bin_of(name, v) for v in col], dtype=object)
+        edges, labels = quantizer.columns[name]
+        bins = np.searchsorted(edges, np.asarray(column.space.labels, dtype=float), side="right") - 1
+        bins = np.clip(bins, 0, len(labels) - 1)
+        binned = _encode([_plain(lab) for lab in labels])
+        coded = CodedColumn(binned.space, binned.codes[bins][column.codes])
         if name == "y":
-            new_y = binned
+            new_y = coded
         else:
-            new_xs[int(name.partition("_")[2]) - 1] = binned
+            new_xs[int(idx) - 1] = coded
     meta = dict(dataset.meta)
     meta["quantizer"] = quantizer.to_json_dict()
     return Dataset(t=dataset.t, xs=tuple(new_xs), ages=dataset.ages, y=new_y, meta=meta)
 
 
-def _observed_space(values) -> OutcomeSpace:
-    distinct = sorted(set(values), key=lambda v: (str(type(v)), repr(v)))
-    return OutcomeSpace(tuple(distinct))
-
-
-def _stationarity_chi2(values) -> float:
-    half = len(values) // 2
-    first, second = values[:half], values[half:]
-    labels = sorted(set(values), key=repr)
-    n1 = np.array([1.0 + sum(1 for v in first if v == lab) for lab in labels])
-    n2 = np.array([1.0 + sum(1 for v in second if v == lab) for lab in labels])
+def _stationarity_chi2(column: CodedColumn, codes: np.ndarray) -> float:
+    """Chi-squared drift of the first-half against the second-half label
+    frequencies (add-one counts), summed over the labels present in
+    ``repr`` order."""
+    half = len(codes) // 2
+    first = np.bincount(codes[:half], minlength=len(column.space))
+    second = np.bincount(codes[half:], minlength=len(column.space))
+    present = np.flatnonzero(first + second).tolist()
+    order = sorted(present, key=lambda i: repr(column.space.labels[i]))
+    n1 = 1.0 + first[order]
+    n2 = 1.0 + second[order]
     p1, p2 = n1 / n1.sum(), n2 / n2.sum()
     return float(((p1 - p2) ** 2 / p2).sum())
 
@@ -252,56 +379,42 @@ def empirical_window_law(
     ``requests`` follows the window-law convention: ``("y", 0)``,
     ``("x2", 3)`` and so on, with lags applied along the slot index.  Rows
     whose lagged slots are missing are skipped; fewer than ``min_windows``
-    usable windows is an error.
+    usable windows is an error.  A variable's space is ``spaces[var]``,
+    else ``spaces[name]`` for its lagged name, else the labels seen in the
+    usable windows.
     """
     reqs = canonical_requests(requests)
-    row_of = {int(t): i for i, t in enumerate(dataset.t)}
-    columns = {}
-    for var, lag in reqs:
-        src = source_index(var)
-        if src is not None and src > dataset.m:
-            raise IncompatibleSpaceError(f"dataset has {dataset.m} sources; got {var!r}")
-        columns[(var, lag)] = dataset.y if src is None else dataset.xs[src - 1]
+    columns = [dataset.coded(var) for var, _ in reqs]
+    t = dataset.t
+    usable = np.ones(len(t), dtype=bool)
+    source_rows = {}
+    for lag in sorted({lag for _, lag in reqs}):
+        rows = np.searchsorted(t, t - lag)  # <= the row itself, so in range
+        usable &= t[rows] == t - lag
+        source_rows[lag] = rows
+    n_windows = int(usable.sum())
+    if n_windows < min_windows:
+        raise AofLabError(f"only {n_windows} usable windows; need at least {min_windows}")
 
-    windows = []
-    for i, t in enumerate(dataset.t):
-        values = []
-        ok = True
-        for var, lag in reqs:
-            j = row_of.get(int(t) - lag)
-            if j is None:
-                ok = False
-                break
-            values.append(columns[(var, lag)][j])
-        if ok:
-            windows.append(tuple(values))
-    if len(windows) < min_windows:
-        raise AofLabError(
-            f"only {len(windows)} usable windows; need at least {min_windows}"
-        )
-
-    variables = []
-    for k, (var, lag) in enumerate(reqs):
+    variables, codes, drift = [], [], {}
+    for (var, lag), column in zip(reqs, columns):
         name = variable_name(var, lag)
+        values = column.codes[source_rows[lag][usable]]
+        drift[name] = _stationarity_chi2(column, values)
+        space = None
         if spaces and var in spaces:
             space = spaces[var]
         elif spaces and name in spaces:
             space = spaces[name]
+        if space is None:
+            seen = _compact(column.space.labels, values)
+            space, values = seen.space, seen.codes
         else:
-            space = _observed_space([w[k] for w in windows])
+            values = _recode(column, values, space, name)
         variables.append((name, space))
+        codes.append(values)
+    probs = _count(codes, tuple(len(s) for _, s in variables)) / n_windows
 
-    shape = tuple(len(s) for _, s in variables)
-    counts = np.zeros(shape)
-    for w in windows:
-        idx = tuple(space.index(v) for (_, space), v in zip(variables, w))
-        counts[idx] += 1.0
-    probs = counts / counts.sum()
-
-    drift = {
-        variable_name(var, lag): _stationarity_chi2([w[k] for w in windows])
-        for k, (var, lag) in enumerate(reqs)
-    }
     worst = max(drift.values())
     if worst > STATIONARITY_WARN:
         warnings.warn(
@@ -312,7 +425,7 @@ def empirical_window_law(
     return WindowLaw(
         law=law,
         requests=reqs,
-        meta={"source": "empirical", "n_windows": len(windows), "stationarity_chi2": drift},
+        meta={"source": "empirical", "n_windows": n_windows, "stationarity_chi2": drift},
     )
 
 
@@ -328,8 +441,8 @@ class EmpiricalLawProvider:
 
     def __post_init__(self):
         if self.spaces is None:
-            spaces = {f"x{l}": _observed_space(self.dataset.xs[l - 1]) for l in range(1, self.dataset.m + 1)}
-            spaces["y"] = _observed_space(self.dataset.y)
+            spaces = {f"x{l}": self.dataset.columns[l - 1].space for l in range(1, self.dataset.m + 1)}
+            spaces["y"] = self.dataset.columns[-1].space
             self.spaces = spaces
 
     @property
@@ -367,42 +480,38 @@ def dynamic_age_law(
 
     Rows are grouped on their age columns; features are taken as stored
     (already staled).  Age cells with fewer than ``min_rows`` rows are
-    reported together in the error message.
+    reported together in the error message, in order of first appearance.
     """
-    groups: dict[tuple[int, ...], list[int]] = {}
-    for i in range(len(dataset)):
-        vec = tuple(int(dataset.ages[l][i]) for l in range(dataset.m))
-        groups.setdefault(vec, []).append(i)
-    sparse = {vec: len(rows) for vec, rows in groups.items() if len(rows) < min_rows}
+    ages = np.array(dataset.ages, dtype=np.int64).reshape(dataset.m, len(dataset)).T
+    vectors, first, group = np.unique(ages, axis=0, return_index=True, return_inverse=True)
+    group = group.reshape(-1)
+    vectors = [tuple(v) for v in vectors.tolist()]
+    sizes = np.bincount(group, minlength=len(vectors))
+    sparse = sorted(np.flatnonzero(sizes < min_rows).tolist(), key=lambda g: first[g])
     if sparse:
-        raise AofLabError(f"sparse age cells (need >= {min_rows} rows): {sparse}")
+        cells = {vectors[g]: int(sizes[g]) for g in sparse}
+        raise AofLabError(f"sparse age cells (need >= {min_rows} rows): {cells}")
 
-    if spaces is None:
-        spaces = {f"x{l}": _observed_space(dataset.xs[l - 1]) for l in range(1, dataset.m + 1)}
-        spaces["y"] = _observed_space(dataset.y)
-    variables = tuple(
-        [(f"x{l}", spaces[f"x{l}"]) for l in range(1, dataset.m + 1)] + [("y", spaces["y"])]
-    )
-    shape = tuple(len(s) for _, s in variables)
+    names = [f"x{l}" for l in range(1, dataset.m + 1)] + ["y"]
+    variables, codes = [], []
+    for name, column in zip(names, dataset.columns):
+        space = column.space if spaces is None else spaces[name]
+        variables.append((name, space))
+        codes.append(_recode(column, column.codes, space, name))
+    variables = tuple(variables)
+    counts = _count([group, *codes], (len(vectors), *(len(s) for _, s in variables)))
 
     laws = {}
-    vectors = sorted(groups)
-    probs = np.array([len(groups[v]) / len(dataset) for v in vectors])
-    for vec in vectors:
-        counts = np.zeros(shape)
-        for i in groups[vec]:
-            idx = tuple(
-                spaces[f"x{l}"].index(dataset.xs[l - 1][i]) for l in range(1, dataset.m + 1)
-            ) + (spaces["y"].index(dataset.y[i]),)
-            counts[idx] += 1.0
-        law = JointPmf(variables, counts / counts.sum())
+    probs = sizes / len(dataset)
+    for g, vec in enumerate(vectors):
+        law = JointPmf(variables, counts[g] / sizes[g])
         requests = tuple([(f"x{l}", vec[l - 1]) for l in range(1, dataset.m + 1)] + [("y", 0)])
         rename = {f"x{l}": variable_name(f"x{l}", vec[l - 1]) for l in range(1, dataset.m + 1)}
         rename["y"] = variable_name("y", 0)
         laws[vec] = WindowLaw(
             law=law.rename(rename),
             requests=canonical_requests(requests),
-            meta={"source": "empirical", "n_windows": len(groups[vec])},
+            meta={"source": "empirical", "n_windows": int(sizes[g])},
         )
     return AgeDistribution(tuple(vectors), probs), laws
 
@@ -416,32 +525,20 @@ def assemble_dynamic(dataset: Dataset, ages: AgeProcess) -> Dataset:
     """
     if ages.m != dataset.m:
         raise IncompatibleSpaceError("age process and dataset disagree on source count")
-    row_of = {int(t): i for i, t in enumerate(dataset.t)}
-    t_out, y_out = [], []
-    xs_out = [[] for _ in range(dataset.m)]
-    ages_out = [[] for _ in range(dataset.m)]
-    for i, t in enumerate(dataset.t):
-        t = int(t)
-        if t >= ages.horizon:
-            break
-        vec = [int(ages.ages[l, t]) for l in range(dataset.m)]
-        if any(a == SENTINEL for a in vec):
-            continue
-        sources = [row_of.get(t - a) for a in vec]
-        if any(j is None for j in sources):
-            continue
-        t_out.append(t)
-        for l in range(dataset.m):
-            xs_out[l].append(dataset.xs[l][sources[l]])
-            ages_out[l].append(vec[l])
-        y_out.append(dataset.y[i])
-    if not t_out:
+    t = dataset.t
+    t_in = t[: np.searchsorted(t, ages.horizon)]
+    vec = ages.ages[:, t_in]
+    wanted = t_in - vec
+    source = np.minimum(np.searchsorted(t, wanted), len(t) - 1)
+    keep = np.flatnonzero(np.all((vec != SENTINEL) & (t[source] == wanted), axis=0))
+    if len(keep) == 0:
         raise AofLabError("no usable rows after staling; extend the trajectory")
+    y = dataset.columns[-1]
     return Dataset(
-        t=np.asarray(t_out, dtype=np.int64),
-        xs=tuple(np.asarray(col, dtype=object) for col in xs_out),
-        ages=tuple(np.asarray(col, dtype=np.int64) for col in ages_out),
-        y=np.asarray(y_out, dtype=object),
+        t=t_in[keep],
+        xs=tuple(CodedColumn(col.space, col.codes[source[l, keep]]) for l, col in enumerate(dataset.columns[:-1])),
+        ages=tuple(vec[:, keep]),
+        y=CodedColumn(y.space, y.codes[keep]),
     )
 
 

@@ -23,6 +23,7 @@ that it is within ``NORMALIZATION_ATOL`` of one.
 
 from __future__ import annotations
 
+import bisect
 import itertools
 import json
 from dataclasses import dataclass, replace
@@ -32,7 +33,7 @@ import numpy as np
 
 from ._util import write_text_atomic
 from .errors import AofLabError, IncompatibleSpaceError, NotNormalizedError
-from .ingest import Dataset
+from .ingest import CodedColumn, Dataset
 from .laws import (
     DEFAULT_MAX_CELLS,
     STACK_CELLS,
@@ -489,6 +490,19 @@ def mix_toward_markov(model: ProcessModel, markov_ref: ProcessModel, eta: float)
     return MixtureLawProvider(base=base, other=other, eta=eta)
 
 
+def _symbol_column(parts: Sequence[np.ndarray], tuples: bool) -> CodedColumn:
+    """Code a column of nonnegative int labels (one part), or of int tuples
+    with one part per tuple slot, by its distinct mixed-radix values."""
+    base = max(int(p.max()) for p in parts) + 1
+    flat = np.zeros(len(parts[0]), dtype=np.int64)
+    for part in parts:
+        flat = flat * base + part
+    values, codes = np.unique(flat, return_inverse=True)
+    digits = [(values // base**k % base).tolist() for k in reversed(range(len(parts)))]
+    labels = list(zip(*digits)) if tuples else digits[0]
+    return CodedColumn(OutcomeSpace(tuple(labels)), codes)
+
+
 def sample_trajectory(model: ProcessModel, length: int, seed: int) -> Dataset:
     """Simulate ``length`` slots and emit one fresh-feature row per usable slot.
 
@@ -499,13 +513,13 @@ def sample_trajectory(model: ProcessModel, length: int, seed: int) -> Dataset:
     if length <= warm:
         raise AofLabError(f"length must exceed the warm-up of {warm} slots")
     rng = np.random.default_rng(seed)
-    n = model.n_states
-    cum_t = np.cumsum(model.transition, axis=1)
-    states = np.empty(length, dtype=np.int64)
-    states[0] = rng.choice(n, p=model.stationary)
-    u = rng.random(length)
-    for t in range(1, length):
-        states[t] = int(np.searchsorted(cum_t[states[t - 1]], u[t], side="right"))
+    rows = np.cumsum(model.transition, axis=1).tolist()
+    state = int(rng.choice(model.n_states, p=model.stationary))
+    path = [state]
+    for u in memoryview(rng.random(length))[1:]:
+        state = bisect.bisect_right(rows[state], u)
+        path.append(state)
+    states = np.array(path, dtype=np.int64)
 
     def draw(kernel):
         cum = np.cumsum(kernel, axis=1)[states]
@@ -515,18 +529,12 @@ def sample_trajectory(model: ProcessModel, length: int, seed: int) -> Dataset:
     emitted = [draw(e) for e in model.emissions]
     targets = draw(model.target_kernel)
 
+    # a feature window is read newest first: slot t - delay, then one earlier, ...
+    lagged = [
+        [sym[warm - model.delay - j: length - model.delay - j] for j in range(model.window)] for sym in emitted
+    ]
+    xs = tuple(_symbol_column(parts, model.window > 1) for parts in lagged)
     t_values = np.arange(warm, length, dtype=np.int64)
-    xs = []
-    for l in range(model.m):
-        sym = emitted[l]
-        if model.window == 1:
-            col = [int(sym[t - model.delay]) for t in t_values]
-        else:
-            col = [
-                tuple(int(sym[t - model.delay - j]) for j in range(model.window))
-                for t in t_values
-            ]
-        xs.append(col)
-    ages = [np.zeros(len(t_values), dtype=np.int64) for _ in range(model.m)]
-    y = [int(v) for v in targets[warm:]]
-    return Dataset(t=t_values, xs=tuple(xs), ages=tuple(ages), y=y)
+    ages = tuple(np.zeros(len(t_values), dtype=np.int64) for _ in range(model.m))
+    y = _symbol_column([targets[warm:]], False)
+    return Dataset(t=t_values, xs=xs, ages=ages, y=y)

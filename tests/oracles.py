@@ -6,13 +6,16 @@ from the vectorized production code paths.
 
 from __future__ import annotations
 
+import csv
 import functools
+import io
 import itertools
 import math
 
 import numpy as np
 
-from aof_lab import JointPmf, Pmf, bayes_action, expected_loss
+from aof_lab import AgeDistribution, Dataset, JointPmf, OutcomeSpace, Pmf, WindowLaw, bayes_action, expected_loss
+from aof_lab.laws import canonical_requests, source_index, variable_name
 
 
 def enumerate_decision_rules(joint: JointPmf, target: str, given, loss) -> float:
@@ -217,6 +220,125 @@ def window_law_by_enumeration(model, requests) -> np.ndarray:
         rows = [kernel(var)[state_at[slot]] for var, slot in reads]
         np.add.at(law, cells, weight * functools.reduce(np.multiply.outer, rows).ravel())
     return law
+
+
+def _observed_space_by_set(values) -> OutcomeSpace:
+    return OutcomeSpace(tuple(sorted(set(values), key=lambda v: (str(type(v)), repr(v)))))
+
+
+def _drift_by_labels(values) -> float:
+    half = len(values) // 2
+    first, second = values[:half], values[half:]
+    labels = sorted(set(values), key=repr)
+    n1 = np.array([1.0 + sum(1 for v in first if v == lab) for lab in labels])
+    n2 = np.array([1.0 + sum(1 for v in second if v == lab) for lab in labels])
+    p1, p2 = n1 / n1.sum(), n2 / n2.sum()
+    return float(((p1 - p2) ** 2 / p2).sum())
+
+
+def window_law_by_rows(dataset, requests, spaces=None) -> WindowLaw:
+    """Empirical window law one row at a time: look each lagged slot up in
+    a dict, collect the label tuple of every usable window, and add one to
+    its cell; the drift statistic counts every label by rescanning."""
+    reqs = canonical_requests(requests)
+    row_of = {int(t): i for i, t in enumerate(dataset.t)}
+    columns = [dataset.y if source_index(var) is None else dataset.xs[source_index(var) - 1] for var, _ in reqs]
+    windows = []
+    for t in dataset.t:
+        rows = [row_of.get(int(t) - lag) for _, lag in reqs]
+        if all(j is not None for j in rows):
+            windows.append(tuple(col[j] for col, j in zip(columns, rows)))
+    variables = []
+    for k, (var, lag) in enumerate(reqs):
+        name = variable_name(var, lag)
+        if spaces and var in spaces:
+            space = spaces[var]
+        elif spaces and name in spaces:
+            space = spaces[name]
+        else:
+            space = _observed_space_by_set([w[k] for w in windows])
+        variables.append((name, space))
+    counts = np.zeros(tuple(len(s) for _, s in variables))
+    for w in windows:
+        counts[tuple(space.index(v) for (_, space), v in zip(variables, w))] += 1.0
+    drift = {variable_name(var, lag): _drift_by_labels([w[k] for w in windows]) for k, (var, lag) in enumerate(reqs)}
+    return WindowLaw(
+        law=JointPmf(tuple(variables), counts / counts.sum()),
+        requests=reqs,
+        meta={"source": "empirical", "n_windows": len(windows), "stationarity_chi2": drift},
+    )
+
+
+def dynamic_age_law_by_rows(dataset, spaces=None):
+    """Per-age laws by grouping row indices on their age tuple in a dict and
+    adding one per row; no minimum group size."""
+    groups = {}
+    for i in range(len(dataset)):
+        groups.setdefault(tuple(int(dataset.ages[l][i]) for l in range(dataset.m)), []).append(i)
+    if spaces is None:
+        spaces = {f"x{l}": _observed_space_by_set(dataset.xs[l - 1]) for l in range(1, dataset.m + 1)}
+        spaces["y"] = _observed_space_by_set(dataset.y)
+    names = [f"x{l}" for l in range(1, dataset.m + 1)] + ["y"]
+    columns = [*dataset.xs, dataset.y]
+    variables = tuple((name, spaces[name]) for name in names)
+    vectors = sorted(groups)
+    laws = {}
+    for vec in vectors:
+        counts = np.zeros(tuple(len(s) for _, s in variables))
+        for i in groups[vec]:
+            counts[tuple(spaces[n].index(col[i]) for n, col in zip(names, columns))] += 1.0
+        laws[vec] = (counts / counts.sum(), len(groups[vec]))
+    probs = np.array([len(groups[v]) / len(dataset) for v in vectors])
+    return AgeDistribution(tuple(vectors), probs), laws
+
+
+def trajectory_by_steps(model, length: int, seed: int) -> Dataset:
+    """Sampled trajectory with one ``np.searchsorted`` per chain step and
+    per-row feature tuples, drawing the same random numbers in the same
+    order as ``sample_trajectory``."""
+    warm = model.delay + model.window - 1
+    rng = np.random.default_rng(seed)
+    cum_t = np.cumsum(model.transition, axis=1)
+    states = np.empty(length, dtype=np.int64)
+    states[0] = rng.choice(model.n_states, p=model.stationary)
+    u = rng.random(length)
+    for t in range(1, length):
+        states[t] = int(np.searchsorted(cum_t[states[t - 1]], u[t], side="right"))
+
+    def draw(kernel):
+        cum = np.cumsum(kernel, axis=1)[states]
+        r = rng.random(length)
+        return (r[:, None] > cum).sum(axis=1)
+
+    emitted = [draw(e) for e in model.emissions]
+    targets = draw(model.target_kernel)
+    t_values = np.arange(warm, length, dtype=np.int64)
+    xs = []
+    for sym in emitted:
+        if model.window == 1:
+            xs.append([int(sym[t - model.delay]) for t in t_values])
+        else:
+            xs.append([tuple(int(sym[t - model.delay - j]) for j in range(model.window)) for t in t_values])
+    ages = [np.zeros(len(t_values), dtype=np.int64) for _ in range(model.m)]
+    return Dataset(t=t_values, xs=tuple(xs), ages=tuple(ages), y=[int(v) for v in targets[warm:]])
+
+
+def _cell_text(value) -> str:
+    if isinstance(value, tuple):
+        return "(" + "|".join(_cell_text(v) for v in value) + ")"
+    return str(value)
+
+
+def dataset_csv_by_rows(dataset) -> str:
+    """The dataset CSV rendered one cell at a time with ``csv.writer``."""
+    buf = io.StringIO()
+    writer = csv.writer(buf)
+    writer.writerow(["t"] + [f"x_{l}" for l in range(1, dataset.m + 1)]
+                    + [f"age_{l}" for l in range(1, dataset.m + 1)] + ["y"])
+    for i in range(len(dataset)):
+        writer.writerow([int(dataset.t[i])] + [_cell_text(col[i]) for col in dataset.xs]
+                        + [int(a[i]) for a in dataset.ages] + [_cell_text(dataset.y[i])])
+    return buf.getvalue()
 
 
 def upclosed_subsets(points):

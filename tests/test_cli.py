@@ -12,6 +12,8 @@ from click.testing import CliRunner
 from aof_lab import AgeDistribution, DeliveryTrace, ProcessModel, exact_window_law
 from aof_lab.cli import main
 
+from oracles import dataset_csv_by_rows, trajectory_by_steps
+
 
 @pytest.fixture
 def runner():
@@ -35,6 +37,55 @@ def test_gen_deterministic_given_seed(runner, tmp_path):
     model_b["config"].pop("out")
     assert model_a == model_b  # identical up to the echoed output directory
     assert (a / "trajectory.csv").read_text() == (b / "trajectory.csv").read_text()
+
+
+@pytest.mark.parametrize("window", [1, 2, 3])
+@pytest.mark.parametrize("delay", [0, 1, 2])
+def test_gen_trajectory_matches_per_step_oracle_bytes(runner, tmp_path, window, delay):
+    res = _invoke(runner, ["--seed", "17", "--out", str(tmp_path), "gen", "--sources", "2",
+                           "--symbols", "3", "--window", str(window), "--delay", str(delay),
+                           "--length", "500"])
+    assert res.exit_code == 0
+    model = ProcessModel.load(tmp_path / "model.json")
+    want = dataset_csv_by_rows(trajectory_by_steps(model, 500, 17))
+    assert (tmp_path / "trajectory.csv").read_bytes() == want.encode("utf-8")
+
+
+def _assert_clean_error(res, *needles):
+    assert res.exit_code == 1
+    assert isinstance(res.exception, SystemExit)  # not an escaped exception
+    lines = res.output.strip().splitlines()
+    assert len(lines) == 1 and lines[0].startswith("Error: ")
+    assert "Traceback" not in res.output
+    for needle in needles:
+        assert needle in lines[0]
+
+
+@pytest.mark.parametrize("body,needles", [
+    ("0,1,0,1\n1,1,0\n", ["line 3", "'y'"]),             # ragged: a cell short
+    ("0,1,0,1\n1,1,0,1,7\n", ["line 3", "cells after"]),  # ragged: a cell over
+    ("0,1,0,1\n1.5,1,0,1\n", ["line 3", "'t'", "'1.5'"]),  # non-integer slot
+    ("0,1,0,1\n1,1,x,1\n", ["line 3", "'age_1'", "'x'"]),  # non-integer age
+    ("", ["no data rows"]),
+])
+def test_malformed_data_csv_is_a_clean_error(runner, tmp_path, body, needles):
+    path = tmp_path / "bad.csv"
+    path.write_text("t,x_1,age_1,y\n" + body)
+    res = runner.invoke(main, ["--out", str(tmp_path), "age-curve", "--data", str(path), "--grid", "0..1"])
+    _assert_clean_error(res, str(path), *needles)
+
+
+@pytest.mark.parametrize("text,needles", [
+    ("source_id,G\n1,3\n", ["line 1", "'D'"]),
+    ("source_id,G,D\n1,0,1\n1,two,3\n", ["line 3", "'G'", "'two'"]),
+    ("source_id,G,D\n1,0,1\n1,2\n", ["line 3", "'D'", "missing"]),
+    ("", ["line 1", "'source_id'"]),
+])
+def test_malformed_delivery_trace_is_a_clean_error(runner, tmp_path, text, needles):
+    path = tmp_path / "trace.csv"
+    path.write_text(text)
+    res = runner.invoke(main, ["--out", str(tmp_path), "simulate-aoi", "--trace", str(path), "--horizon", "5"])
+    _assert_clean_error(res, str(path), *needles)
 
 
 def test_gen_ignores_a_stale_temp_path_in_out(runner, tmp_path):

@@ -1,5 +1,9 @@
+import warnings
+
 import numpy as np
 import pytest
+from hypothesis import assume, given, settings
+from hypothesis import strategies as st
 
 from aof_lab import (
     AgeProcess,
@@ -21,6 +25,9 @@ from aof_lab import (
     smooth,
 )
 from aof_lab.errors import AofLabError, IncompatibleSpaceError
+from aof_lab.laws import canonical_requests, variable_name
+
+from oracles import dynamic_age_law_by_rows, window_law_by_rows
 
 
 def _tiny_dataset(values, ages=None, y=None):
@@ -220,3 +227,176 @@ def test_stationarity_warning_on_drifting_series():
     ds = _tiny_dataset(values)
     with pytest.warns(UserWarning, match="non-stationary"):
         empirical_window_law(ds, [("y", 0), ("x1", 1)])
+
+
+# -- integer-coded columns against the per-row oracles ------------------------
+
+# no two labels of a column compare equal across types (1 == 1.0), so floats
+# never share a column with ints; the unseen label widens caller-given spaces
+_TUPLES = st.tuples(st.integers(0, 2), st.sampled_from(["p", "q"]))
+LABEL_KINDS = {
+    "int": (st.integers(-30, 30), 99),
+    "float": (st.floats(-1e6, 1e6, allow_nan=False, allow_infinity=False), 0.125e9),
+    "str": (st.text("abc", min_size=1, max_size=3), "zz"),
+    "tuple": (_TUPLES, (9, "z")),
+    "mixed": (st.one_of(st.integers(-30, 30), st.text("abc", min_size=1, max_size=3), _TUPLES), "zz"),
+}
+
+
+@st.composite
+def _alphabets(draw, kinds=tuple(LABEL_KINDS)):
+    kind = draw(st.sampled_from(kinds))
+    labels, unseen = LABEL_KINDS[kind]
+    return draw(st.lists(labels, min_size=1, max_size=5, unique=True)), unseen
+
+
+@st.composite
+def _datasets(draw, max_m=3, min_rows=6, max_rows=60, aged=False):
+    m = draw(st.integers(1, max_m))
+    n = draw(st.integers(min_rows, max_rows))
+    gaps = draw(st.lists(st.integers(1, 3), min_size=n, max_size=n))
+    t = np.cumsum(gaps) + draw(st.integers(-5, 5))
+    alphabets, columns = [], []
+    for _ in range(m + 1):
+        alphabet, unseen = draw(_alphabets())
+        alphabets.append((alphabet, unseen))
+        columns.append(draw(st.lists(st.sampled_from(alphabet), min_size=n, max_size=n)))
+    age_values = st.integers(0, 2) if aged else st.just(0)
+    ages = tuple(draw(st.lists(age_values, min_size=n, max_size=n)) for _ in range(m))
+    ds = Dataset(t=t, xs=tuple(columns[:-1]), ages=ages, y=columns[-1])
+    return ds, alphabets
+
+
+def _law_parts(law):
+    return (law.requests, [(n, s.labels) for n, s in law.law.variables], law.meta)
+
+
+@given(st.data())
+@settings(max_examples=150, deadline=None)
+def test_empirical_window_law_equals_per_row_oracle(data):
+    ds, alphabets = data.draw(_datasets())
+    variables = ["y"] + [f"x{l}" for l in range(1, ds.m + 1)]
+    requests = data.draw(st.lists(st.tuples(st.sampled_from(variables), st.integers(0, 5)),
+                                  min_size=1, max_size=4))
+    spaces = {}
+    for var, lag in canonical_requests(requests):
+        alphabet, unseen = alphabets[-1 if var == "y" else int(var[1:]) - 1]
+        extra = [unseen] if data.draw(st.booleans()) else []
+        space = OutcomeSpace(tuple(data.draw(st.permutations([*alphabet, *extra]))))
+        keyed = data.draw(st.sampled_from(["observed", "bare", "lagged"]))
+        if keyed == "bare":
+            spaces[var] = space
+        elif keyed == "lagged":
+            spaces[variable_name(var, lag)] = space
+    with warnings.catch_warnings():
+        warnings.simplefilter("ignore")
+        try:
+            got = empirical_window_law(ds, requests, spaces or None, min_windows=1)
+        except AofLabError as exc:
+            assert "only 0 usable windows" in str(exc)
+            assume(False)
+        want = window_law_by_rows(ds, requests, spaces or None)
+    assert _law_parts(got) == _law_parts(want)
+    assert np.array_equal(got.law.probs, want.law.probs)
+
+
+@given(st.data())
+@settings(max_examples=100, deadline=None)
+def test_dynamic_age_law_equals_per_row_oracle(data):
+    ds, alphabets = data.draw(_datasets(aged=True))
+    spaces = None
+    if data.draw(st.booleans()):
+        names = [f"x{l}" for l in range(1, ds.m + 1)] + ["y"]
+        spaces = {name: OutcomeSpace(tuple(data.draw(st.permutations([*alphabet, unseen]))))
+                  for name, (alphabet, unseen) in zip(names, alphabets)}
+    dist, laws = dynamic_age_law(ds, min_rows=1, spaces=spaces)
+    want_dist, want_laws = dynamic_age_law_by_rows(ds, spaces)
+    assert dist.vectors == want_dist.vectors
+    assert np.array_equal(dist.probs, want_dist.probs)
+    assert list(laws) == list(want_laws)
+    for vec, (probs, rows) in want_laws.items():
+        assert np.array_equal(laws[vec].law.probs, probs)
+        assert laws[vec].meta["n_windows"] == rows
+
+
+def test_missing_labels_are_all_named_and_only_in_usable_windows():
+    # "d" and "e" occur in usable windows and are missing from the space:
+    # the error names the lagged variable and both labels
+    xs = ["c"] + ["a", "b", "d", "e"] * 10
+    ds = _tiny_dataset(xs, y=[0] * len(xs))
+    narrow = {"x1": OutcomeSpace(("a", "b", "c"))}
+    with pytest.raises(IncompatibleSpaceError) as exc:
+        empirical_window_law(ds, [("y", 0), ("x1", 1)], narrow)
+    assert "x1@1" in str(exc.value) and "'d'" in str(exc.value) and "'e'" in str(exc.value)
+    with pytest.raises(IncompatibleSpaceError) as exc:
+        dynamic_age_law(ds, min_rows=1, spaces={"x1": OutcomeSpace(("a", "b")), "y": OutcomeSpace((0,))})
+    for label in ("'c'", "'d'", "'e'"):
+        assert label in str(exc.value)
+    # "c" only ever appears at x1@0 of row 0; a lag-1 law never reads it
+    # there, so a space without "c" serves it
+    ds = _tiny_dataset(["c"] + ["a", "b"] * 20, y=[0] * 41)
+    law = empirical_window_law(ds, [("y", 1), ("x1", 0)], {"x1": OutcomeSpace(("a", "b"))})
+    assert law.law.space("x1@0").labels == ("a", "b")
+    with pytest.raises(IncompatibleSpaceError, match="x1@0: labels 'c'"):
+        empirical_window_law(ds, [("y", 0), ("x1", 0)], {"x1": OutcomeSpace(("a", "b"))})
+
+
+@st.composite
+def _csv_alphabets(draw):
+    # labels that render to text parsing back to the same label: strings
+    # that read as neither a number nor a tuple, and flat tuples
+    scalars = st.one_of(st.integers(-1000, 1000), st.floats(allow_nan=False, allow_infinity=False),
+                        st.text("abc", min_size=1, max_size=4))
+    kind = draw(st.sampled_from(["int", "float", "str", "tuple"]))
+    if kind == "tuple":
+        labels = st.lists(scalars, min_size=1, max_size=3).map(tuple)
+    else:
+        labels = {"int": st.integers(-10**6, 10**6),
+                  "float": st.floats(allow_nan=False, allow_infinity=False),
+                  "str": st.text("abc ,", min_size=1, max_size=4).filter(lambda s: s.strip() == s)}[kind]
+    return draw(st.lists(labels, min_size=1, max_size=4, unique=True))
+
+
+@given(st.data())
+@settings(max_examples=80, deadline=None)
+def test_csv_roundtrip_keeps_labels_and_bytes(tmp_path_factory, data):
+    m = data.draw(st.integers(1, 2))
+    n = data.draw(st.integers(1, 12))
+    columns = [data.draw(st.lists(st.sampled_from(data.draw(_csv_alphabets())), min_size=n, max_size=n))
+               for _ in range(m + 1)]
+    ages = tuple(data.draw(st.lists(st.integers(0, 5), min_size=n, max_size=n)) for _ in range(m))
+    ds = Dataset(t=np.arange(n) * 2, xs=tuple(columns[:-1]), ages=ages, y=columns[-1])
+    path = tmp_path_factory.mktemp("csv") / "ds.csv"
+    ds.to_csv(path)
+    back = Dataset.from_csv(path)
+    for got, want in zip([*back.xs, back.y], [*ds.xs, ds.y]):
+        assert list(got) == list(want)
+        assert all(type(a) is type(b) for a, b in zip(got, want))
+    assert all(np.array_equal(a, b) for a, b in zip(back.ages, ds.ages))
+    first = path.read_bytes()
+    back.to_csv(path)
+    assert path.read_bytes() == first
+
+
+def test_labels_stay_plain_python():
+    ds = Dataset(t=np.arange(3), xs=(np.array([1, 2, 1]),), ages=(np.zeros(3),),
+                 y=np.array([[0, 1], [1, 1], [0, 1]]))
+    assert [type(v) for v in ds.xs[0]] == [int, int, int]
+    assert list(ds.y) == [(0, 1), (1, 1), (0, 1)]
+    assert all(type(v) is int for label in ds.y for v in label)
+    assert ds.columns[0].space.labels == (1, 2)
+    assert list(ds.columns[0].codes) == [0, 1, 0]
+
+
+def test_quantize_equals_bin_of_per_value():
+    edges = (-1.0, 0.0, 0.5, 2.0)
+    q = Quantizer({"x_1": (edges, ("lo", "mid", "hi")), "y": ((0.0, 1.0, 2.0), None)})
+    values = [-5.0, -1.0, -0.5, 0.0, 0.25, 0.5, 1.0, 2.0, 7.5, 0, 2, -1]
+    ds = _tiny_dataset(values, y=[v + 0.5 for v in values])
+    out = quantize(ds, q)
+    assert list(out.xs[0]) == [q.bin_of("x_1", v) for v in values]
+    assert list(out.y) == [q.bin_of("y", v + 0.5) for v in values]
+    # edge values open the bin to their right; values beyond the ends clamp
+    assert [q.bin_of("x_1", v) for v in (-1.0, 0.0, 0.5, 2.0, -5.0)] == ["lo", "mid", "hi", "hi", "lo"]
+    with pytest.raises(IncompatibleSpaceError):
+        quantize(ds, Quantizer({"age_1": ((0.0, 1.0), None)}))

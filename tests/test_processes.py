@@ -23,7 +23,7 @@ from aof_lab.laws import DEFAULT_MAX_CELLS, canonical_requests
 from aof_lab.processes import _stationary_distribution, exact_window_laws
 from aof_lab.spaces import NORMALIZATION_ATOL
 
-from oracles import loglog_slope, occupied_slots, window_law_by_enumeration
+from oracles import loglog_slope, occupied_slots, trajectory_by_steps, window_law_by_enumeration
 
 
 def _two_state(flip=0.3):
@@ -287,6 +287,21 @@ def test_sample_trajectory_deterministic_and_consistent():
     assert all(x == y for x, y in zip(a.xs[0], b.xs[0]))
     c = sample_trajectory(model, 300, seed=5)
     assert any(x != y for x, y in zip(a.xs[0], c.xs[0]))
+
+
+@pytest.mark.parametrize("window,delay", [(1, 0), (2, 1), (3, 2)])
+def test_sample_trajectory_equals_per_step_oracle(window, delay):
+    # the chain, then every emission and target, draw from one generator in
+    # a fixed order: equal columns mean equal states and equal later draws
+    for seed in range(4):
+        model = make_hidden_nonmarkov(seed, n_states=5, n_sources=2, n_symbols=3, n_targets=3,
+                                      window=window, delay=delay, noise=0.3, concentration=0.5)
+        got = sample_trajectory(model, 3_000, seed=seed + 100)
+        want = trajectory_by_steps(model, 3_000, seed=seed + 100)
+        assert np.array_equal(got.t, want.t)
+        for a, b in zip([*got.xs, got.y], [*want.xs, want.y]):
+            assert list(a) == list(b)
+            assert all(type(u) is type(v) for u, v in zip(a, b))
 
 
 def test_sample_frequencies_match_stationary_marginals():
