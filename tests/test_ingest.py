@@ -400,3 +400,22 @@ def test_quantize_equals_bin_of_per_value():
     assert [q.bin_of("x_1", v) for v in (-1.0, 0.0, 0.5, 2.0, -5.0)] == ["lo", "mid", "hi", "hi", "lo"]
     with pytest.raises(IncompatibleSpaceError):
         quantize(ds, Quantizer({"age_1": ((0.0, 1.0), None)}))
+
+
+def test_csv_reads_in_batches_and_names_the_bad_line(tmp_path, monkeypatch):
+    import aof_lab.ingest as ingest
+
+    monkeypatch.setattr(ingest, "CSV_CHUNK_ROWS", 2)
+    ds = Dataset(t=[1, 2, 4, 5, 6, 9, 10], xs=([(0, "a"), (1, "b"), (0, "a"), 2, 2.5, "c", (1, "b")],),
+                 ages=([0, 1, 2, 0, 1, 2, 3],), y=["u", "v", "u", "w", "v", "u", "u"])
+    path = tmp_path / "ds.csv"
+    ds.to_csv(path)
+    back = Dataset.from_csv(path)
+    assert list(back.t) == list(ds.t) and list(back.ages[0]) == list(ds.ages[0])
+    assert list(back.xs[0]) == list(ds.xs[0]) and list(back.y) == list(ds.y)
+    assert back.columns[0].space == ds.columns[0].space
+    lines = path.read_text().splitlines()
+    lines[6] = lines[6].replace(",2,", ",two,")  # data row 6 sits in the third batch
+    path.write_text("\n".join(lines) + "\n")
+    with pytest.raises(AofLabError, match=r"line 7, column 'age_1': 'two' is not an integer"):
+        Dataset.from_csv(path)
