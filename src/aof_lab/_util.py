@@ -27,14 +27,20 @@ def csv_text(header, rows, delimiter: str = ",") -> str:
     return buf.getvalue()
 
 
+INT64_MIN, INT64_MAX = -(2**63), 2**63 - 1
+
+
 def csv_int(text, path, line: int, column: str) -> int:
-    """Parse one integer CSV cell; a bad or missing cell is an error that
-    names the file, the line and the column."""
+    """Parse one integer CSV cell that fits in int64; a bad or missing cell
+    is an error that names the file, the line and the column."""
     try:
-        return int(text)
+        value = int(text)
     except (TypeError, ValueError):
         what = "missing" if text is None else f"{text!r} is not an integer"
         raise AofLabError(f"{path}, line {line}, column {column!r}: {what}") from None
+    if not INT64_MIN <= value <= INT64_MAX:
+        raise AofLabError(f"{path}, line {line}, column {column!r}: {text!r} is outside the int64 range")
+    return value
 
 
 def write_text_atomic(path, text: str) -> None:

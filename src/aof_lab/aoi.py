@@ -72,10 +72,7 @@ class DeliveryTrace:
             if missing:
                 raise AofLabError(f"{path}, line 1: missing column(s) {', '.join(map(repr, missing))}")
             for row in reader:
-                try:
-                    source, g, d = int(row["source_id"]), int(row["G"]), int(row["D"])
-                except (TypeError, ValueError):
-                    source, g, d = (csv_int(row[c], path, reader.line_num, c) for c in columns)
+                source, g, d = (csv_int(row[c], path, reader.line_num, c) for c in columns)
                 per_source.setdefault(source, []).append((g, d))
         if not per_source:
             raise AofLabError("empty delivery trace")

@@ -188,7 +188,7 @@ class Dataset:
         for col in given:
             if isinstance(col, CodedColumn):
                 codes = np.asarray(col.codes, dtype=np.int64)
-                if codes.ndim != 1 or codes.min() < 0 or codes.max() >= len(col.space):
+                if codes.ndim != 1 or np.any(codes < 0) or np.any(codes >= len(col.space)):
                     raise AofLabError("column codes must index the column's space")
                 columns.append(_compact(col.space.labels, codes))
             else:
@@ -259,7 +259,7 @@ class Dataset:
                     if is_int[k]:
                         try:
                             ints[k].append(np.array(list(map(int, cells)), dtype=np.int64))
-                        except ValueError:
+                        except (ValueError, OverflowError):
                             _raise_bad_row(path, delimiter, expected)
                         continue
                     index = texts[k]

@@ -492,14 +492,14 @@ def mix_toward_markov(model: ProcessModel, markov_ref: ProcessModel, eta: float)
 
 def _symbol_column(parts: Sequence[np.ndarray], tuples: bool) -> CodedColumn:
     """Code a column of nonnegative int labels (one part), or of int tuples
-    with one part per tuple slot, by its distinct mixed-radix values."""
-    base = max(int(p.max()) for p in parts) + 1
-    flat = np.zeros(len(parts[0]), dtype=np.int64)
+    with one part per tuple slot, by its distinct rows.  Each slot is folded
+    into the codes of the slots before it and recoded, so a code stays below
+    the row count and cannot overflow however wide the window."""
+    codes = np.zeros(len(parts[0]), dtype=np.int64)
     for part in parts:
-        flat = flat * base + part
-    values, codes = np.unique(flat, return_inverse=True)
-    digits = [(values // base**k % base).tolist() for k in reversed(range(len(parts)))]
-    labels = list(zip(*digits)) if tuples else digits[0]
+        _, first, codes = np.unique(codes * (int(part.max()) + 1) + part, return_index=True, return_inverse=True)
+    rows = np.stack(parts, axis=1)[first].tolist()
+    labels = [tuple(r) for r in rows] if tuples else [r[0] for r in rows]
     return CodedColumn(OutcomeSpace(tuple(labels)), codes)
 
 

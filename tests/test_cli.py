@@ -66,6 +66,8 @@ def _assert_clean_error(res, *needles):
     ("0,1,0,1\n1,1,0,1,7\n", ["line 3", "cells after"]),  # ragged: a cell over
     ("0,1,0,1\n1.5,1,0,1\n", ["line 3", "'t'", "'1.5'"]),  # non-integer slot
     ("0,1,0,1\n1,1,x,1\n", ["line 3", "'age_1'", "'x'"]),  # non-integer age
+    ("0,1,0,1\n99999999999999999999,1,0,1\n", ["line 3", "'t'", "int64"]),  # slot beyond int64
+    ("0,1,0,1\n1,1,-99999999999999999999,1\n", ["line 3", "'age_1'", "int64"]),  # age beyond int64
     ("", ["no data rows"]),
 ])
 def test_malformed_data_csv_is_a_clean_error(runner, tmp_path, body, needles):
@@ -79,6 +81,7 @@ def test_malformed_data_csv_is_a_clean_error(runner, tmp_path, body, needles):
     ("source_id,G\n1,3\n", ["line 1", "'D'"]),
     ("source_id,G,D\n1,0,1\n1,two,3\n", ["line 3", "'G'", "'two'"]),
     ("source_id,G,D\n1,0,1\n1,2\n", ["line 3", "'D'", "missing"]),
+    ("source_id,G,D\n1,0,1\n1,2,99999999999999999999\n", ["line 3", "'D'", "int64"]),
     ("", ["line 1", "'source_id'"]),
 ])
 def test_malformed_delivery_trace_is_a_clean_error(runner, tmp_path, text, needles):

@@ -25,6 +25,7 @@ from aof_lab import (
     smooth,
 )
 from aof_lab.errors import AofLabError, IncompatibleSpaceError
+from aof_lab.ingest import CodedColumn
 from aof_lab.laws import canonical_requests, variable_name
 
 from oracles import dynamic_age_law_by_rows, window_law_by_rows
@@ -400,6 +401,11 @@ def test_quantize_equals_bin_of_per_value():
     assert [q.bin_of("x_1", v) for v in (-1.0, 0.0, 0.5, 2.0, -5.0)] == ["lo", "mid", "hi", "hi", "lo"]
     with pytest.raises(IncompatibleSpaceError):
         quantize(ds, Quantizer({"age_1": ((0.0, 1.0), None)}))
+    # a dataset has rows, so there is no empty one to quantize, labelled or coded
+    empty = CodedColumn(OutcomeSpace((0.25,)), np.zeros(0, dtype=np.int64))
+    for xs, y in (([],), []), ((empty,), empty):
+        with pytest.raises(AofLabError, match="at least one row"):
+            Dataset(t=[], xs=xs, ages=([],), y=y)
 
 
 def test_csv_reads_in_batches_and_names_the_bad_line(tmp_path, monkeypatch):

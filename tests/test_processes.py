@@ -304,6 +304,19 @@ def test_sample_trajectory_equals_per_step_oracle(window, delay):
             assert all(type(u) is type(v) for u, v in zip(a, b))
 
 
+@pytest.mark.parametrize("n_symbols,window", [(1000, 7), (3, 40), (3, 41)])
+def test_sample_trajectory_codes_wide_windows_and_many_symbols(n_symbols, window):
+    # n_symbols**window is beyond int64 in every case: the window labels must
+    # still come out exact
+    model = make_hidden_nonmarkov(1, n_states=4, n_symbols=n_symbols, n_targets=2,
+                                  window=window, delay=1, noise=0.5)
+    got = sample_trajectory(model, 400, seed=5)
+    want = trajectory_by_steps(model, 400, seed=5)
+    assert list(got.xs[0]) == list(want.xs[0]) and list(got.y) == list(want.y)
+    assert len(set(got.xs[0])) > 300
+    assert all(type(v) is int for label in got.xs[0] for v in label)
+
+
 def test_sample_frequencies_match_stationary_marginals():
     model = make_hidden_nonmarkov(14, n_states=3, n_symbols=2, n_targets=3, noise=0.4)
     n = 100_000
