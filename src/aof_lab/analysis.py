@@ -12,11 +12,17 @@ when the observed process is Markov).  The identity holds for any law and
 any coordinate order; the split itself depends on the order, which callers
 choose via ``path``.
 
-Dynamic ages are handled by mixing per-age laws: training with the age as a
-feature recovers the age-weighted average of constant-age losses, training
-without it conditions on the pooled mixture and can only be worse.  Testing
-losses evaluate per-cell Bayes actions trained under one provider against a
-law from another.
+Laws are asked for as stacks and scored with one stacked conditional
+entropy each: a loss curve is one stack, a decomposition collects its
+staircase laws first and asks for one stack per variable layout.
+
+Dynamic ages are handled by mixing per-age laws (the stack of constant-age
+laws weighted by the age law): training with the age as a feature recovers
+the age-weighted average of constant-age losses, training without it
+conditions on the pooled mixture and can only be worse.  Testing losses
+evaluate per-cell Bayes actions trained under one provider against a law
+from another; :func:`cross_loss_sweep` mixes the test laws toward the
+training ones from the two constant-age stacks, each built once.
 """
 
 from __future__ import annotations
@@ -31,8 +37,8 @@ from ._util import csv_text, write_text_atomic
 from .aoi import AgeDistribution, OrderingVerdict, stochastic_order_multivariate
 from .divergence import BetaReport, EpsilonReport, beta_between, epsilon_coefficient
 from .errors import AofLabError, IncompatibleSpaceError
-from .information import conditional_cross_entropy, conditional_entropy
-from .laws import Layout, LawProvider, variable_name
+from .information import conditional_cross_entropy, conditional_entropy, conditional_entropy_stack
+from .laws import Layout, LawProvider, MixtureLawProvider
 from .losses import LossSpec
 from .spaces import JointPmf, OutcomeSpace
 
@@ -51,32 +57,21 @@ def _age_vector(delta: Sequence[int], m: int) -> AgeVector:
 def _constant_age_laws(laws: LawProvider, vectors: Sequence[AgeVector]) -> tuple[Layout, np.ndarray]:
     """Laws of (y@0, x1@d1, ..., xm@dm) at each age vector, as one stack whose
     layout is (y, x1, ..., xm)."""
+    if len(vectors[0]) != laws.m:
+        raise IncompatibleSpaceError("age distribution and provider disagree on sources")
     return laws.window_law_stack(
         [[("y", 0)] + [(f"x{l + 1}", d) for l, d in enumerate(vec)] for vec in vectors]
     )
 
 
-def _min_training_losses(laws: LawProvider, vectors: Sequence[AgeVector], loss: LossSpec) -> list[float]:
-    layout, stack = _constant_age_laws(laws, vectors)
-    features = [f"x{l + 1}" for l in range(laws.m)]
-    return [conditional_entropy(JointPmf(layout, p), "y", features, loss) for p in stack]
+def _entropies_given_all(layout: Layout, stack: np.ndarray, loss: LossSpec) -> list[float]:
+    """Loss of predicting the target (axis 0) from every other axis, per law."""
+    return conditional_entropy_stack(stack.transpose(0, *range(2, stack.ndim), 1), layout[0][1], loss).tolist()
 
 
 def min_training_loss(laws: LawProvider, delta: Sequence[int], loss: LossSpec) -> float:
     """Exact minimum expected loss at the constant age vector ``delta``."""
-    return _min_training_losses(laws, [_age_vector(delta, laws.m)], loss)[0]
-
-
-def _staircase_entropy(
-    laws: LawProvider, lags: dict[int, int], extra: tuple[tuple[int, int], ...], loss: LossSpec
-) -> float:
-    """Conditional entropy given features at ``lags`` plus extra (source, lag)
-    reads; duplicate (source, lag) pairs collapse to one variable."""
-    pairs = sorted(set(lags.items()) | set(extra))
-    requests = [("y", 0)] + [(f"x{l}", lag) for l, lag in pairs]
-    law = laws.window_law(requests)
-    given = [variable_name(f"x{l}", lag) for l, lag in pairs]
-    return conditional_entropy(law.law, "y@0", given, loss)
+    return _entropies_given_all(*_constant_age_laws(laws, [_age_vector(delta, laws.m)]), loss)[0]
 
 
 @dataclass(frozen=True)
@@ -152,38 +147,37 @@ def decompose(
         if sorted(path) != list(range(m)):
             raise IncompatibleSpaceError(f"path {path} must be a permutation of 0..{m - 1}")
 
-    cache: dict = {}
+    # a key is the sorted (source, lag) pairs the target is predicted from
+    base_key = tuple((l + 1, 0) for l in range(m))
+    h_key = tuple((l + 1, d) for l, d in enumerate(vec))
+    steps = []  # (source, lag, context, key with newer, with older, with both)
+    for stage, coord in enumerate(path):
+        later = [(c + 1, vec[c]) for c in path[stage + 1 :]]
+        context = tuple(sorted(later + [(c + 1, 0) for c in path[:stage]]))
+        src = coord + 1
+        for k in range(vec[coord]):
+            newer, older = (src, k), (src, k + 1)
+            keys = [tuple(sorted(context + reads)) for reads in ((newer,), (older,), (newer, older))]
+            steps.append((src, k, context, *keys))
+    by_layout: dict[tuple[int, ...], list] = {}  # keys by the sources they read
+    for key in dict.fromkeys([base_key, h_key, *(k for step in steps for k in step[3:])]):
+        by_layout.setdefault(tuple(l for l, _ in key), []).append(key)
+    entropy = {}
+    for group in by_layout.values():
+        stack = laws.window_law_stack([[("y", 0)] + [(f"x{l}", lag) for l, lag in key] for key in group])
+        entropy.update(zip(group, _entropies_given_all(*stack, loss)))
 
-    def entropy_given(pairs: tuple[tuple[int, int], ...]) -> float:
-        key = tuple(sorted(set(pairs)))
-        if key not in cache:
-            cache[key] = _staircase_entropy(laws, dict(), key, loss)
-        return cache[key]
-
-    base = entropy_given(tuple((l + 1, 0) for l in range(m)))
+    base = entropy[base_key]
     terms = []
     f1 = base
     f2 = 0.0
-    for stage, coord in enumerate(path):
-        context = []
-        for later in path[stage + 1 :]:
-            context.append((later + 1, vec[later]))
-        for earlier in path[:stage]:
-            context.append((earlier + 1, 0))
-        context = tuple(sorted(context))
-        src = coord + 1
-        for k in range(vec[coord]):
-            with_newer = entropy_given(context + ((src, k),))
-            with_older = entropy_given(context + ((src, k + 1),))
-            with_both = entropy_given(context + ((src, k), (src, k + 1)))
-            gained = with_older - with_both
-            lost = with_newer - with_both
-            terms.append(
-                StaircaseTerm(source=src, lag=k, context=context, gained=gained, lost=lost)
-            )
-            f1 += gained
-            f2 += lost
-    h = min_training_loss(laws, vec, loss)
+    for src, k, context, newer, older, both in steps:
+        gained = entropy[older] - entropy[both]
+        lost = entropy[newer] - entropy[both]
+        terms.append(StaircaseTerm(source=src, lag=k, context=context, gained=gained, lost=lost))
+        f1 += gained
+        f2 += lost
+    h = entropy[h_key]
     return DecompositionReport(
         delta=vec,
         h=h,
@@ -235,7 +229,7 @@ def loss_curve(laws: LawProvider, grid: Sequence[Sequence[int]], loss: LossSpec)
         raise AofLabError("grid must hold at least one age vector")
     if len(set(vectors)) != len(vectors):
         raise AofLabError("grid points must be distinct")
-    values = _min_training_losses(laws, vectors, loss)
+    values = _entropies_given_all(*_constant_age_laws(laws, vectors), loss)
     index = 0.0
     value_of = dict(zip(vectors, values))
     for vec, val in value_of.items():
@@ -254,14 +248,17 @@ def loss_curve(laws: LawProvider, grid: Sequence[Sequence[int]], loss: LossSpec)
 AGE_VARIABLE = "age"
 
 
-def dynamic_joint(laws: LawProvider, ages: AgeDistribution) -> JointPmf:
-    """Joint law of (age vector, held features, target) under dynamic ages."""
-    if ages.m != laws.m:
-        raise IncompatibleSpaceError("age distribution and provider disagree on sources")
-    layout, stack = _constant_age_laws(laws, ages.vectors)
+def _age_weighted(ages: AgeDistribution, layout: Layout, stack: np.ndarray) -> JointPmf:
+    """Joint law of (age vector, held features, target): the constant-age
+    stack at ``ages.vectors`` weighted by the age law."""
     weights = ages.probs.reshape((-1,) + (1,) * (stack.ndim - 1))
     variables = ((AGE_VARIABLE, OutcomeSpace(ages.vectors)), *layout[1:], layout[0])
     return JointPmf(variables, np.moveaxis(stack, 1, -1) * weights)
+
+
+def dynamic_joint(laws: LawProvider, ages: AgeDistribution) -> JointPmf:
+    """Joint law of (age vector, held features, target) under dynamic ages."""
+    return _age_weighted(ages, *_constant_age_laws(laws, ages.vectors))
 
 
 def joint_training_loss(
@@ -306,9 +303,13 @@ class TrainingComparison:
         }
 
 
-def _default_caps(*age_dists: AgeDistribution) -> int:
-    top = max(max(max(vec) for vec in d.vectors) for d in age_dists)
-    return max(2, top)
+def _epsilon_or_default(laws, report, tau_max, mu_max, *age_dists: AgeDistribution) -> EpsilonReport:
+    """``report``, else the provider's coefficient with caps defaulting to
+    the largest age component (at least 2)."""
+    if report is not None:
+        return report
+    cap = max(2, max(max(max(vec) for vec in d.vectors) for d in age_dists))
+    return epsilon_coefficient(laws, cap if tau_max is None else tau_max, cap if mu_max is None else mu_max)
 
 
 def compare_experiments(
@@ -329,11 +330,7 @@ def compare_experiments(
     verdict = stochastic_order_multivariate(ages_smaller, ages_larger)
     loss_c = joint_training_loss(laws, ages_smaller, loss, with_age_feature=True)
     loss_d = joint_training_loss(laws, ages_larger, loss, with_age_feature=True)
-    if epsilon_report is None:
-        cap = _default_caps(ages_smaller, ages_larger)
-        epsilon_report = epsilon_coefficient(
-            laws, tau_max if tau_max is not None else cap, mu_max if mu_max is not None else cap
-        )
+    epsilon_report = _epsilon_or_default(laws, epsilon_report, tau_max, mu_max, ages_smaller, ages_larger)
     diff = loss_c - loss_d
     return TrainingComparison(
         loss_smaller=float(loss_c),
@@ -359,16 +356,37 @@ def testing_loss(
     test age distribution.  Conditioning cells with test mass but no train
     mass raise :class:`UntrainedCellError`.
     """
-    if ages_train is None:
-        ages_train = ages_test
-    joint_test = dynamic_joint(test_laws, ages_test)
-    joint_train = dynamic_joint(train_laws, ages_train)
+    joint_train = dynamic_joint(train_laws, ages_test if ages_train is None else ages_train)
+    return _joint_testing_loss(dynamic_joint(test_laws, ages_test), joint_train, loss)
+
+
+def _joint_testing_loss(joint_test: JointPmf, joint_train: JointPmf, loss: LossSpec) -> float:
     if joint_test.space(AGE_VARIABLE).labels != joint_train.space(AGE_VARIABLE).labels:
         raise IncompatibleSpaceError(
             "train and test age supports differ; supply matching age distributions"
         )
-    features = [AGE_VARIABLE] + [f"x{l + 1}" for l in range(test_laws.m)]
+    features = [n for n in joint_test.names if n != "y"]
     return conditional_cross_entropy(joint_test, joint_train, "y", features, loss)
+
+
+def cross_loss_sweep(
+    train_laws: LawProvider, test_laws: LawProvider, ages: AgeDistribution, loss: LossSpec, etas: Sequence[float]
+) -> tuple[float, list[tuple[float, float]]]:
+    """``(training, [(beta, testing), ...])``: the joint training loss and,
+    per weight ``eta``, the radius and testing loss against the test laws of
+    ``MixtureLawProvider(train_laws, test_laws, eta)``; ``eta = 1.0`` tests
+    on ``test_laws`` itself."""
+    mixtures = [MixtureLawProvider(train_laws, test_laws, eta) for eta in etas]
+    layout, train = _constant_age_laws(train_laws, ages.vectors)
+    _, test = _constant_age_laws(test_laws, ages.vectors)
+    joint_train = _age_weighted(ages, layout, train)
+    training = conditional_entropy(joint_train, "y", [n for n in joint_train.names if n != "y"], loss)
+    results = []
+    for mixture in mixtures:
+        joint_test = _age_weighted(ages, layout, mixture.mix(train, test))
+        testing = _joint_testing_loss(joint_test, joint_train, loss)
+        results.append((beta_between(joint_train, joint_test).beta, testing))
+    return training, results
 
 
 @dataclass(frozen=True)
@@ -410,17 +428,13 @@ def compare_testing_experiments(
     """Testing losses under two ordered test-age laws, with the measured
     train/test mismatch radius of each experiment alongside."""
     verdict = stochastic_order_multivariate(ages_smaller, ages_larger)
-    t_c = testing_loss(train_laws, test_laws, ages_smaller, loss)
-    t_d = testing_loss(train_laws, test_laws, ages_larger, loss)
-    beta_c = beta_between(dynamic_joint(train_laws, ages_smaller), dynamic_joint(test_laws, ages_smaller))
-    beta_d = beta_between(dynamic_joint(train_laws, ages_larger), dynamic_joint(test_laws, ages_larger))
-    if epsilon_report is None:
-        cap = _default_caps(ages_smaller, ages_larger)
-        epsilon_report = epsilon_coefficient(
-            train_laws,
-            tau_max if tau_max is not None else cap,
-            mu_max if mu_max is not None else cap,
-        )
+    train_c, test_c = dynamic_joint(train_laws, ages_smaller), dynamic_joint(test_laws, ages_smaller)
+    train_d, test_d = dynamic_joint(train_laws, ages_larger), dynamic_joint(test_laws, ages_larger)
+    t_c = _joint_testing_loss(test_c, train_c, loss)
+    t_d = _joint_testing_loss(test_d, train_d, loss)
+    beta_c = beta_between(train_c, test_c)
+    beta_d = beta_between(train_d, test_d)
+    epsilon_report = _epsilon_or_default(train_laws, epsilon_report, tau_max, mu_max, ages_smaller, ages_larger)
     diff = t_c - t_d
     return TestingComparison(
         testing_smaller=float(t_c),

@@ -25,7 +25,7 @@ import numpy as np
 
 from ._util import csv_int, csv_text, write_text_atomic
 from .errors import AofLabError, IncompatibleSpaceError, WarmupError
-from .spaces import NORMALIZATION_ATOL, OutcomeSpace, Pmf
+from .spaces import NORMALIZATION_ATOL, Pmf
 
 SENTINEL = -1
 
@@ -185,14 +185,6 @@ class AgeDistribution:
     def uniform(cls, vectors: Iterable[Sequence[int]]) -> "AgeDistribution":
         vecs = tuple(tuple(v) for v in vectors)
         return cls(vecs, np.full(len(vecs), 1.0 / len(vecs)))
-
-    def component_pmf(self, l: int) -> Pmf:
-        """Marginal distribution of component ``l`` (0-based) as an integer Pmf."""
-        values: dict[int, float] = {}
-        for vec, p in zip(self.vectors, self.probs):
-            values[vec[l]] = values.get(vec[l], 0.0) + float(p)
-        space = OutcomeSpace(tuple(sorted(values)))
-        return Pmf(space, np.array([values[v] for v in space.labels]))
 
     def to_json_dict(self) -> dict:
         return {

@@ -9,12 +9,13 @@ values, which override defaults.
 from __future__ import annotations
 
 import functools
+import itertools
 import json
 from pathlib import Path
 
 import click
 
-from . import analysis, aoi, divergence, ingest, laws, losses, processes
+from . import analysis, aoi, divergence, ingest, losses, processes
 from ._util import csv_text, write_text_atomic
 from .errors import AofLabError
 from .spaces import JointPmf
@@ -89,10 +90,7 @@ def _provider(model_path, data_path, cfg):
 def _parse_grid(spec: str, m: int) -> list[tuple[int, ...]]:
     spec = spec.strip()
     if ";" in spec or ("," in spec and ".." not in spec):
-        vectors = []
-        for part in spec.split(";"):
-            vec = tuple(int(v) for v in part.split(","))
-            vectors.append(vec)
+        vectors = [tuple(int(v) for v in part.split(",")) for part in spec.split(";")]
     else:
         ranges = []
         for part in spec.split("x"):
@@ -100,8 +98,6 @@ def _parse_grid(spec: str, m: int) -> list[tuple[int, ...]]:
             lo = int(lo)
             hi = int(hi) if hi else lo
             ranges.append(range(lo, hi + 1))
-        import itertools
-
         vectors = [tuple(v) for v in itertools.product(*ranges)]
     for vec in vectors:
         if len(vec) != m:
@@ -229,9 +225,8 @@ def decompose(ctx, model_path, data_path, delta, path_spec):
     provider, _ = _provider(model_path, data_path, cfg)
     vec = tuple(int(v) for v in delta.split(","))
     if path_spec == "both":
-        paths = [tuple(range(provider.m)), tuple(reversed(range(provider.m)))]
-        if provider.m == 1:
-            paths = [paths[0]]
+        # one path when the two orders coincide (a single source)
+        paths = list(dict.fromkeys([tuple(range(provider.m)), tuple(reversed(range(provider.m)))]))
     else:
         paths = [tuple(int(c) for c in path_spec.split(","))]
     reports = [analysis.decompose(provider, vec, loss, p) for p in paths]
@@ -263,10 +258,8 @@ def epsilon(ctx, model_path, data_path, tau_max, mu_max, sweep, mix_ref, etas):
             raise click.ClickException("--sweep needs --model and --mix-ref model files")
         ref = processes.ProcessModel.load(mix_ref)
         eta_values = _parse_etas(etas)
-        reports = [
-            divergence.epsilon_coefficient(processes.mix_toward_markov(model, ref, eta), tau_max, mu_max)
-            for eta in eta_values
-        ]
+        # the laws of processes.mix_toward_markov(model, ref, eta) for each eta
+        reports = divergence.epsilon_sweep(processes.ExactLawProvider(ref), provider, eta_values, tau_max, mu_max)
         rows = [[eta, rep.epsilon] for eta, rep in zip(eta_values, reports)]
         _emit_csv(out / "epsilon_sweep.csv", _table(["eta", "epsilon"], rows),
                   {"config": {**cfg, "tau_max": tau_max, "mu_max": mu_max, "etas": etas}})
@@ -331,29 +324,17 @@ def cross_loss(ctx, train_path, test_path, ages_path, sweep, etas):
         ages = aoi.AgeDistribution.load(ages_path)
     else:
         ages = aoi.AgeDistribution.point_mass((0,) * train_prov.m)
-    training = analysis.joint_training_loss(train_prov, ages, loss, True)
     out = Path(cfg["out"])
     meta = {"config": {**cfg, "train": train_path, "test": test_path, "ages": ages_path, "etas": etas if sweep else None}}
-
-    def evaluate(provider):
-        t = analysis.testing_loss(train_prov, provider, ages, loss)
-        b = divergence.beta_between(
-            analysis.dynamic_joint(train_prov, ages), analysis.dynamic_joint(provider, ages)
-        ).beta
-        return b, t
-
-    if sweep:
-        eta_values = _parse_etas(etas)
-        test_prov = processes.ExactLawProvider(test_model)
-        results = [
-            evaluate(laws.MixtureLawProvider(base=train_prov, other=test_prov, eta=eta)) for eta in eta_values
-        ]
-        rows = [[eta, b, training, t, t - training] for eta, (b, t) in zip(eta_values, results)]
-        _emit_csv(out / "cross_loss.csv", _table(["eta", "beta", "training", "testing", "gap"], rows), meta)
-    else:
-        b, t = evaluate(processes.ExactLawProvider(test_model))
-        rows = [[b, training, t, t - training]]
-        _emit_csv(out / "cross_loss.csv", _table(["beta", "training", "testing", "gap"], rows), meta)
+    # the plain run is the sweep's eta = 1.0 case: testing under the test model itself
+    eta_values = _parse_etas(etas) if sweep else [1.0]
+    test_prov = processes.ExactLawProvider(test_model)
+    training, results = analysis.cross_loss_sweep(train_prov, test_prov, ages, loss, eta_values)
+    rows = [[eta, b, training, t, t - training] for eta, (b, t) in zip(eta_values, results)]
+    header = ["eta", "beta", "training", "testing", "gap"]
+    if not sweep:
+        header, rows = header[1:], [row[1:] for row in rows]
+    _emit_csv(out / "cross_loss.csv", _table(header, rows), meta)
 
 
 @main.command("simulate-aoi")

@@ -15,7 +15,9 @@ One kernel computes the conditional mutual information, over a stack of
 a stack of one.  ``epsilon_coefficient`` walks the lag grid one layout at a
 time (the sources whose future lag is nonzero), asks the provider for each
 layout's laws as stacks and scatters the values back into the
-lexicographic grid.
+lexicographic grid.  ``epsilon_sweep`` shares that walk: for a family of
+mixtures ``(1 - eta) * base + eta * other`` it builds each chunk's two
+endpoint stacks once and mixes and scores them per ``eta``.
 """
 
 from __future__ import annotations
@@ -29,7 +31,7 @@ import numpy as np
 
 from ._util import write_text_atomic
 from .errors import AofLabError, IncompatibleSpaceError, PositivityError, ReferenceNotInteriorError
-from .laws import DEFAULT_MAX_CELLS, STACK_CELLS
+from .laws import DEFAULT_MAX_CELLS, STACK_CELLS, MixtureLawProvider
 from .spaces import JointPmf, OutcomeSpace, Pmf
 
 # triple mass above this on a cell whose product reference is zero breaks the
@@ -174,6 +176,29 @@ def epsilon_coefficient(laws: "LawProvider", tau_max: int = 8, mu_max: int = 8) 
     the split into conditioning and future blocks.  A model whose laws
     exceed ``DEFAULT_MAX_CELLS`` cells is rejected before any law is built.
     """
+    return _epsilon_reports(laws, tau_max, mu_max, 1, lambda sets: [laws.window_law_stack(sets)[1]])[0]
+
+
+def epsilon_sweep(
+    base: "LawProvider", other: "LawProvider", etas: Sequence[float], tau_max: int = 8, mu_max: int = 8
+) -> list[EpsilonReport]:
+    """:func:`epsilon_coefficient` of ``MixtureLawProvider(base, other, eta)``
+    for every ``eta``; each chunk of the lag grid asks both providers for
+    its laws once and mixes the two stacks per ``eta``."""
+    mixtures = [MixtureLawProvider(base, other, eta) for eta in etas]
+
+    def stacks(request_sets):
+        _, a = base.window_law_stack(request_sets)
+        _, b = other.window_law_stack(request_sets)
+        return (mixture.mix(a, b) for mixture in mixtures)
+
+    return _epsilon_reports(base, tau_max, mu_max, len(etas), stacks)
+
+
+def _epsilon_reports(laws: "LawProvider", tau_max: int, mu_max: int, n_reports: int, stacks) -> list[EpsilonReport]:
+    """Walk the lag grid of :func:`epsilon_coefficient` on the spaces of
+    ``laws``; ``stacks(request_sets)`` yields ``n_reports`` law stacks of the
+    request sets, one per report."""
     if tau_max < 0 or mu_max < 0:
         raise IncompatibleSpaceError("lag caps must be nonnegative")
     m = laws.m
@@ -192,7 +217,7 @@ def epsilon_coefficient(laws: "LawProvider", tau_max: int = 8, mu_max: int = 8) 
             "so use a model with fewer sources, fewer symbols or a shorter window"
         )
 
-    values = np.empty((len(taus), len(mus)))
+    values = np.empty((n_reports, len(taus), len(mus)))
     for mask in itertools.product((False, True), repeat=m):
         cols = [j for j, mu in enumerate(mus) if tuple(u > 0 for u in mu) == mask]
         if not cols:
@@ -210,11 +235,15 @@ def epsilon_coefficient(laws: "LawProvider", tau_max: int = 8, mu_max: int = 8) 
         chunk = max(1, STACK_CELLS // (n_x * len(y_space) * n_z))
         for start in range(0, len(points), chunk):
             part = points[start:start + chunk]
-            _, probs = laws.window_law_stack([_grid_requests(taus[t], mus[j]) for t, j in part])
-            cubes = probs.transpose(order).reshape(len(part), n_x, len(y_space), n_z)
             rows, columns = zip(*part)
-            values[list(rows), list(columns)] = _chi2_cmi_stack(cubes, x_spaces)
+            probs_of = stacks([_grid_requests(taus[t], mus[j]) for t, j in part])
+            for k, probs in enumerate(probs_of):
+                cubes = probs.transpose(order).reshape(len(part), n_x, len(y_space), n_z)
+                values[k][list(rows), list(columns)] = _chi2_cmi_stack(cubes, x_spaces)
+    return [_report(taus, mus, v, tau_max, mu_max) for v in values]
 
+
+def _report(taus, mus, values: np.ndarray, tau_max: int, mu_max: int) -> EpsilonReport:
     best = int(np.argmax(values))  # first maximum in lexicographic (tau, mu) order
     t, j = divmod(best, len(mus))
     grid = tuple(

@@ -15,38 +15,30 @@ class NotNormalizedError(AofLabError):
     """Probabilities are negative or do not sum to one within tolerance."""
 
 
-class UnboundedCrossEntropyError(AofLabError):
+class _CellsError(AofLabError):
+    """A domain error that names the offending cells in ``cells``."""
+
+    def __init__(self, message: str, cells: list | None = None):
+        super().__init__(message)
+        self.cells = cells or []
+
+
+class UnboundedCrossEntropyError(_CellsError):
     """Logarithmic cross entropy is infinite: test mass sits where the trained
     action assigns zero probability."""
 
-    def __init__(self, message: str, cells: list | None = None):
-        super().__init__(message)
-        self.cells = cells or []
 
-
-class UntrainedCellError(AofLabError):
+class UntrainedCellError(_CellsError):
     """A conditioning cell carries test mass but no training mass."""
 
-    def __init__(self, message: str, cells: list | None = None):
-        super().__init__(message)
-        self.cells = cells or []
 
-
-class ReferenceNotInteriorError(AofLabError):
+class ReferenceNotInteriorError(_CellsError):
     """The chi-squared reference distribution has a zero cell under the
     compared distribution's support."""
 
-    def __init__(self, message: str, cells: list | None = None):
-        super().__init__(message)
-        self.cells = cells or []
 
-
-class PositivityError(AofLabError):
+class PositivityError(_CellsError):
     """A strictly-positive-probability assumption failed."""
-
-    def __init__(self, message: str, cells: list | None = None):
-        super().__init__(message)
-        self.cells = cells or []
 
 
 class WarmupError(AofLabError):

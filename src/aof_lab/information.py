@@ -6,6 +6,8 @@ probability.  Every function here arranges a law as one row of target
 masses per conditioning cell (one row when nothing is conditioned on),
 fits the loss kernel's Bayes actions on the rows and sums the loss with
 :func:`losses.risk`; no function here depends on the loss kind.
+:func:`conditional_entropy_stack` scores a whole stack of laws with one fit;
+:func:`conditional_entropy` is its case of one law.
 Conditioning cells with zero probability contribute nothing; conditioning
 *on* such a cell directly is an error (raised by ``JointPmf.conditional``).
 
@@ -24,7 +26,7 @@ import numpy as np
 
 from .errors import IncompatibleSpaceError, UntrainedCellError
 from .losses import LossSpec, entropy, risk
-from .spaces import JointPmf
+from .spaces import JointPmf, OutcomeSpace
 
 
 def _canonical_given(joint: JointPmf, target: str, given: Iterable[str]) -> tuple[str, ...]:
@@ -44,6 +46,15 @@ def _cond_matrix(joint: JointPmf, target: str, given: tuple[str, ...]):
     return joint.arrange([*given, target]).probs.reshape(-1, len(y_space)), y_space
 
 
+def conditional_entropy_stack(probs: np.ndarray, y_space: OutcomeSpace, loss: LossSpec) -> np.ndarray:
+    """Minimum expected loss of predicting the last axis (outcomes
+    ``y_space``) from all other axes, for every law of a ``(laws, ...,
+    target outcomes)`` stack; one kernel fit serves the whole stack."""
+    rows = probs.reshape(len(probs), -1, len(y_space))
+    kernel = loss.kernel(y_space)
+    return risk(rows, kernel.losses(kernel.fit(rows)), y_space)
+
+
 def conditional_entropy(joint: JointPmf, target: str, given: Iterable[str], loss: LossSpec) -> float:
     """Minimum expected loss of predicting ``target`` from the ``given`` set.
 
@@ -51,8 +62,7 @@ def conditional_entropy(joint: JointPmf, target: str, given: Iterable[str], loss
     the target's marginal.
     """
     rows, y_space = _cond_matrix(joint, target, _canonical_given(joint, target, given))
-    kernel = loss.kernel(y_space)
-    return risk(rows, kernel.losses(kernel.fit(rows)), y_space)
+    return float(conditional_entropy_stack(rows[None], y_space, loss)[0])
 
 
 def mutual_information(joint: JointPmf, target: str, features: Iterable[str], loss: LossSpec) -> float:

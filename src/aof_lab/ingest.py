@@ -521,12 +521,13 @@ def assemble_dynamic(dataset: Dataset, ages: AgeProcess) -> Dataset:
 
     For each slot the receiver holds the feature generated ``age`` slots
     earlier; slots whose staled feature is unavailable (warm-up or missing
-    rows) are dropped.
+    rows) are dropped, and so are rows at slots outside the age process.
     """
     if ages.m != dataset.m:
         raise IncompatibleSpaceError("age process and dataset disagree on source count")
     t = dataset.t
-    t_in = t[: np.searchsorted(t, ages.horizon)]
+    start, stop = np.searchsorted(t, [0, ages.horizon])
+    t_in = t[start:stop]
     vec = ages.ages[:, t_in]
     wanted = t_in - vec
     source = np.minimum(np.searchsorted(t, wanted), len(t) - 1)
@@ -538,7 +539,7 @@ def assemble_dynamic(dataset: Dataset, ages: AgeProcess) -> Dataset:
         t=t_in[keep],
         xs=tuple(CodedColumn(col.space, col.codes[source[l, keep]]) for l, col in enumerate(dataset.columns[:-1])),
         ages=tuple(vec[:, keep]),
-        y=CodedColumn(y.space, y.codes[keep]),
+        y=CodedColumn(y.space, y.codes[start + keep]),
     )
 
 

@@ -8,7 +8,9 @@ pairs such as ``("y", 0)`` or ``("x2", 3)``.
 
 Providers produce window laws on demand: exact providers unroll a process
 model, empirical providers count sliding windows in a dataset, and the
-mixture provider blends two compatible providers cell by cell.
+mixture provider blends two compatible providers cell by cell with
+``MixtureLawProvider.mix``, which sweeps over the mixture weight also apply
+to endpoint stacks they build once.
 
 Grid searches ask for many laws that share one *layout*: the same variables
 in the same positions, only their lags differ.  ``window_law_stack`` returns
@@ -25,7 +27,7 @@ from typing import Protocol, Sequence
 import numpy as np
 
 from .errors import IncompatibleSpaceError
-from .spaces import JointPmf, OutcomeSpace, mix_joints
+from .spaces import JointPmf, OutcomeSpace
 
 Request = tuple[str, int]
 
@@ -61,14 +63,12 @@ def source_index(var: str) -> int | None:
 
 def canonical_requests(requests: Sequence) -> tuple[Request, ...]:
     """Deduplicate and sort requests: target lags first, then source, lag."""
-    parsed = {parse_request(r) for r in requests}
+    return tuple(sorted({parse_request(r) for r in requests}, key=_request_order))
 
-    def key(req: Request):
-        var, lag = req
-        src = source_index(var)
-        return (0, 0, lag) if src is None else (1, src, lag)
 
-    return tuple(sorted(parsed, key=key))
+def _request_order(req: Request) -> tuple[int, int, int]:
+    var, lag = req
+    return (0, 0, lag) if var == "y" else (1, int(var[1:]), lag)
 
 
 def variable_name(var: str, lag: int) -> str:
@@ -171,10 +171,15 @@ class MixtureLawProvider:
         reqs = canonical_requests(requests)
         a = self.base.window_law(reqs)
         b = self.other.window_law(reqs)
-        mixed = mix_joints([(1.0 - self.eta, a.law), (self.eta, b.law)])
+        mixed = JointPmf(a.law.variables, self.mix(a.law.probs, b.law.probs))
         return WindowLaw(law=mixed, requests=reqs, meta={"mixture_eta": self.eta})
 
     def window_law_stack(self, request_sets: Sequence[Sequence]) -> tuple[Layout, np.ndarray]:
         layout, a = self.base.window_law_stack(request_sets)
         _, b = self.other.window_law_stack(request_sets)
-        return layout, (1.0 - self.eta) * a + self.eta * b
+        return layout, self.mix(a, b)
+
+    def mix(self, a: np.ndarray, b: np.ndarray) -> np.ndarray:
+        """``(1 - eta) * a + eta * b`` for a law or a stack of laws of the
+        base and other providers: every law of this provider is built so."""
+        return (1.0 - self.eta) * a + self.eta * b

@@ -14,10 +14,11 @@ loss over that action space, attained by the Bayes action:
   is found by exhaustive search.
 
 Each kind is one kernel on an outcome space: ``fit`` maps rows of outcome
-masses to one Bayes-action code per row, ``losses`` maps codes to the
-``(rows, outcomes)`` matrix of ``L(y, a)``, and ``encode``/``decode``
-translate codes to and from public actions.  Every expected loss, entropy
-and cross entropy is :func:`risk` of such a matrix.
+masses (along the last axis, under any leading axes) to one Bayes-action
+code per row, ``losses`` maps codes to the matching array of ``L(y, a)``,
+and ``encode``/``decode`` translate codes to and from public actions.
+Every expected loss, entropy and cross entropy is :func:`risk` of such an
+array, for one law or for each law of a stack.
 
 Ties are always broken by the first label/action in the fixed ordering, so
 repeated calls on identical inputs return identical actions.
@@ -53,7 +54,7 @@ class _Kernel:
 
 class _LogKernel(_Kernel):
     def fit(self, rows):
-        return _per_mass(rows, rows.sum(axis=1, keepdims=True))
+        return _per_mass(rows, rows.sum(axis=-1, keepdims=True))
 
     def losses(self, codes):
         return -np.log(codes, out=np.full(codes.shape, -np.inf), where=codes > 0.0)
@@ -76,10 +77,10 @@ class _QuadraticKernel(_Kernel):
         self.levels = space.levels()
 
     def fit(self, rows):
-        return _per_mass(rows @ self.levels, rows.sum(axis=1))
+        return _per_mass(rows @ self.levels, rows.sum(axis=-1))
 
     def losses(self, codes):
-        return (self.levels[None, :] - codes[:, None]) ** 2
+        return (self.levels - codes[..., None]) ** 2
 
     def encode(self, action):
         return float(action)
@@ -90,10 +91,10 @@ class _QuadraticKernel(_Kernel):
 
 class _ZeroOneKernel(_Kernel):
     def fit(self, rows):
-        return np.argmax(rows, axis=1)
+        return np.argmax(rows, axis=-1)
 
     def losses(self, codes):
-        return (np.arange(len(self.space))[None, :] != codes[:, None]).astype(float)
+        return (np.arange(len(self.space)) != codes[..., None]).astype(float)
 
     def encode(self, action):
         return self.space.index(action)
@@ -107,10 +108,10 @@ class _TableKernel(_Kernel):
         self.table, self.actions = loss.aligned_table(space), loss.actions
 
     def fit(self, rows):
-        return np.argmin(rows @ self.table, axis=1)
+        return np.argmin(rows @ self.table, axis=-1)
 
     def losses(self, codes):
-        return self.table[:, codes].T
+        return self.table.T[codes]
 
     def encode(self, action):
         return self.actions.index(action)
@@ -167,9 +168,6 @@ class LossSpec:
         """This loss's kernel on ``space``; raises if the space cannot serve it."""
         return _KERNELS[self.kind](self, space)
 
-    def check_space(self, space: OutcomeSpace) -> None:
-        self.kernel(space)
-
 
 def log_loss() -> LossSpec:
     return LossSpec(LOGARITHMIC)
@@ -192,8 +190,10 @@ def risk(
     losses: np.ndarray,
     space: OutcomeSpace,
     row_label: Callable[[int], Any] | None = None,
-) -> float:
-    """Sum of ``mass * losses`` over the ``(rows, outcomes)`` cells with mass.
+):
+    """Sum of ``mass * losses`` over the ``(rows, outcomes)`` cells with mass:
+    a float for one law, one value per law for a ``(laws, rows, outcomes)``
+    stack.
 
     An infinite loss on a cell with mass raises
     :class:`UnboundedCrossEntropyError` naming each such cell by its outcome
@@ -204,10 +204,11 @@ def risk(
     if bad.any():
         cells = [
             space.labels[y] if row_label is None else (row_label(r), space.labels[y])
-            for r, y in zip(*np.nonzero(bad))
+            for *_, r, y in zip(*np.nonzero(bad))
         ]
         raise UnboundedCrossEntropyError(f"unbounded cross-entropy: zero action probability on {cells}", cells)
-    return float(np.multiply(mass, losses, out=np.zeros(mass.shape), where=live).sum())
+    total = np.multiply(mass, losses, out=np.zeros(mass.shape), where=live)
+    return float(total.sum()) if mass.ndim == 2 else total.reshape(len(mass), -1).sum(axis=1)
 
 
 @dataclass(frozen=True, eq=False)

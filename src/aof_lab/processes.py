@@ -26,6 +26,7 @@ from __future__ import annotations
 import bisect
 import itertools
 import json
+import math
 from dataclasses import dataclass, replace
 from typing import Sequence
 
@@ -60,18 +61,15 @@ def _stationary_distribution(transition: np.ndarray) -> np.ndarray:
     pi = pi / pi.sum()
     # polish with a few power steps to push the residual to float precision
     for _ in range(200):
-        nxt = pi @ transition
-        if np.abs(nxt - pi).sum() < 1e-16:
-            pi = nxt
+        pi, prev = pi @ transition, pi
+        if np.abs(pi - prev).sum() < 1e-16:
             break
-        pi = nxt
     return pi
 
 
 def _is_primitive(transition: np.ndarray) -> bool:
     n = transition.shape[0]
     reach = transition > 0
-    power = np.eye(n, dtype=bool) | reach
     # Wielandt bound: a primitive matrix has a strictly positive power by
     # exponent (n-1)^2 + 1
     target = (n - 1) ** 2 + 1
@@ -226,20 +224,20 @@ class ProcessModel:
 
 
 def _elementary_reads(model: ProcessModel, requests: tuple[Request, ...]):
-    """Distinct (kind, source, slot) cells each request reads, newest first
-    inside a feature tuple.  Slots are relative: lag k reads slot -k."""
-    per_request: dict[Request, list[tuple]] = {}
+    """The (slot, kind, source) cells each request reads, newest first inside
+    a feature tuple, and all distinct cells in order.  Slots are relative:
+    lag k reads slot -k."""
+    per_request = []
     for var, lag in requests:
-        src = source_index(var)
-        if src is None:
-            per_request[(var, lag)] = [("y", 0, -lag)]
+        if var == "y":
+            per_request.append(((-lag, "y", 0),))
         else:
+            src = int(var[1:])
             if src > model.m:
                 raise IncompatibleSpaceError(f"model has {model.m} sources; got {var!r}")
             base = -(lag + model.delay)
-            per_request[(var, lag)] = [("x", src, base - j) for j in range(model.window)]
-    distinct = sorted({r for reads in per_request.values() for r in reads}, key=lambda r: (r[2], r[0], r[1]))
-    return per_request, distinct
+            per_request.append(tuple((base - j, "x", src) for j in range(model.window)))
+    return per_request, sorted({r for reads in per_request for r in reads})
 
 
 def exact_window_law(
@@ -274,33 +272,30 @@ def exact_window_laws(
     if not reqs_list or not reqs_list[0]:
         raise IncompatibleSpaceError("at least one variable must be requested")
     variables = tuple(var for var, _ in reqs_list[0])
-    groups: dict[tuple, list[tuple[int, np.ndarray]]] = {}
+    groups: dict[tuple, list[tuple[int, tuple[int, ...]]]] = {}
     for g, reqs in enumerate(reqs_list):
         if tuple(var for var, _ in reqs) != variables:
             raise IncompatibleSpaceError(
                 f"request sets do not share one layout: {reqs} vs {reqs_list[0]}"
             )
         per_request, reads = _elementary_reads(model, reqs)
-        slots = sorted({slot for _, _, slot in reads})
+        slots = sorted({slot for slot, _, _ in reads})
         pattern = tuple(
-            tuple((kind, src) for kind, src, _ in at)
-            for _, at in itertools.groupby(reads, key=lambda r: r[2])
+            tuple(read[1:] for read in at) for _, at in itertools.groupby(reads, key=lambda r: r[0])
         )
         axis_of = {read: i for i, read in enumerate(reads)}
-        taps = tuple(tuple(axis_of[r] for r in per_request[req]) for req in reqs)
-        groups.setdefault((pattern, taps), []).append((g, np.diff(slots)))
+        taps = tuple(tuple(axis_of[r] for r in at) for at in per_request)
+        groups.setdefault((pattern, taps), []).append((g, tuple(b - a for a, b in zip(slots, slots[1:]))))
 
     layout = tuple(
         (var, model.target_space if var == "y" else model.feature_space(source_index(var)))
         for var in variables
     )
     var_sizes = [len(space) for _, space in layout]
-    var_strides = np.cumprod([1, *var_sizes[:0:-1]])[::-1]
-    total = int(np.prod(var_sizes))
+    var_strides = [math.prod(var_sizes[i + 1:]) for i in range(len(var_sizes))]
+    total = math.prod(var_sizes)
     n_states = model.n_states
-    max_gap = max(
-        (int(gaps.max()) for members in groups.values() for _, gaps in members if gaps.size), default=0
-    )
+    max_gap = max((max(gaps) for members in groups.values() for _, gaps in members if gaps), default=0)
     if (max_gap + 1) * n_states**2 > max_cells:
         raise AofLabError(
             f"lag gap {max_gap} would need {max_gap + 1} transition powers of "
@@ -312,18 +307,19 @@ def exact_window_laws(
     steps[0] = np.eye(n_states)
     for k in range(1, max_gap + 1):
         steps[k] = model.transition.T @ steps[k - 1]
-    emission = {("y", 0): model.target_kernel}
-    emission.update({("x", l): e for l, e in enumerate(model.emissions, start=1)})
+    # each kernel as (states, symbols, 1), ready to take a new outermost cell axis
+    emission = {("y", 0): model.target_kernel[:, :, None]}
+    emission.update({("x", l): e[:, :, None] for l, e in enumerate(model.emissions, start=1)})
 
     probs = np.empty((len(reqs_list), total))
     for (pattern, taps), members in groups.items():
         sizes = [emission[read].shape[1] for at in pattern for read in at]
-        n_cells = int(np.prod(sizes))
+        n_cells = math.prod(sizes)
         if n_cells * n_states > max_cells:
             raise AofLabError(f"unrolled law would need {n_cells * n_states} cells (cap {max_cells})")
         # variable cell of every elementary cell: a feature reads its window
         # newest first, so read j of a b-slot window is digit b - 1 - j
-        coeff = np.zeros(len(sizes), dtype=np.int64)
+        coeff = [0] * len(sizes)
         for stride, axes in zip(var_strides, taps):
             for j, axis in enumerate(axes):
                 coeff[axis] += stride * sizes[axis] ** (len(axes) - 1 - j)
@@ -336,23 +332,20 @@ def exact_window_laws(
         for start in range(0, len(members), chunk):
             part = members[start:start + chunk]
             gaps = np.array([gap for _, gap in part])
-            table = np.broadcast_to(model.stationary[:, None], (len(part), n_states, 1))
+            table = np.repeat(model.stationary[None, :, None], len(part), axis=0)
             for i, at in enumerate(pattern):
                 if i:
                     table = steps[gaps[:, i - 1]] @ table
                 for read in at:
-                    table = table[:, :, None, :] * emission[read][:, :, None]
-                    table = table.reshape(len(part), n_states, -1)
-            elem = table.sum(axis=1)
-            offsets = np.arange(len(part))[:, None] * total
-            laws = np.bincount(
-                (cell_of + offsets).ravel(), weights=elem.ravel(), minlength=len(part) * total
-            ).reshape(len(part), total)
-            sums = laws.sum(axis=1)
-            drift = float(np.abs(sums - 1.0).max())
-            if drift > NORMALIZATION_ATOL:
-                raise NotNormalizedError(f"window laws sum to 1 +- {drift!r} before normalization")
-            probs[[g for g, _ in part]] = laws / sums[:, None]
+                    table = (table[:, :, None, :] * emission[read]).reshape(len(part), n_states, -1)
+            cells = (cell_of + total * np.arange(len(part))[:, None]).ravel()
+            laws = np.bincount(cells, weights=table.sum(axis=1).ravel(), minlength=len(part) * total)
+            probs[[g for g, _ in part]] = laws.reshape(len(part), total)
+    sums = probs.sum(axis=1)
+    drift = float(np.abs(sums - 1.0).max())
+    if drift > NORMALIZATION_ATOL:
+        raise NotNormalizedError(f"window laws sum to 1 +- {drift!r} before normalization")
+    probs /= sums[:, None]
     return layout, probs.reshape(len(reqs_list), *var_sizes)
 
 

@@ -10,7 +10,7 @@ from __future__ import annotations
 
 import json
 from dataclasses import dataclass, field
-from typing import Any, Iterable, Mapping, Sequence
+from typing import Any, Mapping, Sequence
 
 import numpy as np
 
@@ -130,12 +130,6 @@ class Pmf:
         probs[space.index(label)] = 1.0
         return cls(space, probs)
 
-    def prob(self, label: Label) -> float:
-        return float(self.probs[self.space.index(label)])
-
-    def support(self) -> tuple[Label, ...]:
-        return tuple(lab for lab, p in zip(self.space.labels, self.probs) if p > 0.0)
-
     def mean(self) -> float:
         v = self.space.levels()
         return float(self.probs @ v)
@@ -144,9 +138,6 @@ class Pmf:
         v = self.space.levels()
         mu = float(self.probs @ v)
         return float(self.probs @ (v - mu) ** 2)
-
-    def as_dict(self) -> dict:
-        return {lab: float(p) for lab, p in zip(self.space.labels, self.probs)}
 
 
 @dataclass(frozen=True, eq=False)
@@ -203,15 +194,6 @@ class JointPmf:
         reduced = np.transpose(reduced, perm)
         variables = tuple((n, self.space(n)) for n in names)
         return JointPmf(variables, np.ascontiguousarray(reduced))
-
-    def marginal(self, names: Iterable[str]) -> "JointPmf":
-        """Marginal over ``names``, keeping this joint's variable order."""
-        wanted = set(names)
-        ordered = [n for n in self.names if n in wanted]
-        missing = wanted - set(ordered)
-        if missing:
-            raise IncompatibleSpaceError(f"unknown variables {sorted(missing)}")
-        return self.arrange(ordered)
 
     def pmf(self, name: str) -> Pmf:
         m = self.arrange([name])

@@ -3,6 +3,7 @@ import pytest
 
 from aof_lab import (
     AgeDistribution,
+    EmpiricalLawProvider,
     ExactLawProvider,
     MixtureLawProvider,
     OutcomeSpace,
@@ -22,8 +23,11 @@ from aof_lab import (
     min_training_loss,
     mix_toward_markov,
     quadratic_loss,
+    sample_trajectory,
+    zero_one_loss,
 )
 from aof_lab import testing_loss as eval_testing_loss
+from aof_lab.analysis import cross_loss_sweep
 from aof_lab.errors import AofLabError, IncompatibleSpaceError
 
 from oracles import loglog_slope, per_cell_bayes_search
@@ -309,3 +313,123 @@ def test_decomposition_report_serialization(tmp_path):
     curve.to_csv(tmp_path / "c.csv")
     header = (tmp_path / "c.csv").read_text().splitlines()[0]
     assert header == "delta_1,delta_2,loss"
+
+
+# |h - (f1 - f2)| allowed by float summation: the telescoping sum adds and
+# subtracts each staircase entropy once, so the residual is a few ulps of
+# the summed losses
+DECOMPOSITION_IDENTITY_TOL = 1e-12
+
+# models of the shapes `aof-lab gen` writes: (sources, window, delay)
+GEN_SHAPES = [(1, 1, 0), (2, 1, 1), (2, 2, 0)]
+
+
+def _gen_pair(shape, seed):
+    m, window, delay = shape
+    kw = dict(n_states=4, n_sources=m, n_symbols=2, n_targets=3, window=window, delay=delay)
+    return (ExactLawProvider(make_hidden_nonmarkov(seed, **kw)),
+            ExactLawProvider(make_hidden_nonmarkov(seed + 1, noise=0.5, **kw)))
+
+
+def _age_law(m, top, seed):
+    vectors = [v for v in np.ndindex(*(top + 1,) * m)]
+    rng = np.random.default_rng(seed)
+    return AgeDistribution(tuple(vectors), rng.dirichlet(np.ones(len(vectors))))
+
+
+@pytest.mark.parametrize("shape", GEN_SHAPES)
+@pytest.mark.parametrize("loss", LOSSES, ids=["log", "quad"])
+def test_cross_loss_sweep_equals_per_eta_mixture_providers(shape, loss):
+    train, test = _gen_pair(shape, 40)
+    ages = _age_law(shape[0], 2, 41)
+    etas = [0.5, 0.25, 0.0625, 0.0, 1.0]
+    training, rows = cross_loss_sweep(train, test, ages, loss, etas)
+    assert training == joint_training_loss(train, ages, loss, True)
+    joint_train = dynamic_joint(train, ages)
+    for eta, (beta, testing) in zip(etas, rows):
+        mix = MixtureLawProvider(base=train, other=test, eta=eta)
+        assert testing == eval_testing_loss(train, mix, ages, loss)
+        assert beta == beta_between(joint_train, dynamic_joint(mix, ages)).beta
+
+
+@pytest.mark.parametrize("shape", GEN_SHAPES)
+def test_cross_loss_sweep_at_eta_one_is_the_direct_provider_result(shape):
+    train, test = _gen_pair(shape, 50)
+    ages = _age_law(shape[0], 3, 51)
+    loss = quadratic_loss()
+    training, [(beta, testing)] = cross_loss_sweep(train, test, ages, loss, [1.0])
+    assert training == joint_training_loss(train, ages, loss, True)
+    assert testing == eval_testing_loss(train, test, ages, loss)
+    assert beta == beta_between(dynamic_joint(train, ages), dynamic_joint(test, ages)).beta
+
+
+def test_cross_loss_sweep_validates_weights_and_providers():
+    train, test = _gen_pair((1, 1, 0), 60)
+    ages = _age_law(1, 1, 61)
+    with pytest.raises(IncompatibleSpaceError, match="eta"):
+        cross_loss_sweep(train, test, ages, log_loss(), [0.5, 1.5])
+    wide, _ = _gen_pair((2, 1, 0), 62)
+    with pytest.raises(IncompatibleSpaceError, match="source count"):
+        cross_loss_sweep(train, wide, ages, log_loss(), [1.0])
+    with pytest.raises(IncompatibleSpaceError, match="disagree on sources"):
+        cross_loss_sweep(wide, wide, ages, log_loss(), [1.0])
+
+
+@pytest.mark.parametrize("shape", GEN_SHAPES)
+def test_compare_testing_experiments_equals_its_parts(shape):
+    train, test = _gen_pair(shape, 70)
+    a, b = _age_law(shape[0], 1, 71), _age_law(shape[0], 2, 72)
+    loss = quadratic_loss()
+    rep = compare_testing_experiments(train, test, a, b, loss, tau_max=1, mu_max=1)
+    assert rep.testing_smaller == eval_testing_loss(train, test, a, loss)
+    assert rep.testing_larger == eval_testing_loss(train, test, b, loss)
+    assert rep.beta_smaller == beta_between(dynamic_joint(train, a), dynamic_joint(test, a))
+    assert rep.beta_larger == beta_between(dynamic_joint(train, b), dynamic_joint(test, b))
+    assert rep.difference == rep.testing_smaller - rep.testing_larger
+    assert rep.violation == max(0.0, rep.difference)
+    assert rep.epsilon_report.grid == epsilon_coefficient(train, 1, 1).grid
+
+
+def _entropy_from_window_law(prov, pairs, loss):
+    law = prov.window_law([("y", 0)] + [(f"x{l}", lag) for l, lag in pairs]).law
+    return conditional_entropy(law, "y@0", [n for n in law.names if n != "y@0"], loss)
+
+
+def _empirical_provider():
+    model = make_hidden_nonmarkov(80, n_states=4, n_sources=2, n_symbols=2, n_targets=2, noise=0.3)
+    return EmpiricalLawProvider(sample_trajectory(model, 4000, seed=81), pseudo_count=0.5)
+
+
+@pytest.mark.parametrize("source", ["exact-w1", "exact-w2-d1", "empirical"])
+@pytest.mark.parametrize("loss", [log_loss(), quadratic_loss(), zero_one_loss()], ids=["log", "quad", "01"])
+def test_decompose_terms_match_per_key_window_law_entropies(source, loss):
+    if source == "empirical":
+        prov = _empirical_provider()
+    else:
+        window, delay = (1, 0) if source == "exact-w1" else (2, 1)
+        prov = ExactLawProvider(_hidden(82, m=2, window=window, delay=delay))
+    for delta, path in [((2, 3), (0, 1)), ((3, 1), (1, 0)), ((0, 2), (0, 1)), ((0, 0), (1, 0))]:
+        rep = decompose(prov, delta, loss, path)
+        assert len(rep.terms) == sum(delta)
+        for term in rep.terms:
+            newer, older = (term.source, term.lag), (term.source, term.lag + 1)
+            both = _entropy_from_window_law(prov, term.context + (newer, older), loss)
+            with_newer = _entropy_from_window_law(prov, term.context + (newer,), loss)
+            with_older = _entropy_from_window_law(prov, term.context + (older,), loss)
+            assert abs(term.gained - (with_older - both)) <= 1e-12
+            assert abs(term.lost - (with_newer - both)) <= 1e-12
+        assert abs(rep.base - _entropy_from_window_law(prov, ((1, 0), (2, 0)), loss)) <= 1e-12
+        assert abs(rep.h - _entropy_from_window_law(prov, ((1, delta[0]), (2, delta[1])), loss)) <= 1e-12
+        assert abs(rep.h - (rep.f1 - rep.f2)) <= DECOMPOSITION_IDENTITY_TOL
+
+
+def test_decomposition_identity_residual_within_named_tolerance():
+    worst = 0.0
+    for seed, m in [(90, 1), (91, 2), (92, 3)]:
+        prov = ExactLawProvider(_hidden(seed, m=m, noise=0.35))
+        for loss in (log_loss(), quadratic_loss(), zero_one_loss()):
+            for delta in [(3,) * m, tuple(range(1, m + 1)), (0,) * m]:
+                for path in (tuple(range(m)), tuple(reversed(range(m)))):
+                    rep = decompose(prov, delta, loss, path)
+                    worst = max(worst, abs(rep.h - (rep.f1 - rep.f2)))
+    assert worst <= DECOMPOSITION_IDENTITY_TOL

@@ -9,7 +9,19 @@ import numpy as np
 import pytest
 from click.testing import CliRunner
 
-from aof_lab import AgeDistribution, DeliveryTrace, ProcessModel, exact_window_law
+from aof_lab import (
+    AgeDistribution,
+    DeliveryTrace,
+    ExactLawProvider,
+    MixtureLawProvider,
+    ProcessModel,
+    beta_between,
+    dynamic_joint,
+    exact_window_law,
+    joint_training_loss,
+    quadratic_loss,
+)
+from aof_lab import testing_loss as eval_testing_loss
 from aof_lab.cli import main
 
 from oracles import dataset_csv_by_rows, trajectory_by_steps
@@ -381,3 +393,31 @@ def test_untrained_cell_exits_nonzero(runner, tmp_path):
                                "--ages", str(tmp_path / "ages.json")])
     assert res.exit_code != 0
     assert "untrained" in res.output.lower()
+
+
+@pytest.mark.parametrize("gen_args", [["--sources", "1"], ["--sources", "2", "--window", "2", "--delay", "1"]])
+def test_cross_loss_rows_equal_direct_provider_evaluation(runner, tmp_path, gen_args):
+    for seed, out in (("7", tmp_path / "train"), ("30", tmp_path / "test")):
+        _invoke(runner, ["--seed", seed, "--out", str(out), "gen", "--targets", "3", *gen_args])
+    train = ExactLawProvider(ProcessModel.load(tmp_path / "train" / "model.json"))
+    test = ExactLawProvider(ProcessModel.load(tmp_path / "test" / "model.json"))
+    ages = AgeDistribution.uniform(list(np.ndindex(*(3,) * train.m)))
+    ages.save(tmp_path / "ages.json")
+    loss = quadratic_loss()
+    training = joint_training_loss(train, ages, loss, True)
+    args = ["--loss", "quad", "--out", str(tmp_path), "cross-loss",
+            "--train", str(tmp_path / "train" / "model.json"),
+            "--test", str(tmp_path / "test" / "model.json"), "--ages", str(tmp_path / "ages.json")]
+    for sweep in (False, True):
+        res = _invoke(runner, args + (["--sweep", "--etas", "0.5,0.125"] if sweep else []))
+        assert res.exit_code == 0
+        rows = list(csv.DictReader((tmp_path / "cross_loss.csv").open()))
+        etas = [0.5, 0.125] if sweep else [None]
+        assert len(rows) == len(etas)
+        for row, eta in zip(rows, etas):
+            provider = test if eta is None else MixtureLawProvider(base=train, other=test, eta=eta)
+            t = eval_testing_loss(train, provider, ages, loss)
+            b = beta_between(dynamic_joint(train, ages), dynamic_joint(provider, ages)).beta
+            want = {"beta": b, "training": training, "testing": t, "gap": t - training}
+            assert {k: float(row[k]) for k in want} == want
+            assert ("eta" in row) == sweep

@@ -20,7 +20,7 @@ from aof_lab import (
     quadratic_loss,
     sample_trajectory,
 )
-from aof_lab.divergence import _chi2_cmi_stack
+from aof_lab.divergence import _chi2_cmi_stack, epsilon_sweep
 from aof_lab.errors import IncompatibleSpaceError, PositivityError, ReferenceNotInteriorError
 from aof_lab.processes import exact_window_law
 
@@ -266,3 +266,30 @@ def test_chi2_cmi_positivity_error_names_conditioning_cells():
     with pytest.raises(PositivityError) as exc:
         _chi2_cmi_stack(cubes, x_spaces)
     assert exc.value.cells == [("a", 1), ("b", 2)]
+
+
+@pytest.mark.parametrize("m, window, delay", [(1, 1, 0), (2, 1, 1), (2, 2, 0)])
+def test_epsilon_sweep_reports_equal_mixture_provider_runs(m, window, delay):
+    # the `epsilon --sweep` pair: a hidden model and an observable Markov reference
+    model = make_hidden_nonmarkov(33, n_states=4, n_sources=m, n_symbols=2, n_targets=3,
+                                  window=window, delay=delay)
+    ref = make_markov_observable(34, n_states=2, n_sources=m, n_targets=3, window=window, delay=delay)
+    etas = [0.5, 0.25, 0.125, 0.0, 1.0]
+    reports = epsilon_sweep(ExactLawProvider(ref), ExactLawProvider(model), etas, 2, 2)
+    assert len(reports) == len(etas)
+    for eta, rep in zip(etas, reports):
+        want = epsilon_coefficient(mix_toward_markov(model, ref, eta), 2, 2)
+        assert rep.grid == want.grid
+        assert (rep.epsilon, rep.argmax_tau, rep.argmax_mu) == (want.epsilon, want.argmax_tau, want.argmax_mu)
+        assert (rep.tau_max, rep.mu_max) == (2, 2)
+
+
+def test_epsilon_sweep_validates_weights_and_providers():
+    model = make_hidden_nonmarkov(35, n_states=4, n_symbols=2, n_targets=3)
+    ref = ExactLawProvider(make_markov_observable(36, n_states=2, n_targets=3))
+    with pytest.raises(IncompatibleSpaceError, match="eta"):
+        epsilon_sweep(ref, ExactLawProvider(model), [0.5, -0.1], 1, 1)
+    other = ExactLawProvider(make_hidden_nonmarkov(37, n_states=4, n_symbols=3, n_targets=3))
+    with pytest.raises(IncompatibleSpaceError, match="feature spaces"):
+        epsilon_sweep(ref, other, [0.5], 1, 1)
+    assert epsilon_sweep(ref, ExactLawProvider(model), [], 1, 1) == []

@@ -28,6 +28,7 @@ from aof_lab.errors import (
     UnboundedCrossEntropyError,
     UntrainedCellError,
 )
+from aof_lab.information import conditional_entropy_stack
 
 from oracles import (
     enumerate_decision_rules,
@@ -361,3 +362,33 @@ def test_loss_kernels_on_sparse_laws(seed, n_given):
             assert exc.value.cells == offending
         else:
             assert conditional_cross_entropy(test, train, "y", given, loss) == pytest.approx(total, abs=1e-12)
+
+
+@given(st.integers(0, 2**32 - 1), st.integers(0, 2), st.integers(1, 6))
+@settings(max_examples=60, deadline=None)
+def test_conditional_entropy_stack_equals_per_law_entropy(seed, n_given, n_laws):
+    rng = np.random.default_rng(seed)
+    joints = [_sparse_joint(rng, n_given) for _ in range(n_laws)]
+    stack = np.stack([joint.probs for joint in joints])
+    given = [name for name, _ in _X_SPACES[:n_given]]
+    table = table_loss(_Y_SPACE.labels, ("u", "v", "w"), rng.random((3, 3)))
+    for loss in (*ALL_LOSSES, table):
+        values = conditional_entropy_stack(stack, _Y_SPACE, loss)
+        assert values.shape == (n_laws,)
+        assert values.tolist() == [conditional_entropy(joint, "y", given, loss) for joint in joints]
+
+
+def test_conditional_entropy_stack_with_all_zero_conditioning_rows():
+    # every law but one puts mass on a single conditioning cell; the rest of
+    # its rows are all zero, as in staircase laws of aliased emissions
+    rng = np.random.default_rng(5)
+    shape = (len(_X_SPACES[0][1]), len(_X_SPACES[1][1]), len(_Y_SPACE))
+    stack = np.zeros((4, *shape))
+    for g, (a, b) in enumerate([(0, 0), (2, 1), (1, 0)]):
+        stack[g, a, b] = rng.dirichlet(np.ones(len(_Y_SPACE)))
+    stack[3] = rng.dirichlet(np.ones(stack[3].size)).reshape(shape)
+    variables = (*_X_SPACES, ("y", _Y_SPACE))
+    for loss in (*ALL_LOSSES, table_loss(_Y_SPACE.labels, ("u", "v"), rng.random((3, 2)))):
+        values = conditional_entropy_stack(stack, _Y_SPACE, loss).tolist()
+        assert values == [conditional_entropy(JointPmf(variables, p), "y", ["x1", "x2"], loss) for p in stack]
+        assert all(np.isfinite(values))

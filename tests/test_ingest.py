@@ -163,6 +163,20 @@ def test_assemble_dynamic_stales_features():
         assert staled.y[i] == ds.y[row_of[int(t)]]
 
 
+def test_assemble_dynamic_drops_rows_at_negative_slots():
+    # slots -3..4 against an 8-slot age process: rows before slot 0 have no
+    # age and must not borrow the ages of the last slots
+    t = np.arange(-3, 5)
+    ds = Dataset(t=t, xs=(np.array([f"x{v}" for v in t], dtype=object),), ages=(np.zeros(8, dtype=np.int64),),
+                 y=np.array([f"y{v}" for v in t], dtype=object))
+    ages = AgeProcess(np.array([[1, 2, 1, 0, 3, 1, 0, 2]], dtype=np.int64))
+    staled = assemble_dynamic(ds, ages)
+    assert staled.t.tolist() == [0, 1, 2, 3, 4]
+    assert staled.ages[0].tolist() == [1, 2, 1, 0, 3]
+    assert list(staled.y) == ["y0", "y1", "y2", "y3", "y4"]
+    assert list(staled.xs[0]) == ["x-1", "x-1", "x1", "x3", "x1"]
+
+
 def test_assemble_then_group_feeds_joint_training():
     model = make_hidden_nonmarkov(24, n_states=3, n_symbols=2, n_targets=2, noise=0.35)
     ds = sample_trajectory(model, 30_000, seed=8)
