@@ -18,10 +18,10 @@ def thread_count() -> int:
     return 1
 
 
-def csv_text(header, rows, delimiter: str = ",") -> str:
+def csv_text(header, rows) -> str:
     """Render a header and rows the way ``csv.writer`` writes them."""
     buf = io.StringIO()
-    writer = csv.writer(buf, delimiter=delimiter)
+    writer = csv.writer(buf)
     writer.writerow(header)
     writer.writerows(rows)
     return buf.getvalue()

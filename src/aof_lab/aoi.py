@@ -101,8 +101,8 @@ class AgeProcess:
     def horizon(self) -> int:
         return self.ages.shape[1]
 
-    def has_sentinel(self, start: int = 0, stop: int | None = None) -> bool:
-        return bool(np.any(self.ages[:, start:stop] == SENTINEL))
+    def has_sentinel(self) -> bool:
+        return bool(np.any(self.ages == SENTINEL))
 
     def to_csv(self, path) -> None:
         header = ["t"] + [f"age_{l}" for l in range(1, self.m + 1)]
@@ -114,14 +114,26 @@ class AgeProcess:
 
     @classmethod
     def from_csv(cls, path) -> "AgeProcess":
+        """Read the CSV ``to_csv`` writes: a ``t, age_1..age_m`` header, then
+        one row per slot from 0 on, an empty age cell marking the sentinel."""
         rows = []
         with open(path, newline="", encoding="utf-8") as fh:
             reader = csv.reader(fh)
-            header = next(reader)
-            m = len(header) - 1
-            for row in reader:
-                rows.append([SENTINEL if cell == "" else int(cell) for cell in row[1:]])
-        return cls(np.asarray(rows, dtype=np.int64).T.reshape(m, -1))
+            header = next(reader, [])
+            names = ["t"] + [f"age_{l}" for l in range(1, len(header))]
+            if len(names) < 2 or header != names:
+                raise AofLabError(f"{path}, line 1: header {header}; want t, age_1, ..., age_m")
+            for slot, row in enumerate(reader):
+                line = reader.line_num
+                if len(row) != len(names):
+                    raise AofLabError(f"{path}, line {line}: {len(row)} cells, want {len(names)}")
+                if csv_int(row[0], path, line, "t") != slot:
+                    raise AofLabError(f"{path}, line {line}, column 't': {row[0]!r} is not slot {slot}")
+                rows.append([SENTINEL if cell == "" else csv_int(cell, path, line, name)
+                             for cell, name in zip(row[1:], names[1:])])
+        if not rows:
+            raise AofLabError(f"{path}: no data rows")
+        return cls(np.array(rows, dtype=np.int64).T)
 
 
 def age_process(trace: DeliveryTrace, horizon: int) -> AgeProcess:

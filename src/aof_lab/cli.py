@@ -87,26 +87,34 @@ def _provider(model_path, data_path, cfg):
     return ingest.EmpiricalLawProvider(dataset, pseudo_count=cfg["lambda"]), None
 
 
-def _parse_grid(spec: str, m: int) -> list[tuple[int, ...]]:
+def _parse(option: str, text: str, parse):
+    """``parse(text)`` for the value of ``option``; a value it cannot read
+    is a one-line error that names the option."""
+    try:
+        return parse(text)
+    except ValueError:
+        raise click.ClickException(f"{option}: cannot read {text!r}") from None
+
+
+def _ints(text: str) -> list[int]:
+    return [int(v) for v in text.split(",")]
+
+
+def _floats(text: str) -> list[float]:
+    return [float(v) for v in text.split(",")]
+
+
+def _grid(spec: str) -> list[tuple[int, ...]]:
     spec = spec.strip()
     if ";" in spec or ("," in spec and ".." not in spec):
-        vectors = [tuple(int(v) for v in part.split(",")) for part in spec.split(";")]
-    else:
-        ranges = []
-        for part in spec.split("x"):
-            lo, _, hi = part.partition("..")
-            lo = int(lo)
-            hi = int(hi) if hi else lo
-            ranges.append(range(lo, hi + 1))
-        vectors = [tuple(v) for v in itertools.product(*ranges)]
-    for vec in vectors:
-        if len(vec) != m:
-            raise click.ClickException(f"grid point {vec} does not match {m} sources")
-    return vectors
-
-
-def _parse_etas(spec: str) -> list[float]:
-    return [float(v) for v in spec.split(",")]
+        return [tuple(_ints(part)) for part in spec.split(";")]
+    ranges = []
+    for part in spec.split("x"):
+        lo, _, hi = part.partition("..")
+        lo = int(lo)
+        hi = int(hi) if hi else lo
+        ranges.append(range(lo, hi + 1))
+    return [tuple(v) for v in itertools.product(*ranges)]
 
 
 def _emit_json(path: Path, payload: dict) -> None:
@@ -191,13 +199,16 @@ def age_curve(ctx, model_path, data_path, grid, windows):
     cfg = _settings(ctx)
     loss = _parse_loss(cfg["loss"])
     provider, model = _provider(model_path, data_path, cfg)
-    vectors = _parse_grid(grid, provider.m)
+    vectors = _parse("--grid", grid, _grid)
+    for vec in vectors:
+        if len(vec) != provider.m:
+            raise click.ClickException(f"grid point {vec} does not match {provider.m} sources")
     out = Path(cfg["out"])
     meta = {"config": {**cfg, "grid": grid, "windows": windows}, "curves": {}}
     if windows:
         if model is None:
             raise click.ClickException("--windows needs a --model law source")
-        blist = [int(b) for b in windows.split(",")]
+        blist = _parse("--windows", windows, _ints)
         curves = [
             analysis.loss_curve(processes.ExactLawProvider(model.with_window(b)), vectors, loss) for b in blist
         ]
@@ -223,12 +234,12 @@ def decompose(ctx, model_path, data_path, delta, path_spec):
     cfg = _settings(ctx)
     loss = _parse_loss(cfg["loss"])
     provider, _ = _provider(model_path, data_path, cfg)
-    vec = tuple(int(v) for v in delta.split(","))
+    vec = tuple(_parse("--delta", delta, _ints))
     if path_spec == "both":
         # one path when the two orders coincide (a single source)
         paths = list(dict.fromkeys([tuple(range(provider.m)), tuple(reversed(range(provider.m)))]))
     else:
-        paths = [tuple(int(c) for c in path_spec.split(","))]
+        paths = [tuple(_parse("--path", path_spec, _ints))]
     reports = [analysis.decompose(provider, vec, loss, p) for p in paths]
     payload = {"config": {**cfg, "delta": delta, "path": path_spec},
                "reports": [r.to_json_dict() for r in reports]}
@@ -257,7 +268,7 @@ def epsilon(ctx, model_path, data_path, tau_max, mu_max, sweep, mix_ref, etas):
         if mix_ref is None or model is None:
             raise click.ClickException("--sweep needs --model and --mix-ref model files")
         ref = processes.ProcessModel.load(mix_ref)
-        eta_values = _parse_etas(etas)
+        eta_values = _parse("--etas", etas, _floats)
         # the laws of processes.mix_toward_markov(model, ref, eta) for each eta
         reports = divergence.epsilon_sweep(processes.ExactLawProvider(ref), provider, eta_values, tau_max, mu_max)
         rows = [[eta, rep.epsilon] for eta, rep in zip(eta_values, reports)]
@@ -327,7 +338,7 @@ def cross_loss(ctx, train_path, test_path, ages_path, sweep, etas):
     out = Path(cfg["out"])
     meta = {"config": {**cfg, "train": train_path, "test": test_path, "ages": ages_path, "etas": etas if sweep else None}}
     # the plain run is the sweep's eta = 1.0 case: testing under the test model itself
-    eta_values = _parse_etas(etas) if sweep else [1.0]
+    eta_values = _parse("--etas", etas, _floats) if sweep else [1.0]
     test_prov = processes.ExactLawProvider(test_model)
     training, results = analysis.cross_loss_sweep(train_prov, test_prov, ages, loss, eta_values)
     rows = [[eta, b, training, t, t - training] for eta, (b, t) in zip(eta_values, results)]

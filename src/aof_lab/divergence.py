@@ -32,7 +32,7 @@ import numpy as np
 from ._util import write_text_atomic
 from .errors import AofLabError, IncompatibleSpaceError, PositivityError, ReferenceNotInteriorError
 from .laws import DEFAULT_MAX_CELLS, STACK_CELLS, MixtureLawProvider
-from .spaces import JointPmf, OutcomeSpace, Pmf
+from .spaces import JointPmf, OutcomeSpace, Pmf, check_same_variables, grid_label
 
 # triple mass above this on a cell whose product reference is zero breaks the
 # domination the conditional mutual information relies on
@@ -48,11 +48,7 @@ def _aligned_arrays(p, q):
             raise IncompatibleSpaceError("pmfs live on different spaces")
         return p.probs, q.probs, lambda i: p.space.labels[i]
     if isinstance(p, JointPmf) and isinstance(q, JointPmf):
-        if p.names != q.names:
-            raise IncompatibleSpaceError(f"variable mismatch: {p.names} vs {q.names}")
-        for (n, sa), (_, sb) in zip(p.variables, q.variables):
-            if sa.labels != sb.labels:
-                raise IncompatibleSpaceError(f"space mismatch on variable {n!r}")
+        check_same_variables(p, q)
         return p.probs.ravel(), q.probs.ravel(), p.cell_label
     raise IncompatibleSpaceError("chi2_divergence needs two Pmfs or two JointPmfs of the same shape")
 
@@ -89,11 +85,7 @@ def _chi2_cmi_stack(cubes: np.ndarray, x_spaces: Sequence[OutcomeSpace]) -> np.n
     pos = ref > 0.0
     stray = (~pos & (cubes > POSITIVITY_ATOL)).any(axis=(0, 2, 3))
     if np.any(stray):
-        shape = tuple(len(space) for space in x_spaces)
-        cells = [
-            tuple(space.labels[i] for space, i in zip(x_spaces, np.unravel_index(x, shape)))
-            for x in np.flatnonzero(stray)
-        ]
+        cells = [grid_label(x_spaces, x) for x in np.flatnonzero(stray)]
         raise PositivityError(
             f"positivity violated: triple mass on a zero product-reference cell at {cells}", cells
         )

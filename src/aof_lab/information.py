@@ -20,13 +20,14 @@ test mass on an outcome the trained action excludes raises
 
 from __future__ import annotations
 
+from functools import partial
 from typing import Iterable
 
 import numpy as np
 
 from .errors import IncompatibleSpaceError, UntrainedCellError
 from .losses import LossSpec, entropy, risk
-from .spaces import JointPmf, OutcomeSpace
+from .spaces import JointPmf, OutcomeSpace, check_same_variables, grid_label
 
 
 def _canonical_given(joint: JointPmf, target: str, given: Iterable[str]) -> tuple[str, ...]:
@@ -95,14 +96,6 @@ def cross_entropy(p_test, p_train, loss: LossSpec) -> float:
     return risk(p_test.probs[None, :], kernel.losses(codes), p_test.space)
 
 
-def _check_same_variables(a: JointPmf, b: JointPmf) -> None:
-    if a.names != b.names:
-        raise IncompatibleSpaceError(f"variable mismatch: {a.names} vs {b.names}")
-    for (n, sa), (_, sb) in zip(a.variables, b.variables):
-        if sa.labels != sb.labels:
-            raise IncompatibleSpaceError(f"space mismatch on variable {n!r}")
-
-
 def conditional_cross_entropy(
     joint_test: JointPmf,
     joint_train: JointPmf,
@@ -115,17 +108,12 @@ def conditional_cross_entropy(
     Each conditioning cell with test mass must carry train mass; offenders
     are reported together in :class:`UntrainedCellError`.
     """
-    _check_same_variables(joint_test, joint_train)
+    check_same_variables(joint_test, joint_train)
     given = _canonical_given(joint_test, target, given)
     rows_t, y_space = _cond_matrix(joint_test, target, given)
     rows_q, _ = _cond_matrix(joint_train, target, given)
     kernel = loss.kernel(y_space)
-    x_spaces = [joint_test.space(n) for n in given]
-
-    def x_label(flat: int) -> tuple:
-        idx = np.unravel_index(flat, tuple(len(s) for s in x_spaces))
-        return tuple(s.labels[i] for s, i in zip(x_spaces, idx))
-
+    x_label = partial(grid_label, [joint_test.space(n) for n in given])
     untrained = (rows_t.sum(axis=1) > 0.0) & (rows_q.sum(axis=1) == 0.0)
     if np.any(untrained):
         cells = [x_label(flat) for flat in np.flatnonzero(untrained)]

@@ -14,7 +14,8 @@ when a column is read back, written to CSV or named in a law.  Counting a
 law is one ``np.bincount`` over mixed-radix cell codes.
 
 Strict positivity is never imposed silently: empty cells stay empty unless
-``smooth`` is called with an explicit pseudo-count.
+a law is smoothed with an explicit pseudo-count, by ``smooth`` or by the
+provider's ``pseudo_count``.
 """
 
 from __future__ import annotations
@@ -32,7 +33,15 @@ import numpy as np
 from ._util import csv_int, csv_text, write_text_atomic
 from .aoi import SENTINEL, AgeDistribution, AgeProcess
 from .errors import AofLabError, IncompatibleSpaceError
-from .laws import WindowLaw, canonical_requests, source_index, stack_window_laws, variable_name
+from .laws import (
+    Layout,
+    WindowLaw,
+    canonical_request_sets,
+    canonical_requests,
+    source_index,
+    variable_name,
+    window_law_of,
+)
 from .spaces import JointPmf, OutcomeSpace
 
 DEFAULT_MIN_WINDOWS = 30
@@ -136,11 +145,11 @@ def _csv_header(m: int) -> list[str]:
     return ["t"] + [f"x_{l}" for l in range(1, m + 1)] + [f"age_{l}" for l in range(1, m + 1)] + ["y"]
 
 
-def _raise_bad_row(path, delimiter: str, expected: list[str]):
+def _raise_bad_row(path, expected: list[str]):
     """Re-read a dataset CSV row by row and raise for its first malformed
     row: a ragged one, or a non-integer slot or age cell."""
     with open(path, newline="", encoding="utf-8") as fh:
-        reader = csv.reader(fh, delimiter=delimiter)
+        reader = csv.reader(fh)
         next(reader)
         for row in reader:
             if len(row) != len(expected):
@@ -217,30 +226,16 @@ class Dataset:
             raise IncompatibleSpaceError(f"dataset has {self.m} sources; got {var!r}")
         return self.columns[-1 if src is None else src - 1]
 
-    def column(self, name: str) -> np.ndarray:
-        if name == "y":
-            return self.y
-        if name == "t":
-            return self.t
-        kind, _, idx = name.partition("_")
-        if idx.isdigit():
-            l = int(idx)
-            if kind == "x" and 1 <= l <= self.m:
-                return self.xs[l - 1]
-            if kind == "age" and 1 <= l <= self.m:
-                return self.ages[l - 1]
-        raise IncompatibleSpaceError(f"unknown column {name!r}")
-
-    def to_csv(self, path, delimiter: str = ",") -> None:
+    def to_csv(self, path) -> None:
         cells = [np.array([_render_cell(lab) for lab in col.space.labels], dtype=object)[col.codes]
                  for col in self.columns]
         rows = zip(self.t, *cells[:-1], *self.ages, cells[-1])
-        write_text_atomic(path, csv_text(_csv_header(self.m), rows, delimiter))
+        write_text_atomic(path, csv_text(_csv_header(self.m), rows))
 
     @classmethod
-    def from_csv(cls, path, delimiter: str = ",") -> "Dataset":
+    def from_csv(cls, path) -> "Dataset":
         with open(path, newline="", encoding="utf-8") as fh:
-            reader = csv.reader(fh, delimiter=delimiter)
+            reader = csv.reader(fh)
             header = next(reader, None)
             if header is None:
                 raise AofLabError(f"{path}: empty file; want a header row")
@@ -254,13 +249,13 @@ class Dataset:
             codes = [[] for _ in expected]
             while chunk := list(itertools.islice(reader, CSV_CHUNK_ROWS)):
                 if any(len(row) != len(expected) for row in chunk):
-                    _raise_bad_row(path, delimiter, expected)
+                    _raise_bad_row(path, expected)
                 for k, cells in enumerate(zip(*chunk)):
                     if is_int[k]:
                         try:
                             ints[k].append(np.array(list(map(int, cells)), dtype=np.int64))
                         except (ValueError, OverflowError):
-                            _raise_bad_row(path, delimiter, expected)
+                            _raise_bad_row(path, expected)
                         continue
                     index = texts[k]
                     for text in dict.fromkeys(cells):
@@ -431,44 +426,42 @@ def empirical_window_law(
 
 @dataclass(eq=False)
 class EmpiricalLawProvider:
-    """Law provider backed by a raw trajectory dataset."""
+    """Law provider backed by a raw trajectory dataset.
+
+    Each law counts the dataset's sliding windows over its column spaces
+    (at least ``DEFAULT_MIN_WINDOWS`` of them) and, with a positive
+    ``pseudo_count``, is smoothed as :func:`smooth` does.
+    """
 
     dataset: Dataset
-    spaces: Mapping[str, OutcomeSpace] | None = None
-    min_windows: int = DEFAULT_MIN_WINDOWS
     pseudo_count: float = 0.0
-    _cache: dict = field(default_factory=dict, repr=False)
 
     def __post_init__(self):
-        if self.spaces is None:
-            spaces = {f"x{l}": self.dataset.columns[l - 1].space for l in range(1, self.dataset.m + 1)}
-            spaces["y"] = self.dataset.columns[-1].space
-            self.spaces = spaces
+        if self.pseudo_count < 0:
+            raise AofLabError(f"pseudo-count must be nonnegative, got {self.pseudo_count}")
 
     @property
     def m(self) -> int:
         return self.dataset.m
 
     def feature_space(self, l: int) -> OutcomeSpace:
-        return self.spaces[f"x{l}"]
+        return self.dataset.coded(f"x{l}").space
 
     @property
     def target_space(self) -> OutcomeSpace:
-        return self.spaces["y"]
+        return self.dataset.coded("y").space
 
-    def window_law(self, requests: Sequence) -> WindowLaw:
-        key = canonical_requests(requests)
-        law = self._cache.get(key)
-        if law is None:
-            law = empirical_window_law(self.dataset, key, self.spaces, self.min_windows)
-            if self.pseudo_count > 0.0:
-                smoothed = smooth(law.law, self.pseudo_count, law.meta["n_windows"])
-                law = WindowLaw(law=smoothed, requests=key, meta=dict(law.meta, smoothed=self.pseudo_count))
-            self._cache[key] = law
-        return law
+    window_law = window_law_of
 
-    def window_law_stack(self, request_sets: Sequence[Sequence]):
-        return stack_window_laws([self.window_law(r) for r in request_sets])
+    def window_law_stack(self, request_sets: Sequence[Sequence]) -> tuple[Layout, np.ndarray]:
+        reqs_list = canonical_request_sets(request_sets)
+        layout = tuple((var, self.dataset.coded(var).space) for var, _ in reqs_list[0])
+        laws = [empirical_window_law(self.dataset, reqs, dict(layout)) for reqs in reqs_list]
+        probs = np.stack([law.law.probs for law in laws])
+        if self.pseudo_count > 0.0:
+            n_obs = np.array([law.meta["n_windows"] for law in laws]).reshape(-1, *(1,) * len(layout))
+            probs = _add_pseudo_count(probs, self.pseudo_count, n_obs, probs[0].size)
+        return layout, probs
 
 
 def dynamic_age_law(
@@ -556,6 +549,11 @@ def smooth(law: JointPmf, pseudo_count: float, n_obs: float) -> JointPmf:
         return law
     if n_obs <= 0:
         raise AofLabError("n_obs must be positive")
-    cells = law.probs.size
-    probs = (law.probs * n_obs + pseudo_count) / (n_obs + pseudo_count * cells)
-    return JointPmf(law.variables, probs)
+    return JointPmf(law.variables, _add_pseudo_count(law.probs, pseudo_count, n_obs, law.probs.size))
+
+
+def _add_pseudo_count(probs: np.ndarray, pseudo_count: float, n_obs, cells: int) -> np.ndarray:
+    """``(counts + pseudo_count) / (n_obs + pseudo_count * cells)`` with
+    ``counts = probs * n_obs``, for one law of ``cells`` cells or, with
+    ``n_obs`` broadcast per law, a stack of them."""
+    return (probs * n_obs + pseudo_count) / (n_obs + pseudo_count * cells)

@@ -6,17 +6,16 @@ variable naming convention is ``"y@<lag>"`` for the target and
 ``"x<l>@<lag>"`` for source ``l`` (1-based).  Requests are (variable, lag)
 pairs such as ``("y", 0)`` or ``("x2", 3)``.
 
-Providers produce window laws on demand: exact providers unroll a process
-model, empirical providers count sliding windows in a dataset, and the
-mixture provider blends two compatible providers cell by cell with
-``MixtureLawProvider.mix``, which sweeps over the mixture weight also apply
-to endpoint stacks they build once.
-
 Grid searches ask for many laws that share one *layout*: the same variables
-in the same positions, only their lags differ.  ``window_law_stack`` returns
-such a batch as one array with a leading batch axis, so a caller can
-evaluate a statistic over the whole batch without building a ``JointPmf``
-per law.
+in the same positions, only their lags differ.  A provider's one law method,
+``window_law_stack``, returns such a batch as one array with a leading batch
+axis, so a caller can evaluate a statistic over the whole batch without
+building a ``JointPmf`` per law.  Exact providers unroll a process model,
+empirical providers count sliding windows in a dataset, and the mixture
+provider blends two compatible providers cell by cell with
+``MixtureLawProvider.mix``, which sweeps over the mixture weight also apply
+to endpoint stacks they build once.  A single law is the one-request-set
+case of a stack, named by ``window_law_of``.
 """
 
 from __future__ import annotations
@@ -83,25 +82,29 @@ class WindowLaw:
     requests: tuple[Request, ...]
     meta: dict = field(default_factory=dict)
 
-    @property
-    def names(self) -> tuple[str, ...]:
-        return self.law.names
 
-
-def stack_window_laws(laws: Sequence[WindowLaw]) -> tuple[Layout, np.ndarray]:
-    """Stack laws that share one layout into ``(layout, probs[G, ...])``."""
-    if not laws:
+def canonical_request_sets(request_sets: Sequence[Sequence]) -> list[tuple[Request, ...]]:
+    """Canonical form of request sets that must share one layout: the same
+    variables in the same positions, only their lags differing."""
+    reqs_list = [canonical_requests(r) for r in request_sets]
+    if not reqs_list:
         raise IncompatibleSpaceError("at least one request set is required")
-    layouts = [
-        tuple((var, space) for (var, _), (_, space) in zip(law.requests, law.law.variables))
-        for law in laws
-    ]
-    for law, layout in zip(laws, layouts):
-        if layout != layouts[0]:
-            raise IncompatibleSpaceError(
-                f"request sets do not share one layout: {law.requests} vs {laws[0].requests}"
-            )
-    return layouts[0], np.stack([law.law.probs for law in laws])
+    if not reqs_list[0]:
+        raise IncompatibleSpaceError("at least one variable must be requested")
+    variables = [var for var, _ in reqs_list[0]]
+    for reqs in reqs_list:
+        if [var for var, _ in reqs] != variables:
+            raise IncompatibleSpaceError(f"request sets do not share one layout: {reqs} vs {reqs_list[0]}")
+    return reqs_list
+
+
+def window_law_of(provider: "LawProvider", requests: Sequence) -> WindowLaw:
+    """The law of one request set from ``provider.window_law_stack``, with
+    variables named ``y@0``, ``x1@3`` and so on."""
+    reqs = canonical_requests(requests)
+    layout, probs = provider.window_law_stack([reqs])
+    variables = tuple((variable_name(var, lag), space) for (var, lag), (_, space) in zip(reqs, layout))
+    return WindowLaw(law=JointPmf(variables, probs[0]), requests=reqs)
 
 
 class LawProvider(Protocol):
@@ -118,9 +121,6 @@ class LawProvider(Protocol):
 
     @property
     def target_space(self) -> OutcomeSpace:
-        ...
-
-    def window_law(self, requests: Sequence) -> WindowLaw:
         ...
 
     def window_law_stack(self, request_sets: Sequence[Sequence]) -> tuple[Layout, np.ndarray]:
@@ -167,12 +167,7 @@ class MixtureLawProvider:
     def target_space(self) -> OutcomeSpace:
         return self.base.target_space
 
-    def window_law(self, requests: Sequence) -> WindowLaw:
-        reqs = canonical_requests(requests)
-        a = self.base.window_law(reqs)
-        b = self.other.window_law(reqs)
-        mixed = JointPmf(a.law.variables, self.mix(a.law.probs, b.law.probs))
-        return WindowLaw(law=mixed, requests=reqs, meta={"mixture_eta": self.eta})
+    window_law = window_law_of
 
     def window_law_stack(self, request_sets: Sequence[Sequence]) -> tuple[Layout, np.ndarray]:
         layout, a = self.base.window_law_stack(request_sets)

@@ -14,8 +14,9 @@ occupied slots.  Request sets that read the same kernels at their occupied
 slots, and map those reads to variables the same way, differ only in their
 gaps, so they run as one recursion over a stacked table with ``T^g`` taken
 from powers of the transition matrix computed once.  ``exact_window_law`` is
-the case of one request set.  ``max_cells`` bounds the power table as well
-as each law's table, so no separate cap limits how far apart lags may lie.
+the case of one request set.  ``DEFAULT_MAX_CELLS`` bounds the power table
+as well as each law's table, so no separate cap limits how far apart lags
+may lie.
 
 The builder snaps the total mass of each law back to one after checking
 that it is within ``NORMALIZATION_ATOL`` of one.
@@ -39,18 +40,14 @@ from .laws import (
     DEFAULT_MAX_CELLS,
     STACK_CELLS,
     Layout,
-    LawProvider,
     MixtureLawProvider,
     Request,
     WindowLaw,
-    canonical_requests,
-    check_compatible,
+    canonical_request_sets,
     source_index,
-    variable_name,
+    window_law_of,
 )
-from .spaces import NORMALIZATION_ATOL, JointPmf, OutcomeSpace
-
-STATIONARY_ATOL = 1e-12
+from .spaces import NORMALIZATION_ATOL, OutcomeSpace
 
 
 def _stationary_distribution(transition: np.ndarray) -> np.ndarray:
@@ -240,22 +237,13 @@ def _elementary_reads(model: ProcessModel, requests: tuple[Request, ...]):
     return per_request, sorted({r for reads in per_request for r in reads})
 
 
-def exact_window_law(
-    model: ProcessModel, requests: Sequence, *, max_cells: int = DEFAULT_MAX_CELLS
-) -> WindowLaw:
+def exact_window_law(model: ProcessModel, requests: Sequence) -> WindowLaw:
     """Exact joint law of the requested lagged variables under stationarity,
     with variables named ``y@0``, ``x1@3`` and so on."""
-    reqs = canonical_requests(requests)
-    layout, probs = exact_window_laws(model, [reqs], max_cells)
-    variables = tuple((variable_name(var, lag), space) for (var, lag), (_, space) in zip(reqs, layout))
-    return WindowLaw(law=JointPmf(variables, probs[0]), requests=reqs, meta={"source": "exact"})
+    return window_law_of(ExactLawProvider(model), requests)
 
 
-def exact_window_laws(
-    model: ProcessModel,
-    request_sets: Sequence[Sequence],
-    max_cells: int = DEFAULT_MAX_CELLS,
-) -> tuple[Layout, np.ndarray]:
+def exact_window_laws(model: ProcessModel, request_sets: Sequence[Sequence]) -> tuple[Layout, np.ndarray]:
     """Exact laws of request sets that share one layout, as one stack.
 
     Returns ``(layout, probs)`` where ``probs[g]`` is the law of
@@ -265,19 +253,12 @@ def exact_window_laws(
     table whose steps multiply by ``T^gap``, and one offset ``bincount`` maps
     elementary cells to variable cells.  Powers of the transition matrix go
     up to the widest gap asked for; a power table or a law table larger than
-    ``max_cells`` is rejected before it is built.  Tables are built in chunks
-    of at most ``STACK_CELLS`` cells.
+    ``DEFAULT_MAX_CELLS`` is rejected before it is built.  Tables are built
+    in chunks of at most ``STACK_CELLS`` cells.
     """
-    reqs_list = [canonical_requests(r) for r in request_sets]
-    if not reqs_list or not reqs_list[0]:
-        raise IncompatibleSpaceError("at least one variable must be requested")
-    variables = tuple(var for var, _ in reqs_list[0])
+    reqs_list = canonical_request_sets(request_sets)
     groups: dict[tuple, list[tuple[int, tuple[int, ...]]]] = {}
     for g, reqs in enumerate(reqs_list):
-        if tuple(var for var, _ in reqs) != variables:
-            raise IncompatibleSpaceError(
-                f"request sets do not share one layout: {reqs} vs {reqs_list[0]}"
-            )
         per_request, reads = _elementary_reads(model, reqs)
         slots = sorted({slot for slot, _, _ in reads})
         pattern = tuple(
@@ -289,17 +270,17 @@ def exact_window_laws(
 
     layout = tuple(
         (var, model.target_space if var == "y" else model.feature_space(source_index(var)))
-        for var in variables
+        for var, _ in reqs_list[0]
     )
     var_sizes = [len(space) for _, space in layout]
     var_strides = [math.prod(var_sizes[i + 1:]) for i in range(len(var_sizes))]
     total = math.prod(var_sizes)
     n_states = model.n_states
     max_gap = max((max(gaps) for members in groups.values() for _, gaps in members if gaps), default=0)
-    if (max_gap + 1) * n_states**2 > max_cells:
+    if (max_gap + 1) * n_states**2 > DEFAULT_MAX_CELLS:
         raise AofLabError(
             f"lag gap {max_gap} would need {max_gap + 1} transition powers of "
-            f"{n_states}x{n_states} cells (cap {max_cells})"
+            f"{n_states}x{n_states} cells (cap {DEFAULT_MAX_CELLS})"
         )
     # the table keeps states on the axis before the cells, so every step
     # works on long contiguous rows: a step by g slots is (T^g)' @ table
@@ -315,8 +296,8 @@ def exact_window_laws(
     for (pattern, taps), members in groups.items():
         sizes = [emission[read].shape[1] for at in pattern for read in at]
         n_cells = math.prod(sizes)
-        if n_cells * n_states > max_cells:
-            raise AofLabError(f"unrolled law would need {n_cells * n_states} cells (cap {max_cells})")
+        if n_cells * n_states > DEFAULT_MAX_CELLS:
+            raise AofLabError(f"unrolled law would need {n_cells * n_states} cells (cap {DEFAULT_MAX_CELLS})")
         # variable cell of every elementary cell: a feature reads its window
         # newest first, so read j of a b-slot window is digit b - 1 - j
         coeff = [0] * len(sizes)
@@ -352,10 +333,9 @@ def exact_window_laws(
 @dataclass(eq=False)
 class ExactLawProvider:
     """Exact window laws of one model, built on demand by the stacked forward
-    recursion; ``max_cells`` bounds the tables behind every law."""
+    recursion; ``DEFAULT_MAX_CELLS`` bounds the tables behind every law."""
 
     model: ProcessModel
-    max_cells: int = DEFAULT_MAX_CELLS
 
     @property
     def m(self) -> int:
@@ -368,11 +348,16 @@ class ExactLawProvider:
     def target_space(self) -> OutcomeSpace:
         return self.model.target_space
 
-    def window_law(self, requests: Sequence) -> WindowLaw:
-        return exact_window_law(self.model, requests, max_cells=self.max_cells)
+    window_law = window_law_of
 
     def window_law_stack(self, request_sets: Sequence[Sequence]) -> tuple[Layout, np.ndarray]:
-        return exact_window_laws(self.model, request_sets, self.max_cells)
+        return exact_window_laws(self.model, request_sets)
+
+
+def _check_sizes(**sizes: int) -> None:
+    for name, size in sizes.items():
+        if size < 1:
+            raise AofLabError(f"{name} must be at least 1, got {size}")
 
 
 def make_markov_observable(
@@ -389,6 +374,7 @@ def make_markov_observable(
     feature/target process is itself Markov and the Markov-deviation
     coefficient is zero at every lag horizon.
     """
+    _check_sizes(n_states=n_states, n_sources=n_sources, n_targets=n_targets)
     rng = np.random.default_rng(seed)
     transition = rng.dirichlet(np.ones(n_states), size=n_states)
     transition = transition + 0.05 / n_states
@@ -439,6 +425,7 @@ def make_hidden_nonmarkov(
         raise AofLabError(f"noise must lie in [0, 1], got {noise}")
     if concentration <= 0:
         raise AofLabError("concentration must be positive")
+    _check_sizes(n_states=n_states, n_sources=n_sources, n_targets=n_targets)
     rng = np.random.default_rng(seed)
     transition = rng.dirichlet(np.full(n_states, concentration), size=n_states)
     transition = transition + 1e-3 / n_states
@@ -449,6 +436,7 @@ def make_hidden_nonmarkov(
         symbol_counts = [int(k) for k in n_symbols]
         if len(symbol_counts) != n_sources:
             raise AofLabError("one symbol count per source is required")
+    _check_sizes(n_symbols=min(symbol_counts))
     emissions = []
     spaces = []
     for k in symbol_counts:
@@ -477,10 +465,7 @@ def make_hidden_nonmarkov(
 def mix_toward_markov(model: ProcessModel, markov_ref: ProcessModel, eta: float) -> MixtureLawProvider:
     """Provider whose laws blend a Markov reference (weight 1 - eta) with the
     given model (weight eta); its Markov deviation vanishes as eta -> 0."""
-    base = ExactLawProvider(markov_ref)
-    other = ExactLawProvider(model)
-    check_compatible(base, other)
-    return MixtureLawProvider(base=base, other=other, eta=eta)
+    return MixtureLawProvider(base=ExactLawProvider(markov_ref), other=ExactLawProvider(model), eta=eta)
 
 
 def _symbol_column(parts: Sequence[np.ndarray], tuples: bool) -> CodedColumn:

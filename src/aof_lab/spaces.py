@@ -235,8 +235,7 @@ class JointPmf:
             yield tuple(labels[k][i] for k, i in enumerate(idx)), float(flat[flat_idx])
 
     def cell_label(self, flat_index: int) -> tuple:
-        idx = np.unravel_index(flat_index, self.probs.shape)
-        return tuple(s.labels[i] for (_, s), i in zip(self.variables, idx))
+        return grid_label([s for _, s in self.variables], flat_index)
 
     # -- serialization -----------------------------------------------------
 
@@ -268,6 +267,22 @@ class JointPmf:
             return cls.from_json_dict(json.load(fh))
 
 
+def grid_label(spaces: Sequence[OutcomeSpace], flat_index: int) -> tuple:
+    """Label tuple of cell ``flat_index`` of the row-major grid over ``spaces``."""
+    idx = np.unravel_index(flat_index, tuple(len(s) for s in spaces))
+    return tuple(s.labels[i] for s, i in zip(spaces, idx))
+
+
+def check_same_variables(a: JointPmf, b: JointPmf) -> None:
+    """Two joints must name the same variables, in the same order, over the
+    same spaces."""
+    if a.names != b.names:
+        raise IncompatibleSpaceError(f"variable mismatch: {a.names} vs {b.names}")
+    for (n, sa), (_, sb) in zip(a.variables, b.variables):
+        if sa.labels != sb.labels:
+            raise IncompatibleSpaceError(f"space mismatch on variable {n!r}")
+
+
 def mix_joints(components: Sequence[tuple[float, JointPmf]]) -> JointPmf:
     """Convex mixture of joints over identical variables."""
     if not components:
@@ -275,11 +290,7 @@ def mix_joints(components: Sequence[tuple[float, JointPmf]]) -> JointPmf:
     _, first = components[0]
     total = np.zeros_like(first.probs)
     for w, joint in components:
-        if joint.names != first.names:
-            raise IncompatibleSpaceError("mixture components disagree on variables")
-        for (_, sa), (_, sb) in zip(joint.variables, first.variables):
-            if sa.labels != sb.labels:
-                raise IncompatibleSpaceError("mixture components disagree on spaces")
+        check_same_variables(joint, first)
         if w < 0:
             raise NotNormalizedError("mixture weights must be nonnegative")
         total = total + w * joint.probs

@@ -275,6 +275,27 @@ def test_age_process_csv_roundtrip(tmp_path):
     assert text[1] == "0,,0"  # sentinel rendered as empty cell
 
 
+@pytest.mark.parametrize("text,needles", [
+    ("t,age_1\n0,1,2\n", ["line 2", "3 cells, want 2"]),  # ragged row
+    ("t,age_1,age_2\n0,1,\n1,2\n", ["line 3", "2 cells, want 3"]),
+    ("t,age_1\n0,1\n1,x\n", ["line 3", "'age_1'", "'x'"]),  # non-integer age
+    ("t,age_1\n0,1\n1,1.5\n", ["line 3", "'age_1'", "'1.5'"]),
+    ("t,age_1\n0,1\n2,1\n", ["line 3", "'t'", "not slot 1"]),  # t is not the row's slot
+    ("t,age_1\n0,1\nz,1\n", ["line 3", "'t'", "'z'"]),
+    ("", ["line 1", "header"]),  # empty file
+    ("t\n0\n", ["line 1", "header"]),  # no age column
+    ("t,age_2\n0,1\n", ["line 1", "header"]),
+    ("t,age_1\n", ["no data rows"]),
+])
+def test_age_process_csv_rejects_malformed_input(tmp_path, text, needles):
+    path = tmp_path / "ages.csv"
+    path.write_text(text)
+    with pytest.raises(AofLabError) as err:
+        AgeProcess.from_csv(path)
+    for needle in [str(path), *needles]:
+        assert needle in str(err.value)
+
+
 def test_trace_csv_roundtrip(tmp_path):
     trace = DeliveryTrace((((0, 1), (3, 5)), ((2, 2),)))
     path = tmp_path / "trace.csv"

@@ -103,6 +103,30 @@ def test_malformed_delivery_trace_is_a_clean_error(runner, tmp_path, text, needl
     _assert_clean_error(res, str(path), *needles)
 
 
+@pytest.mark.parametrize("args,needle", [
+    (["age-curve", "--model", "{model}", "--grid", "0..x"], "--grid"),
+    (["age-curve", "--model", "{model}", "--grid", "0..2;1"], "--grid"),
+    (["age-curve", "--model", "{model}", "--grid", "0x0", "--windows", "a"], "--windows"),
+    (["decompose", "--model", "{model}", "--delta", "x"], "--delta"),
+    (["decompose", "--model", "{model}", "--delta", "1,1", "--path", "a"], "--path"),
+    (["epsilon", "--model", "{model}", "--sweep", "--mix-ref", "{model}", "--etas", "0.5,abc"], "--etas"),
+    (["cross-loss", "--train", "{model}", "--test", "{model}", "--sweep", "--etas", "x"], "--etas"),
+    (["--lambda", "-1", "age-curve", "--data", "{data}", "--grid", "0x0"], "pseudo-count"),
+    (["gen", "--states", "0"], "states"),
+    (["gen", "--kind", "markov", "--states", "0"], "states"),
+    (["gen", "--targets", "0"], "targets"),
+    (["gen", "--symbols", "0"], "symbols"),
+    (["gen", "--sources", "0", "--length", "50"], "sources"),
+])
+def test_bad_option_value_is_a_clean_error(runner, tmp_path, args, needle):
+    assert _invoke(runner, ["--out", str(tmp_path), "gen", "--sources", "2", "--length", "200"]).exit_code == 0
+    files = {"model": str(tmp_path / "model.json"), "data": str(tmp_path / "trajectory.csv")}
+    out = tmp_path / "out"
+    res = runner.invoke(main, ["--out", str(out), *(a.format(**files) for a in args)])
+    _assert_clean_error(res, needle)
+    assert not out.exists()  # nothing written
+
+
 def test_gen_ignores_a_stale_temp_path_in_out(runner, tmp_path):
     (tmp_path / ".trajectory.csv.tmp").mkdir()
     res = _invoke(runner, ["--seed", "9", "--out", str(tmp_path), "gen", "--length", "20"])

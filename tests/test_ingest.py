@@ -219,9 +219,13 @@ def test_empirical_provider_smoothing_positivity():
     model = make_hidden_nonmarkov(25, n_states=3, n_symbols=2, n_targets=2, noise=0.2)
     ds = sample_trajectory(model, 500, seed=2)
     prov = EmpiricalLawProvider(ds, pseudo_count=1.0)
-    law = prov.window_law([("y", 0), ("x1", 1)])
+    reqs = [("y", 0), ("x1", 1)]
+    law = prov.window_law(reqs)
     assert law.law.probs.min() > 0
-    assert law.meta["smoothed"] == 1.0
+    spaces = {"x1": ds.columns[0].space, "y": ds.columns[-1].space}
+    counted = empirical_window_law(ds, reqs, spaces)
+    expected = smooth(counted.law, 1.0, counted.meta["n_windows"])
+    assert np.array_equal(law.law.probs, expected.probs)
 
 
 def test_dataset_csv_roundtrip_with_tuples(tmp_path):
