@@ -15,7 +15,6 @@ violation as a certificate.
 
 from __future__ import annotations
 
-import csv
 import json
 import math
 from dataclasses import dataclass
@@ -23,7 +22,7 @@ from typing import Iterable, Mapping, Sequence
 
 import numpy as np
 
-from ._util import csv_int, csv_text, write_text_atomic
+from ._util import csv_check, csv_text, read_csv, read_json, write_text_atomic
 from .errors import AofLabError, IncompatibleSpaceError, WarmupError
 from .spaces import NORMALIZATION_ATOL, Pmf
 
@@ -44,14 +43,12 @@ class DeliveryTrace:
         events = tuple(tuple((int(g), int(d)) for g, d in src) for src in self.events)
         if not events:
             raise AofLabError("trace needs at least one source")
-        for l, src in enumerate(events):
-            last_g = None
-            for g, d in src:
+        for l, src in enumerate(events, start=1):
+            for (g0, _), (g, d) in zip(src[:1] + src, src):
                 if g > d:
-                    raise AofLabError(f"source {l + 1}: generation {g} after delivery {d}")
-                if last_g is not None and g < last_g:
-                    raise AofLabError(f"source {l + 1}: generation slots must be nondecreasing")
-                last_g = g
+                    raise AofLabError(f"source {l}: generation {g} after delivery {d}")
+                if g < g0:
+                    raise AofLabError(f"source {l}: generation slots must be nondecreasing")
         object.__setattr__(self, "events", events)
 
     @property
@@ -64,20 +61,15 @@ class DeliveryTrace:
 
     @classmethod
     def from_csv(cls, path) -> "DeliveryTrace":
-        per_source: dict[int, list[tuple[int, int]]] = {}
-        columns = ("source_id", "G", "D")
-        with open(path, newline="", encoding="utf-8") as fh:
-            reader = csv.DictReader(fh)
-            missing = [c for c in columns if c not in (reader.fieldnames or ())]
-            if missing:
-                raise AofLabError(f"{path}, line 1: missing column(s) {', '.join(map(repr, missing))}")
-            for row in reader:
-                source, g, d = (csv_int(row[c], path, reader.line_num, c) for c in columns)
-                per_source.setdefault(source, []).append((g, d))
-        if not per_source:
-            raise AofLabError("empty delivery trace")
-        sources = [per_source[k] for k in sorted(per_source)]
-        return cls(tuple(tuple(src) for src in sources))
+        """Read a ``source_id, G, D`` CSV.  Ids are 1-based source indices, so
+        m is the largest id and a source without rows has no events."""
+        columns = read_csv(path, lambda found: ["source_id", "G", "D"])
+        source = columns["source_id"]
+        csv_check(path, "source_id", source >= 1, lambda row: f"{source[row]} is below 1")
+        order = np.argsort(source, kind="stable")
+        pairs = np.stack([columns["G"], columns["D"]], axis=1)[order].tolist()
+        bounds = np.searchsorted(source[order], np.arange(1, int(source.max()) + 2)).tolist()
+        return cls(tuple(pairs[lo:hi] for lo, hi in zip(bounds, bounds[1:])))
 
 
 @dataclass(frozen=True, eq=False)
@@ -90,6 +82,8 @@ class AgeProcess:
         ages = np.asarray(self.ages, dtype=np.int64)
         if ages.ndim != 2 or ages.shape[1] == 0:
             raise AofLabError("ages must be a (sources, horizon) array")
+        if np.any(ages < SENTINEL):
+            raise AofLabError(f"ages must be nonnegative, or {SENTINEL} for the sentinel")
         ages.setflags(write=False)
         object.__setattr__(self, "ages", ages)
 
@@ -116,24 +110,11 @@ class AgeProcess:
     def from_csv(cls, path) -> "AgeProcess":
         """Read the CSV ``to_csv`` writes: a ``t, age_1..age_m`` header, then
         one row per slot from 0 on, an empty age cell marking the sentinel."""
-        rows = []
-        with open(path, newline="", encoding="utf-8") as fh:
-            reader = csv.reader(fh)
-            header = next(reader, [])
-            names = ["t"] + [f"age_{l}" for l in range(1, len(header))]
-            if len(names) < 2 or header != names:
-                raise AofLabError(f"{path}, line 1: header {header}; want t, age_1, ..., age_m")
-            for slot, row in enumerate(reader):
-                line = reader.line_num
-                if len(row) != len(names):
-                    raise AofLabError(f"{path}, line {line}: {len(row)} cells, want {len(names)}")
-                if csv_int(row[0], path, line, "t") != slot:
-                    raise AofLabError(f"{path}, line {line}, column 't': {row[0]!r} is not slot {slot}")
-                rows.append([SENTINEL if cell == "" else csv_int(cell, path, line, name)
-                             for cell, name in zip(row[1:], names[1:])])
-        if not rows:
-            raise AofLabError(f"{path}: no data rows")
-        return cls(np.array(rows, dtype=np.int64).T)
+        columns = read_csv(path, lambda found: ["t"] + [f"age_{l}" for l in range(1, max(len(found), 2))],
+                           blank=("age_",))
+        t = columns.pop("t")
+        csv_check(path, "t", t == np.arange(len(t)), lambda row: f"{t[row]} is not slot {row}")
+        return cls(np.stack(list(columns.values())))
 
 
 def age_process(trace: DeliveryTrace, horizon: int) -> AgeProcess:
@@ -213,8 +194,7 @@ class AgeDistribution:
 
     @classmethod
     def load(cls, path) -> "AgeDistribution":
-        with open(path, encoding="utf-8") as fh:
-            return cls.from_json_dict(json.load(fh))
+        return read_json(path, cls.from_json_dict)
 
 
 def empirical_age_distribution(

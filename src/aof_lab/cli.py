@@ -16,9 +16,9 @@ from pathlib import Path
 import click
 
 from . import analysis, aoi, divergence, ingest, losses, processes
-from ._util import csv_text, write_text_atomic
+from ._util import csv_text, read_json, write_text_atomic
 from .errors import AofLabError
-from .spaces import JointPmf
+from .spaces import JointPmf, freeze_label
 
 DEFAULTS = {
     "seed": 0,
@@ -40,20 +40,21 @@ def _domain_errors(fn):
     return wrapper
 
 
-def _load_config_file(path: str | None) -> dict:
-    if not path:
-        return {}
-    with open(path, encoding="utf-8") as fh:
-        data = json.load(fh)
+def _config(data: dict) -> dict:
     unknown = set(data) - set(DEFAULTS)
     if unknown:
-        raise click.ClickException(f"unknown config keys {sorted(unknown)}")
+        raise ValueError(f"unknown config keys {sorted(unknown)}")
+    for key, value in data.items():
+        want = (int, float) if key == "lambda" else type(DEFAULTS[key])
+        if isinstance(value, bool) or not isinstance(value, want):
+            raise TypeError(f"config key {key!r} must be {type(DEFAULTS[key]).__name__}, got {value!r}")
     return data
 
 
 def _settings(ctx) -> dict:
     cfg = dict(DEFAULTS)
-    cfg.update(_load_config_file(ctx.obj.get("config")))
+    if ctx.obj.get("config"):
+        cfg.update(read_json(ctx.obj["config"], _config))
     for key in DEFAULTS:
         flag = ctx.obj.get(key)
         if flag is not None:
@@ -69,12 +70,12 @@ def _parse_loss(spec: str) -> losses.LossSpec:
     if spec == "zero-one":
         return losses.zero_one_loss()
     if spec.startswith("table:"):
-        path = spec.split(":", 1)[1]
-        with open(path, encoding="utf-8") as fh:
-            data = json.load(fh)
-        outcomes = [tuple(o) if isinstance(o, list) else o for o in data["outcomes"]]
-        return losses.table_loss(outcomes, data["actions"], data["loss"])
+        return read_json(spec.split(":", 1)[1], _table_loss)
     raise click.ClickException(f"unknown loss {spec!r}; use log, quad, zero-one, or table:<path>")
+
+
+def _table_loss(data: dict) -> losses.LossSpec:
+    return losses.table_loss([freeze_label(o) for o in data["outcomes"]], data["actions"], data["loss"])
 
 
 def _provider(model_path, data_path, cfg):

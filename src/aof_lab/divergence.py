@@ -23,13 +23,11 @@ endpoint stacks once and mixes and scores them per ``eta``.
 from __future__ import annotations
 
 import itertools
-import json
 from dataclasses import dataclass
 from typing import TYPE_CHECKING, Iterable, Sequence
 
 import numpy as np
 
-from ._util import write_text_atomic
 from .errors import AofLabError, IncompatibleSpaceError, PositivityError, ReferenceNotInteriorError
 from .laws import DEFAULT_MAX_CELLS, STACK_CELLS, MixtureLawProvider
 from .spaces import JointPmf, OutcomeSpace, Pmf, check_same_variables, grid_label
@@ -142,9 +140,6 @@ class EpsilonReport:
             "argmax_tau": list(self.argmax_tau),
             "argmax_mu": list(self.argmax_mu),
         }
-
-    def save(self, path) -> None:
-        write_text_atomic(path, json.dumps(self.to_json_dict()))
 
 
 def _grid_requests(tau: tuple[int, ...], mu: tuple[int, ...]) -> list[tuple[str, int]]:
@@ -260,9 +255,6 @@ class BetaReport:
 
     def to_json_dict(self) -> dict:
         return {"beta": self.beta, "divergence": self.divergence}
-
-    def save(self, path) -> None:
-        write_text_atomic(path, json.dumps(self.to_json_dict()))
 
 
 def beta_between(train: JointPmf, test: JointPmf) -> BetaReport:

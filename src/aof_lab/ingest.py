@@ -10,8 +10,10 @@ receiver holds at that slot, their ages, and the target.  Two usages exist:
 
 Each label column is held as int64 codes into the space of labels it
 contains, encoded once when the dataset is built; labels appear again only
-when a column is read back, written to CSV or named in a law.  Counting a
-law is one ``np.bincount`` over mixed-radix cell codes.
+when a column is read back, written to CSV or named in a law.  A dataset
+CSV is read by ``_util.read_csv``, which hands over each label column as
+its distinct texts plus codes, so each distinct text is parsed once.
+Counting a law is one ``np.bincount`` over mixed-radix cell codes.
 
 Strict positivity is never imposed silently: empty cells stay empty unless
 a law is smoothed with an explicit pseudo-count, by ``smooth`` or by the
@@ -20,9 +22,6 @@ provider's ``pseudo_count``.
 
 from __future__ import annotations
 
-import csv
-import itertools
-import json
 import math
 import warnings
 from dataclasses import dataclass, field
@@ -30,7 +29,7 @@ from typing import Mapping, NamedTuple, Sequence
 
 import numpy as np
 
-from ._util import csv_int, csv_text, write_text_atomic
+from ._util import csv_text, read_csv, read_json, write_text_atomic
 from .aoi import SENTINEL, AgeDistribution, AgeProcess
 from .errors import AofLabError, IncompatibleSpaceError
 from .laws import (
@@ -45,9 +44,6 @@ from .laws import (
 from .spaces import JointPmf, OutcomeSpace
 
 DEFAULT_MIN_WINDOWS = 30
-
-# dataset CSV rows parsed per batch: bounds the cell strings alive at once
-CSV_CHUNK_ROWS = 8192
 
 # first-half/second-half marginal drift beyond this raises a warning
 STATIONARITY_WARN = 0.5
@@ -145,23 +141,6 @@ def _csv_header(m: int) -> list[str]:
     return ["t"] + [f"x_{l}" for l in range(1, m + 1)] + [f"age_{l}" for l in range(1, m + 1)] + ["y"]
 
 
-def _raise_bad_row(path, expected: list[str]):
-    """Re-read a dataset CSV row by row and raise for its first malformed
-    row: a ragged one, or a non-integer slot or age cell."""
-    with open(path, newline="", encoding="utf-8") as fh:
-        reader = csv.reader(fh)
-        next(reader)
-        for row in reader:
-            if len(row) != len(expected):
-                where = (f"column {expected[len(row)]!r} is missing" if len(row) < len(expected)
-                         else f"cells after column {expected[-1]!r}")
-                raise AofLabError(f"{path}, line {reader.line_num}: {len(row)} cells, want {len(expected)}; {where}")
-            for text, name in zip(row, expected):
-                if name == "t" or name.startswith("age_"):
-                    csv_int(text, path, reader.line_num, name)
-    raise AofLabError(f"{path}: changed while it was read")
-
-
 @dataclass(frozen=True, eq=False)
 class Dataset:
     """Columnar time-series rows (t, x_1..x_m, age_1..age_m, y).
@@ -234,45 +213,20 @@ class Dataset:
 
     @classmethod
     def from_csv(cls, path) -> "Dataset":
-        with open(path, newline="", encoding="utf-8") as fh:
-            reader = csv.reader(fh)
-            header = next(reader, None)
-            if header is None:
-                raise AofLabError(f"{path}: empty file; want a header row")
-            m = len([h for h in header if h.startswith("x_")])
-            expected = _csv_header(m)
-            if header != expected:
-                raise AofLabError(f"{path}: unexpected header {header}; want {expected}")
-            is_int = [name == "t" or name.startswith("age_") for name in expected]
-            ints = [[] for _ in expected]
-            texts = [{} for _ in expected]  # distinct cell text -> its code, in first-seen order
-            codes = [[] for _ in expected]
-            while chunk := list(itertools.islice(reader, CSV_CHUNK_ROWS)):
-                if any(len(row) != len(expected) for row in chunk):
-                    _raise_bad_row(path, expected)
-                for k, cells in enumerate(zip(*chunk)):
-                    if is_int[k]:
-                        try:
-                            ints[k].append(np.array(list(map(int, cells)), dtype=np.int64))
-                        except (ValueError, OverflowError):
-                            _raise_bad_row(path, expected)
-                        continue
-                    index = texts[k]
-                    for text in dict.fromkeys(cells):
-                        index.setdefault(text, len(index))
-                    codes[k].append(np.fromiter(map(index.__getitem__, cells), np.int64, len(cells)))
-        if not ints[0]:
-            raise AofLabError(f"{path}: no data rows")
+        columns = read_csv(path, lambda found: _csv_header(sum(name.startswith("x_") for name in found)),
+                           labels=("x_", "y"))
+        m = (len(columns) - 2) // 2
 
-        def labels(k: int) -> CodedColumn:
-            parsed = _encode([_parse_cell(text) for text in texts[k]])
-            return CodedColumn(parsed.space, parsed.codes[np.concatenate(codes[k])])
+        def labels(name: str) -> CodedColumn:
+            texts, codes = columns[name]
+            parsed = _encode([_parse_cell(text) for text in texts])
+            return CodedColumn(parsed.space, parsed.codes[codes])
 
         return cls(
-            t=np.concatenate(ints[0]),
-            xs=tuple(labels(1 + l) for l in range(m)),
-            ages=tuple(np.concatenate(ints[1 + m + l]) for l in range(m)),
-            y=labels(len(expected) - 1),
+            t=columns["t"],
+            xs=tuple(labels(f"x_{l}") for l in range(1, m + 1)),
+            ages=tuple(columns[f"age_{l}"] for l in range(1, m + 1)),
+            y=labels("y"),
         )
 
 
@@ -303,23 +257,15 @@ class Quantizer:
 
     @classmethod
     def from_json_dict(cls, data: dict) -> "Quantizer":
-        return cls(
-            {
-                name: (tuple(spec["edges"]), tuple(spec.get("labels", ())) or None)
-                for name, spec in data.items()
-            }
-        )
+        return cls({name: (tuple(spec["edges"]), tuple(spec.get("labels", ())) or None)
+                    for name, spec in data.items()})
 
     @classmethod
     def load(cls, path) -> "Quantizer":
-        with open(path, encoding="utf-8") as fh:
-            return cls.from_json_dict(json.load(fh))
+        return read_json(path, cls.from_json_dict)
 
     def to_json_dict(self) -> dict:
-        return {
-            name: {"edges": list(edges), "labels": list(labels)}
-            for name, (edges, labels) in self.columns.items()
-        }
+        return {name: {"edges": list(edges), "labels": list(labels)} for name, (edges, labels) in self.columns.items()}
 
 
 def quantize(dataset: Dataset, quantizer: Quantizer) -> Dataset:

@@ -33,7 +33,7 @@ from typing import Sequence
 
 import numpy as np
 
-from ._util import write_text_atomic
+from ._util import read_json, write_text_atomic
 from .errors import AofLabError, IncompatibleSpaceError, NotNormalizedError
 from .ingest import CodedColumn, Dataset
 from .laws import (
@@ -216,8 +216,7 @@ class ProcessModel:
 
     @classmethod
     def load(cls, path) -> "ProcessModel":
-        with open(path, encoding="utf-8") as fh:
-            return cls.from_json_dict(json.load(fh))
+        return read_json(path, cls.from_json_dict)
 
 
 def _elementary_reads(model: ProcessModel, requests: tuple[Request, ...]):

@@ -14,7 +14,7 @@ from typing import Any, Mapping, Sequence
 
 import numpy as np
 
-from ._util import write_text_atomic
+from ._util import read_json, write_text_atomic
 from .errors import IncompatibleSpaceError, NotNormalizedError
 
 Label = Any
@@ -22,16 +22,10 @@ Label = Any
 NORMALIZATION_ATOL = 1e-12
 
 
-def _freeze_label(label):
-    """JSON decodes tuples as lists; rebuild hashable labels."""
+def freeze_label(label):
+    """JSON writes tuple labels as lists; rebuild hashable labels."""
     if isinstance(label, list):
-        return tuple(_freeze_label(v) for v in label)
-    return label
-
-
-def _label_to_json(label):
-    if isinstance(label, tuple):
-        return [_label_to_json(v) for v in label]
+        return tuple(freeze_label(v) for v in label)
     return label
 
 
@@ -241,17 +235,14 @@ class JointPmf:
 
     def to_json_dict(self) -> dict:
         return {
-            "variables": [
-                {"name": n, "labels": [_label_to_json(lab) for lab in s.labels]}
-                for n, s in self.variables
-            ],
+            "variables": [{"name": n, "labels": list(s.labels)} for n, s in self.variables],
             "probs": [float(p) for p in self.probs.ravel()],
         }
 
     @classmethod
     def from_json_dict(cls, data: dict) -> "JointPmf":
         variables = tuple(
-            (v["name"], OutcomeSpace(tuple(_freeze_label(lab) for lab in v["labels"])))
+            (v["name"], OutcomeSpace(tuple(map(freeze_label, v["labels"]))))
             for v in data["variables"]
         )
         shape = tuple(len(s) for _, s in variables)
@@ -263,8 +254,7 @@ class JointPmf:
 
     @classmethod
     def load(cls, path) -> "JointPmf":
-        with open(path, encoding="utf-8") as fh:
-            return cls.from_json_dict(json.load(fh))
+        return read_json(path, cls.from_json_dict)
 
 
 def grid_label(spaces: Sequence[OutcomeSpace], flat_index: int) -> tuple:

@@ -1,6 +1,6 @@
 import numpy as np
 import pytest
-from hypothesis import given, settings
+from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
 from aof_lab import (
@@ -301,6 +301,63 @@ def test_trace_csv_roundtrip(tmp_path):
     path = tmp_path / "trace.csv"
     trace.to_csv(path)
     assert DeliveryTrace.from_csv(path).events == trace.events
+
+
+def test_trace_source_ids_are_one_based_indices(tmp_path):
+    trace = DeliveryTrace(((), ((0, 1), (2, 3))))
+    path = tmp_path / "trace.csv"
+    trace.to_csv(path)
+    assert path.read_text().splitlines()[1:] == ["2,0,1", "2,2,3"]
+    back = DeliveryTrace.from_csv(path)
+    assert back.m == 2 and back.events == trace.events
+    assert age_process(back, 4).ages[0].tolist() == [SENTINEL] * 4  # the empty source never delivers
+
+
+@pytest.mark.parametrize("cell", ["0", "-3"])
+def test_trace_source_id_below_one_names_the_line(tmp_path, cell):
+    path = tmp_path / "trace.csv"
+    path.write_text(f"source_id,G,D\n1,0,1\n{cell},2,3\n")
+    with pytest.raises(AofLabError) as err:
+        DeliveryTrace.from_csv(path)
+    assert str(err.value) == f"{path}, line 3, column 'source_id': {cell} is below 1"
+
+
+def test_ages_below_the_sentinel_are_rejected(tmp_path):
+    assert AgeProcess(np.array([[SENTINEL, 0, 4]])).has_sentinel()
+    with pytest.raises(AofLabError, match="nonnegative"):
+        AgeProcess(np.array([[SENTINEL - 1, 0, 4]]))
+    path = tmp_path / "ages.csv"
+    for cell in ("-1", "-5"):  # only an empty cell is the sentinel
+        path.write_text(f"t,age_1,age_2\n0,,1\n1,2,{cell}\n")
+        with pytest.raises(AofLabError) as err:
+            AgeProcess.from_csv(path)
+        assert str(err.value) == f"{path}, line 3, column 'age_2': {cell!r} is not a nonnegative integer or empty"
+
+
+@st.composite
+def _traces(draw):
+    """Traces whose last source delivers (the CSV holds no row for a source
+    past the largest id); earlier sources may be empty, and deliveries may
+    come out of generation order."""
+    m = draw(st.integers(1, 3))
+    sources = []
+    for l in range(m):
+        n = draw(st.integers(1 if l == m - 1 else 0, 5))
+        gens = sorted(draw(st.lists(st.integers(0, 12), min_size=n, max_size=n)))
+        sources.append(tuple((g, g + draw(st.integers(0, 6))) for g in gens))
+    return DeliveryTrace(tuple(sources))
+
+
+@given(trace=_traces(), horizon=st.integers(1, 20))
+@example(trace=DeliveryTrace(((), ((3, 7), (4, 5)))), horizon=9)
+@settings(max_examples=80, deadline=None)
+def test_trace_and_age_csvs_round_trip(tmp_path_factory, trace, horizon):
+    root = tmp_path_factory.mktemp("csv")
+    trace.to_csv(root / "trace.csv")
+    assert DeliveryTrace.from_csv(root / "trace.csv").events == trace.events
+    ages = age_process(trace, horizon)
+    ages.to_csv(root / "ages.csv")
+    assert np.array_equal(AgeProcess.from_csv(root / "ages.csv").ages, ages.ages)
 
 
 def test_age_distribution_json_roundtrip(tmp_path):

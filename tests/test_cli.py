@@ -127,6 +127,70 @@ def test_bad_option_value_is_a_clean_error(runner, tmp_path, args, needle):
     assert not out.exists()  # nothing written
 
 
+def _json_inputs(runner, root):
+    """A valid file of each JSON input kind: model, joint law, age law,
+    config and loss table."""
+    assert _invoke(runner, ["--out", str(root), "gen"]).exit_code == 0
+    model = root / "model.json"
+    exact_window_law(ProcessModel.load(model), [("y", 0), ("x1", 1)]).law.save(root / "law.json")
+    AgeDistribution.point_mass((1,)).save(root / "ages.json")
+    (root / "config.json").write_text(json.dumps({"loss": "quad"}))
+    table = {"outcomes": [0, 1], "actions": ["a", "b"], "loss": [[0.0, 1.0], [1.0, 0.0]]}
+    (root / "table.json").write_text(json.dumps(table))
+    return {kind: json.loads((root / f"{kind}.json").read_text()) for kind in ("model", "law", "ages", "config", "table")}
+
+
+# per JSON input: its kind, the command reading it ({file} is the faulty
+# file, {model}/{law}/{ages} valid ones), a key to drop (None: the input has
+# no required key) and a wrong-shaped value
+JSON_INPUTS = {
+    "--model": ("model", ["age-curve", "--model", "{file}", "--grid", "0"], "emissions",
+                {"transition": [[0.5, 0.5], [1.0]]}),
+    "--mix-ref": ("model", ["epsilon", "--model", "{model}", "--sweep", "--mix-ref", "{file}",
+                            "--tau-max", "1", "--mu-max", "1"], "target_kernel", {"emissions": 3}),
+    "cross-loss --train": ("model", ["cross-loss", "--train", "{file}", "--test", "{model}"], "transition",
+                           {"target_kernel": [[1.0], [0.5, 0.5]]}),
+    "cross-loss --test": ("model", ["cross-loss", "--train", "{model}", "--test", "{file}"], "states",
+                          {"emission_symbols": 7}),
+    "cross-loss --ages": ("ages", ["cross-loss", "--train", "{model}", "--test", "{model}", "--ages", "{file}"],
+                          "probs", {"probs": "x"}),
+    "beta --train": ("law", ["beta", "--train", "{file}", "--test", "{law}"], "probs", {"probs": [0.5, 0.5, 0.0]}),
+    "beta --test": ("law", ["beta", "--train", "{law}", "--test", "{file}"], "variables", {"variables": [7]}),
+    "--dist-a": ("ages", ["order-check", "--dist-a", "{file}", "--dist-b", "{ages}"], "vectors",
+                 {"vectors": [[0, "a"]]}),
+    "--dist-b": ("ages", ["order-check", "--dist-a", "{ages}", "--dist-b", "{file}"], "probs", {"vectors": 3}),
+    "--config": ("config", ["--config", "{file}", "age-curve", "--model", "{model}", "--grid", "0"], None,
+                 {"lag_cap": [1]}),
+    "--loss table:": ("table", ["--loss", "table:{file}", "age-curve", "--model", "{model}", "--grid", "0"],
+                      "actions", {"loss": [[0.0, 1.0], [1.0]]}),
+}
+JSON_FAULTS = ["not JSON", "top-level list", "missing key", "wrong-shaped value", "missing file"]
+JSON_CASES = [(option, fault) for option in JSON_INPUTS for fault in JSON_FAULTS
+              if (fault != "missing key" or JSON_INPUTS[option][2]) and (fault != "missing file" or option == "--loss table:")]
+
+
+@pytest.mark.parametrize("option,fault", JSON_CASES)
+def test_faulty_json_input_is_a_clean_error(runner, tmp_path, option, fault):
+    valid = _json_inputs(runner, tmp_path)
+    kind, args, key, wrong = JSON_INPUTS[option]
+    path = tmp_path / "faulty.json"
+    data = dict(valid[kind])
+    if fault == "not JSON":
+        path.write_text('{"a": ')
+    elif fault == "top-level list":
+        path.write_text(json.dumps([data]))
+    elif fault == "missing key":
+        del data[key]
+        path.write_text(json.dumps(data))
+    elif fault == "wrong-shaped value":
+        path.write_text(json.dumps({**data, **wrong}))
+    files = {"file": str(path), **{k: str(tmp_path / f"{k}.json") for k in ("model", "law", "ages")}}
+    out = tmp_path / "out"
+    res = runner.invoke(main, ["--out", str(out), *(a.format(**files) for a in args)])
+    _assert_clean_error(res, str(path))
+    assert not out.exists()  # nothing written
+
+
 def test_gen_ignores_a_stale_temp_path_in_out(runner, tmp_path):
     (tmp_path / ".trajectory.csv.tmp").mkdir()
     res = _invoke(runner, ["--seed", "9", "--out", str(tmp_path), "gen", "--length", "20"])

@@ -216,13 +216,11 @@ def test_beta_between_and_mixture_scaling():
         assert rep.divergence == pytest.approx(rep.beta**2, rel=1e-12)
 
 
-def test_epsilon_report_json_fields(tmp_path):
+def test_epsilon_report_json_fields():
     model = make_hidden_nonmarkov(5, n_states=3, n_symbols=2, n_targets=2, noise=0.2)
     rep = epsilon_coefficient(ExactLawProvider(model), 1, 1)
     data = rep.to_json_dict()
     assert set(data) == {"epsilon", "tau_max", "mu_max", "argmax_tau", "argmax_mu"}
-    rep.save(tmp_path / "eps.json")
-    assert (tmp_path / "eps.json").exists()
 
 
 def _assert_matches_oracle(provider, law_at, caps):

@@ -427,9 +427,9 @@ def test_quantize_equals_bin_of_per_value():
 
 
 def test_csv_reads_in_batches_and_names_the_bad_line(tmp_path, monkeypatch):
-    import aof_lab.ingest as ingest
+    import aof_lab._util as util
 
-    monkeypatch.setattr(ingest, "CSV_CHUNK_ROWS", 2)
+    monkeypatch.setattr(util, "CSV_CHUNK_ROWS", 2)
     ds = Dataset(t=[1, 2, 4, 5, 6, 9, 10], xs=([(0, "a"), (1, "b"), (0, "a"), 2, 2.5, "c", (1, "b")],),
                  ages=([0, 1, 2, 0, 1, 2, 3],), y=["u", "v", "u", "w", "v", "u", "u"])
     path = tmp_path / "ds.csv"
