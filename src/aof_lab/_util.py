@@ -40,14 +40,16 @@ def _open(path):
         raise AofLabError(f"{path}: cannot read: {exc.strerror}") from None
 
 
-def read_csv(path, expect, labels=(), blank=()) -> dict:
-    """The columns of a CSV by name; its header must be ``expect(found)``,
-    ``found`` being its first row (``[]`` if empty).  A column with a name
-    prefix in ``labels`` is ``(texts, codes)``: its distinct cell texts and
-    an int64 index into them per row.  Any other is int64; under a ``blank``
-    prefix a cell is a nonnegative integer or empty (-1).  Rows are parsed
-    ``CSV_CHUNK_ROWS`` at a time; a failed batch is re-read row by row, so
-    the error names the file, line and column."""
+def read_csv(path, expect, build, labels=(), blank=()):
+    """``build(columns)``, the columns of a CSV by name; its header must be
+    ``expect(found)``, ``found`` being its first row (``[]`` if empty).  A
+    column with a name prefix in ``labels`` is ``(texts, codes)``: its
+    distinct cell texts and an int64 index into them per row.  Any other is
+    int64; under a ``blank`` prefix a cell is a nonnegative integer or empty
+    (-1).  Rows are parsed ``CSV_CHUNK_ROWS`` at a time; a failed batch is
+    re-read row by row, so the error names the file, line and column, as
+    does a ``csv_check`` in ``build``.  Any other ``AofLabError`` from
+    ``build`` keeps its type and gains the file name."""
     for batch in (CSV_CHUNK_ROWS, 1):
         try:
             with _open(path) as fh:
@@ -87,8 +89,18 @@ def read_csv(path, expect, labels=(), blank=()) -> dict:
             raise AofLabError(f"{path}: not a readable CSV: {exc}") from None
     if not parts[wanted[0]]:
         raise AofLabError(f"{path}: no data rows")
-    return {name: (list(texts[name]), np.concatenate(part)) if name in texts else np.concatenate(part)
-            for name, part in parts.items()}
+    try:
+        return build({name: (list(texts[name]), np.concatenate(part)) if name in texts else np.concatenate(part)
+                      for name, part in parts.items()})
+    except _RowFault as fault:
+        row, column, message = fault.args
+        with _open(path) as fh:
+            reader = csv.reader(fh)
+            next(itertools.islice(reader, row + 1, None))
+            raise AofLabError(f"{path}, line {reader.line_num}, column {column!r}: {message}") from None
+    except AofLabError as exc:
+        exc.args = (f"{path}: {exc}", *exc.args[1:])
+        raise
 
 
 def _ints(cells, blank: bool) -> np.ndarray:
@@ -98,15 +110,16 @@ def _ints(cells, blank: bool) -> np.ndarray:
     return np.array(values, dtype=np.int64)
 
 
-def csv_check(path, column: str, ok: np.ndarray, what) -> None:
-    """Raise ``what(row)``, naming the file, line and ``column``, for the
-    first data row (from 0) of a CSV where ``ok`` is false."""
+class _RowFault(AofLabError):
+    """``(row, column, message)`` of a ``csv_check`` failure."""
+
+
+def csv_check(column: str, ok: np.ndarray, what) -> None:
+    """Inside a ``read_csv`` build: fail with ``what(row)`` for the first data
+    row (from 0) where ``ok`` is false; ``read_csv`` names its line."""
     if not ok.all():
         row = int(np.argmin(ok))
-        with _open(path) as fh:
-            reader = csv.reader(fh)
-            next(itertools.islice(reader, row + 1, None))
-            raise AofLabError(f"{path}, line {reader.line_num}, column {column!r}: {what(row)}")
+        raise _RowFault(row, column, what(row))
 
 
 def read_json(path, build):

@@ -63,13 +63,15 @@ class DeliveryTrace:
     def from_csv(cls, path) -> "DeliveryTrace":
         """Read a ``source_id, G, D`` CSV.  Ids are 1-based source indices, so
         m is the largest id and a source without rows has no events."""
-        columns = read_csv(path, lambda found: ["source_id", "G", "D"])
-        source = columns["source_id"]
-        csv_check(path, "source_id", source >= 1, lambda row: f"{source[row]} is below 1")
-        order = np.argsort(source, kind="stable")
-        pairs = np.stack([columns["G"], columns["D"]], axis=1)[order].tolist()
-        bounds = np.searchsorted(source[order], np.arange(1, int(source.max()) + 2)).tolist()
-        return cls(tuple(pairs[lo:hi] for lo, hi in zip(bounds, bounds[1:])))
+        def from_columns(columns):
+            source = columns["source_id"]
+            csv_check("source_id", source >= 1, lambda row: f"{source[row]} is below 1")
+            order = np.argsort(source, kind="stable")
+            pairs = np.stack([columns["G"], columns["D"]], axis=1)[order].tolist()
+            bounds = np.searchsorted(source[order], np.arange(1, int(source.max()) + 2)).tolist()
+            return cls(tuple(pairs[lo:hi] for lo, hi in zip(bounds, bounds[1:])))
+
+        return read_csv(path, lambda found: ["source_id", "G", "D"], from_columns)
 
 
 @dataclass(frozen=True, eq=False)
@@ -110,11 +112,13 @@ class AgeProcess:
     def from_csv(cls, path) -> "AgeProcess":
         """Read the CSV ``to_csv`` writes: a ``t, age_1..age_m`` header, then
         one row per slot from 0 on, an empty age cell marking the sentinel."""
-        columns = read_csv(path, lambda found: ["t"] + [f"age_{l}" for l in range(1, max(len(found), 2))],
-                           blank=("age_",))
-        t = columns.pop("t")
-        csv_check(path, "t", t == np.arange(len(t)), lambda row: f"{t[row]} is not slot {row}")
-        return cls(np.stack(list(columns.values())))
+        def from_columns(columns):
+            t = columns.pop("t")
+            csv_check("t", t == np.arange(len(t)), lambda row: f"{t[row]} is not slot {row}")
+            return cls(np.stack(list(columns.values())))
+
+        return read_csv(path, lambda found: ["t"] + [f"age_{l}" for l in range(1, max(len(found), 2))],
+                        from_columns, blank=("age_",))
 
 
 def age_process(trace: DeliveryTrace, horizon: int) -> AgeProcess:

@@ -213,21 +213,17 @@ class Dataset:
 
     @classmethod
     def from_csv(cls, path) -> "Dataset":
-        columns = read_csv(path, lambda found: _csv_header(sum(name.startswith("x_") for name in found)),
-                           labels=("x_", "y"))
-        m = (len(columns) - 2) // 2
-
-        def labels(name: str) -> CodedColumn:
-            texts, codes = columns[name]
+        def labels(texts, codes) -> CodedColumn:
             parsed = _encode([_parse_cell(text) for text in texts])
             return CodedColumn(parsed.space, parsed.codes[codes])
 
-        return cls(
-            t=columns["t"],
-            xs=tuple(labels(f"x_{l}") for l in range(1, m + 1)),
-            ages=tuple(columns[f"age_{l}"] for l in range(1, m + 1)),
-            y=labels("y"),
-        )
+        def from_columns(columns):
+            sources = range(1, (len(columns) - 2) // 2 + 1)
+            return cls(t=columns["t"], xs=tuple(labels(*columns[f"x_{l}"]) for l in sources),
+                       ages=tuple(columns[f"age_{l}"] for l in sources), y=labels(*columns["y"]))
+
+        return read_csv(path, lambda found: _csv_header(sum(name.startswith("x_") for name in found)),
+                        from_columns, labels=("x_", "y"))
 
 
 @dataclass(frozen=True)

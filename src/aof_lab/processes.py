@@ -8,15 +8,16 @@ window length of one keeps the bare symbol.
 
 Every exact window law comes from one builder, ``exact_window_laws``.  Under
 stationarity a window law is the HMM forward recursion
-``pi D T^g1 D T^g2 ... D 1`` (Rabiner 1989), where each ``D`` applies the
-emission kernels read at an occupied slot and ``g_i`` are the gaps between
-occupied slots.  Request sets that read the same kernels at their occupied
-slots, and map those reads to variables the same way, differ only in their
-gaps, so they run as one recursion over a stacked table with ``T^g`` taken
-from powers of the transition matrix computed once.  ``exact_window_law`` is
-the case of one request set.  ``DEFAULT_MAX_CELLS`` bounds the power table
-as well as each law's table, so no separate cap limits how far apart lags
-may lie.
+``pi D T^g1 D T^g2 ... D 1`` (Rabiner 1989) over the flat list of reads in
+slot order, where each ``D`` applies one emission kernel and ``g_i`` is the
+slot gap to the read before it.  A read at the same slot as the one before
+it is a zero-gap step: ``T^0`` is the identity, exact in float.  Request
+sets that read the same kernels in the same order, and map those reads to
+variables the same way, differ only in their gaps, so they run as one
+recursion over a stacked table with ``T^g`` taken from powers of the
+transition matrix computed once.  ``exact_window_law`` is the case of one
+request set.  ``DEFAULT_MAX_CELLS`` bounds the power table as well as each
+law's table, so no separate cap limits how far apart lags may lie.
 
 The builder snaps the total mass of each law back to one after checking
 that it is within ``NORMALIZATION_ATOL`` of one.
@@ -28,7 +29,7 @@ import bisect
 import itertools
 import json
 import math
-from dataclasses import dataclass, replace
+from dataclasses import dataclass, field, replace
 from typing import Sequence
 
 import numpy as np
@@ -93,11 +94,10 @@ def _check_rows(name: str, matrix: np.ndarray) -> np.ndarray:
 
 @dataclass(frozen=True, eq=False)
 class ProcessModel:
-    """Hidden-state chain with per-source emissions and a target kernel."""
+    """Hidden-state chain with per-source emissions and a target kernel; ``states``
+    defaults to ``0..n-1`` and ``stationary`` is computed once the inputs pass their checks."""
 
-    states: tuple
     transition: np.ndarray
-    stationary: np.ndarray
     emissions: tuple[np.ndarray, ...]
     emission_spaces: tuple[OutcomeSpace, ...]
     target_kernel: np.ndarray
@@ -105,22 +105,26 @@ class ProcessModel:
     window: int = 1
     delay: int = 0
     seed: int | None = None
+    states: tuple | None = None
+    stationary: np.ndarray = field(init=False)
 
     def __post_init__(self):
-        n = len(self.states)
         transition = _check_rows("transition", self.transition)
+        states = tuple(range(transition.shape[0]) if self.states is None else self.states)
+        n = len(states)
         if transition.shape != (n, n):
             raise IncompatibleSpaceError("transition must be square over the states")
         if not _is_primitive(transition):
             raise AofLabError("chain is reducible or periodic; stationarity is not well-defined")
-        stationary = np.asarray(self.stationary, dtype=float)
+        stationary = _stationary_distribution(transition)
         if np.abs(stationary @ transition - stationary).max() > 1e-10:
             raise NotNormalizedError("stationary vector does not satisfy pi T = pi")
         stationary.setflags(write=False)
         emissions = tuple(_check_rows(f"emission[{l}]", e) for l, e in enumerate(self.emissions))
-        if len(emissions) != len(self.emission_spaces):
+        spaces = tuple(self.emission_spaces)
+        if len(emissions) != len(spaces):
             raise IncompatibleSpaceError("one emission kernel per source is required")
-        for l, (kernel, space) in enumerate(zip(emissions, self.emission_spaces)):
+        for l, (kernel, space) in enumerate(zip(emissions, spaces)):
             if kernel.shape != (n, len(space)):
                 raise IncompatibleSpaceError(f"emission kernel {l} shape mismatch")
         target_kernel = _check_rows("target_kernel", self.target_kernel)
@@ -128,41 +132,10 @@ class ProcessModel:
             raise IncompatibleSpaceError("target kernel shape mismatch")
         if self.window < 1 or self.delay < 0:
             raise AofLabError("window must be >= 1 and delay >= 0")
-        object.__setattr__(self, "states", tuple(self.states))
-        object.__setattr__(self, "transition", transition)
-        object.__setattr__(self, "stationary", stationary)
-        object.__setattr__(self, "emissions", emissions)
-        object.__setattr__(self, "target_kernel", target_kernel)
-
-    @classmethod
-    def build(
-        cls,
-        transition,
-        emissions: Sequence,
-        emission_spaces: Sequence[OutcomeSpace],
-        target_kernel,
-        target_space: OutcomeSpace,
-        window: int = 1,
-        delay: int = 0,
-        seed: int | None = None,
-        states: Sequence | None = None,
-    ) -> "ProcessModel":
-        transition = np.asarray(transition, dtype=float)
-        if states is None:
-            states = tuple(range(transition.shape[0]))
-        stationary = _stationary_distribution(transition)
-        return cls(
-            states=tuple(states),
-            transition=transition,
-            stationary=stationary,
-            emissions=tuple(np.asarray(e, dtype=float) for e in emissions),
-            emission_spaces=tuple(emission_spaces),
-            target_kernel=np.asarray(target_kernel, dtype=float),
-            target_space=target_space,
-            window=window,
-            delay=delay,
-            seed=seed,
-        )
+        checked = {"states": states, "transition": transition, "stationary": stationary,
+                   "emissions": emissions, "emission_spaces": spaces, "target_kernel": target_kernel}
+        for name, value in checked.items():
+            object.__setattr__(self, name, value)
 
     @property
     def m(self) -> int:
@@ -202,7 +175,7 @@ class ProcessModel:
 
     @classmethod
     def from_json_dict(cls, data: dict) -> "ProcessModel":
-        return cls.build(
+        return cls(
             transition=data["transition"],
             emissions=data["emissions"],
             emission_spaces=tuple(OutcomeSpace(tuple(s)) for s in data["emission_symbols"]),
@@ -246,26 +219,26 @@ def exact_window_laws(model: ProcessModel, request_sets: Sequence[Sequence]) -> 
     """Exact laws of request sets that share one layout, as one stack.
 
     Returns ``(layout, probs)`` where ``probs[g]`` is the law of
-    ``request_sets[g]``.  Request sets are grouped by their elementary read
-    pattern: the (kind, source) reads at each occupied slot plus the reads
-    each variable takes.  Each group runs as one forward recursion over a (laws, states, cells)
-    table whose steps multiply by ``T^gap``, and one offset ``bincount`` maps
-    elementary cells to variable cells.  Powers of the transition matrix go
-    up to the widest gap asked for; a power table or a law table larger than
-    ``DEFAULT_MAX_CELLS`` is rejected before it is built.  Tables are built
-    in chunks of at most ``STACK_CELLS`` cells.
+    ``request_sets[g]``.  Each request set reads a flat list of (slot, kind,
+    source) cells sorted by slot; request sets are grouped by their read
+    order (the kinds and sources, slots aside) plus the reads each variable
+    takes.  Each group runs as one forward recursion over a (laws, states,
+    cells) table with one step per read: ``T^gap`` for the gap to the read
+    before (zero, the identity, at the same slot), then the read's kernel.
+    One offset ``bincount`` maps elementary cells to variable cells.  Powers
+    of the transition matrix go up to the widest gap asked for; a power
+    table or a law table larger than ``DEFAULT_MAX_CELLS`` is rejected
+    before it is built.  Tables are built in chunks of at most
+    ``STACK_CELLS`` cells.
     """
     reqs_list = canonical_request_sets(request_sets)
     groups: dict[tuple, list[tuple[int, tuple[int, ...]]]] = {}
     for g, reqs in enumerate(reqs_list):
         per_request, reads = _elementary_reads(model, reqs)
-        slots = sorted({slot for slot, _, _ in reads})
-        pattern = tuple(
-            tuple(read[1:] for read in at) for _, at in itertools.groupby(reads, key=lambda r: r[0])
-        )
+        order = tuple(read[1:] for read in reads)
         axis_of = {read: i for i, read in enumerate(reads)}
         taps = tuple(tuple(axis_of[r] for r in at) for at in per_request)
-        groups.setdefault((pattern, taps), []).append((g, tuple(b - a for a, b in zip(slots, slots[1:]))))
+        groups.setdefault((order, taps), []).append((g, tuple(b[0] - a[0] for a, b in zip(reads, reads[1:]))))
 
     layout = tuple(
         (var, model.target_space if var == "y" else model.feature_space(source_index(var)))
@@ -292,8 +265,8 @@ def exact_window_laws(model: ProcessModel, request_sets: Sequence[Sequence]) -> 
     emission.update({("x", l): e[:, :, None] for l, e in enumerate(model.emissions, start=1)})
 
     probs = np.empty((len(reqs_list), total))
-    for (pattern, taps), members in groups.items():
-        sizes = [emission[read].shape[1] for at in pattern for read in at]
+    for (order, taps), members in groups.items():
+        sizes = [emission[read].shape[1] for read in order]
         n_cells = math.prod(sizes)
         if n_cells * n_states > DEFAULT_MAX_CELLS:
             raise AofLabError(f"unrolled law would need {n_cells * n_states} cells (cap {DEFAULT_MAX_CELLS})")
@@ -313,11 +286,10 @@ def exact_window_laws(model: ProcessModel, request_sets: Sequence[Sequence]) -> 
             part = members[start:start + chunk]
             gaps = np.array([gap for _, gap in part])
             table = np.repeat(model.stationary[None, :, None], len(part), axis=0)
-            for i, at in enumerate(pattern):
+            for i, read in enumerate(order):
                 if i:
                     table = steps[gaps[:, i - 1]] @ table
-                for read in at:
-                    table = (table[:, :, None, :] * emission[read]).reshape(len(part), n_states, -1)
+                table = (table[:, :, None, :] * emission[read]).reshape(len(part), n_states, -1)
             cells = (cell_of + total * np.arange(len(part))[:, None]).ravel()
             laws = np.bincount(cells, weights=table.sum(axis=1).ravel(), minlength=len(part) * total)
             probs[[g for g, _ in part]] = laws.reshape(len(part), total)
@@ -359,6 +331,24 @@ def _check_sizes(**sizes: int) -> None:
             raise AofLabError(f"{name} must be at least 1, got {size}")
 
 
+def _random_rows(rng, alpha: np.ndarray, rows: int, floor: float) -> np.ndarray:
+    """``rows`` Dirichlet(``alpha``) rows, each lifted by ``floor / len(alpha)`` and renormalized."""
+    draw = rng.dirichlet(alpha, size=rows)
+    draw = draw + floor / len(alpha)
+    return draw / draw.sum(axis=1, keepdims=True)
+
+
+def _random_model(seed, n_states, n_targets, alpha, floors, emit, window, delay) -> ProcessModel:
+    """The recipe both generators share, drawn from one seeded stream in this
+    order: transition rows, ``emit(rng)``'s kernels and spaces, target rows."""
+    rng = np.random.default_rng(seed)
+    transition = _random_rows(rng, np.full(n_states, alpha), n_states, floors[0])
+    emissions, spaces = emit(rng)
+    target = _random_rows(rng, np.full(n_targets, alpha), n_states, floors[1])
+    return ProcessModel(transition, emissions, spaces, target, OutcomeSpace(tuple(range(n_targets))),
+                        window, delay, seed)
+
+
 def make_markov_observable(
     seed: int,
     n_states: int = 3,
@@ -374,31 +364,12 @@ def make_markov_observable(
     coefficient is zero at every lag horizon.
     """
     _check_sizes(n_states=n_states, n_sources=n_sources, n_targets=n_targets)
-    rng = np.random.default_rng(seed)
-    transition = rng.dirichlet(np.ones(n_states), size=n_states)
-    transition = transition + 0.05 / n_states
-    transition = transition / transition.sum(axis=1, keepdims=True)
-    emissions = []
-    spaces = []
-    for _ in range(n_sources):
-        perm = rng.permutation(n_states)
-        kernel = np.zeros((n_states, n_states))
-        kernel[np.arange(n_states), perm] = 1.0
-        emissions.append(kernel)
-        spaces.append(OutcomeSpace(tuple(range(n_states))))
-    target = rng.dirichlet(np.ones(n_targets), size=n_states)
-    target = target + 0.02 / n_targets
-    target = target / target.sum(axis=1, keepdims=True)
-    return ProcessModel.build(
-        transition=transition,
-        emissions=emissions,
-        emission_spaces=spaces,
-        target_kernel=target,
-        target_space=OutcomeSpace(tuple(range(n_targets))),
-        window=window,
-        delay=delay,
-        seed=seed,
-    )
+
+    def emit(rng):
+        kernels = [np.eye(n_states)[rng.permutation(n_states)] for _ in range(n_sources)]
+        return kernels, [OutcomeSpace(tuple(range(n_states)))] * n_sources
+
+    return _random_model(seed, n_states, n_targets, 1.0, (0.05, 0.02), emit, window, delay)
 
 
 def make_hidden_nonmarkov(
@@ -425,40 +396,21 @@ def make_hidden_nonmarkov(
     if concentration <= 0:
         raise AofLabError("concentration must be positive")
     _check_sizes(n_states=n_states, n_sources=n_sources, n_targets=n_targets)
-    rng = np.random.default_rng(seed)
-    transition = rng.dirichlet(np.full(n_states, concentration), size=n_states)
-    transition = transition + 1e-3 / n_states
-    transition = transition / transition.sum(axis=1, keepdims=True)
-    if isinstance(n_symbols, int):
-        symbol_counts = [n_symbols] * n_sources
-    else:
-        symbol_counts = [int(k) for k in n_symbols]
-        if len(symbol_counts) != n_sources:
-            raise AofLabError("one symbol count per source is required")
+    symbol_counts = [n_symbols] * n_sources if isinstance(n_symbols, int) else [int(k) for k in n_symbols]
+    if len(symbol_counts) != n_sources:
+        raise AofLabError("one symbol count per source is required")
     _check_sizes(n_symbols=min(symbol_counts))
-    emissions = []
-    spaces = []
-    for k in symbol_counts:
-        base = np.concatenate([rng.permutation(k), rng.integers(0, k, size=max(0, n_states - k))])
-        base = base[rng.permutation(n_states)][:n_states]
-        onehot = np.zeros((n_states, k))
-        onehot[np.arange(n_states), base] = 1.0
-        rows = rng.dirichlet(np.ones(k), size=n_states)
-        emissions.append((1.0 - noise) * onehot + noise * rows)
-        spaces.append(OutcomeSpace(tuple(range(k))))
-    target = rng.dirichlet(np.full(n_targets, concentration), size=n_states)
-    target = target + 1e-3 / n_targets
-    target = target / target.sum(axis=1, keepdims=True)
-    return ProcessModel.build(
-        transition=transition,
-        emissions=emissions,
-        emission_spaces=spaces,
-        target_kernel=target,
-        target_space=OutcomeSpace(tuple(range(n_targets))),
-        window=window,
-        delay=delay,
-        seed=seed,
-    )
+
+    def emit(rng):
+        kernels = []
+        for k in symbol_counts:
+            base = np.concatenate([rng.permutation(k), rng.integers(0, k, size=max(0, n_states - k))])
+            base = base[rng.permutation(n_states)][:n_states]
+            rows = rng.dirichlet(np.ones(k), size=n_states)
+            kernels.append((1.0 - noise) * np.eye(k)[base] + noise * rows)
+        return kernels, [OutcomeSpace(tuple(range(k))) for k in symbol_counts]
+
+    return _random_model(seed, n_states, n_targets, concentration, (1e-3, 1e-3), emit, window, delay)
 
 
 def mix_toward_markov(model: ProcessModel, markov_ref: ProcessModel, eta: float) -> MixtureLawProvider:

@@ -113,7 +113,7 @@ def _mild_partner(markov, seed):
     ty = 0.7 * markov.target_kernel + 0.3 * rng.dirichlet(
         np.ones(markov.target_kernel.shape[1]), size=n
     )
-    return ProcessModel.build(T, ems, markov.emission_spaces, ty, markov.target_space)
+    return ProcessModel(T, ems, markov.emission_spaces, ty, markov.target_space)
 
 
 def test_03_epsilon_dpi_scaling():

@@ -49,7 +49,7 @@ def test_min_training_loss_zero_when_target_determined():
     emit = np.zeros((3, 3))
     emit[[0, 1, 2], [0, 1, 2]] = 1.0
     space = OutcomeSpace((0, 1, 2))
-    model = ProcessModel.build(T, [emit], [space], emit, space)
+    model = ProcessModel(T, [emit], [space], emit, space)
     prov = ExactLawProvider(model)
     for loss in LOSSES:
         assert min_training_loss(prov, (0,), loss) == pytest.approx(0.0, abs=1e-12)
@@ -61,7 +61,7 @@ def test_min_training_loss_constant_when_independent():
     T = np.tile(pi, (2, 1))
     eye = np.eye(2)
     space = OutcomeSpace((0, 1))
-    model = ProcessModel.build(T, [eye], [space], eye, space)
+    model = ProcessModel(T, [eye], [space], eye, space)
     prov = ExactLawProvider(model)
     from aof_lab import entropy
 

@@ -103,6 +103,39 @@ def test_malformed_delivery_trace_is_a_clean_error(runner, tmp_path, text, needl
     _assert_clean_error(res, str(path), *needles)
 
 
+TRACE_ARGS = ["simulate-aoi", "--trace", "{path}", "--horizon", "5"]
+DATA_ARGS = ["age-curve", "--data", "{path}", "--grid", "0..1"]
+
+
+@pytest.mark.parametrize("args,text,message", [
+    (TRACE_ARGS, "source_id,G,D\n1,3,2\n", "source 1: generation 3 after delivery 2"),
+    (DATA_ARGS, "t,x_1,age_1,y\n0,1,0,1\n1,1,-1,1\n", "ages must be nonnegative"),
+    (DATA_ARGS, "t,x_1,age_1,y\n1,1,0,1\n0,1,0,1\n", "slot indices must be strictly increasing"),
+], ids=["generation-after-delivery", "negative-age", "decreasing-slots"])
+def test_csv_value_rule_error_names_the_file_once(runner, tmp_path, args, text, message):
+    path = tmp_path / "in.csv"
+    path.write_text(text)
+    res = runner.invoke(main, ["--out", str(tmp_path / "out"), *(a.format(path=path) for a in args)])
+    _assert_clean_error(res)
+    assert res.output.strip() == f"Error: {path}: {message}"
+
+
+@pytest.mark.parametrize("transition,message", [
+    ([[float("nan"), 1.0], [0.5, 0.5]], "transition must be a nonnegative matrix"),
+    ([[0.5, 0.5]], "transition must be square over the states"),
+    ([[0.5, 0.5]] * 3, "transition must be square over the states"),
+], ids=["nan-cell", "1x2", "3x2"])
+def test_model_checks_run_before_the_stationary_law(runner, tmp_path, transition, message):
+    assert _invoke(runner, ["--out", str(tmp_path), "gen"]).exit_code == 0
+    path = tmp_path / "bad.json"
+    model = json.loads((tmp_path / "model.json").read_text())
+    path.write_text(json.dumps({**model, "transition": transition}))
+    res = runner.invoke(main, ["--out", str(tmp_path / "out"), "age-curve", "--model", str(path),
+                               "--grid", "0"])
+    _assert_clean_error(res)
+    assert res.output.strip() == f"Error: {path}: {message}"
+
+
 @pytest.mark.parametrize("args,needle", [
     (["age-curve", "--model", "{model}", "--grid", "0..x"], "--grid"),
     (["age-curve", "--model", "{model}", "--grid", "0..2;1"], "--grid"),
@@ -472,8 +505,8 @@ def test_untrained_cell_exits_nonzero(runner, tmp_path):
     narrow_emit = np.array([[1.0, 0.0, 0.0], [0.0, 1.0, 0.0]])
     wide_emit = np.array([[0.6, 0.2, 0.2], [0.2, 0.6, 0.2]])
     target = np.array([[0.8, 0.2], [0.25, 0.75]])
-    ProcessModel.build(T, [narrow_emit], [space3], target, space2).save(tmp_path / "train.json")
-    ProcessModel.build(T, [wide_emit], [space3], target, space2).save(tmp_path / "test.json")
+    ProcessModel(T, [narrow_emit], [space3], target, space2).save(tmp_path / "train.json")
+    ProcessModel(T, [wide_emit], [space3], target, space2).save(tmp_path / "test.json")
     AgeDistribution.point_mass((1,)).save(tmp_path / "ages.json")
     res = runner.invoke(main, ["--out", str(tmp_path), "cross-loss",
                                "--train", str(tmp_path / "train.json"),

@@ -179,7 +179,7 @@ def test_epsilon_dpi_slope_for_generalized_cmi():
     ty = 0.7 * markov.target_kernel + 0.3 * rng.dirichlet(
         np.ones(markov.target_kernel.shape[1]), size=n
     )
-    mild = ProcessModel.build(T, ems, markov.emission_spaces, ty, markov.target_space)
+    mild = ProcessModel(T, ems, markov.emission_spaces, ty, markov.target_space)
     etas = [2.0**-k for k in range(1, 7)]
     eps, i_log, i_quad = [], [], []
     for eta in etas:

@@ -1,3 +1,5 @@
+import hashlib
+import json
 import tracemalloc
 
 import numpy as np
@@ -30,7 +32,7 @@ def _two_state(flip=0.3):
     T = np.array([[1 - flip, flip], [flip, 1 - flip]])
     eye = np.eye(2)
     space = OutcomeSpace((0, 1))
-    return ProcessModel.build(T, [eye], [space], eye, space)
+    return ProcessModel(T, [eye], [space], eye, space)
 
 
 @settings(max_examples=80, deadline=None)
@@ -104,10 +106,53 @@ def test_stationary_and_primitivity_checks():
     eye = np.eye(2)
     space = OutcomeSpace((0, 1))
     with pytest.raises(AofLabError):
-        ProcessModel.build(periodic, [eye], [space], eye, space)
+        ProcessModel(periodic, [eye], [space], eye, space)
     reducible = np.array([[1.0, 0.0], [0.0, 1.0]])
     with pytest.raises(AofLabError):
-        ProcessModel.build(reducible, [eye], [space], eye, space)
+        ProcessModel(reducible, [eye], [space], eye, space)
+
+
+def test_stationary_law_is_computed_and_kept_by_with_window():
+    model = make_hidden_nonmarkov(3, n_sources=2, delay=1)
+    assert model.states == (0, 1, 2, 3)
+    assert model.with_window(3).stationary.tobytes() == model.stationary.tobytes()
+    with pytest.raises(TypeError):
+        ProcessModel(model.transition, model.emissions, model.emission_spaces, model.target_kernel,
+                     model.target_space, stationary=model.stationary)
+
+
+# SHA-256 of json.dumps(model.to_json_dict(), sort_keys=True) and of the
+# trajectory.csv text of sample_trajectory(model, 200, seed): every `gen`
+# output follows from these draws, so a generator change must keep them
+SEEDED = {
+    ("markov", False, 0): ("be03fa1614000ea9f4907e09f47834661e073004ecdd2f5fd80626ceb0757b80",
+                           "63f46ed305c96188e8e6bccc8c1d4f97e9a3234c6bf897bebd4aa1320f272ff7"),
+    ("markov", False, 5): ("b19615f09f192f0cf0bdcd4932a95cb836dd5d7716470d4a04d84119ae9865ee",
+                           "424450fb1d8ad9a4e5e2e2474999e3f98372eed2bb865493d312089c9665ed69"),
+    ("markov", True, 0): ("f0979a2622636bfc8e691ddf21ab0591101427d659784ce4540bc3c98f7764b6",
+                          "318fced9616f741ef334e711ef6248a8162ef0e5559c3f7364341d898a4cd1de"),
+    ("markov", True, 5): ("55a341ce6fb02a556a38396f19083bc07be4a16e53f15855ca94b6f9c06c02b5",
+                          "3bff8c0c6add5569f6d77a146538027aaf9bfdbdc42e8ff7cdbca64add93fd16"),
+    ("hidden", False, 0): ("ef95dbb716398bcfb7b869bf73488a913ef5dbe155e6f0aedd1d56597cc63504",
+                           "be362aad12f2f1a8d1390066cad89fb23c4811eca7e7a875adc91a9f7a0f546e"),
+    ("hidden", False, 5): ("f7034098d66934a1adb195942007f70ba2acd97744a39182244cad167ec2f672",
+                           "80d3e1df2941de20c632f8d4615c41e3a3eda503f4a572ea3ddc4ffa6d80f73a"),
+    ("hidden", True, 0): ("4443ef3c3aec66e4156d32fbb8c8f575445319339e04f102ed2435a46840b09f",
+                          "76a471c7fc2809a1869b50e30ddb0d816712d4ebc3b6a9b7bec1951101c5cc99"),
+    ("hidden", True, 5): ("cea05f27620368f53bdcb9609a992371ed30e9108fd15eba594e0b4e25140f4a",
+                          "40aebaa51e560cd924455776d6e6a773f1259f126e5ed6be1a56cfbb110b5219"),
+}
+
+
+@pytest.mark.parametrize("kind,wide,seed", SEEDED)
+def test_seeded_generation_is_pinned(tmp_path, kind, wide, seed):
+    make = make_markov_observable if kind == "markov" else make_hidden_nonmarkov
+    model = make(seed, **({"n_sources": 2, "window": 2, "delay": 1} if wide else {}))
+    sample_trajectory(model, 200, seed).to_csv(tmp_path / "trajectory.csv")
+    text = (tmp_path / "trajectory.csv").read_bytes()
+    digests = (hashlib.sha256(json.dumps(model.to_json_dict(), sort_keys=True).encode()).hexdigest(),
+               hashlib.sha256(text).hexdigest())
+    assert digests == SEEDED[kind, wide, seed]
 
 
 def test_two_state_symmetric_transition_law():
@@ -122,7 +167,7 @@ def test_iid_states_make_lags_independent():
     T = np.tile(pi, (2, 1))
     eye = np.eye(2)
     space = OutcomeSpace((0, 1))
-    model = ProcessModel.build(T, [eye], [space], eye, space)
+    model = ProcessModel(T, [eye], [space], eye, space)
     law = exact_window_law(model, [("y", 0), ("x1", 1), ("x1", 3)])
     probs = law.law.arrange(["y@0", "x1@1", "x1@3"]).probs
     prod = np.einsum(
@@ -143,7 +188,7 @@ def test_deterministic_fully_observed_single_slot():
     target = np.zeros((3, 2))
     target[[0, 1, 2], [1, 0, 1]] = 1.0  # h(s)
     spaces = OutcomeSpace((0, 1))
-    model = ProcessModel.build(T, [emit], [spaces], target, spaces)
+    model = ProcessModel(T, [emit], [spaces], target, spaces)
     law = exact_window_law(model, [("y", 0), ("x1", 0)])
     pi = model.stationary
     want = np.zeros((2, 2))
@@ -188,7 +233,7 @@ def test_window_features_are_tuples_and_consistent():
 
 def test_delay_shifts_feature_slots():
     model = make_hidden_nonmarkov(10, n_states=3, n_symbols=2, n_targets=2, noise=0.3)
-    delayed = ProcessModel.build(
+    delayed = ProcessModel(
         model.transition,
         model.emissions,
         model.emission_spaces,
