@@ -81,7 +81,7 @@ class AgeProcess:
     ages: np.ndarray  # (m, horizon) int
 
     def __post_init__(self):
-        ages = np.asarray(self.ages, dtype=np.int64)
+        ages = np.array(self.ages, dtype=np.int64)
         if ages.ndim != 2 or ages.shape[1] == 0:
             raise AofLabError("ages must be a (sources, horizon) array")
         if np.any(ages < SENTINEL):
@@ -156,7 +156,7 @@ class AgeDistribution:
             raise AofLabError("age components must be nonnegative")
         if len(set(vectors)) != len(vectors):
             raise AofLabError("age vectors must be distinct")
-        probs = np.asarray(self.probs, dtype=float)
+        probs = np.array(self.probs, dtype=float)
         if probs.shape != (len(vectors),):
             raise AofLabError("probs length must match support size")
         if np.any(probs < 0) or abs(float(probs.sum()) - 1.0) > NORMALIZATION_ATOL:

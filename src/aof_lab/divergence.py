@@ -36,6 +36,9 @@ from .spaces import JointPmf, OutcomeSpace, Pmf, check_same_variables, grid_labe
 # domination the conditional mutual information relies on
 POSITIVITY_ATOL = 1e-15
 
+# grid points whose epsilon lies this close to the maximum tie for the argmax
+EPSILON_TIE_ATOL = 1e-12
+
 if TYPE_CHECKING:  # pragma: no cover
     from .laws import LawProvider
 
@@ -79,16 +82,20 @@ def _chi2_cmi_stack(cubes: np.ndarray, x_spaces: Sequence[OutcomeSpace]) -> np.n
     py = cubes.sum(axis=3)
     pz = cubes.sum(axis=2)
     # a conditioning cell without mass has an all-zero slab and reference
-    ref = py[:, :, :, None] * pz[:, :, None, :] / np.where(w > 0.0, w, 1.0)[:, :, None, None]
-    pos = ref > 0.0
-    stray = (~pos & (cubes > POSITIVITY_ATOL)).any(axis=(0, 2, 3))
-    if np.any(stray):
-        cells = [grid_label(x_spaces, x) for x in np.flatnonzero(stray)]
-        raise PositivityError(
-            f"positivity violated: triple mass on a zero product-reference cell at {cells}", cells
-        )
-    d = cubes - ref
-    terms = np.divide(d * d, ref, out=np.zeros_like(ref), where=pos)
+    ref = py[:, :, :, None] * pz[:, :, None, :]
+    ref /= np.where(w > 0.0, w, 1.0)[:, :, None, None]
+    terms = cubes - ref
+    terms *= terms
+    if not ref.all():
+        pos = ref > 0.0
+        stray = (~pos & (cubes > POSITIVITY_ATOL)).any(axis=(0, 2, 3))
+        if np.any(stray):
+            cells = [grid_label(x_spaces, x) for x in np.flatnonzero(stray)]
+            raise PositivityError(
+                f"positivity violated: triple mass on a zero product-reference cell at {cells}", cells
+            )
+        ref[~pos] = np.inf  # such a cell holds at most POSITIVITY_ATOL and adds zero
+    terms /= ref
     return terms.sum(axis=(1, 2, 3))
 
 
@@ -121,8 +128,10 @@ class EpsilonReport:
 
     ``epsilon`` is the square root of the largest chi-squared conditional
     mutual information found on the grid; because the grid is capped it is a
-    certified lower bound on the uncapped supremum.  ``grid`` retains every
-    evaluated (tau, mu, value) triple for audit.
+    certified lower bound on the uncapped supremum.  The argmax is the first
+    (tau, mu) whose epsilon is within ``EPSILON_TIE_ATOL`` of ``epsilon``, so
+    last-bit noise cannot move it (on a Markov model: tau = 0..0, mu = 0..01).
+    ``grid`` retains every evaluated (tau, mu, value) triple for audit.
     """
 
     epsilon: float
@@ -154,9 +163,9 @@ def epsilon_coefficient(laws: "LawProvider", tau_max: int = 8, mu_max: int = 8) 
 
     For every tau vector in [0, tau_max]^m and mu vector in [0, mu_max]^m
     with mu not identically zero, evaluates the triple (target now, features
-    at lags tau, features at lags tau + mu).  Ties in the maximum go to the
-    lexicographically smallest (tau, mu) pair, so the result is independent
-    of evaluation order.
+    at lags tau, features at lags tau + mu).  Ties in the maximum, up to
+    ``EPSILON_TIE_ATOL`` in epsilon, go to the lexicographically smallest
+    (tau, mu) pair, so the result is independent of evaluation order.
 
     Grid points are evaluated one layout at a time: the layout is the set of
     sources with a nonzero future lag, which fixes the law's variables and
@@ -231,13 +240,14 @@ def _epsilon_reports(laws: "LawProvider", tau_max: int, mu_max: int, n_reports: 
 
 
 def _report(taus, mus, values: np.ndarray, tau_max: int, mu_max: int) -> EpsilonReport:
-    best = int(np.argmax(values))  # first maximum in lexicographic (tau, mu) order
-    t, j = divmod(best, len(mus))
+    eps = np.sqrt(np.maximum(values, 0.0))
+    # first near-maximum in lexicographic (tau, mu) order
+    t, j = divmod(int(np.argmax(eps >= eps.max() - EPSILON_TIE_ATOL)), len(mus))
     grid = tuple(
         (tau, mu, value) for tau, row in zip(taus, values.tolist()) for mu, value in zip(mus, row)
     )
     return EpsilonReport(
-        epsilon=float(np.sqrt(max(values[t, j], 0.0))),
+        epsilon=float(eps.max()),
         argmax_tau=taus[t],
         argmax_mu=mus[j],
         tau_max=tau_max,

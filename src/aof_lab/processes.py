@@ -7,17 +7,17 @@ tuple of its last ``b`` emissions ending at ``t - delay`` (newest first); a
 window length of one keeps the bare symbol.
 
 Every exact window law comes from one builder, ``exact_window_laws``.  Under
-stationarity a window law is the HMM forward recursion
-``pi D T^g1 D T^g2 ... D 1`` (Rabiner 1989) over the flat list of reads in
-slot order, where each ``D`` applies one emission kernel and ``g_i`` is the
-slot gap to the read before it.  A read at the same slot as the one before
-it is a zero-gap step: ``T^0`` is the identity, exact in float.  Request
-sets that read the same kernels in the same order, and map those reads to
-variables the same way, differ only in their gaps, so they run as one
-recursion over a stacked table with ``T^g`` taken from powers of the
-transition matrix computed once.  ``exact_window_law`` is the case of one
-request set.  ``DEFAULT_MAX_CELLS`` bounds the power table as well as each
-law's table, so no separate cap limits how far apart lags may lie.
+stationarity a window law is ``pi D T^g1 D T^g2 ... D 1`` (Rabiner 1989)
+over the flat list of reads in slot order, where each ``D`` applies one
+emission kernel and ``g_i`` is the slot gap to the read before it (zero,
+the identity, at the same slot).  Request sets with the same read shape,
+the symbol counts of their reads in order, run as one stacked contraction
+from both ends: forward rows over the reads left of a balanced split and
+backward columns over the rest meet in one batched matmul, with ``T^g``
+taken from powers of the transition matrix computed once.
+``exact_window_law`` is the case of one request set.  ``DEFAULT_MAX_CELLS``
+bounds the power table as well as each law's table, so no separate cap
+limits how far apart lags may lie.
 
 The builder snaps the total mass of each law back to one after checking
 that it is within ``NORMALIZATION_ATOL`` of one.
@@ -83,7 +83,7 @@ def _is_primitive(transition: np.ndarray) -> bool:
 
 
 def _check_rows(name: str, matrix: np.ndarray) -> np.ndarray:
-    matrix = np.asarray(matrix, dtype=float)
+    matrix = np.array(matrix, dtype=float)
     if matrix.ndim != 2 or np.any(matrix < 0) or not np.all(np.isfinite(matrix)):
         raise NotNormalizedError(f"{name} must be a nonnegative matrix")
     if np.any(np.abs(matrix.sum(axis=1) - 1.0) > 1e-12):
@@ -219,80 +219,85 @@ def exact_window_laws(model: ProcessModel, request_sets: Sequence[Sequence]) -> 
     """Exact laws of request sets that share one layout, as one stack.
 
     Returns ``(layout, probs)`` where ``probs[g]`` is the law of
-    ``request_sets[g]``.  Each request set reads a flat list of (slot, kind,
-    source) cells sorted by slot; request sets are grouped by their read
-    order (the kinds and sources, slots aside) plus the reads each variable
-    takes.  Each group runs as one forward recursion over a (laws, states,
-    cells) table with one step per read: ``T^gap`` for the gap to the read
-    before (zero, the identity, at the same slot), then the read's kernel.
-    One offset ``bincount`` maps elementary cells to variable cells.  Powers
-    of the transition matrix go up to the widest gap asked for; a power
-    table or a law table larger than ``DEFAULT_MAX_CELLS`` is rejected
-    before it is built.  Tables are built in chunks of at most
-    ``STACK_CELLS`` cells.
+    ``request_sets[g]``.  Request sets are grouped by read shape; each member
+    keeps its own kernel per read, its gaps and each read's digit weight in
+    its variable's cell.  A group is split at the read that best balances the
+    cells on either side: forward rows ``pi D T^g ... D`` and backward columns
+    ``D T^g ... D 1`` meet in one batched ``F' T^g B``, and the outer sum of
+    the left and right digit weights places each elementary cell.  A power
+    table or an unrolled law (cells times states) larger than
+    ``DEFAULT_MAX_CELLS`` is rejected before it is built; tables are built in
+    chunks of at most ``STACK_CELLS`` cells.
     """
     reqs_list = canonical_request_sets(request_sets)
-    groups: dict[tuple, list[tuple[int, tuple[int, ...]]]] = {}
-    for g, reqs in enumerate(reqs_list):
-        per_request, reads = _elementary_reads(model, reqs)
-        order = tuple(read[1:] for read in reads)
-        axis_of = {read: i for i, read in enumerate(reads)}
-        taps = tuple(tuple(axis_of[r] for r in at) for at in per_request)
-        groups.setdefault((order, taps), []).append((g, tuple(b[0] - a[0] for a, b in zip(reads, reads[1:]))))
-
     layout = tuple(
         (var, model.target_space if var == "y" else model.feature_space(source_index(var)))
         for var, _ in reqs_list[0]
     )
     var_sizes = [len(space) for _, space in layout]
     var_strides = [math.prod(var_sizes[i + 1:]) for i in range(len(var_sizes))]
-    total = math.prod(var_sizes)
     n_states = model.n_states
-    max_gap = max((max(gaps) for members in groups.values() for _, gaps in members if gaps), default=0)
+    # kernels padded to the largest alphabet, indexed by a read's source (0 for the target)
+    kernels = [model.target_kernel, *model.emissions]
+    stack = np.zeros((len(kernels), n_states, max(k.shape[1] for k in kernels)))
+    for i, kernel in enumerate(kernels):
+        stack[i, :, :kernel.shape[1]] = kernel
+
+    groups: dict[tuple[int, ...], list[tuple[int, ...]]] = {}
+    for g, reqs in enumerate(reqs_list):
+        per_request, reads = _elementary_reads(model, reqs)
+        sizes = tuple(kernels[read[2]].shape[1] for read in reads)
+        # a feature reads its window newest first, so read j of a b-slot
+        # window is digit b - 1 - j of its variable's cell
+        axis_of = {read: i for i, read in enumerate(reads)}
+        coeff = [0] * len(reads)
+        for stride, at in zip(var_strides, per_request):
+            for j, read in enumerate(at):
+                coeff[axis_of[read]] += stride * sizes[axis_of[read]] ** (len(at) - 1 - j)
+        # gap i steps from read i to the next; the last, to the all-ones end, is zero
+        gaps = [b[0] - a[0] for a, b in zip(reads, reads[1:])]
+        groups.setdefault(sizes, []).append((g, *(read[2] for read in reads), *gaps, 0, *coeff))
+    groups = {sizes: np.array(rows) for sizes, rows in groups.items()}
+
+    max_gap = max(int(rows[:, len(sizes) + 1:2 * len(sizes) + 1].max()) for sizes, rows in groups.items())
     if (max_gap + 1) * n_states**2 > DEFAULT_MAX_CELLS:
         raise AofLabError(
             f"lag gap {max_gap} would need {max_gap + 1} transition powers of "
             f"{n_states}x{n_states} cells (cap {DEFAULT_MAX_CELLS})"
         )
-    # the table keeps states on the axis before the cells, so every step
-    # works on long contiguous rows: a step by g slots is (T^g)' @ table
-    steps = np.empty((max_gap + 1, n_states, n_states))
-    steps[0] = np.eye(n_states)
+    powers = np.empty((max_gap + 1, n_states, n_states))
+    powers[0] = np.eye(n_states)
     for k in range(1, max_gap + 1):
-        steps[k] = model.transition.T @ steps[k - 1]
-    # each kernel as (states, symbols, 1), ready to take a new outermost cell axis
-    emission = {("y", 0): model.target_kernel[:, :, None]}
-    emission.update({("x", l): e[:, :, None] for l, e in enumerate(model.emissions, start=1)})
+        powers[k] = powers[k - 1] @ model.transition
 
-    probs = np.empty((len(reqs_list), total))
-    for (order, taps), members in groups.items():
-        sizes = [emission[read].shape[1] for read in order]
-        n_cells = math.prod(sizes)
+    probs = np.zeros((len(reqs_list), math.prod(var_sizes)))
+    for sizes, rows in groups.items():
+        n, n_cells = len(sizes), math.prod(sizes)
         if n_cells * n_states > DEFAULT_MAX_CELLS:
             raise AofLabError(f"unrolled law would need {n_cells * n_states} cells (cap {DEFAULT_MAX_CELLS})")
-        # variable cell of every elementary cell: a feature reads its window
-        # newest first, so read j of a b-slot window is digit b - 1 - j
-        coeff = [0] * len(sizes)
-        for stride, axes in zip(var_strides, taps):
-            for j, axis in enumerate(axes):
-                coeff[axis] += stride * sizes[axis] ** (len(axes) - 1 - j)
-        # each read adds the new outermost cell axis, so the last read varies slowest
-        cell_of = np.zeros(1, dtype=np.int64)
-        for size, c in zip(sizes[::-1], coeff[::-1]):
-            cell_of = (cell_of[:, None] + c * np.arange(size)).ravel()
-
+        split = min(range(1, max(n, 2)), key=lambda s: max(math.prod(sizes[:s]), math.prod(sizes[s:])))
+        # each read adds the new outermost cell axis: forward cells run
+        # row-major over reads split - 1 .. 0, backward cells over split .. n - 1
+        digits_left = np.indices(sizes[:split][::-1]).reshape(split, -1)[::-1]
+        digits_right = np.indices(sizes[split:]).reshape(n - split, math.prod(sizes[split:]))
         chunk = max(1, STACK_CELLS // (n_cells * n_states))
-        for start in range(0, len(members), chunk):
-            part = members[start:start + chunk]
-            gaps = np.array([gap for _, gap in part])
-            table = np.repeat(model.stationary[None, :, None], len(part), axis=0)
-            for i, read in enumerate(order):
-                if i:
-                    table = steps[gaps[:, i - 1]] @ table
-                table = (table[:, :, None, :] * emission[read]).reshape(len(part), n_states, -1)
-            cells = (cell_of + total * np.arange(len(part))[:, None]).ravel()
-            laws = np.bincount(cells, weights=table.sum(axis=1).ravel(), minlength=len(part) * total)
-            probs[[g for g, _ in part]] = laws.reshape(len(part), total)
+        for start in range(0, len(rows), chunk):
+            part = rows[start:start + chunk]
+            index, gaps, coeff = part[:, 1:n + 1], part[:, n + 1:2 * n + 1], part[:, 2 * n + 1:]
+            emit = [stack[index[:, i], :, :size] for i, size in enumerate(sizes)]
+            # states lie on the axis before the cells, so each step works on long rows
+            table = model.stationary[None, :, None] * emit[0]
+            for i in range(1, split):
+                table = powers[gaps[:, i - 1]].transpose(0, 2, 1) @ table
+                table = (table[:, :, None, :] * emit[i][:, :, :, None]).reshape(len(part), n_states, -1)
+            back = np.ones((len(part), n_states, 1))
+            for i in range(n - 1, split - 1, -1):
+                back = powers[gaps[:, i]] @ back
+                back = (emit[i][:, :, :, None] * back[:, :, None, :]).reshape(len(part), n_states, -1)
+            laws = table.transpose(0, 2, 1) @ powers[gaps[:, split - 1]] @ back
+            # every read belongs to a variable, so distinct elementary cells land on distinct cells
+            cells = (coeff[:, :split] @ digits_left)[:, :, None] + (coeff[:, split:] @ digits_right)[:, None, :]
+            probs[part[:, :1], cells.reshape(len(part), -1)] = laws.reshape(len(part), -1)
     sums = probs.sum(axis=1)
     drift = float(np.abs(sums - 1.0).max())
     if drift > NORMALIZATION_ATOL:
@@ -303,8 +308,8 @@ def exact_window_laws(model: ProcessModel, request_sets: Sequence[Sequence]) -> 
 
 @dataclass(eq=False)
 class ExactLawProvider:
-    """Exact window laws of one model, built on demand by the stacked forward
-    recursion; ``DEFAULT_MAX_CELLS`` bounds the tables behind every law."""
+    """Exact window laws of one model, built on demand by ``exact_window_laws``;
+    ``DEFAULT_MAX_CELLS`` bounds the tables behind every law."""
 
     model: ProcessModel
 

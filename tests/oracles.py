@@ -187,6 +187,14 @@ def occupied_slots(model, requests) -> int:
     return len({slot for reads in _window_reads(model, requests) for _, slot in reads})
 
 
+def enumeration_work(model, requests) -> int:
+    """Hidden-state tuples times emission cells that
+    ``window_law_by_enumeration`` visits for ``requests``."""
+    reads = {r for t in _window_reads(model, requests) for r in t}
+    sizes = [len(model.target_space if var == "y" else model.emission_spaces[int(var[1:]) - 1]) for var, _ in reads]
+    return model.n_states ** occupied_slots(model, requests) * math.prod(sizes)
+
+
 def window_law_by_enumeration(model, requests) -> np.ndarray:
     """Exact window law of distinct ``requests``, axes in their order, by
     summing over the hidden states at the occupied slots.

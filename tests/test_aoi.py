@@ -385,3 +385,15 @@ def test_univariate_ordering_reflexive_and_transitive():
             for c in pmfs:
                 if stochastic_order_univariate(a, b) and stochastic_order_univariate(b, c):
                     assert stochastic_order_univariate(a, c)
+
+
+def test_constructors_freeze_a_copy_and_leave_the_callers_arrays_writable():
+    ages = np.array([[1, 2, 3], [0, 1, 2]], dtype=np.int64)
+    probs = np.array([0.25, 0.75])
+    process = AgeProcess(ages)
+    dist = AgeDistribution(((0, 1), (1, 0)), probs)
+    ages[0, 0] = 9
+    probs[0] = 0.5
+    assert process.ages.tolist() == [[1, 2, 3], [0, 1, 2]]
+    assert dist.probs.tolist() == [0.25, 0.75]
+    assert not process.ages.flags.writeable and not dist.probs.flags.writeable

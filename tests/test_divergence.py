@@ -266,6 +266,34 @@ def test_chi2_cmi_positivity_error_names_conditioning_cells():
     assert exc.value.cells == [("a", 1), ("b", 2)]
 
 
+def test_chi2_cmi_stack_mixes_degenerate_and_positive_cubes():
+    rng = np.random.default_rng(5)
+    spaces = {"x": OutcomeSpace((0, 1, 2)), "y": OutcomeSpace((0, 1)), "z": OutcomeSpace((0, 1, 2))}
+    positive = rng.dirichlet(np.ones(18)).reshape(3, 2, 3)
+    degenerate = rng.dirichlet(np.ones(18)).reshape(3, 2, 3)
+    # deterministic conditionals zero part of the product reference
+    degenerate[1, 0] = 0.0
+    degenerate[2, :, 1:] = 0.0
+    degenerate /= degenerate.sum()
+    cubes = np.stack([positive, degenerate])
+    values = _chi2_cmi_stack(cubes, [spaces["x"]])
+    for cube, value in zip(cubes, values):
+        joint = JointPmf(tuple(spaces.items()), cube)
+        assert abs(value - chi2_cmi_direct(joint, "y", ["z"], ["x"])) <= 1e-15
+        # scored alone, each cube gives the same value bit for bit
+        assert _chi2_cmi_stack(cube[None], [spaces["x"]])[0] == value
+    assert values[1] > 0.0
+
+
+@pytest.mark.parametrize("shape", [dict(n_states=3, n_sources=1), dict(n_states=2, n_sources=2, window=2)])
+def test_epsilon_argmax_on_markov_model_ignores_float_noise(shape):
+    model = make_markov_observable(41, n_targets=2, **shape)
+    rep = epsilon_coefficient(ExactLawProvider(model), 2, 2)
+    m = shape["n_sources"]
+    assert rep.epsilon <= 1e-12
+    assert (rep.argmax_tau, rep.argmax_mu) == ((0,) * m, (0,) * (m - 1) + (1,))
+
+
 @pytest.mark.parametrize("m, window, delay", [(1, 1, 0), (2, 1, 1), (2, 2, 0)])
 def test_epsilon_sweep_reports_equal_mixture_provider_runs(m, window, delay):
     # the `epsilon --sweep` pair: a hidden model and an observable Markov reference

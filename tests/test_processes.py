@@ -21,11 +21,11 @@ from aof_lab import (
     sample_trajectory,
 )
 from aof_lab.errors import AofLabError, IncompatibleSpaceError
-from aof_lab.laws import DEFAULT_MAX_CELLS, canonical_requests
+from aof_lab.laws import DEFAULT_MAX_CELLS, STACK_CELLS, canonical_requests
 from aof_lab.processes import _stationary_distribution, exact_window_laws
 from aof_lab.spaces import NORMALIZATION_ATOL
 
-from oracles import loglog_slope, occupied_slots, trajectory_by_steps, window_law_by_enumeration
+from oracles import enumeration_work, loglog_slope, trajectory_by_steps, window_law_by_enumeration
 
 
 def _two_state(flip=0.3):
@@ -61,8 +61,11 @@ def test_stationary_distribution_accurate_on_near_periodic_chains(n, period, log
 @given(data=st.data())
 def test_window_law_stack_matches_per_request_laws(data):
     m = data.draw(st.integers(1, 3))
+    # symbol counts of 2 and 3 mix read sizes and interleavings in one stack
     model = make_hidden_nonmarkov(
-        data.draw(st.integers(0, 10_000)), n_states=3, n_sources=m, n_symbols=2, n_targets=2,
+        data.draw(st.integers(0, 10_000)), n_states=3, n_sources=m,
+        n_symbols=data.draw(st.lists(st.integers(2, 3), min_size=m, max_size=m)),
+        n_targets=data.draw(st.integers(2, 3)),
         window=data.draw(st.integers(1, 3)), delay=data.draw(st.integers(0, 2)),
     )
     # one layout: a number of target lags and of lags per source (at most
@@ -77,8 +80,20 @@ def test_window_law_stack_matches_per_request_laws(data):
         for l, k in enumerate(counts, start=1):
             reqs += [(f"x{l}", lag) for lag in data.draw(lags(k))]
         sets.append(reqs)
-    # the oracle enumerates 3 ** (occupied slots) hidden-state tuples
-    assume(all(occupied_slots(model, reqs) <= 7 for reqs in sets))
+    # the oracle's work: 3 ** (occupied slots) hidden-state tuples times cells
+    assume(all(enumeration_work(model, reqs) <= 3**7 * 2**11 for reqs in sets))
+    _assert_stack_matches_oracle(model, sets)
+
+
+def test_window_law_stack_spanning_several_chunks_matches_per_request_laws():
+    # every set reads 7 three-symbol cells in one read shape, interleaved by lag
+    model = make_hidden_nonmarkov(17, n_states=2, n_sources=3, n_symbols=3, n_targets=3, window=2)
+    sets = [[("y", 0), ("x1", a), ("x2", b), ("x3", c)] for a in range(4) for b in range(4) for c in range(4)]
+    assert len(sets) * 3**7 * model.n_states > STACK_CELLS
+    _assert_stack_matches_oracle(model, sets)
+
+
+def _assert_stack_matches_oracle(model, sets):
     layout, probs = exact_window_laws(model, sets)
     assert probs.shape[0] == len(sets)
     for reqs, stacked in zip(sets, probs):
@@ -97,6 +112,20 @@ def test_window_law_stack_rejects_mixed_layouts():
         exact_window_laws(model, mixed)
     with pytest.raises(IncompatibleSpaceError):
         EmpiricalLawProvider(sample_trajectory(model, 500, 1)).window_law_stack(mixed)
+
+
+def test_process_model_freezes_a_copy_and_leaves_the_callers_arrays_writable():
+    T = np.array([[0.7, 0.3], [0.4, 0.6]])
+    E = np.eye(2)
+    space = OutcomeSpace((0, 1))
+    model = ProcessModel(T, [E], [space], E, space)
+    law = exact_window_law(model, [("y", 0), ("x1", 1)]).law.probs
+    T[0] = [0.1, 0.9]
+    E[:] = 0.5
+    assert model.transition.tolist() == [[0.7, 0.3], [0.4, 0.6]]
+    assert model.emissions[0].tolist() == model.target_kernel.tolist() == np.eye(2).tolist()
+    assert not (model.transition.flags.writeable or model.target_kernel.flags.writeable)
+    assert np.array_equal(exact_window_law(model, [("y", 0), ("x1", 1)]).law.probs, law)
 
 
 def test_stationary_and_primitivity_checks():
