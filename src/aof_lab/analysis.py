@@ -33,7 +33,7 @@ from typing import Sequence
 
 import numpy as np
 
-from ._util import csv_text, write_text_atomic
+from ._util import csv_table, write_text_atomic
 from .aoi import AgeDistribution, OrderingVerdict, stochastic_order_multivariate
 from .divergence import BetaReport, EpsilonReport, beta_between, epsilon_coefficient
 from .errors import AofLabError, IncompatibleSpaceError
@@ -210,8 +210,8 @@ class LossCurve:
 
     def to_csv(self, path) -> None:
         header = [f"delta_{l}" for l in range(1, len(self.grid[0]) + 1)] + ["loss"]
-        rows = (list(vec) + [val] for vec, val in zip(self.grid, self.values))
-        write_text_atomic(path, csv_text(header, rows))
+        rows = [list(vec) + [val] for vec, val in zip(self.grid, self.values)]
+        write_text_atomic(path, csv_table(header, rows))
 
     def to_json_dict(self) -> dict:
         return {

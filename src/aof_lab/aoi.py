@@ -17,13 +17,14 @@ from __future__ import annotations
 
 import json
 import math
-from dataclasses import dataclass
+from dataclasses import dataclass, field
 from typing import Iterable, Mapping, Sequence
 
 import numpy as np
 
-from ._util import csv_check, csv_text, read_csv, read_json, write_text_atomic
+from ._util import CSV_CHUNK_ROWS, csv_check, csv_text, read_csv, read_json, write_text_atomic
 from .errors import AofLabError, IncompatibleSpaceError, WarmupError
+from .laws import DEFAULT_MAX_CELLS
 from .spaces import NORMALIZATION_ATOL, Pmf
 
 SENTINEL = -1
@@ -35,39 +36,50 @@ RESIDUAL_ATOL = 1e-13
 
 @dataclass(frozen=True)
 class DeliveryTrace:
-    """Per-source lists of (generation slot, delivery slot) pairs."""
+    """Per-source lists of (generation slot, delivery slot) pairs; ``pairs``
+    holds each source's as an int64 ``(events, 2)`` array."""
 
     events: tuple[tuple[tuple[int, int], ...], ...]
+    pairs: tuple[np.ndarray, ...] = field(init=False, repr=False, compare=False)
 
     def __post_init__(self):
-        events = tuple(tuple((int(g), int(d)) for g, d in src) for src in self.events)
-        if not events:
+        pairs = tuple(np.array(src, dtype=np.int64).reshape(-1, 2) for src in self.events)
+        if not pairs:
             raise AofLabError("trace needs at least one source")
-        for l, src in enumerate(events, start=1):
-            for (g0, _), (g, d) in zip(src[:1] + src, src):
-                if g > d:
-                    raise AofLabError(f"source {l}: generation {g} after delivery {d}")
-                if g < g0:
-                    raise AofLabError(f"source {l}: generation slots must be nondecreasing")
-        object.__setattr__(self, "events", events)
+        for l, (g, d) in enumerate((p.T for p in pairs), start=1):
+            late, back = np.flatnonzero(g > d), np.flatnonzero(g[1:] < g[:-1]) + 1
+            if late.size and not (back.size and back[0] < late[0]):
+                raise AofLabError(f"source {l}: generation {g[late[0]]} after delivery {d[late[0]]}")
+            if back.size:
+                raise AofLabError(f"source {l}: generation slots must be nondecreasing")
+        for p in pairs:
+            p.setflags(write=False)
+        object.__setattr__(self, "events", tuple(tuple(zip(*p.T.tolist())) for p in pairs))
+        object.__setattr__(self, "pairs", pairs)
 
     @property
     def m(self) -> int:
         return len(self.events)
 
     def to_csv(self, path) -> None:
-        rows = ([l, g, d] for l, src in enumerate(self.events, start=1) for g, d in src)
-        write_text_atomic(path, csv_text(["source_id", "G", "D"], rows))
+        pairs = np.concatenate(self.pairs)
+        source = np.repeat(np.arange(1, self.m + 1), [len(p) for p in self.pairs])
+        write_text_atomic(path, csv_text(["source_id", "G", "D"], [source, pairs[:, 0], pairs[:, 1]]))
 
     @classmethod
     def from_csv(cls, path) -> "DeliveryTrace":
         """Read a ``source_id, G, D`` CSV.  Ids are 1-based source indices, so
-        m is the largest id and a source without rows has no events."""
+        m is the largest id and a source without rows has no events; an id
+        whose age paths through the last delivery would need more than
+        ``DEFAULT_MAX_CELLS`` cells is rejected."""
         def from_columns(columns):
-            source = columns["source_id"]
+            source, pairs = columns["source_id"], np.stack([columns["G"], columns["D"]], axis=1)
             csv_check("source_id", source >= 1, lambda row: f"{source[row]} is below 1")
+            slots = max(int(pairs[:, 1].max()), 0) + 1
+            csv_check("source_id", source <= DEFAULT_MAX_CELLS // slots,
+                      lambda row: f"{source[row]} sources x {slots} slots is over {DEFAULT_MAX_CELLS} age cells")
             order = np.argsort(source, kind="stable")
-            pairs = np.stack([columns["G"], columns["D"]], axis=1)[order].tolist()
+            pairs = pairs[order]
             bounds = np.searchsorted(source[order], np.arange(1, int(source.max()) + 2)).tolist()
             return cls(tuple(pairs[lo:hi] for lo, hi in zip(bounds, bounds[1:])))
 
@@ -102,11 +114,14 @@ class AgeProcess:
 
     def to_csv(self, path) -> None:
         header = ["t"] + [f"age_{l}" for l in range(1, self.m + 1)]
-        rows = (
-            [t] + ["" if a == SENTINEL else a for a in column]
-            for t, column in enumerate(self.ages.T.tolist())
-        )
-        write_text_atomic(path, csv_text(header, rows))
+        oldest = int(self.ages.max())
+        if oldest < CSV_CHUNK_ROWS:  # a table of every age from the sentinel's empty text on
+            values, codes = ["", *range(oldest + 1)], self.ages - SENTINEL
+        else:
+            values, codes = np.unique(self.ages, return_inverse=True)
+            values = ["" if v == SENTINEL else v for v in values.tolist()]
+        columns = [(values, row) for row in codes.reshape(self.ages.shape)]
+        write_text_atomic(path, csv_text(header, [np.arange(self.horizon), *columns]))
 
     @classmethod
     def from_csv(cls, path) -> "AgeProcess":
@@ -125,14 +140,16 @@ def age_process(trace: DeliveryTrace, horizon: int) -> AgeProcess:
     """Evaluate the age of every source at every slot in [0, horizon)."""
     if horizon <= 0:
         raise AofLabError("horizon must be positive")
+    if trace.m * horizon > DEFAULT_MAX_CELLS:
+        raise AofLabError(f"{trace.m} sources x horizon {horizon} is over {DEFAULT_MAX_CELLS} age cells")
     slots = np.arange(horizon)
     ages = np.full((trace.m, horizon), SENTINEL, dtype=np.int64)
-    for l, src in enumerate(trace.events):
-        if not src:
+    for l, pairs in enumerate(trace.pairs):
+        if not len(pairs):
             continue
-        by_delivery = sorted(src, key=lambda gd: gd[1])
-        deliveries = np.array([d for _, d in by_delivery])
-        freshest = np.maximum.accumulate(np.array([g for g, _ in by_delivery]))
+        by_delivery = pairs[np.argsort(pairs[:, 1], kind="stable")]
+        deliveries = by_delivery[:, 1]
+        freshest = np.maximum.accumulate(by_delivery[:, 0])
         k = np.searchsorted(deliveries, slots, side="right")
         ages[l, k > 0] = slots[k > 0] - freshest[k[k > 0] - 1]
     return AgeProcess(ages)

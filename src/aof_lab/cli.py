@@ -16,7 +16,7 @@ from pathlib import Path
 import click
 
 from . import analysis, aoi, divergence, ingest, losses, processes
-from ._util import csv_text, read_json, write_text_atomic
+from ._util import csv_table, read_json, write_text_atomic
 from .errors import AofLabError
 from .spaces import JointPmf, freeze_label
 
@@ -131,7 +131,7 @@ def _emit_csv(path: Path, write, meta: dict) -> None:
 
 
 def _table(header, rows):
-    return lambda path: write_text_atomic(path, csv_text(header, rows))
+    return lambda path: write_text_atomic(path, csv_table(header, rows))
 
 
 @click.group()

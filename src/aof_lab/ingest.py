@@ -12,8 +12,11 @@ Each label column is held as int64 codes into the space of labels it
 contains, encoded once when the dataset is built; labels appear again only
 when a column is read back, written to CSV or named in a law.  A dataset
 CSV is read by ``_util.read_csv``, which hands over each label column as
-its distinct texts plus codes, so each distinct text is parsed once.
-Counting a law is one ``np.bincount`` over mixed-radix cell codes.
+its distinct texts plus codes, so each distinct text is parsed once, and
+written by ``_util.csv_text``, which renders each distinct label once.
+An empirical window law aligns a lag by slicing when the slots are
+contiguous and by one ``searchsorted`` per lag when they have gaps;
+counting it is one ``np.bincount`` over mixed-radix cell codes.
 
 Strict positivity is never imposed silently: empty cells stay empty unless
 a law is smoothed with an explicit pseudo-count, by ``smooth`` or by the
@@ -206,10 +209,8 @@ class Dataset:
         return self.columns[-1 if src is None else src - 1]
 
     def to_csv(self, path) -> None:
-        cells = [np.array([_render_cell(lab) for lab in col.space.labels], dtype=object)[col.codes]
-                 for col in self.columns]
-        rows = zip(self.t, *cells[:-1], *self.ages, cells[-1])
-        write_text_atomic(path, csv_text(_csv_header(self.m), rows))
+        coded = [([_render_cell(lab) for lab in col.space.labels], col.codes) for col in self.columns]
+        write_text_atomic(path, csv_text(_csv_header(self.m), [self.t, *coded[:-1], *self.ages, coded[-1]]))
 
     @classmethod
     def from_csv(cls, path) -> "Dataset":
@@ -323,20 +324,26 @@ def empirical_window_law(
     reqs = canonical_requests(requests)
     columns = [dataset.coded(var) for var, _ in reqs]
     t = dataset.t
-    usable = np.ones(len(t), dtype=bool)
-    source_rows = {}
-    for lag in sorted({lag for _, lag in reqs}):
-        rows = np.searchsorted(t, t - lag)  # <= the row itself, so in range
-        usable &= t[rows] == t - lag
-        source_rows[lag] = rows
-    n_windows = int(usable.sum())
+    lags = sorted({lag for _, lag in reqs})
+    if t[-1] - t[0] == len(t) - 1:  # contiguous slots: each lag's rows are a slice
+        start = min(lags[-1], len(t))
+        source_rows = {lag: slice(start - lag, len(t) - lag) for lag in lags}
+        n_windows = len(t) - start
+    else:
+        usable = np.ones(len(t), dtype=bool)
+        rows = {}
+        for lag in lags:
+            rows[lag] = np.searchsorted(t, t - lag)  # <= the row itself, so in range
+            usable &= t[rows[lag]] == t - lag
+        source_rows = {lag: r[usable] for lag, r in rows.items()}
+        n_windows = int(usable.sum())
     if n_windows < min_windows:
         raise AofLabError(f"only {n_windows} usable windows; need at least {min_windows}")
 
     variables, codes, drift = [], [], {}
     for (var, lag), column in zip(reqs, columns):
         name = variable_name(var, lag)
-        values = column.codes[source_rows[lag][usable]]
+        values = column.codes[source_rows[lag]]
         drift[name] = _stationarity_chi2(column, values)
         space = None
         if spaces and var in spaces:

@@ -337,16 +337,86 @@ def _cell_text(value) -> str:
     return str(value)
 
 
-def dataset_csv_by_rows(dataset) -> str:
-    """The dataset CSV rendered one cell at a time with ``csv.writer``."""
+def csv_by_rows(header, rows) -> str:
+    """A header and rows written one row at a time by ``csv.writer``."""
     buf = io.StringIO()
     writer = csv.writer(buf)
-    writer.writerow(["t"] + [f"x_{l}" for l in range(1, dataset.m + 1)]
-                    + [f"age_{l}" for l in range(1, dataset.m + 1)] + ["y"])
-    for i in range(len(dataset)):
-        writer.writerow([int(dataset.t[i])] + [_cell_text(col[i]) for col in dataset.xs]
-                        + [int(a[i]) for a in dataset.ages] + [_cell_text(dataset.y[i])])
+    writer.writerow(header)
+    for row in rows:
+        writer.writerow(row)
     return buf.getvalue()
+
+
+def dataset_csv_by_rows(dataset) -> str:
+    """The dataset CSV rendered one cell at a time with ``csv.writer``."""
+    header = (["t"] + [f"x_{l}" for l in range(1, dataset.m + 1)]
+              + [f"age_{l}" for l in range(1, dataset.m + 1)] + ["y"])
+    return csv_by_rows(header, ([int(dataset.t[i])] + [_cell_text(col[i]) for col in dataset.xs]
+                                + [int(a[i]) for a in dataset.ages] + [_cell_text(dataset.y[i])]
+                                for i in range(len(dataset))))
+
+
+def read_csv_by_rows(path, expect, labels=(), blank=()):
+    """What ``read_csv`` hands its build, or the text of the ``AofLabError``
+    it raises, from one ``csv.reader`` pass that checks one row, and in it
+    one cell, at a time.  A label column is its distinct texts in order of
+    first appearance plus a list of codes; any other column is a list of
+    ints, an empty cell under a ``blank`` prefix being -1."""
+    try:
+        with open(path, newline="", encoding="utf-8") as fh:
+            reader = csv.reader(fh)
+            header = next(reader, [])
+            wanted = expect(header)
+            if header != wanted:
+                return f"{path}, line 1: header {header}; want {wanted}"
+            rows = [(reader.line_num, row) for row in reader]
+    except (csv.Error, UnicodeDecodeError) as exc:
+        return f"{path}: not a readable CSV: {exc}"
+    columns = {name: [] for name in wanted}
+    for line, row in rows:
+        if len(row) < len(wanted):
+            return f"{path}, line {line}: {len(row)} cells, want {len(wanted)}; column {wanted[len(row)]!r} is missing"
+        if len(row) > len(wanted):
+            return f"{path}, line {line}: {len(row)} cells, want {len(wanted)}; cells after column {wanted[-1]!r}"
+        for name, cell in zip(wanted, row):
+            if name.startswith(labels):
+                columns[name].append(cell)
+                continue
+            at = f"{path}, line {line}, column {name!r}: {cell!r}"
+            if name.startswith(blank) and cell == "":
+                columns[name].append(-1)
+                continue
+            try:
+                value = int(cell)
+            except ValueError:
+                value = None
+            if value is None or (name.startswith(blank) and value < 0):
+                return f"{at} is not {'a nonnegative integer or empty' if name.startswith(blank) else 'an integer'}"
+            if not -2**63 <= value < 2**63:
+                return f"{at} is outside the int64 range"
+            columns[name].append(value)
+    if not rows:
+        return f"{path}: no data rows"
+    out = {}
+    for name, cells in columns.items():
+        if name.startswith(labels):
+            texts = list(dict.fromkeys(cells))
+            out[name] = (texts, [texts.index(cell) for cell in cells])
+        else:
+            out[name] = cells
+    return out
+
+
+def trace_fault_by_events(events):
+    """The message ``DeliveryTrace`` gives for the first faulty event, found
+    one event at a time, or None."""
+    for l, src in enumerate(events, start=1):
+        for k, (g, d) in enumerate(src):
+            if g > d:
+                return f"source {l}: generation {g} after delivery {d}"
+            if k and g < src[k - 1][0]:
+                return f"source {l}: generation slots must be nondecreasing"
+    return None
 
 
 def upclosed_subsets(points):

@@ -16,8 +16,9 @@ from aof_lab import (
 )
 from aof_lab.aoi import SENTINEL
 from aof_lab.errors import AofLabError, IncompatibleSpaceError, WarmupError
+from aof_lab.laws import DEFAULT_MAX_CELLS
 
-from oracles import max_upper_set_violation, stochastic_order_upper_sets
+from oracles import max_upper_set_violation, stochastic_order_upper_sets, trace_fault_by_events
 
 
 def test_sawtooth_trace():
@@ -42,6 +43,48 @@ def test_trace_invariants_enforced():
         DeliveryTrace((((3, 2),),))  # delivery before generation
     with pytest.raises(AofLabError):
         DeliveryTrace((((3, 4), (1, 5)),))  # generations out of order
+
+
+@given(st.lists(st.lists(st.tuples(st.integers(-3, 6), st.integers(-3, 6)), max_size=5), min_size=1, max_size=3))
+@settings(max_examples=200, deadline=None)
+def test_trace_checks_name_the_first_faulty_event(events):
+    want = trace_fault_by_events(events)
+    if want is not None:
+        with pytest.raises(AofLabError) as err:
+            DeliveryTrace(events)
+        assert str(err.value) == want
+    else:
+        trace = DeliveryTrace(events)
+        assert trace.events == tuple(tuple(src) for src in events)
+        assert all(type(v) is int for src in trace.events for pair in src for v in pair)
+
+
+@pytest.mark.parametrize("source_id", [9223372036854775807, 10**9])
+def test_trace_source_id_beyond_the_cell_cap_names_the_line(tmp_path, source_id):
+    path = tmp_path / "trace.csv"
+    path.write_text(f"source_id,G,D\n1,0,1\n{source_id},2,3\n")
+    with pytest.raises(AofLabError) as err:
+        DeliveryTrace.from_csv(path)
+    assert str(err.value) == (f"{path}, line 3, column 'source_id': "
+                              f"{source_id} sources x 4 slots is over {DEFAULT_MAX_CELLS} age cells")
+
+
+def test_trace_source_cap_counts_the_slots_through_the_last_delivery(tmp_path):
+    slots = DEFAULT_MAX_CELLS // 2
+    path = tmp_path / "trace.csv"
+    path.write_text(f"source_id,G,D\n2,0,{slots - 1}\n")
+    assert DeliveryTrace.from_csv(path).m == 2
+    path.write_text(f"source_id,G,D\n1,0,1\n3,0,{slots - 1}\n")
+    with pytest.raises(AofLabError, match=f"line 3, column 'source_id': 3 sources x {slots} slots is over"):
+        DeliveryTrace.from_csv(path)
+
+
+def test_age_process_rejects_a_horizon_beyond_the_cell_cap():
+    trace = DeliveryTrace((((0, 1),), ((2, 2),)))
+    horizon = DEFAULT_MAX_CELLS // 2 + 1
+    with pytest.raises(AofLabError) as err:
+        age_process(trace, horizon)
+    assert str(err.value) == f"2 sources x horizon {horizon} is over {DEFAULT_MAX_CELLS} age cells"
 
 
 def _random_trace(rng, n_events, horizon):

@@ -273,7 +273,8 @@ def _alphabets(draw, kinds=tuple(LABEL_KINDS)):
 def _datasets(draw, max_m=3, min_rows=6, max_rows=60, aged=False):
     m = draw(st.integers(1, max_m))
     n = draw(st.integers(min_rows, max_rows))
-    gaps = draw(st.lists(st.integers(1, 3), min_size=n, max_size=n))
+    # contiguous slots in half the draws: the slice path of the lag alignment
+    gaps = [1] * n if draw(st.booleans()) else draw(st.lists(st.integers(1, 3), min_size=n, max_size=n))
     t = np.cumsum(gaps) + draw(st.integers(-5, 5))
     alphabets, columns = [], []
     for _ in range(m + 1):
@@ -317,6 +318,22 @@ def test_empirical_window_law_equals_per_row_oracle(data):
         want = window_law_by_rows(ds, requests, spaces or None)
     assert _law_parts(got) == _law_parts(want)
     assert np.array_equal(got.law.probs, want.law.probs)
+
+
+def test_contiguous_slots_align_up_to_and_past_the_row_count():
+    n = 8
+    ds = Dataset(t=np.arange(n) + 3, xs=(list("abcabcab"),), ages=(np.zeros(n),), y=[0, 1, 1, 0, 1, 0, 0, 1])
+    with warnings.catch_warnings():
+        warnings.simplefilter("ignore")
+        for lag in (n - 2, n - 1):
+            got = empirical_window_law(ds, [("y", 0), ("x1", lag)], min_windows=1)
+            want = window_law_by_rows(ds, [("y", 0), ("x1", lag)])
+            assert got.meta["n_windows"] == n - lag
+            assert _law_parts(got) == _law_parts(want)
+            assert np.array_equal(got.law.probs, want.law.probs)
+    for lag in (n, n + 5):
+        with pytest.raises(AofLabError, match="only 0 usable windows; need at least 1"):
+            empirical_window_law(ds, [("y", 0), ("x1", lag)], min_windows=1)
 
 
 @given(st.data())
