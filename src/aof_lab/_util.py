@@ -193,8 +193,10 @@ def _row_fault(path, wanted, labels, blank) -> str:
 
 
 def _ints(cells, blank: bool) -> np.ndarray:
-    values = [int(text) if text else -1 for text in cells] if blank else list(map(int, cells))
-    if blank and any(v < 0 for v, text in zip(values, cells) if text):
+    if not blank:
+        return np.array(cells, dtype=np.int64)
+    values = [int(text) if text else -1 for text in cells]
+    if any(v < 0 for v, text in zip(values, cells) if text):
         raise ValueError("negative cell")
     return np.array(values, dtype=np.int64)
 

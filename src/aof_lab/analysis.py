@@ -12,9 +12,10 @@ when the observed process is Markov).  The identity holds for any law and
 any coordinate order; the split itself depends on the order, which callers
 choose via ``path``.
 
-Laws are asked for as stacks and scored with one stacked conditional
-entropy each: a loss curve is one stack, a decomposition collects its
-staircase laws first and asks for one stack per variable layout.
+Laws are asked for as ``LagStack``s with the target last, (x..., y@0), the
+order the stacked conditional entropy scores: a loss curve is one stack of
+its age vectors, a decomposition one stack of the laws reading each source
+once plus one per walked source of the laws reading it at two lags.
 
 Dynamic ages are handled by mixing per-age laws (the stack of constant-age
 laws weighted by the age law): training with the age as a feature recovers
@@ -38,7 +39,7 @@ from .aoi import AgeDistribution, OrderingVerdict, stochastic_order_multivariate
 from .divergence import BetaReport, EpsilonReport, beta_between, epsilon_coefficient
 from .errors import AofLabError, IncompatibleSpaceError
 from .information import conditional_cross_entropy, conditional_entropy, conditional_entropy_stack
-from .laws import Layout, LawProvider, MixtureLawProvider
+from .laws import LagStack, LawProvider, MixtureLawProvider, axis_spaces, source_variable
 from .losses import LossSpec
 from .spaces import JointPmf, OutcomeSpace
 
@@ -54,24 +55,20 @@ def _age_vector(delta: Sequence[int], m: int) -> AgeVector:
     return vec
 
 
-def _constant_age_laws(laws: LawProvider, vectors: Sequence[AgeVector]) -> tuple[Layout, np.ndarray]:
-    """Laws of (y@0, x1@d1, ..., xm@dm) at each age vector, as one stack whose
-    layout is (y, x1, ..., xm)."""
-    if len(vectors[0]) != laws.m:
+def _constant_age_laws(laws: LawProvider, lags, sources: Sequence[int] | None = None) -> np.ndarray:
+    """Laws of (x@lag per source, y@0) per row of ``lags``, ``sources`` by default 1..m, as one stack."""
+    lags = np.asarray(lags)
+    sources = range(1, laws.m + 1) if sources is None else sources
+    if lags.shape[1] != len(sources):
         raise IncompatibleSpaceError("age distribution and provider disagree on sources")
-    return laws.window_law_stack(
-        [[("y", 0)] + [(f"x{l + 1}", d) for l, d in enumerate(vec)] for vec in vectors]
-    )
-
-
-def _entropies_given_all(layout: Layout, stack: np.ndarray, loss: LossSpec) -> list[float]:
-    """Loss of predicting the target (axis 0) from every other axis, per law."""
-    return conditional_entropy_stack(stack.transpose(0, *range(2, stack.ndim), 1), layout[0][1], loss).tolist()
+    lags = np.column_stack([lags, np.zeros(len(lags), dtype=np.int64)])
+    return laws.window_law_stack(LagStack((*sources, 0), lags))
 
 
 def min_training_loss(laws: LawProvider, delta: Sequence[int], loss: LossSpec) -> float:
     """Exact minimum expected loss at the constant age vector ``delta``."""
-    return _entropies_given_all(*_constant_age_laws(laws, [_age_vector(delta, laws.m)]), loss)[0]
+    stack = _constant_age_laws(laws, [_age_vector(delta, laws.m)])
+    return float(conditional_entropy_stack(stack, laws.target_space, loss)[0])
 
 
 @dataclass(frozen=True)
@@ -147,37 +144,32 @@ def decompose(
         if sorted(path) != list(range(m)):
             raise IncompatibleSpaceError(f"path {path} must be a permutation of 0..{m - 1}")
 
-    # a key is the sorted (source, lag) pairs the target is predicted from
-    base_key = tuple((l + 1, 0) for l in range(m))
-    h_key = tuple((l + 1, d) for l, d in enumerate(vec))
-    steps = []  # (source, lag, context, key with newer, with older, with both)
-    for stage, coord in enumerate(path):
-        later = [(c + 1, vec[c]) for c in path[stage + 1 :]]
-        context = tuple(sorted(later + [(c + 1, 0) for c in path[:stage]]))
-        src = coord + 1
-        for k in range(vec[coord]):
-            newer, older = (src, k), (src, k + 1)
-            keys = [tuple(sorted(context + reads)) for reads in ((newer,), (older,), (newer, older))]
-            steps.append((src, k, context, *keys))
-    by_layout: dict[tuple[int, ...], list] = {}  # keys by the sources they read
-    for key in dict.fromkeys([base_key, h_key, *(k for step in steps for k in step[3:])]):
-        by_layout.setdefault(tuple(l for l, _ in key), []).append(key)
-    entropy = {}
-    for group in by_layout.values():
-        stack = laws.window_law_stack([[("y", 0)] + [(f"x{l}", lag) for l, lag in key] for key in group])
-        entropy.update(zip(group, _entropies_given_all(*stack, loss)))
+    # the staircase from delta down to zero, coordinate path[0] first: step i
+    # lowers coordinate steps[i] by one, from stair[i] to stair[i + 1]
+    steps = np.repeat(path, [vec[c] for c in path])
+    stair = np.array([vec] * (len(steps) + 1), dtype=np.int64)
+    stair[1:] -= np.cumsum(np.eye(m, dtype=np.int64)[steps], axis=0)
+    entropy = conditional_entropy_stack(_constant_age_laws(laws, stair), laws.target_space, loss).tolist()
+    base, h = entropy[-1], entropy[0]
 
-    base = entropy[base_key]
     terms = []
     f1 = base
     f2 = 0.0
-    for src, k, context, newer, older, both in steps:
-        gained = entropy[older] - entropy[both]
-        lost = entropy[newer] - entropy[both]
-        terms.append(StaircaseTerm(source=src, lag=k, context=context, gained=gained, lost=lost))
-        f1 += gained
-        f2 += lost
-    h = entropy[h_key]
+    for stage, c in enumerate(path):
+        at = np.flatnonzero(steps == c)[::-1]  # the steps that lower c, to lag 0, 1, ...
+        if not len(at):
+            continue
+        # the laws reading source c + 1 at both lags k and k + 1, beside the context
+        both = _constant_age_laws(laws, np.insert(stair[at + 1], c + 1, stair[at, c], axis=1),
+                                  [*range(1, c + 2), *range(c + 1, m + 1)])
+        both = conditional_entropy_stack(both, laws.target_space, loss).tolist()
+        context = tuple(sorted([(d + 1, vec[d]) for d in path[stage + 1:]] + [(d + 1, 0) for d in path[:stage]]))
+        for k, (i, with_both) in enumerate(zip(at.tolist(), both)):
+            gained = entropy[i] - with_both
+            lost = entropy[i + 1] - with_both
+            terms.append(StaircaseTerm(source=c + 1, lag=k, context=context, gained=gained, lost=lost))
+            f1 += gained
+            f2 += lost
     return DecompositionReport(
         delta=vec,
         h=h,
@@ -213,14 +205,6 @@ class LossCurve:
         rows = [list(vec) + [val] for vec, val in zip(self.grid, self.values)]
         write_text_atomic(path, csv_table(header, rows))
 
-    def to_json_dict(self) -> dict:
-        return {
-            "grid": [list(v) for v in self.grid],
-            "values": list(self.values),
-            "loss_kind": self.loss_kind,
-            "meta": self.meta,
-        }
-
 
 def loss_curve(laws: LawProvider, grid: Sequence[Sequence[int]], loss: LossSpec) -> LossCurve:
     """Evaluate the minimum training loss over a grid of age vectors."""
@@ -229,7 +213,7 @@ def loss_curve(laws: LawProvider, grid: Sequence[Sequence[int]], loss: LossSpec)
         raise AofLabError("grid must hold at least one age vector")
     if len(set(vectors)) != len(vectors):
         raise AofLabError("grid points must be distinct")
-    values = _entropies_given_all(*_constant_age_laws(laws, vectors), loss)
+    values = conditional_entropy_stack(_constant_age_laws(laws, vectors), laws.target_space, loss).tolist()
     index = 0.0
     value_of = dict(zip(vectors, values))
     for vec, val in value_of.items():
@@ -248,17 +232,19 @@ def loss_curve(laws: LawProvider, grid: Sequence[Sequence[int]], loss: LossSpec)
 AGE_VARIABLE = "age"
 
 
-def _age_weighted(ages: AgeDistribution, layout: Layout, stack: np.ndarray) -> JointPmf:
+def _age_weighted(ages: AgeDistribution, laws: LawProvider, stack: np.ndarray) -> JointPmf:
     """Joint law of (age vector, held features, target): the constant-age
-    stack at ``ages.vectors`` weighted by the age law."""
+    stack of ``laws`` at ``ages.vectors`` weighted by the age law."""
     weights = ages.probs.reshape((-1,) + (1,) * (stack.ndim - 1))
-    variables = ((AGE_VARIABLE, OutcomeSpace(ages.vectors)), *layout[1:], layout[0])
-    return JointPmf(variables, np.moveaxis(stack, 1, -1) * weights)
+    sources = (*range(1, laws.m + 1), 0)
+    variables = ((AGE_VARIABLE, OutcomeSpace(ages.vectors)),
+                 *zip(map(source_variable, sources), axis_spaces(laws, sources)))
+    return JointPmf(variables, stack * weights)
 
 
 def dynamic_joint(laws: LawProvider, ages: AgeDistribution) -> JointPmf:
     """Joint law of (age vector, held features, target) under dynamic ages."""
-    return _age_weighted(ages, *_constant_age_laws(laws, ages.vectors))
+    return _age_weighted(ages, laws, _constant_age_laws(laws, ages.vectors))
 
 
 def joint_training_loss(
@@ -377,13 +363,13 @@ def cross_loss_sweep(
     ``MixtureLawProvider(train_laws, test_laws, eta)``; ``eta = 1.0`` tests
     on ``test_laws`` itself."""
     mixtures = [MixtureLawProvider(train_laws, test_laws, eta) for eta in etas]
-    layout, train = _constant_age_laws(train_laws, ages.vectors)
-    _, test = _constant_age_laws(test_laws, ages.vectors)
-    joint_train = _age_weighted(ages, layout, train)
+    train = _constant_age_laws(train_laws, ages.vectors)
+    test = _constant_age_laws(test_laws, ages.vectors)
+    joint_train = _age_weighted(ages, train_laws, train)
     training = conditional_entropy(joint_train, "y", [n for n in joint_train.names if n != "y"], loss)
     results = []
     for mixture in mixtures:
-        joint_test = _age_weighted(ages, layout, mixture.mix(train, test))
+        joint_test = _age_weighted(ages, train_laws, mixture.mix(train, test))
         testing = _joint_testing_loss(joint_test, joint_train, loss)
         results.append((beta_between(joint_train, joint_test).beta, testing))
     return training, results

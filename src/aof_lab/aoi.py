@@ -155,6 +155,13 @@ def age_process(trace: DeliveryTrace, horizon: int) -> AgeProcess:
     return AgeProcess(ages)
 
 
+def _age_component(value) -> int:
+    """``value`` as an int; anything but a whole number is an error."""
+    if isinstance(value, (int, np.integer)) or (isinstance(value, float) and value.is_integer()):
+        return int(value)
+    raise AofLabError(f"age components must be integers, got {value!r}")
+
+
 @dataclass(frozen=True, eq=False)
 class AgeDistribution:
     """Finite distribution over age vectors."""
@@ -163,7 +170,7 @@ class AgeDistribution:
     probs: np.ndarray
 
     def __post_init__(self):
-        vectors = tuple(tuple(int(v) for v in vec) for vec in self.vectors)
+        vectors = tuple(tuple(_age_component(v) for v in vec) for vec in self.vectors)
         if not vectors:
             raise AofLabError("age distribution needs support points")
         m = len(vectors[0])
@@ -176,8 +183,8 @@ class AgeDistribution:
         probs = np.array(self.probs, dtype=float)
         if probs.shape != (len(vectors),):
             raise AofLabError("probs length must match support size")
-        if np.any(probs < 0) or abs(float(probs.sum()) - 1.0) > NORMALIZATION_ATOL:
-            raise AofLabError("age probabilities must be nonnegative and sum to 1")
+        if not np.all(np.isfinite(probs)) or np.any(probs < 0) or abs(float(probs.sum()) - 1.0) > NORMALIZATION_ATOL:
+            raise AofLabError("age probabilities must be finite, nonnegative and sum to 1")
         probs.setflags(write=False)
         object.__setattr__(self, "vectors", vectors)
         object.__setattr__(self, "probs", probs)

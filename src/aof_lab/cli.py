@@ -177,12 +177,13 @@ def gen(ctx, kind, states, sources, symbols, targets, window, delay, noise, conc
             n_targets=targets, window=window, delay=delay, noise=noise,
             concentration=concentration,
         )
+    trajectory = processes.sample_trajectory(model, length, cfg["seed"]) if length else None
     out = Path(cfg["out"])
     payload = model.to_json_dict()
     payload["config"] = {**cfg, "kind": kind, "length": length}
     _emit_json(out / "model.json", payload)
-    if length > 0:
-        processes.sample_trajectory(model, length, cfg["seed"]).to_csv(out / "trajectory.csv")
+    if trajectory is not None:
+        trajectory.to_csv(out / "trajectory.csv")
         click.echo(f"wrote {out / 'trajectory.csv'}")
 
 

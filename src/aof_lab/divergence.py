@@ -13,11 +13,13 @@ The conditional mutual information always uses the product reference
 One kernel computes the conditional mutual information, over a stack of
 (x, y, z) cubes with no loop over conditioning cells; a single joint law is
 a stack of one.  ``epsilon_coefficient`` walks the lag grid one layout at a
-time (the sources whose future lag is nonzero), asks the provider for each
-layout's laws as stacks and scatters the values back into the
-lexicographic grid.  ``epsilon_sweep`` shares that walk: for a family of
-mixtures ``(1 - eta) * base + eta * other`` it builds each chunk's two
-endpoint stacks once and mixes and scores them per ``eta``.
+time (the sources whose future lag is nonzero).  It builds each layout's
+lags with numpy as a ``LagStack`` in cube order (x at tau, y at 0, x at
+tau + mu), so every stack the provider returns is already a stack of
+cubes, and scatters the values back into the lexicographic grid.
+``epsilon_sweep`` shares that walk: for a family of mixtures ``(1 - eta) *
+base + eta * other`` it builds each chunk's two endpoint stacks once and
+mixes and scores them per ``eta``.
 """
 
 from __future__ import annotations
@@ -29,7 +31,7 @@ from typing import TYPE_CHECKING, Iterable, Sequence
 import numpy as np
 
 from .errors import AofLabError, IncompatibleSpaceError, PositivityError, ReferenceNotInteriorError
-from .laws import DEFAULT_MAX_CELLS, STACK_CELLS, MixtureLawProvider
+from .laws import DEFAULT_MAX_CELLS, STACK_CELLS, LagStack, MixtureLawProvider
 from .spaces import JointPmf, OutcomeSpace, Pmf, check_same_variables, grid_label
 
 # triple mass above this on a cell whose product reference is zero breaks the
@@ -151,13 +153,6 @@ class EpsilonReport:
         }
 
 
-def _grid_requests(tau: tuple[int, ...], mu: tuple[int, ...]) -> list[tuple[str, int]]:
-    requests = [("y", 0)]
-    for l, (t, u) in enumerate(zip(tau, mu), start=1):
-        requests += [(f"x{l}", t), (f"x{l}", t + u)]
-    return requests
-
-
 def epsilon_coefficient(laws: "LawProvider", tau_max: int = 8, mu_max: int = 8) -> EpsilonReport:
     """Maximize the chi-squared conditional MI over the capped lag grid.
 
@@ -172,7 +167,7 @@ def epsilon_coefficient(laws: "LawProvider", tau_max: int = 8, mu_max: int = 8) 
     the split into conditioning and future blocks.  A model whose laws
     exceed ``DEFAULT_MAX_CELLS`` cells is rejected before any law is built.
     """
-    return _epsilon_reports(laws, tau_max, mu_max, 1, lambda sets: [laws.window_law_stack(sets)[1]])[0]
+    return _epsilon_reports(laws, tau_max, mu_max, 1, lambda stack: [laws.window_law_stack(stack)])[0]
 
 
 def epsilon_sweep(
@@ -183,9 +178,8 @@ def epsilon_sweep(
     its laws once and mixes the two stacks per ``eta``."""
     mixtures = [MixtureLawProvider(base, other, eta) for eta in etas]
 
-    def stacks(request_sets):
-        _, a = base.window_law_stack(request_sets)
-        _, b = other.window_law_stack(request_sets)
+    def stacks(stack):
+        a, b = base.window_law_stack(stack), other.window_law_stack(stack)
         return (mixture.mix(a, b) for mixture in mixtures)
 
     return _epsilon_reports(base, tau_max, mu_max, len(etas), stacks)
@@ -193,8 +187,8 @@ def epsilon_sweep(
 
 def _epsilon_reports(laws: "LawProvider", tau_max: int, mu_max: int, n_reports: int, stacks) -> list[EpsilonReport]:
     """Walk the lag grid of :func:`epsilon_coefficient` on the spaces of
-    ``laws``; ``stacks(request_sets)`` yields ``n_reports`` law stacks of the
-    request sets, one per report."""
+    ``laws``; ``stacks(stack)`` yields ``n_reports`` law stacks of a
+    :class:`LagStack`, one per report."""
     if tau_max < 0 or mu_max < 0:
         raise IncompatibleSpaceError("lag caps must be nonnegative")
     m = laws.m
@@ -214,28 +208,24 @@ def _epsilon_reports(laws: "LawProvider", tau_max: int, mu_max: int, n_reports: 
         )
 
     values = np.empty((n_reports, len(taus), len(mus)))
+    tau_lags, mu_lags = np.array(taus, dtype=np.int64), np.array(mus, dtype=np.int64)
     for mask in itertools.product((False, True), repeat=m):
-        cols = [j for j, mu in enumerate(mus) if tuple(u > 0 for u in mu) == mask]
-        if not cols:
+        cols = np.flatnonzero(np.all((mu_lags > 0) == mask, axis=1))
+        if not len(cols):
             continue
-        # law axes: y@0, then per source x@tau and, when masked, x@(tau + mu)
-        given_axes, future_axes, axis = [], [], 1
-        for future in mask:
-            given_axes.append(axis)
-            if future:
-                future_axes.append(axis + 1)
-            axis += 1 + future
-        order = [0, *(a + 1 for a in given_axes), 1, *(a + 1 for a in future_axes)]
-        n_z = int(np.prod([len(x_spaces[l]) for l in range(m) if mask[l]]))
-        points = [(t, j) for t in range(len(taus)) for j in cols]
+        # cube axes: x@tau per source, y@0, then x@(tau + mu) per masked source
+        future = np.flatnonzero(mask)
+        sources = (*range(1, m + 1), 0, *(future + 1).tolist())
+        rows, columns = np.repeat(np.arange(len(taus)), len(cols)), np.tile(cols, len(taus))
+        lags = np.column_stack([tau_lags[rows], np.zeros(len(rows), dtype=np.int64),
+                                (tau_lags[rows] + mu_lags[columns])[:, future]])
+        n_z = int(np.prod([len(x_spaces[l]) for l in future]))
         chunk = max(1, STACK_CELLS // (n_x * len(y_space) * n_z))
-        for start in range(0, len(points), chunk):
-            part = points[start:start + chunk]
-            rows, columns = zip(*part)
-            probs_of = stacks([_grid_requests(taus[t], mus[j]) for t, j in part])
-            for k, probs in enumerate(probs_of):
-                cubes = probs.transpose(order).reshape(len(part), n_x, len(y_space), n_z)
-                values[k][list(rows), list(columns)] = _chi2_cmi_stack(cubes, x_spaces)
+        for start in range(0, len(rows), chunk):
+            part = slice(start, start + chunk)
+            for k, probs in enumerate(stacks(LagStack(sources, lags[part]))):
+                cubes = probs.reshape(len(probs), n_x, len(y_space), n_z)
+                values[k][rows[part], columns[part]] = _chi2_cmi_stack(cubes, x_spaces)
     return [_report(taus, mus, v, tau_max, mu_max) for v in values]
 
 

@@ -35,15 +35,7 @@ import numpy as np
 from ._util import csv_text, read_csv, read_json, write_text_atomic
 from .aoi import SENTINEL, AgeDistribution, AgeProcess
 from .errors import AofLabError, IncompatibleSpaceError
-from .laws import (
-    Layout,
-    WindowLaw,
-    canonical_request_sets,
-    canonical_requests,
-    source_index,
-    variable_name,
-    window_law_of,
-)
+from .laws import LagStack, WindowLaw, canonical_requests, lag_stack, source_index, variable_name, window_law_of
 from .spaces import JointPmf, OutcomeSpace
 
 DEFAULT_MIN_WINDOWS = 30
@@ -239,8 +231,8 @@ class Quantizer:
         for name, spec in dict(self.columns).items():
             edges, labels = spec
             edges = tuple(float(e) for e in edges)
-            if len(edges) < 2 or any(b <= a for a, b in zip(edges, edges[1:])):
-                raise AofLabError(f"column {name!r}: edges must be strictly increasing, >= 2 of them")
+            if len(edges) < 2 or not all(a < b for a, b in zip(edges, edges[1:])) or not np.all(np.isfinite(edges)):
+                raise AofLabError(f"column {name!r}: edges must be finite and strictly increasing, >= 2 of them")
             labels = tuple(labels) if labels else tuple(f"B{i}" for i in range(len(edges) - 1))
             if len(labels) != len(edges) - 1:
                 raise AofLabError(f"column {name!r}: need one label per bin")
@@ -321,7 +313,7 @@ def empirical_window_law(
     else ``spaces[name]`` for its lagged name, else the labels seen in the
     usable windows.
     """
-    reqs = canonical_requests(requests)
+    reqs = lag_stack([requests]).requests(0)
     columns = [dataset.coded(var) for var, _ in reqs]
     t = dataset.t
     lags = sorted({lag for _, lag in reqs})
@@ -340,16 +332,12 @@ def empirical_window_law(
     if n_windows < min_windows:
         raise AofLabError(f"only {n_windows} usable windows; need at least {min_windows}")
 
-    variables, codes, drift = [], [], {}
+    variables, codes, drift, spaces = [], [], {}, spaces or {}
     for (var, lag), column in zip(reqs, columns):
         name = variable_name(var, lag)
         values = column.codes[source_rows[lag]]
         drift[name] = _stationarity_chi2(column, values)
-        space = None
-        if spaces and var in spaces:
-            space = spaces[var]
-        elif spaces and name in spaces:
-            space = spaces[name]
+        space = spaces.get(var, spaces.get(name))
         if space is None:
             seen = _compact(column.space.labels, values)
             space, values = seen.space, seen.codes
@@ -386,8 +374,7 @@ class EmpiricalLawProvider:
     pseudo_count: float = 0.0
 
     def __post_init__(self):
-        if self.pseudo_count < 0:
-            raise AofLabError(f"pseudo-count must be nonnegative, got {self.pseudo_count}")
+        _check_pseudo_count(self.pseudo_count)
 
     @property
     def m(self) -> int:
@@ -402,15 +389,16 @@ class EmpiricalLawProvider:
 
     window_law = window_law_of
 
-    def window_law_stack(self, request_sets: Sequence[Sequence]) -> tuple[Layout, np.ndarray]:
-        reqs_list = canonical_request_sets(request_sets)
-        layout = tuple((var, self.dataset.coded(var).space) for var, _ in reqs_list[0])
-        laws = [empirical_window_law(self.dataset, reqs, dict(layout)) for reqs in reqs_list]
-        probs = np.stack([law.law.probs for law in laws])
+    def window_law_stack(self, stack: LagStack) -> np.ndarray:
+        spaces = {var: self.dataset.coded(var).space for var, _ in stack.requests(0)}
+        reqs = [stack.requests(g) for g in range(len(stack.lags))]
+        laws = [empirical_window_law(self.dataset, r, spaces) for r in reqs]
+        # each law's axes run in sorted request order; put them in stack order
+        probs = np.stack([law.law.probs.transpose(list(map(law.requests.index, r))) for law, r in zip(laws, reqs)])
         if self.pseudo_count > 0.0:
-            n_obs = np.array([law.meta["n_windows"] for law in laws]).reshape(-1, *(1,) * len(layout))
+            n_obs = np.array([law.meta["n_windows"] for law in laws]).reshape(-1, *(1,) * len(stack.sources))
             probs = _add_pseudo_count(probs, self.pseudo_count, n_obs, probs[0].size)
-        return layout, probs
+        return probs
 
 
 def dynamic_age_law(
@@ -440,22 +428,15 @@ def dynamic_age_law(
         space = column.space if spaces is None else spaces[name]
         variables.append((name, space))
         codes.append(_recode(column, column.codes, space, name))
-    variables = tuple(variables)
     counts = _count([group, *codes], (len(vectors), *(len(s) for _, s in variables)))
 
     laws = {}
-    probs = sizes / len(dataset)
     for g, vec in enumerate(vectors):
-        law = JointPmf(variables, counts[g] / sizes[g])
-        requests = tuple([(f"x{l}", vec[l - 1]) for l in range(1, dataset.m + 1)] + [("y", 0)])
-        rename = {f"x{l}": variable_name(f"x{l}", vec[l - 1]) for l in range(1, dataset.m + 1)}
-        rename["y"] = variable_name("y", 0)
-        laws[vec] = WindowLaw(
-            law=law.rename(rename),
-            requests=canonical_requests(requests),
-            meta={"source": "empirical", "n_windows": int(sizes[g])},
-        )
-    return AgeDistribution(tuple(vectors), probs), laws
+        requests = (*zip(names, vec), ("y", 0))
+        named = tuple((variable_name(*req), space) for req, (_, space) in zip(requests, variables))
+        laws[vec] = WindowLaw(law=JointPmf(named, counts[g] / sizes[g]), requests=canonical_requests(requests),
+                              meta={"source": "empirical", "n_windows": int(sizes[g])})
+    return AgeDistribution(tuple(vectors), sizes / len(dataset)), laws
 
 
 def assemble_dynamic(dataset: Dataset, ages: AgeProcess) -> Dataset:
@@ -492,13 +473,17 @@ def smooth(law: JointPmf, pseudo_count: float, n_obs: float) -> JointPmf:
     ``(c + pseudo_count) / (n_obs + pseudo_count * n_cells)``; zero
     pseudo-count is the identity.
     """
-    if pseudo_count < 0:
-        raise AofLabError("pseudo-count must be nonnegative")
+    _check_pseudo_count(pseudo_count)
     if pseudo_count == 0.0:
         return law
     if n_obs <= 0:
         raise AofLabError("n_obs must be positive")
     return JointPmf(law.variables, _add_pseudo_count(law.probs, pseudo_count, n_obs, law.probs.size))
+
+
+def _check_pseudo_count(pseudo_count: float) -> None:
+    if not 0.0 <= pseudo_count < math.inf:
+        raise AofLabError(f"pseudo-count must be finite and nonnegative, got {pseudo_count}")
 
 
 def _add_pseudo_count(probs: np.ndarray, pseudo_count: float, n_obs, cells: int) -> np.ndarray:

@@ -1,21 +1,22 @@
 """Window laws and the provider interface shared by exact and empirical sources.
 
 A window law is a joint distribution over lagged variables: the target at
-some lag plus any number of per-source features at their own lags.  The
-variable naming convention is ``"y@<lag>"`` for the target and
-``"x<l>@<lag>"`` for source ``l`` (1-based).  Requests are (variable, lag)
-pairs such as ``("y", 0)`` or ``("x2", 3)``.
+some lag plus any number of per-source features at their own lags.  Laws
+that share a layout, the same sources on the same axes with only the lags
+differing, are asked for as one :class:`LagStack`: the source of each axis
+(0 for the target, ``l`` for source ``l``) plus an int64 ``lags[G, k]``
+array, one row per law.  A provider's one law method, ``window_law_stack``,
+returns them as ``probs[G, ...]`` in the stack's axis order, so a caller
+asks for the order it consumes and scores the batch without a ``JointPmf``
+per law.  Exact providers unroll a process model, empirical providers count
+sliding windows, and the mixture provider blends two compatible providers
+cell by cell with ``MixtureLawProvider.mix``, which sweeps also apply to
+endpoint stacks they build once.
 
-Grid searches ask for many laws that share one *layout*: the same variables
-in the same positions, only their lags differ.  A provider's one law method,
-``window_law_stack``, returns such a batch as one array with a leading batch
-axis, so a caller can evaluate a statistic over the whole batch without
-building a ``JointPmf`` per law.  Exact providers unroll a process model,
-empirical providers count sliding windows in a dataset, and the mixture
-provider blends two compatible providers cell by cell with
-``MixtureLawProvider.mix``, which sweeps over the mixture weight also apply
-to endpoint stacks they build once.  A single law is the one-request-set
-case of a stack, named by ``window_law_of``.
+Request tuples such as ``("y", 0)`` or ``("x2", 3)`` are the public edge:
+``lag_stack`` turns request sets into a stack, each set deduplicated and
+sorted (target lags first, then source, lag), and ``window_law_of`` gives
+one set's law with variables named ``"y@<lag>"`` and ``"x<l>@<lag>"``.
 """
 
 from __future__ import annotations
@@ -38,21 +39,16 @@ DEFAULT_MAX_CELLS = 4_000_000
 # this are built and consumed in chunks
 STACK_CELLS = 2**18
 
-# (bare variable, space) per axis of every law in a stack, e.g.
-# (("y", Y), ("x1", X1), ("x1", X1)) for requests y@0, x1@a, x1@b with a < b
-Layout = tuple[tuple[str, OutcomeSpace], ...]
 
-
-def parse_request(req) -> Request:
+def parse_request(req) -> tuple[int, int]:
+    """``(source, lag)`` of a ``(variable, lag)`` request, source 0 for 'y'."""
     var, lag = req
-    var = str(var)
-    lag = int(lag)
+    var, lag = str(var), int(lag)
     if lag < 0:
         raise IncompatibleSpaceError(f"lags must be nonnegative, got {lag} for {var!r}")
-    if var != "y":
-        if not (var.startswith("x") and var[1:].isdigit() and int(var[1:]) >= 1):
-            raise IncompatibleSpaceError(f"unknown variable {var!r}; expected 'y' or 'x<l>'")
-    return var, lag
+    if var != "y" and not (var.startswith("x") and var[1:].isdigit() and int(var[1:]) >= 1):
+        raise IncompatibleSpaceError(f"unknown variable {var!r}; expected 'y' or 'x<l>'")
+    return source_index(var) or 0, lag
 
 
 def source_index(var: str) -> int | None:
@@ -60,14 +56,14 @@ def source_index(var: str) -> int | None:
     return None if var == "y" else int(var[1:])
 
 
+def source_variable(source: int) -> str:
+    """The variable a stack axis over ``source`` reads: 'y' for 0, else 'x<l>'."""
+    return "y" if source == 0 else f"x{source}"
+
+
 def canonical_requests(requests: Sequence) -> tuple[Request, ...]:
     """Deduplicate and sort requests: target lags first, then source, lag."""
-    return tuple(sorted({parse_request(r) for r in requests}, key=_request_order))
-
-
-def _request_order(req: Request) -> tuple[int, int, int]:
-    var, lag = req
-    return (0, 0, lag) if var == "y" else (1, int(var[1:]), lag)
+    return tuple((source_variable(l), lag) for l, lag in sorted(set(map(parse_request, requests))))
 
 
 def variable_name(var: str, lag: int) -> str:
@@ -83,27 +79,73 @@ class WindowLaw:
     meta: dict = field(default_factory=dict)
 
 
-def canonical_request_sets(request_sets: Sequence[Sequence]) -> list[tuple[Request, ...]]:
-    """Canonical form of request sets that must share one layout: the same
-    variables in the same positions, only their lags differing."""
+@dataclass(frozen=True, eq=False)
+class LagStack:
+    """Lags of window laws that share one layout: law axis ``i`` reads source
+    ``sources[i]`` (0 for the target), and row ``g`` of the read-only int64
+    copy ``lags[G, k]`` holds each axis's lag in law ``g``.  The constructor
+    checks once that there is a row, no lag is negative and no row reads
+    one (source, lag) twice."""
+
+    sources: tuple[int, ...]
+    lags: np.ndarray
+
+    def __post_init__(self):
+        sources = tuple(int(l) for l in self.sources)
+        if not sources:
+            raise IncompatibleSpaceError("at least one variable must be requested")
+        lags = np.asarray(self.lags)
+        if lags.ndim != 2 or len(lags) == 0:
+            raise IncompatibleSpaceError("at least one request set is required")
+        if lags.shape[1] != len(sources):
+            raise IncompatibleSpaceError(f"lag rows have {lags.shape[1]} columns for {len(sources)} sources")
+        if lags.dtype.kind not in "iu" or lags.max() > np.iinfo(np.int64).max:
+            raise IncompatibleSpaceError("lags must be integers in the int64 range")
+        lags = np.array(lags, dtype=np.int64)
+        if lags.min() < 0:
+            g, i = np.argwhere(lags < 0)[0]
+            var = source_variable(sources[i])
+            raise IncompatibleSpaceError(f"lags must be nonnegative, got {lags[g, i]} for {var!r}")
+        for l in {l for l in sources if sources.count(l) > 1}:
+            same = np.sort(lags[:, [i for i, s in enumerate(sources) if s == l]], axis=1)
+            g, i = np.nonzero(same[:, 1:] == same[:, :-1])
+            if len(g):
+                raise IncompatibleSpaceError(f"request set {g[0]} reads {source_variable(l)}@{same[g[0], i[0]]} twice")
+        lags.setflags(write=False)
+        object.__setattr__(self, "sources", sources)
+        object.__setattr__(self, "lags", lags)
+
+    def requests(self, g: int) -> tuple[Request, ...]:
+        """Law ``g`` as (variable, lag) requests in axis order."""
+        return tuple((source_variable(l), lag) for l, lag in zip(self.sources, self.lags[g].tolist()))
+
+
+def lag_stack(request_sets: Sequence[Sequence]) -> LagStack:
+    """The stack of request sets that must share one layout: once each set
+    is deduplicated and sorted, the same variables in the same positions,
+    only their lags differing."""
     reqs_list = [canonical_requests(r) for r in request_sets]
     if not reqs_list:
         raise IncompatibleSpaceError("at least one request set is required")
-    if not reqs_list[0]:
-        raise IncompatibleSpaceError("at least one variable must be requested")
     variables = [var for var, _ in reqs_list[0]]
     for reqs in reqs_list:
         if [var for var, _ in reqs] != variables:
             raise IncompatibleSpaceError(f"request sets do not share one layout: {reqs} vs {reqs_list[0]}")
-    return reqs_list
+    lags = [[lag for _, lag in reqs] for reqs in reqs_list]
+    return LagStack(tuple(source_index(var) or 0 for var in variables), lags)
+
+
+def axis_spaces(provider: "LawProvider", sources: Sequence[int]) -> list[OutcomeSpace]:
+    """The outcome space of each axis of a stack over ``sources``."""
+    return [provider.target_space if l == 0 else provider.feature_space(l) for l in sources]
 
 
 def window_law_of(provider: "LawProvider", requests: Sequence) -> WindowLaw:
     """The law of one request set from ``provider.window_law_stack``, with
     variables named ``y@0``, ``x1@3`` and so on."""
-    reqs = canonical_requests(requests)
-    layout, probs = provider.window_law_stack([reqs])
-    variables = tuple((variable_name(var, lag), space) for (var, lag), (_, space) in zip(reqs, layout))
+    stack = lag_stack([requests])
+    probs, reqs = provider.window_law_stack(stack), stack.requests(0)
+    variables = tuple((variable_name(*req), space) for req, space in zip(reqs, axis_spaces(provider, stack.sources)))
     return WindowLaw(law=JointPmf(variables, probs[0]), requests=reqs)
 
 
@@ -123,9 +165,9 @@ class LawProvider(Protocol):
     def target_space(self) -> OutcomeSpace:
         ...
 
-    def window_law_stack(self, request_sets: Sequence[Sequence]) -> tuple[Layout, np.ndarray]:
-        """Laws of request sets that share one layout, as ``(layout,
-        probs[G, ...])`` with ``probs[g]`` the law of ``request_sets[g]``."""
+    def window_law_stack(self, stack: LagStack) -> np.ndarray:
+        """The laws of ``stack`` as ``probs[G, ...]``: ``probs[g]`` is law
+        ``g``, with axis ``i`` over the space of ``stack.sources[i]``."""
         ...
 
 
@@ -169,10 +211,8 @@ class MixtureLawProvider:
 
     window_law = window_law_of
 
-    def window_law_stack(self, request_sets: Sequence[Sequence]) -> tuple[Layout, np.ndarray]:
-        layout, a = self.base.window_law_stack(request_sets)
-        _, b = self.other.window_law_stack(request_sets)
-        return layout, self.mix(a, b)
+    def window_law_stack(self, stack: LagStack) -> np.ndarray:
+        return self.mix(self.base.window_law_stack(stack), self.other.window_law_stack(stack))
 
     def mix(self, a: np.ndarray, b: np.ndarray) -> np.ndarray:
         """``(1 - eta) * a + eta * b`` for a law or a stack of laws of the

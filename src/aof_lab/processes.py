@@ -6,18 +6,19 @@ feature processing delay.  The feature of source ``l`` at slot ``t`` is the
 tuple of its last ``b`` emissions ending at ``t - delay`` (newest first); a
 window length of one keeps the bare symbol.
 
-Every exact window law comes from one builder, ``exact_window_laws``.  Under
-stationarity a window law is ``pi D T^g1 D T^g2 ... D 1`` (Rabiner 1989)
-over the flat list of reads in slot order, where each ``D`` applies one
-emission kernel and ``g_i`` is the slot gap to the read before it (zero,
-the identity, at the same slot).  Request sets with the same read shape,
-the symbol counts of their reads in order, run as one stacked contraction
-from both ends: forward rows over the reads left of a balanced split and
-backward columns over the rest meet in one batched matmul, with ``T^g``
-taken from powers of the transition matrix computed once.
-``exact_window_law`` is the case of one request set.  ``DEFAULT_MAX_CELLS``
-bounds the power table as well as each law's table, so no separate cap
-limits how far apart lags may lie.
+Every exact window law comes from one builder, ``exact_window_laws``, which
+takes a ``LagStack``.  Under stationarity a window law is ``pi D T^g1 D
+T^g2 ... D 1`` (Rabiner 1989) over the flat list of reads in slot order,
+where each ``D`` applies one emission kernel and ``g_i`` is the slot gap to
+the read before it (zero, the identity, at the same slot).  The reads,
+their order, gaps and digit weights are worked out for the whole stack at
+once with array operations.  Laws with the same read shape, the symbol
+counts of their reads in order, run as one contraction from both ends:
+forward rows left of a balanced split and backward columns right of it meet
+in one batched matmul, with ``T^g`` taken from powers of the transition
+matrix computed once.  ``exact_window_law`` is the case of one request set.
+``DEFAULT_MAX_CELLS`` bounds the power table as well as each law's table,
+so no separate cap limits how far apart lags may lie.
 
 The builder snaps the total mass of each law back to one after checking
 that it is within ``NORMALIZATION_ATOL`` of one.
@@ -37,17 +38,7 @@ import numpy as np
 from ._util import read_json, write_text_atomic
 from .errors import AofLabError, IncompatibleSpaceError, NotNormalizedError
 from .ingest import CodedColumn, Dataset
-from .laws import (
-    DEFAULT_MAX_CELLS,
-    STACK_CELLS,
-    Layout,
-    MixtureLawProvider,
-    Request,
-    WindowLaw,
-    canonical_request_sets,
-    source_index,
-    window_law_of,
-)
+from .laws import DEFAULT_MAX_CELLS, STACK_CELLS, LagStack, MixtureLawProvider, WindowLaw, window_law_of
 from .spaces import NORMALIZATION_ATOL, OutcomeSpace
 
 
@@ -192,74 +183,70 @@ class ProcessModel:
         return read_json(path, cls.from_json_dict)
 
 
-def _elementary_reads(model: ProcessModel, requests: tuple[Request, ...]):
-    """The (slot, kind, source) cells each request reads, newest first inside
-    a feature tuple, and all distinct cells in order.  Slots are relative:
-    lag k reads slot -k."""
-    per_request = []
-    for var, lag in requests:
-        if var == "y":
-            per_request.append(((-lag, "y", 0),))
-        else:
-            src = int(var[1:])
-            if src > model.m:
-                raise IncompatibleSpaceError(f"model has {model.m} sources; got {var!r}")
-            base = -(lag + model.delay)
-            per_request.append(tuple((base - j, "x", src) for j in range(model.window)))
-    return per_request, sorted({r for reads in per_request for r in reads})
-
-
 def exact_window_law(model: ProcessModel, requests: Sequence) -> WindowLaw:
     """Exact joint law of the requested lagged variables under stationarity,
     with variables named ``y@0``, ``x1@3`` and so on."""
     return window_law_of(ExactLawProvider(model), requests)
 
 
-def exact_window_laws(model: ProcessModel, request_sets: Sequence[Sequence]) -> tuple[Layout, np.ndarray]:
-    """Exact laws of request sets that share one layout, as one stack.
+def exact_window_laws(model: ProcessModel, stack: LagStack) -> np.ndarray:
+    """Exact laws of a lag stack, as ``probs[G, ...]`` in the stack's axis order.
 
-    Returns ``(layout, probs)`` where ``probs[g]`` is the law of
-    ``request_sets[g]``.  Request sets are grouped by read shape; each member
-    keeps its own kernel per read, its gaps and each read's digit weight in
-    its variable's cell.  A group is split at the read that best balances the
-    cells on either side: forward rows ``pi D T^g ... D`` and backward columns
-    ``D T^g ... D 1`` meet in one batched ``F' T^g B``, and the outer sum of
-    the left and right digit weights places each elementary cell.  A power
-    table or an unrolled law (cells times states) larger than
-    ``DEFAULT_MAX_CELLS`` is rejected before it is built; tables are built in
-    chunks of at most ``STACK_CELLS`` cells.
+    A target axis reads one cell at slot ``-lag``; a feature axis reads its
+    window newest first from slot ``-(lag + delay)``, read ``j`` being digit
+    ``b - 1 - j`` of its variable's cell.  Each law's reads are sorted by
+    slot, features by source before the target, and coincident reads merge,
+    adding their digit weights.  Laws are grouped by read shape.  A group is
+    split at the read that best balances the cells on either side: forward
+    rows ``pi D T^g ... D`` and backward columns ``D T^g ... D 1`` meet in
+    one batched ``F' T^g B``, and the outer sum of the left and right digit
+    weights places each elementary cell.  A power table or an unrolled law
+    (cells times states) larger than ``DEFAULT_MAX_CELLS`` is rejected before
+    it is built; tables are built in chunks of at most ``STACK_CELLS`` cells.
     """
-    reqs_list = canonical_request_sets(request_sets)
-    layout = tuple(
-        (var, model.target_space if var == "y" else model.feature_space(source_index(var)))
-        for var, _ in reqs_list[0]
-    )
-    var_sizes = [len(space) for _, space in layout]
-    var_strides = [math.prod(var_sizes[i + 1:]) for i in range(len(var_sizes))]
-    n_states = model.n_states
+    unknown = [l for l in stack.sources if not 0 <= l <= model.m]
+    if unknown:
+        raise IncompatibleSpaceError(f"model has {model.m} sources; got 'x{unknown[0]}'")
+    n_states, b = model.n_states, model.window
     # kernels padded to the largest alphabet, indexed by a read's source (0 for the target)
     kernels = [model.target_kernel, *model.emissions]
-    stack = np.zeros((len(kernels), n_states, max(k.shape[1] for k in kernels)))
+    kernel_stack = np.zeros((len(kernels), n_states, max(k.shape[1] for k in kernels)))
     for i, kernel in enumerate(kernels):
-        stack[i, :, :kernel.shape[1]] = kernel
+        kernel_stack[i, :, :kernel.shape[1]] = kernel
+    alphabet = np.array([k.shape[1] for k in kernels])
+    var_sizes = [int(alphabet[l]) ** (1 if l == 0 else b) for l in stack.sources]
+    var_strides = [math.prod(var_sizes[i + 1:]) for i in range(len(var_sizes))]
 
-    groups: dict[tuple[int, ...], list[tuple[int, ...]]] = {}
-    for g, reqs in enumerate(reqs_list):
-        per_request, reads = _elementary_reads(model, reqs)
-        sizes = tuple(kernels[read[2]].shape[1] for read in reads)
-        # a feature reads its window newest first, so read j of a b-slot
-        # window is digit b - 1 - j of its variable's cell
-        axis_of = {read: i for i, read in enumerate(reads)}
-        coeff = [0] * len(reads)
-        for stride, at in zip(var_strides, per_request):
-            for j, read in enumerate(at):
-                coeff[axis_of[read]] += stride * sizes[axis_of[read]] ** (len(at) - 1 - j)
-        # gap i steps from read i to the next; the last, to the all-ones end, is zero
-        gaps = [b[0] - a[0] for a, b in zip(reads, reads[1:])]
-        groups.setdefault(sizes, []).append((g, *(read[2] for read in reads), *gaps, 0, *coeff))
-    groups = {sizes: np.array(rows) for sizes, rows in groups.items()}
+    # reads (axis, j of its window), features by source and the target last: the order within a slot
+    cols = sorted(((a, j) for a, l in enumerate(stack.sources) for j in range(b if l else 1)),
+                  key=lambda col: stack.sources[col[0]] or model.m + 1)
+    axis, j = np.array(cols).T
+    src = np.array(stack.sources)[axis]
+    weight = np.array(var_strides)[axis] * alphabet[src] ** np.where(src == 0, 0, b - 1 - j)
+    # slots relative to each law's smallest lag, so no slot overflows int64
+    lags = stack.lags - stack.lags.min(axis=1, keepdims=True)
+    span = int(lags.max()) + model.delay + b
+    if span > 2**62:
+        raise AofLabError(f"a request set spans {span} slots; its transition powers exceed {DEFAULT_MAX_CELLS} cells")
+    slot = -(lags[:, axis] + np.where(src == 0, 0, model.delay + j))
+    rows, order = np.arange(len(slot))[:, None], np.argsort(slot, axis=1, kind="stable")
+    slot, src, weight = slot[rows, order], src[order], weight[order]
+    # each read's distinct read (coincident reads share one), and each distinct read's source, slot, weight
+    at = np.zeros_like(slot)
+    at[:, 1:] = np.cumsum((slot[:, 1:] != slot[:, :-1]) | (src[:, 1:] != src[:, :-1]), axis=1)
+    # a row's slots past its last distinct read repeat that read's slot, so their gaps are zero
+    kind, coeff = np.zeros_like(slot), np.zeros_like(slot)
+    read_slot = np.repeat(slot[:, -1:], slot.shape[1], axis=1)
+    kind[rows, at], read_slot[rows, at] = src, slot
+    np.add.at(coeff, (rows, at), weight)
+    sizes_of = np.where(np.arange(slot.shape[1]) <= at[:, -1:], alphabet[kind], 0)
+    # np.unique over one void item per row: axis=0's groups at a fraction of its cost on small stacks
+    rows_as_items = sizes_of.view(np.dtype((np.void, sizes_of.itemsize * sizes_of.shape[1]))).ravel()
+    _, first, group = np.unique(rows_as_items, return_index=True, return_inverse=True)
 
-    max_gap = max(int(rows[:, len(sizes) + 1:2 * len(sizes) + 1].max()) for sizes, rows in groups.items())
+    # gap i steps from read i to the next; the last, to the all-ones end, is zero
+    gaps_of = np.diff(read_slot, axis=1, append=read_slot[:, -1:])
+    max_gap = int(gaps_of.max())
     if (max_gap + 1) * n_states**2 > DEFAULT_MAX_CELLS:
         raise AofLabError(
             f"lag gap {max_gap} would need {max_gap + 1} transition powers of "
@@ -270,8 +257,10 @@ def exact_window_laws(model: ProcessModel, request_sets: Sequence[Sequence]) -> 
     for k in range(1, max_gap + 1):
         powers[k] = powers[k - 1] @ model.transition
 
-    probs = np.zeros((len(reqs_list), math.prod(var_sizes)))
-    for sizes, rows in groups.items():
+    probs = np.zeros((len(stack.lags), math.prod(var_sizes)))
+    for u in np.argsort(first):
+        members = np.flatnonzero(group == u)
+        sizes = sizes_of[first[u]][sizes_of[first[u]] > 0].tolist()
         n, n_cells = len(sizes), math.prod(sizes)
         if n_cells * n_states > DEFAULT_MAX_CELLS:
             raise AofLabError(f"unrolled law would need {n_cells * n_states} cells (cap {DEFAULT_MAX_CELLS})")
@@ -281,10 +270,10 @@ def exact_window_laws(model: ProcessModel, request_sets: Sequence[Sequence]) -> 
         digits_left = np.indices(sizes[:split][::-1]).reshape(split, -1)[::-1]
         digits_right = np.indices(sizes[split:]).reshape(n - split, math.prod(sizes[split:]))
         chunk = max(1, STACK_CELLS // (n_cells * n_states))
-        for start in range(0, len(rows), chunk):
-            part = rows[start:start + chunk]
-            index, gaps, coeff = part[:, 1:n + 1], part[:, n + 1:2 * n + 1], part[:, 2 * n + 1:]
-            emit = [stack[index[:, i], :, :size] for i, size in enumerate(sizes)]
+        for start in range(0, len(members), chunk):
+            part = members[start:start + chunk]
+            index, gaps, weights = kind[part, :n], gaps_of[part, :n], coeff[part, :n]
+            emit = [kernel_stack[index[:, i], :, :size] for i, size in enumerate(sizes)]
             # states lie on the axis before the cells, so each step works on long rows
             table = model.stationary[None, :, None] * emit[0]
             for i in range(1, split):
@@ -296,14 +285,14 @@ def exact_window_laws(model: ProcessModel, request_sets: Sequence[Sequence]) -> 
                 back = (emit[i][:, :, :, None] * back[:, :, None, :]).reshape(len(part), n_states, -1)
             laws = table.transpose(0, 2, 1) @ powers[gaps[:, split - 1]] @ back
             # every read belongs to a variable, so distinct elementary cells land on distinct cells
-            cells = (coeff[:, :split] @ digits_left)[:, :, None] + (coeff[:, split:] @ digits_right)[:, None, :]
-            probs[part[:, :1], cells.reshape(len(part), -1)] = laws.reshape(len(part), -1)
+            cells = (weights[:, :split] @ digits_left)[:, :, None] + (weights[:, split:] @ digits_right)[:, None, :]
+            probs[part[:, None], cells.reshape(len(part), -1)] = laws.reshape(len(part), -1)
     sums = probs.sum(axis=1)
     drift = float(np.abs(sums - 1.0).max())
     if drift > NORMALIZATION_ATOL:
         raise NotNormalizedError(f"window laws sum to 1 +- {drift!r} before normalization")
     probs /= sums[:, None]
-    return layout, probs.reshape(len(reqs_list), *var_sizes)
+    return probs.reshape(len(stack.lags), *var_sizes)
 
 
 @dataclass(eq=False)
@@ -326,8 +315,8 @@ class ExactLawProvider:
 
     window_law = window_law_of
 
-    def window_law_stack(self, request_sets: Sequence[Sequence]) -> tuple[Layout, np.ndarray]:
-        return exact_window_laws(self.model, request_sets)
+    def window_law_stack(self, stack: LagStack) -> np.ndarray:
+        return exact_window_laws(self.model, stack)
 
 
 def _check_sizes(**sizes: int) -> None:
@@ -445,7 +434,7 @@ def sample_trajectory(model: ProcessModel, length: int, seed: int) -> Dataset:
     """
     warm = model.delay + model.window - 1
     if length <= warm:
-        raise AofLabError(f"length must exceed the warm-up of {warm} slots")
+        raise AofLabError(f"length must exceed the warm-up of {warm} slots, got {length}")
     rng = np.random.default_rng(seed)
     rows = np.cumsum(model.transition, axis=1).tolist()
     state = int(rng.choice(model.n_states, p=model.stationary))

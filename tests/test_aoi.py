@@ -365,6 +365,24 @@ def test_trace_source_id_below_one_names_the_line(tmp_path, cell):
     assert str(err.value) == f"{path}, line 3, column 'source_id': {cell} is below 1"
 
 
+@pytest.mark.parametrize("vectors,probs,message", [
+    (((0,), (1,)), [float("nan"), 1.0], "finite"),
+    (((0,), (1,)), [float("inf"), 0.0], "finite"),
+    (((0.9,), (1.5,)), [0.5, 0.5], "integers, got 0.9"),
+    (((0, 1), (1, float("nan"))), [0.5, 0.5], "integers, got nan"),
+    (((0,), ("1",)), [0.5, 0.5], "integers, got '1'"),
+])
+def test_age_distribution_rejects_non_finite_probs_and_fractional_ages(vectors, probs, message):
+    with pytest.raises(AofLabError, match=message):
+        AgeDistribution(vectors, probs)
+
+
+def test_age_distribution_keeps_whole_float_and_numpy_components():
+    dist = AgeDistribution(((np.int64(1), 2.0), (0, 3)), [0.25, 0.75])
+    assert dist.vectors == ((1, 2), (0, 3))
+    assert all(type(v) is int for vec in dist.vectors for v in vec)
+
+
 def test_ages_below_the_sentinel_are_rejected(tmp_path):
     assert AgeProcess(np.array([[SENTINEL, 0, 4]])).has_sentinel()
     with pytest.raises(AofLabError, match="nonnegative"):

@@ -150,6 +150,11 @@ def test_model_checks_run_before_the_stationary_law(runner, tmp_path, transition
     (["gen", "--targets", "0"], "targets"),
     (["gen", "--symbols", "0"], "symbols"),
     (["gen", "--sources", "0", "--length", "50"], "sources"),
+    (["--lambda", "inf", "epsilon", "--data", "{data}", "--tau-max", "1", "--mu-max", "1"], "pseudo-count"),
+    (["--lambda", "nan", "age-curve", "--data", "{data}", "--grid", "0x0"], "pseudo-count"),
+    (["gen", "--length", "-5"], "length must exceed the warm-up of 0 slots, got -5"),
+    (["gen", "--window", "3", "--length", "2"], "warm-up"),
+    (["age-curve", "--model", "{model}", "--grid", "9223372036854775808,0"], "lag"),
 ])
 def test_bad_option_value_is_a_clean_error(runner, tmp_path, args, needle):
     assert _invoke(runner, ["--out", str(tmp_path), "gen", "--sources", "2", "--length", "200"]).exit_code == 0
@@ -158,6 +163,20 @@ def test_bad_option_value_is_a_clean_error(runner, tmp_path, args, needle):
     res = runner.invoke(main, ["--out", str(out), *(a.format(**files) for a in args)])
     _assert_clean_error(res, needle)
     assert not out.exists()  # nothing written
+
+
+@pytest.mark.parametrize("ages", [
+    {"vectors": [[0], [1]], "probs": [float("nan"), 1.0]},
+    {"vectors": [[0.9], [1.5]], "probs": [0.5, 0.5]},
+], ids=["nan-prob", "fractional-age"])
+def test_faulty_age_law_values_are_a_clean_error(runner, tmp_path, ages):
+    bad, good = tmp_path / "bad.json", tmp_path / "good.json"
+    bad.write_text(json.dumps(ages))
+    good.write_text(json.dumps({"vectors": [[0], [1]], "probs": [0.5, 0.5]}))
+    out = tmp_path / "out"
+    res = runner.invoke(main, ["--out", str(out), "order-check", "--dist-a", str(bad), "--dist-b", str(good)])
+    _assert_clean_error(res, str(bad))
+    assert not (out / "order.json").exists()
 
 
 def _json_inputs(runner, root):

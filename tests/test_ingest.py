@@ -58,6 +58,23 @@ def test_quantizer_binning_conventions():
     assert q.bin_of("x_1", -3.0) == "B0"  # clamp below
 
 
+@pytest.mark.parametrize("edges", [(0.0, float("nan"), 2.0), (0.0, 1.0, float("inf")),
+                                   (float("-inf"), 0.0), (0.0, 2.0, 1.0), (1.0,)])
+def test_quantizer_rejects_non_finite_or_unordered_edges(edges):
+    with pytest.raises(AofLabError, match="finite and strictly increasing"):
+        Quantizer({"x_1": (edges, None)})
+
+
+@pytest.mark.parametrize("pseudo_count", [-1.0, float("inf"), float("nan")])
+def test_pseudo_count_must_be_finite_and_nonnegative(pseudo_count):
+    ds = _tiny_dataset([0, 1, 1, 0, 1])
+    law = empirical_window_law(ds, [("x1", 0), ("y", 0)], min_windows=1).law
+    with pytest.raises(AofLabError, match="pseudo-count must be finite and nonnegative"):
+        EmpiricalLawProvider(ds, pseudo_count=pseudo_count)
+    with pytest.raises(AofLabError, match="pseudo-count must be finite and nonnegative"):
+        smooth(law, pseudo_count, 5)
+
+
 def test_quantize_dataset_and_metadata():
     ds = _tiny_dataset([0.1, 0.9, 1.4, 1.9, 2.5])
     q = Quantizer({"x_1": ((0.0, 1.0, 2.0), None)})

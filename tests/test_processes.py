@@ -10,6 +10,7 @@ from hypothesis import strategies as st
 from aof_lab import (
     EmpiricalLawProvider,
     ExactLawProvider,
+    MixtureLawProvider,
     OutcomeSpace,
     ProcessModel,
     chi2_divergence,
@@ -21,7 +22,7 @@ from aof_lab import (
     sample_trajectory,
 )
 from aof_lab.errors import AofLabError, IncompatibleSpaceError
-from aof_lab.laws import DEFAULT_MAX_CELLS, STACK_CELLS, canonical_requests
+from aof_lab.laws import DEFAULT_MAX_CELLS, STACK_CELLS, LagStack, axis_spaces, canonical_requests, lag_stack
 from aof_lab.processes import _stationary_distribution, exact_window_laws
 from aof_lab.spaces import NORMALIZATION_ATOL
 
@@ -94,13 +95,15 @@ def test_window_law_stack_spanning_several_chunks_matches_per_request_laws():
 
 
 def _assert_stack_matches_oracle(model, sets):
-    layout, probs = exact_window_laws(model, sets)
+    stack = lag_stack(sets)
+    probs = exact_window_laws(model, stack)
     assert probs.shape[0] == len(sets)
-    for reqs, stacked in zip(sets, probs):
+    spaces = axis_spaces(ExactLawProvider(model), stack.sources)
+    for g, (reqs, stacked) in enumerate(zip(sets, probs)):
         expected = window_law_by_enumeration(model, canonical_requests(reqs))
         law = exact_window_law(model, reqs)
-        assert [(v, s.labels) for v, s in layout] == [(v, s.labels) for (v, _), (_, s) in
-                                                      zip(law.requests, law.law.variables)]
+        assert stack.requests(g) == law.requests
+        assert [s.labels for s in spaces] == [s.labels for _, s in law.law.variables]
         assert np.abs(stacked - expected).max() <= 1e-12
         assert np.abs(law.law.probs - expected).max() <= 1e-12
 
@@ -109,9 +112,77 @@ def test_window_law_stack_rejects_mixed_layouts():
     model = make_hidden_nonmarkov(1, n_sources=2)
     mixed = [[("y", 0), ("x1", 1)], [("y", 0), ("x2", 1)]]
     with pytest.raises(IncompatibleSpaceError):
-        exact_window_laws(model, mixed)
+        exact_window_laws(model, lag_stack(mixed))
     with pytest.raises(IncompatibleSpaceError):
-        EmpiricalLawProvider(sample_trajectory(model, 500, 1)).window_law_stack(mixed)
+        EmpiricalLawProvider(sample_trajectory(model, 500, 1)).window_law_stack(lag_stack(mixed))
+
+
+def _three_providers(seed, m, window, delay, pseudo_count=0.0):
+    """Exact, empirical and mixture providers over the same spaces."""
+    shape = dict(n_states=3, n_sources=m, n_symbols=2, n_targets=2, window=window, delay=delay)
+    model = make_hidden_nonmarkov(seed, **shape)
+    exact = ExactLawProvider(model)
+    return {
+        "exact": exact,
+        "empirical": EmpiricalLawProvider(sample_trajectory(model, 400, seed), pseudo_count=pseudo_count),
+        "mixture": MixtureLawProvider(exact, ExactLawProvider(make_hidden_nonmarkov(seed + 1, **shape)), 0.3),
+    }
+
+
+@settings(max_examples=40, deadline=None)
+@given(data=st.data())
+def test_lag_stack_equals_each_rows_tuple_form_law(data):
+    m = data.draw(st.integers(1, 2))
+    providers = _three_providers(data.draw(st.integers(0, 10_000)), m, data.draw(st.integers(1, 2)),
+                                 data.draw(st.integers(0, 1)), data.draw(st.sampled_from([0.0, 0.5])))
+    # any axis order: the target and each source on up to two axes
+    sources = data.draw(st.lists(st.integers(0, m), min_size=1, max_size=4)
+                        .filter(lambda s: max(s.count(l) for l in s) <= 2))
+    row = st.lists(st.integers(0, 4), min_size=len(sources), max_size=len(sources)).filter(
+        lambda lags: len(set(zip(sources, lags))) == len(sources))
+    stack = LagStack(sources, np.array(data.draw(st.lists(row, min_size=1, max_size=5)), dtype=np.int64))
+    for kind, provider in providers.items():
+        probs = provider.window_law_stack(stack)
+        assert probs.shape == (len(stack.lags), *(len(s) for s in axis_spaces(provider, stack.sources)))
+        for g in range(len(stack.lags)):
+            law = provider.window_law(stack.requests(g))
+            expected = law.law.probs.transpose([law.requests.index(r) for r in stack.requests(g)])
+            if kind == "empirical":
+                assert np.array_equal(probs[g], expected)
+            else:
+                assert np.abs(probs[g] - expected).max() <= 1e-12
+
+
+@pytest.mark.parametrize("sources,lags,message", [
+    ((0, 1), np.zeros((0, 2), dtype=np.int64), "at least one request set"),
+    ((), np.zeros((1, 0), dtype=np.int64), "at least one variable"),
+    ((0, 1), [[0, 1, 2]], "3 columns for 2 sources"),
+    ((0, 1), [[0, 1], [0, -2]], "nonnegative, got -2 for 'x1'"),
+    ((1, 0, 1), [[1, 0, 2], [2, 0, 2]], "request set 1 reads x1@2 twice"),
+    ((0, 0), [[3, 3]], "reads y@3 twice"),
+    ((0, 1), [[0.0, 1.5]], "integers in the int64 range"),
+    ((0, 1), [[0, 2**63]], "integers in the int64 range"),
+    ((0, 1), [[0, 2**70]], "integers in the int64 range"),
+])
+def test_lag_stack_rejects_malformed_lags(sources, lags, message):
+    with pytest.raises(IncompatibleSpaceError, match=message):
+        LagStack(sources, lags)
+
+
+@pytest.mark.parametrize("kind", ["exact", "empirical", "mixture"])
+def test_window_law_stack_rejects_a_source_above_m(kind):
+    provider = _three_providers(5, 2, 1, 0)[kind]
+    with pytest.raises(IncompatibleSpaceError, match="got 'x3'"):
+        provider.window_law_stack(LagStack((0, 3), [[0, 1]]))
+
+
+def test_lag_stack_freezes_a_copy_of_the_callers_lags():
+    lags = np.array([[0, 1], [0, 2]])
+    stack = LagStack((0, 1), lags)
+    lags[0, 1] = 7
+    assert stack.lags.tolist() == [[0, 1], [0, 2]] and stack.lags.dtype == np.int64
+    assert not stack.lags.flags.writeable
+    assert stack.requests(1) == (("y", 0), ("x1", 2))
 
 
 def test_process_model_freezes_a_copy_and_leaves_the_callers_arrays_writable():

@@ -239,3 +239,33 @@ def test_csv_text_writes_the_bytes_of_csv_writer(tmp_path_factory, data, chunk):
 def test_one_column_report_quotes_an_empty_cell():
     rows = [[""], [None], [1.5], ["a,b"], [float("nan")]]
     assert util.csv_table(["x"], rows) == csv_by_rows(["x"], rows) == 'x\r\n""\r\n""\r\n1.5\r\n"a,b"\r\nnan\r\n'
+
+
+def _int64_cell(text: str) -> int:
+    """What an integer cell reads as: ``int(text)``, which must lie in the int64 range."""
+    value = int(text)
+    if not -2**63 <= value < 2**63:
+        raise OverflowError(f"{text!r} is outside the int64 range")
+    return value
+
+
+INT_CELL_TEXTS = st.one_of(
+    st.integers(-2**64, 2**64).map(str),
+    st.sampled_from(["+1", " 1", "1_000", "٣", "-0", "1.0", "", "0x10", "1e3", "\x00",
+                     str(2**63), str(-2**63), str(-2**63 - 1), str(2**63 - 1)]),
+    st.text(alphabet=st.sampled_from("0123456789+-_ .ex\x00\t\n٣\U0001d7d7"), max_size=10),
+    st.text(max_size=6),
+)
+
+
+@settings(max_examples=600, deadline=None)
+@given(text=INT_CELL_TEXTS)
+def test_integer_cells_read_as_int_reads_them(text):
+    try:
+        want = _int64_cell(text)
+    except (ValueError, OverflowError) as exc:
+        with pytest.raises((ValueError, OverflowError)) as info:
+            util._ints([text], False)
+        assert info.type is type(exc)
+    else:
+        assert util._ints([text], False).tolist() == [want]
