@@ -6,11 +6,13 @@ feature delivered by ``t``.  Slots before the first delivery carry a
 sentinel and must be trimmed before any aggregation.
 
 Stochastic ordering of age vectors is decided by monotone-coupling
-feasibility (a max-flow problem, solved here by shortest augmenting paths
-over a dense dominance matrix): mass of the smaller distribution must be
-transportable to the larger one along componentwise-dominating edges.  On
-failure the smallest minimum cut yields the upper set with the largest
-violation as a certificate.
+feasibility (a max-flow problem over a dense dominance matrix): mass of the
+smaller distribution must be transportable to the larger one along
+componentwise-dominating edges.  A greedy coupling gives the starting flow
+and shortest augmenting paths finish it.  On failure the smallest minimum
+cut yields the upper set with the largest violation as a certificate; every
+maximum flow leaves the same supply points on its source side, so the
+certificate does not depend on the greedy start.
 """
 
 from __future__ import annotations
@@ -157,7 +159,8 @@ def age_process(trace: DeliveryTrace, horizon: int) -> AgeProcess:
 
 def _age_component(value) -> int:
     """``value`` as an int; anything but a whole number is an error."""
-    if isinstance(value, (int, np.integer)) or (isinstance(value, float) and value.is_integer()):
+    whole = isinstance(value, (int, np.integer)) or (isinstance(value, float) and value.is_integer())
+    if whole and not isinstance(value, bool):
         return int(value)
     raise AofLabError(f"age components must be integers, got {value!r}")
 
@@ -174,12 +177,18 @@ class AgeDistribution:
         if not vectors:
             raise AofLabError("age distribution needs support points")
         m = len(vectors[0])
-        if any(len(vec) != m for vec in vectors):
-            raise AofLabError("age vectors have inconsistent dimension")
-        if any(v < 0 for vec in vectors for v in vec):
-            raise AofLabError("age components must be nonnegative")
-        if len(set(vectors)) != len(vectors):
-            raise AofLabError("age vectors must be distinct")
+        for vec in vectors:
+            if len(vec) != m:
+                raise AofLabError(f"age vectors have inconsistent dimension: {vec} has {len(vec)} "
+                                  f"components, {vectors[0]} has {m}")
+        for vec in vectors:
+            if any(v < 0 for v in vec):
+                raise AofLabError(f"age components must be nonnegative, got {vec}")
+        seen = set()
+        for vec in vectors:
+            if vec in seen:
+                raise AofLabError(f"age vectors must be distinct, got {vec} twice")
+            seen.add(vec)
         probs = np.array(self.probs, dtype=float)
         if probs.shape != (len(vectors),):
             raise AofLabError("probs length must match support size")
@@ -302,19 +311,47 @@ class OrderingVerdict:
 
 def _dominance(lower: np.ndarray, upper: np.ndarray) -> np.ndarray:
     """``[i, j]`` is true iff ``lower[i] <= upper[j]`` componentwise."""
-    return np.all(lower[:, None, :] <= upper[None, :, :], axis=2)
+    out = np.ones((len(lower), len(upper)), dtype=bool)
+    for c in range(lower.shape[1]):  # one component at a time: no (n, n, m) temporary
+        out &= lower[:, None, c] <= upper[None, :, c]
+    return out
 
 
 def _max_transport(supply: np.ndarray, demand: np.ndarray, allowed: np.ndarray):
     """Maximum flow from supply to demand points along the ``allowed``
-    (uncapacitated) edges by shortest augmenting paths (Edmonds & Karp
-    1972), each breadth-first search expanding one layer at a time.  Returns
-    the flow value and the mask of supply points the final residual graph
-    still reaches: the source side of the smallest minimum cut.  Residuals
-    up to ``RESIDUAL_ATOL`` count as saturated, so rounding cannot move it.
+    (uncapacitated) edges.  A greedy pass builds a feasible flow first:
+    supply points with the fewest allowed demands go first, and each fills
+    its open allowed demands, those with the fewest allowed supplies first.
+    Shortest augmenting paths (Edmonds & Karp 1972), each breadth-first
+    search expanding one layer at a time, then finish what the greedy flow
+    leaves.  Returns the flow value and the mask of supply points the final
+    residual graph still reaches: the source side of the smallest minimum
+    cut.  Every maximum flow leaves that same set reachable, so the mask does
+    not depend on the greedy start.  Residuals up to ``RESIDUAL_ATOL`` count
+    as saturated, so rounding cannot move it.
     """
-    supply, demand = supply.astype(float), demand.astype(float)
+    # Demand points are renumbered fewest allowed supplies first; only the
+    # flow value and the supply-side mask leave this function.
+    order = np.argsort(allowed.sum(axis=0), kind="stable")
+    allowed, supply, demand = allowed[:, order], supply.astype(float), demand[order].astype(float)
     flow, total = np.zeros(allowed.shape), 0.0
+    open_q = demand > RESIDUAL_ATOL
+    for i in np.argsort(allowed.sum(axis=1), kind="stable"):
+        cols = np.flatnonzero(allowed[i] & open_q)
+        if supply[i] <= RESIDUAL_ATOL or not cols.size:
+            continue
+        room = np.cumsum(demand[cols])
+        k = int(np.searchsorted(room, supply[i]))  # cols[:k] fill up
+        full, left = cols[:k], supply[i] - (room[k - 1] if k else 0.0)
+        flow[i, full], demand[full], open_q[full] = demand[full], 0.0, False
+        if k < cols.size:  # capped by the demand, so no residual goes negative
+            j = cols[k]
+            flow[i, j] = take = min(left, demand[j])
+            demand[j] -= take
+            left -= take
+            open_q[j] = demand[j] > RESIDUAL_ATOL
+        total += supply[i] - left
+        supply[i] = left
     while True:
         seen_p, seen_q = supply > RESIDUAL_ATOL, np.zeros(len(demand), dtype=bool)
         via_q, via_p = np.full(len(supply), -1), np.full(len(demand), -1)
@@ -360,6 +397,9 @@ def stochastic_order_multivariate(p: AgeDistribution, q: AgeDistribution) -> Ord
     """
     if p.m != q.m:
         raise IncompatibleSpaceError(f"component count mismatch: {p.m} vs {q.m}")
+    if len(p.vectors) * len(q.vectors) > DEFAULT_MAX_CELLS:
+        raise AofLabError(f"{len(p.vectors)} x {len(q.vectors)} support points is over "
+                          f"{DEFAULT_MAX_CELLS} transport cells")
     vp, vq = np.asarray(p.vectors), np.asarray(q.vectors)
     allowed = _dominance(vp, vq)
     flow_value, reached = _max_transport(p.probs, q.probs, allowed)

@@ -15,6 +15,7 @@ import math
 import numpy as np
 
 from aof_lab import AgeDistribution, Dataset, JointPmf, OutcomeSpace, Pmf, WindowLaw, bayes_action, expected_loss
+from aof_lab.aoi import RESIDUAL_ATOL
 from aof_lab.laws import canonical_requests, source_index, variable_name
 
 
@@ -462,6 +463,47 @@ def max_upper_set_violation(p, q) -> float:
         sum(mass_p.get(v, 0.0) for v in subset) - sum(mass_q.get(v, 0.0) for v in subset)
         for subset in upclosed_subsets(support)
     )
+
+
+def max_transport_by_single_paths(supply, demand, allowed):
+    """``aoi._max_transport`` from a zero flow: shortest augmenting paths
+    (Edmonds & Karp 1972), one full breadth-first search per path.  Returns
+    the flow value and the mask of supply points the final residual graph
+    still reaches."""
+    supply, demand = supply.astype(float), demand.astype(float)
+    flow, total = np.zeros(allowed.shape), 0.0
+    while True:
+        seen_p, seen_q = supply > RESIDUAL_ATOL, np.zeros(len(demand), dtype=bool)
+        via_q, via_p = np.full(len(supply), -1), np.full(len(demand), -1)
+        frontier, end = np.flatnonzero(seen_p), -1
+        while frontier.size:
+            step = allowed[frontier] & ~seen_q
+            reached = np.flatnonzero(step.any(axis=0))
+            if not reached.size:
+                break
+            via_p[reached] = frontier[step[:, reached].argmax(axis=0)]
+            seen_q[reached] = True
+            sinks = reached[demand[reached] > RESIDUAL_ATOL]
+            if sinks.size:
+                end = sinks[0]
+                break
+            back = (flow[:, reached] > RESIDUAL_ATOL).T & ~seen_p
+            frontier = np.flatnonzero(back.any(axis=0))
+            via_q[frontier] = reached[back[:, frontier].argmax(axis=0)]
+            seen_p[frontier] = True
+        if end < 0:
+            return total, seen_p
+        # the path alternates ps[k] -> qs[k] forward and qs[k + 1] -> ps[k] back
+        qs, ps = [end], [via_p[end]]
+        while via_q[ps[-1]] >= 0:
+            qs.append(via_q[ps[-1]])
+            ps.append(via_p[qs[-1]])
+        delta = min(supply[ps[-1]], demand[end], *flow[ps[:-1], qs[1:]])
+        flow[ps, qs] += delta
+        flow[ps[:-1], qs[1:]] -= delta
+        supply[ps[-1]] -= delta
+        demand[end] -= delta
+        total += delta
 
 
 def loglog_slope(xs, ys) -> float:

@@ -1,3 +1,5 @@
+import math
+
 import numpy as np
 import pytest
 from hypothesis import example, given, settings
@@ -14,11 +16,17 @@ from aof_lab import (
     stochastic_order_multivariate,
     stochastic_order_univariate,
 )
+from aof_lab import aoi
 from aof_lab.aoi import SENTINEL
 from aof_lab.errors import AofLabError, IncompatibleSpaceError, WarmupError
 from aof_lab.laws import DEFAULT_MAX_CELLS
 
-from oracles import max_upper_set_violation, stochastic_order_upper_sets, trace_fault_by_events
+from oracles import (
+    max_transport_by_single_paths,
+    max_upper_set_violation,
+    stochastic_order_upper_sets,
+    trace_fault_by_events,
+)
 
 
 def test_sawtooth_trace():
@@ -279,6 +287,70 @@ def test_witness_is_identical_under_support_permutation():
         assert again == verdict
 
 
+def test_order_check_rejects_supports_beyond_the_cell_cap():
+    side = math.isqrt(DEFAULT_MAX_CELLS)
+    assert side * side == DEFAULT_MAX_CELLS
+    low = AgeDistribution.uniform((v,) for v in range(side))
+    assert stochastic_order_multivariate(low, AgeDistribution.uniform((v + 1,) for v in range(side))).holds
+    with pytest.raises(AofLabError) as err:
+        stochastic_order_multivariate(low, AgeDistribution.uniform((v,) for v in range(side + 1)))
+    assert str(err.value) == f"{side} x {side + 1} support points is over {DEFAULT_MAX_CELLS} transport cells"
+
+
+@st.composite
+def _transport_problems(draw):
+    """Supply and demand masses over 1-3-D supports of up to 300 points and
+    their dominance matrix: shift-coupled (holding), independent (mostly
+    failing), identical, or single-point pairs, some points with no mass."""
+    rng = np.random.default_rng(draw(st.integers(0, 2**32 - 1)))
+    m, kind = draw(st.integers(1, 3)), draw(st.sampled_from(["independent", "shift", "same", "single"]))
+    n_p, n_q = draw(st.integers(1, 300)), draw(st.integers(1, 300))
+    if kind == "single":
+        n_p, n_q = (1, n_q) if draw(st.booleans()) else (n_p, 1)
+    box = int(np.ceil((2 * max(n_p, n_q)) ** (1 / m))) + 1
+
+    def support(n):
+        return np.stack(np.unravel_index(rng.choice(box**m, size=n, replace=False), (box,) * m), axis=1)
+
+    def masses(n):
+        raw = rng.dirichlet(np.full(n, 5.0)) * (rng.random(n) >= draw(st.sampled_from([0.0, 0.3])))
+        raw[rng.integers(n)] += 1.0 / n
+        return raw / raw.sum()
+
+    vp, supply = support(n_p), masses(n_p)
+    if kind == "shift":
+        moved = {}
+        for vec, mass in zip(map(tuple, (vp + rng.integers(0, 3, size=vp.shape)).tolist()), supply):
+            moved[vec] = moved.get(vec, 0.0) + mass
+        vq, demand = np.array(list(moved)), np.array(list(moved.values()))
+    elif kind == "same":
+        vq, demand = vp, supply
+    else:
+        vq, demand = support(n_q), masses(n_q)
+    return supply, demand, aoi._dominance(vp, vq)
+
+
+@given(_transport_problems())
+@settings(max_examples=120, deadline=None)
+def test_warm_started_transport_equals_single_path_augmentation(problem):
+    supply, demand, allowed = problem
+    total, reached = aoi._max_transport(supply, demand, allowed)
+    want_total, want_reached = max_transport_by_single_paths(supply, demand, allowed)
+    assert abs(total - want_total) <= 1e-12
+    np.testing.assert_array_equal(reached, want_reached)
+
+
+def test_warm_started_verdict_equals_single_path_verdict_on_a_large_failing_pair(monkeypatch):
+    fixed = np.random.default_rng(20210301)
+    rng = np.random.default_rng(13)
+    fail_a, fail_b = (AgeDistribution(_bench_shaped_support(fixed, n=500), rng.dirichlet(np.full(500, 20.0)))
+                      for _ in range(2))
+    verdict = stochastic_order_multivariate(fail_a, fail_b)
+    assert not verdict.holds
+    monkeypatch.setattr(aoi, "_max_transport", max_transport_by_single_paths)
+    assert stochastic_order_multivariate(fail_a, fail_b) == verdict
+
+
 def test_pathwise_coupling_implies_stochastic_order():
     rng = np.random.default_rng(7)
     for seed in range(10):
@@ -371,10 +443,22 @@ def test_trace_source_id_below_one_names_the_line(tmp_path, cell):
     (((0.9,), (1.5,)), [0.5, 0.5], "integers, got 0.9"),
     (((0, 1), (1, float("nan"))), [0.5, 0.5], "integers, got nan"),
     (((0,), ("1",)), [0.5, 0.5], "integers, got '1'"),
+    (((True, 0), (0, 1)), [0.5, 0.5], "integers, got True"),
 ])
 def test_age_distribution_rejects_non_finite_probs_and_fractional_ages(vectors, probs, message):
     with pytest.raises(AofLabError, match=message):
         AgeDistribution(vectors, probs)
+
+
+@pytest.mark.parametrize("vectors,message", [
+    (((0, 1), (1, 2, 3), (4,)), "age vectors have inconsistent dimension: (1, 2, 3) has 3 components, (0, 1) has 2"),
+    (((0, 1), (1, -2), (-1, 0)), "age components must be nonnegative, got (1, -2)"),
+    (((0, 1), (2, 2), (0, 1), (2, 2)), "age vectors must be distinct, got (0, 1) twice"),
+], ids=["dimension", "negative", "repeated"])
+def test_age_distribution_errors_name_the_first_offending_vector(vectors, message):
+    with pytest.raises(AofLabError) as err:
+        AgeDistribution(vectors, np.full(len(vectors), 1 / len(vectors)))
+    assert str(err.value) == message
 
 
 def test_age_distribution_keeps_whole_float_and_numpy_components():
