@@ -171,7 +171,11 @@ def _rows(path):
 
 def _row_fault(path, wanted, labels, blank) -> str:
     """The message for the first data row of ``path`` without one cell per
-    ``wanted`` column, or with an integer cell that ``_ints`` rejects."""
+    ``wanted`` column, or with an integer cell that ``_ints`` rejects.  A
+    file that does not decode or parse to its end is the whole file's fault,
+    which comes first, so every row is read once before the search."""
+    for _ in _rows(path):
+        pass
     for line, row in _rows(path):
         at = f"{path}, line {line}"
         if len(row) != len(wanted):

@@ -181,6 +181,8 @@ class AgeDistribution:
             if len(vec) != m:
                 raise AofLabError(f"age vectors have inconsistent dimension: {vec} has {len(vec)} "
                                   f"components, {vectors[0]} has {m}")
+        if m == 0:
+            raise AofLabError(f"age vectors need at least one component, got {vectors[0]}")
         for vec in vectors:
             if any(v < 0 for v in vec):
                 raise AofLabError(f"age components must be nonnegative, got {vec}")

@@ -3,7 +3,8 @@
 Every command is deterministic given its flags plus ``--seed``; outputs are
 written atomically (temp file + rename) and each report carries the
 effective configuration that produced it.  Flags override config-file
-values, which override defaults.
+values, which override defaults.  Each command imports the modules it calls
+at the top of its body, so a cold run loads only what that command runs.
 """
 
 from __future__ import annotations
@@ -12,13 +13,16 @@ import functools
 import itertools
 import json
 from pathlib import Path
+from typing import TYPE_CHECKING
 
 import click
 
-from . import analysis, aoi, divergence, ingest, losses, processes
 from ._util import csv_table, read_json, write_text_atomic
 from .errors import AofLabError
 from .spaces import JointPmf, freeze_label
+
+if TYPE_CHECKING:  # pragma: no cover
+    from .losses import LossSpec
 
 DEFAULTS = {
     "seed": 0,
@@ -62,7 +66,9 @@ def _settings(ctx) -> dict:
     return cfg
 
 
-def _parse_loss(spec: str) -> losses.LossSpec:
+def _parse_loss(spec: str) -> LossSpec:
+    from . import losses
+
     if spec == "log":
         return losses.log_loss()
     if spec == "quad":
@@ -74,7 +80,9 @@ def _parse_loss(spec: str) -> losses.LossSpec:
     raise click.ClickException(f"unknown loss {spec!r}; use log, quad, zero-one, or table:<path>")
 
 
-def _table_loss(data: dict) -> losses.LossSpec:
+def _table_loss(data: dict) -> LossSpec:
+    from . import losses
+
     return losses.table_loss([freeze_label(o) for o in data["outcomes"]], data["actions"], data["loss"])
 
 
@@ -82,8 +90,12 @@ def _provider(model_path, data_path, cfg):
     if (model_path is None) == (data_path is None):
         raise click.ClickException("exactly one law source is required: --model or --data")
     if model_path is not None:
+        from . import processes
+
         model = processes.ProcessModel.load(model_path)
         return processes.ExactLawProvider(model), model
+    from . import ingest
+
     dataset = ingest.Dataset.from_csv(data_path)
     return ingest.EmpiricalLawProvider(dataset, pseudo_count=cfg["lambda"]), None
 
@@ -165,6 +177,8 @@ def main(ctx, config, seed, loss_, out, lambda_, lag_cap):
 @_domain_errors
 def gen(ctx, kind, states, sources, symbols, targets, window, delay, noise, concentration, length):
     """Generate a process model (and optionally a sampled trajectory)."""
+    from . import processes
+
     cfg = _settings(ctx)
     if kind == "markov":
         model = processes.make_markov_observable(
@@ -196,6 +210,8 @@ def gen(ctx, kind, states, sources, symbols, targets, window, delay, noise, conc
 @_domain_errors
 def age_curve(ctx, model_path, data_path, grid, windows):
     """Minimum training loss over a grid of age vectors."""
+    from . import analysis, processes
+
     cfg = _settings(ctx)
     loss = _parse_loss(cfg["loss"])
     provider, model = _provider(model_path, data_path, cfg)
@@ -228,6 +244,8 @@ def age_curve(ctx, model_path, data_path, grid, windows):
 @_domain_errors
 def decompose(ctx, model_path, data_path, delta, path_spec):
     """Split the minimum training loss into gained/lost staircase sums."""
+    from . import analysis
+
     cfg = _settings(ctx)
     loss = _parse_loss(cfg["loss"])
     provider, _ = _provider(model_path, data_path, cfg)
@@ -256,6 +274,8 @@ def decompose(ctx, model_path, data_path, delta, path_spec):
 @_domain_errors
 def epsilon(ctx, model_path, data_path, tau_max, mu_max, sweep, mix_ref, etas):
     """Markov-deviation coefficient over a capped lag grid."""
+    from . import divergence, processes
+
     cfg = _settings(ctx)
     provider, model = _provider(model_path, data_path, cfg)
     tau_max = tau_max if tau_max is not None else cfg["lag_cap"]
@@ -286,6 +306,8 @@ def epsilon(ctx, model_path, data_path, tau_max, mu_max, sweep, mix_ref, etas):
 @_domain_errors
 def beta(ctx, train_path, test_path):
     """Chi-squared neighborhood radius between two stored joint laws."""
+    from . import divergence
+
     cfg = _settings(ctx)
     train = JointPmf.load(train_path)
     test = JointPmf.load(test_path)
@@ -302,6 +324,8 @@ def beta(ctx, train_path, test_path):
 @_domain_errors
 def order_check(ctx, dist_a, dist_b):
     """Multivariate stochastic-order verdict with an upper-set witness."""
+    from . import aoi
+
     cfg = _settings(ctx)
     a = aoi.AgeDistribution.load(dist_a)
     b = aoi.AgeDistribution.load(dist_b)
@@ -323,6 +347,8 @@ def order_check(ctx, dist_a, dist_b):
 @_domain_errors
 def cross_loss(ctx, train_path, test_path, ages_path, sweep, etas):
     """Training vs testing loss under dynamic ages (optionally a beta sweep)."""
+    from . import analysis, aoi, processes
+
     cfg = _settings(ctx)
     loss = _parse_loss(cfg["loss"])
     train_model = processes.ProcessModel.load(train_path)
@@ -353,6 +379,8 @@ def cross_loss(ctx, train_path, test_path, ages_path, sweep, etas):
 @_domain_errors
 def simulate_aoi(ctx, trace_path, horizon):
     """Evaluate age sample paths from a generation/delivery trace."""
+    from . import aoi
+
     cfg = _settings(ctx)
     trace = aoi.DeliveryTrace.from_csv(trace_path)
     ages = aoi.age_process(trace, horizon)

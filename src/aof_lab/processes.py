@@ -31,15 +31,17 @@ import itertools
 import json
 import math
 from dataclasses import dataclass, field, replace
-from typing import Sequence
+from typing import TYPE_CHECKING, Sequence
 
 import numpy as np
 
 from ._util import read_json, write_text_atomic
 from .errors import AofLabError, IncompatibleSpaceError, NotNormalizedError
-from .ingest import CodedColumn, Dataset
 from .laws import DEFAULT_MAX_CELLS, STACK_CELLS, LagStack, MixtureLawProvider, WindowLaw, window_law_of
 from .spaces import NORMALIZATION_ATOL, OutcomeSpace
+
+if TYPE_CHECKING:  # pragma: no cover
+    from .ingest import CodedColumn, Dataset
 
 
 def _stationary_distribution(transition: np.ndarray) -> np.ndarray:
@@ -413,7 +415,7 @@ def mix_toward_markov(model: ProcessModel, markov_ref: ProcessModel, eta: float)
     return MixtureLawProvider(base=ExactLawProvider(markov_ref), other=ExactLawProvider(model), eta=eta)
 
 
-def _symbol_column(parts: Sequence[np.ndarray], tuples: bool) -> CodedColumn:
+def _symbol_column(parts: Sequence[np.ndarray], tuples: bool, coded_column: type[CodedColumn]) -> CodedColumn:
     """Code a column of nonnegative int labels (one part), or of int tuples
     with one part per tuple slot, by its distinct rows.  Each slot is folded
     into the codes of the slots before it and recoded, so a code stays below
@@ -423,7 +425,7 @@ def _symbol_column(parts: Sequence[np.ndarray], tuples: bool) -> CodedColumn:
         _, first, codes = np.unique(codes * (int(part.max()) + 1) + part, return_index=True, return_inverse=True)
     rows = np.stack(parts, axis=1)[first].tolist()
     labels = [tuple(r) for r in rows] if tuples else [r[0] for r in rows]
-    return CodedColumn(OutcomeSpace(tuple(labels)), codes)
+    return coded_column(OutcomeSpace(tuple(labels)), codes)
 
 
 def sample_trajectory(model: ProcessModel, length: int, seed: int) -> Dataset:
@@ -432,6 +434,8 @@ def sample_trajectory(model: ProcessModel, length: int, seed: int) -> Dataset:
     Rows start once the first full feature window is available; all age
     columns are zero because every row carries the freshest feature.
     """
+    from .ingest import CodedColumn, Dataset  # here, so exact-law commands load neither ingest nor aoi
+
     warm = model.delay + model.window - 1
     if length <= warm:
         raise AofLabError(f"length must exceed the warm-up of {warm} slots, got {length}")
@@ -456,8 +460,8 @@ def sample_trajectory(model: ProcessModel, length: int, seed: int) -> Dataset:
     lagged = [
         [sym[warm - model.delay - j: length - model.delay - j] for j in range(model.window)] for sym in emitted
     ]
-    xs = tuple(_symbol_column(parts, model.window > 1) for parts in lagged)
+    xs = tuple(_symbol_column(parts, model.window > 1, CodedColumn) for parts in lagged)
     t_values = np.arange(warm, length, dtype=np.int64)
     ages = tuple(np.zeros(len(t_values), dtype=np.int64) for _ in range(model.m))
-    y = _symbol_column([targets[warm:]], False)
+    y = _symbol_column([targets[warm:]], False, CodedColumn)
     return Dataset(t=t_values, xs=xs, ages=ages, y=y)

@@ -454,7 +454,8 @@ def test_age_distribution_rejects_non_finite_probs_and_fractional_ages(vectors, 
     (((0, 1), (1, 2, 3), (4,)), "age vectors have inconsistent dimension: (1, 2, 3) has 3 components, (0, 1) has 2"),
     (((0, 1), (1, -2), (-1, 0)), "age components must be nonnegative, got (1, -2)"),
     (((0, 1), (2, 2), (0, 1), (2, 2)), "age vectors must be distinct, got (0, 1) twice"),
-], ids=["dimension", "negative", "repeated"])
+    (((),), "age vectors need at least one component, got ()"),
+], ids=["dimension", "negative", "repeated", "zero-dimensional"])
 def test_age_distribution_errors_name_the_first_offending_vector(vectors, message):
     with pytest.raises(AofLabError) as err:
         AgeDistribution(vectors, np.full(len(vectors), 1 / len(vectors)))

@@ -168,7 +168,8 @@ def test_bad_option_value_is_a_clean_error(runner, tmp_path, args, needle):
 @pytest.mark.parametrize("ages", [
     {"vectors": [[0], [1]], "probs": [float("nan"), 1.0]},
     {"vectors": [[0.9], [1.5]], "probs": [0.5, 0.5]},
-], ids=["nan-prob", "fractional-age"])
+    {"vectors": [[]], "probs": [1]},
+], ids=["nan-prob", "fractional-age", "zero-dimensional"])
 def test_faulty_age_law_values_are_a_clean_error(runner, tmp_path, ages):
     bad, good = tmp_path / "bad.json", tmp_path / "good.json"
     bad.write_text(json.dumps(ages))

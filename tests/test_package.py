@@ -1,0 +1,77 @@
+"""The lazy package namespace and the modules each CLI command loads."""
+
+import importlib
+import json
+import os
+import subprocess
+import sys
+from pathlib import Path
+
+import pytest
+
+import aof_lab
+from aof_lab import AgeDistribution, DeliveryTrace, make_hidden_nonmarkov
+
+SRC = Path(__file__).resolve().parent.parent / "src"
+
+
+def test_every_public_name_is_the_object_of_its_module():
+    assert len(aof_lab.__all__) == 64
+    assert aof_lab.__all__ == sorted(set(aof_lab.__all__))
+    for module, names in aof_lab._EXPORTS.items():
+        owner = importlib.import_module(f"aof_lab.{module}")
+        for name in names:
+            assert getattr(aof_lab, name) is getattr(owner, name), name
+
+
+def test_star_import_and_dir_cover_all_public_names():
+    namespace = {}
+    exec("from aof_lab import *", namespace)
+    assert set(namespace) - {"__builtins__"} == set(aof_lab.__all__)
+    assert set(aof_lab.__all__) <= set(dir(aof_lab))
+
+
+def test_unknown_name_is_an_attribute_error_and_submodules_still_import():
+    with pytest.raises(AttributeError, match="module 'aof_lab' has no attribute 'nope'"):
+        aof_lab.nope
+    from aof_lab import aoi
+
+    assert aoi is sys.modules["aof_lab.aoi"]
+
+
+BASE = {"numpy", "aof_lab", "aof_lab.cli", "aof_lab._util", "aof_lab.errors", "aof_lab.spaces"}
+AGES = BASE | {"aof_lab.laws", "aof_lab.aoi"}
+# case -> (python statement, or CLI arguments; numpy and the aof_lab modules loaded after it)
+IMPORT_CASES = {
+    "import aof_lab": ("import aof_lab", {"aof_lab"}),
+    "from aof_lab import aoi": ("from aof_lab import aoi",
+                                {"numpy", "aof_lab", "aof_lab.aoi", "aof_lab._util", "aof_lab.errors", "aof_lab.laws",
+                                 "aof_lab.spaces"}),
+    "--help": (["--help"], BASE),
+    "simulate-aoi": (["simulate-aoi", "--trace", "{trace}", "--horizon", "6"], AGES),
+    "order-check": (["order-check", "--dist-a", "{a}", "--dist-b", "{b}"], AGES),
+    "epsilon --model": (["epsilon", "--model", "{model}", "--tau-max", "1", "--mu-max", "1"],
+                        BASE | {"aof_lab.laws", "aof_lab.processes", "aof_lab.divergence"}),
+}
+
+
+@pytest.mark.parametrize("case", IMPORT_CASES)
+def test_each_command_loads_only_the_modules_it_calls(tmp_path, case):
+    """A cold interpreter without a bytecode cache compiles every module it
+    loads; an eager import added later would undo the saving silently."""
+    statement, want = IMPORT_CASES[case]
+    files = {"model": tmp_path / "model.json", "trace": tmp_path / "trace.csv",
+             "a": tmp_path / "a.json", "b": tmp_path / "b.json"}
+    make_hidden_nonmarkov(3, n_states=3).save(files["model"])
+    DeliveryTrace((((0, 1), (3, 5)),)).to_csv(files["trace"])
+    AgeDistribution.point_mass((1, 3)).save(files["a"])
+    AgeDistribution.point_mass((2, 2)).save(files["b"])
+    if isinstance(statement, list):
+        args = ["--out", str(tmp_path / "out"), *(a.format(**files) for a in statement)]
+        statement = f"from aof_lab.cli import main; main.main({args!r}, standalone_mode=False)"
+    code = (f"import json, sys; {statement}; "
+            "print(json.dumps(sorted(m for m in sys.modules if m == 'numpy' or m.split('.')[0] == 'aof_lab')))")
+    env = {**os.environ, "PYTHONDONTWRITEBYTECODE": "1",
+           "PYTHONPATH": os.pathsep.join([str(SRC), os.environ.get("PYTHONPATH", "")])}
+    res = subprocess.run([sys.executable, "-c", code], env=env, capture_output=True, text=True, check=True)
+    assert set(json.loads(res.stdout.strip().splitlines()[-1])) == want

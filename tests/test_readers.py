@@ -9,7 +9,7 @@ import json
 
 import numpy as np
 import pytest
-from hypothesis import given, settings
+from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
 import aof_lab._util as util
@@ -147,6 +147,8 @@ def _csv_files(draw):
 
 
 @given(file=_csv_files(), chunk=st.sampled_from([1, 2, 3, util.CSV_CHUNK_ROWS]))
+# a bad cell in an early block, a byte that is not UTF-8 in a later one
+@example(file=(b"t,x_1,x_2,age_1,age_2,y\n0,,,,0,\n0,,,0,0,\xe9", *SHAPES["dataset"]), chunk=1)
 @settings(max_examples=400, deadline=None)
 def test_reader_equals_the_row_by_row_oracle(tmp_path_factory, file, chunk):
     raw, header, labels, blank = file
