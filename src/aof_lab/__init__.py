@@ -9,12 +9,18 @@ Start-up: ``import aof_lab`` loads no submodule and not numpy.  Each public
 name is imported from its module on first use (PEP 562 ``__getattr__``) and
 then cached here, so ``aof_lab.X`` is the very object ``aof_lab.<module>.X``.
 The CLI imports per command what the command calls: ``--help`` loads
-``cli``, ``_util``, ``errors`` and ``spaces``; ``order-check`` and
-``simulate-aoi`` add ``laws`` and ``aoi``; ``epsilon --model`` adds
-``laws``, ``processes`` and ``divergence`` (the README's "Start-up" section
-lists every command).  Every command used to load all twelve modules.  Cold
-on a 2-CPU host without a bytecode cache, ``--help`` fell from 0.27-0.29 s
-to 0.22 s and ``order-check`` from 0.28 s to 0.24 s.
+``cli``, ``_util`` and ``errors``; ``order-check`` and ``simulate-aoi`` add
+``spaces``, ``laws`` and ``aoi``; ``epsilon --model`` adds ``spaces``,
+``laws``, ``processes`` and ``divergence``; a ``--data`` command loads
+``ingest`` and not ``processes`` (the README's "Start-up" section lists
+every command).  Every command used to load all twelve modules.  Cold on a
+2-CPU host without a bytecode cache, ``--help`` fell from 0.27-0.29 s to
+0.22 s and ``order-check`` from 0.28 s to 0.24 s.
+
+Neither ``import aof_lab`` nor library use touches the environment.  A
+process that starts as the CLI sets ``OPENBLAS_NUM_THREADS=1`` before numpy
+loads, unless it is already set, so OpenBLAS starts no worker thread that
+would spin idle on another core.
 """
 
 import importlib

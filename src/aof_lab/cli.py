@@ -5,6 +5,8 @@ written atomically (temp file + rename) and each report carries the
 effective configuration that produced it.  Flags override config-file
 values, which override defaults.  Each command imports the modules it calls
 at the top of its body, so a cold run loads only what that command runs.
+A process that starts as the CLI runs BLAS on one thread unless
+``OPENBLAS_NUM_THREADS`` is already set.
 """
 
 from __future__ import annotations
@@ -12,14 +14,23 @@ from __future__ import annotations
 import functools
 import itertools
 import json
+import os
+import sys
 from pathlib import Path
 from typing import TYPE_CHECKING
 
 import click
 
+# numpy's OpenBLAS reads OPENBLAS_NUM_THREADS once, when numpy loads; left
+# unset, it starts a worker thread that spins on another core, and no kernel
+# here gives it work (the matrix products are a few states wide).  A process
+# that loaded numpy before this module (a notebook, a test runner) has its
+# threads already: leave its environment as it is.
+if "numpy" not in sys.modules:
+    os.environ.setdefault("OPENBLAS_NUM_THREADS", "1")
+
 from ._util import csv_table, read_json, write_text_atomic
 from .errors import AofLabError
-from .spaces import JointPmf, freeze_label
 
 if TYPE_CHECKING:  # pragma: no cover
     from .losses import LossSpec
@@ -82,6 +93,7 @@ def _parse_loss(spec: str) -> LossSpec:
 
 def _table_loss(data: dict) -> LossSpec:
     from . import losses
+    from .spaces import freeze_label
 
     return losses.table_loss([freeze_label(o) for o in data["outcomes"]], data["actions"], data["loss"])
 
@@ -210,7 +222,7 @@ def gen(ctx, kind, states, sources, symbols, targets, window, delay, noise, conc
 @_domain_errors
 def age_curve(ctx, model_path, data_path, grid, windows):
     """Minimum training loss over a grid of age vectors."""
-    from . import analysis, processes
+    from . import analysis
 
     cfg = _settings(ctx)
     loss = _parse_loss(cfg["loss"])
@@ -221,6 +233,8 @@ def age_curve(ctx, model_path, data_path, grid, windows):
     if windows:
         if model is None:
             raise click.ClickException("--windows needs a --model law source")
+        from . import processes
+
         blist = _parse("--windows", windows, _ints)
         curves = [
             analysis.loss_curve(processes.ExactLawProvider(model.with_window(b)), vectors, loss) for b in blist
@@ -274,7 +288,7 @@ def decompose(ctx, model_path, data_path, delta, path_spec):
 @_domain_errors
 def epsilon(ctx, model_path, data_path, tau_max, mu_max, sweep, mix_ref, etas):
     """Markov-deviation coefficient over a capped lag grid."""
-    from . import divergence, processes
+    from . import divergence
 
     cfg = _settings(ctx)
     provider, model = _provider(model_path, data_path, cfg)
@@ -284,6 +298,8 @@ def epsilon(ctx, model_path, data_path, tau_max, mu_max, sweep, mix_ref, etas):
     if sweep:
         if mix_ref is None or model is None:
             raise click.ClickException("--sweep needs --model and --mix-ref model files")
+        from . import processes
+
         ref = processes.ProcessModel.load(mix_ref)
         eta_values = _parse("--etas", etas, _floats)
         # the laws of processes.mix_toward_markov(model, ref, eta) for each eta
@@ -307,6 +323,7 @@ def epsilon(ctx, model_path, data_path, tau_max, mu_max, sweep, mix_ref, etas):
 def beta(ctx, train_path, test_path):
     """Chi-squared neighborhood radius between two stored joint laws."""
     from . import divergence
+    from .spaces import JointPmf
 
     cfg = _settings(ctx)
     train = JointPmf.load(train_path)
