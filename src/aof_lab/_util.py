@@ -3,12 +3,17 @@
 the file (and for a CSV the line and column), the one CSV renderer,
 ``csv_text``, and the one atomic write.
 
-Both CSV paths work on columns.  ``read_csv`` splits whole blocks of lines
-on ``,`` and decodes each column at once; ``csv.reader`` parses only a file
-with a quote character or a lone ``\\r``, and re-reads a faulty file row by
-row to name the line and column.  ``csv_text`` renders each distinct cell
-of a column once and joins the rows a block at a time, to the bytes
-``csv.writer`` writes."""
+Both CSV paths work on columns.  ``read_csv`` decodes the bytes of a
+block of lines with numpy: one pass over the ``,`` and ``\\n`` bytes bounds
+the cells, integer cells are parsed digit by digit and label cells keyed by
+their bytes, so no cell becomes a Python object.  A file the decoder cannot
+show it reads as ``csv.reader`` and ``int`` do (a quote, a NUL, a lone
+``\\r``, bytes that are not UTF-8, a field over the field limit, a label
+over ``LABEL_KEY_BYTES``, an integer cell other than ``-?[0-9]{1,18}``, or
+any fault) is parsed by ``csv.reader`` from the start, which re-reads a
+faulty file row by row to name the line and column.  ``csv_text`` renders
+each distinct cell of a column once and joins the rows a block at a time,
+to the bytes ``csv.writer`` writes."""
 
 from __future__ import annotations
 
@@ -76,9 +81,9 @@ def csv_table(header, rows) -> str:
     return csv_text(header, [(column, np.arange(len(rows))) for column in zip(*rows)])
 
 
-def _open(path):
+def _open(path, mode="r"):
     try:
-        return open(path, newline="", encoding="utf-8")
+        return open(path, mode) if "b" in mode else open(path, mode, newline="", encoding="utf-8")
     except OSError as exc:
         raise AofLabError(f"{path}: cannot read: {exc.strerror}") from None
 
@@ -87,42 +92,39 @@ def read_csv(path, expect, build, labels=(), blank=()):
     """``build(columns)``, the columns of a CSV by name; its header must be
     ``expect(found)``, ``found`` being its first row (``[]`` if empty).  A
     column with a name prefix in ``labels`` is ``(texts, codes)``: its
-    distinct cell texts and an int64 index into them per row.  Any other is
-    int64; under a ``blank`` prefix a cell is a nonnegative integer or empty
-    (-1).  Rows are decoded ``CSV_CHUNK_ROWS`` at a time (``_blocks``); on a
-    fault the file is re-read row by row, so the error names the file, line
-    and column, as does a ``csv_check`` in ``build``.  Any other
-    ``AofLabError`` from ``build`` keeps its type and gains the file name."""
+    distinct cell texts in order of first appearance and an int64 index into
+    them per row.  Any other is int64; under a ``blank`` prefix a cell is a
+    nonnegative integer or empty (-1).  The bytes are decoded
+    ``CSV_CHUNK_ROWS`` lines at a time (``_decoded_blocks``); a file that
+    decoder cannot show it reads as ``csv.reader`` does is parsed by
+    ``csv.reader`` from the start instead, and on a fault re-read row by row,
+    so the error names the file, line and column, as does a ``csv_check`` in
+    ``build``.  Any other ``AofLabError`` from ``build`` keeps its type and
+    gains the file name."""
     try:
-        with _open(path) as fh:
-            reader = csv.reader(fh)
-            header = next(reader, [])
-            wanted = expect(header)
-            if header != wanted:
-                raise AofLabError(f"{path}, line 1: header {header}; want {wanted}")
-            texts = {name: {} for name in wanted if name.startswith(labels)}  # cell text -> code
-            parts = {name: [] for name in wanted}
-            try:
-                for block in _blocks(fh, len(wanted)):
-                    for name, cells in zip(wanted, block):
-                        if name in texts:
-                            index = texts[name]
-                            for text in dict.fromkeys(cells):
-                                index.setdefault(text, len(index))
-                            parts[name].append(np.fromiter(map(index.__getitem__, cells), np.int64, len(cells)))
-                        else:
-                            parts[name].append(_ints(cells, name.startswith(blank)))
-            except UnicodeDecodeError:  # a ValueError, but the fault of the whole file
-                raise
-            except (ValueError, OverflowError):
-                raise AofLabError(_row_fault(path, wanted, labels, blank)) from None
+        try:
+            with _open(path, "rb") as fh:
+                wanted = _clean_header(fh.readline(), expect)
+                columns = _join(wanted, _decoded_blocks(fh, wanted, labels, blank), labels)
+        except _Unclean:
+            with _open(path) as fh:
+                reader = csv.reader(fh)
+                header = next(reader, [])
+                wanted = expect(header)
+                if header != wanted:
+                    raise AofLabError(f"{path}, line 1: header {header}; want {wanted}") from None
+                try:
+                    columns = _join(wanted, _parsed_blocks(reader, wanted, labels, blank), labels)
+                except UnicodeDecodeError:  # a ValueError, but the fault of the whole file
+                    raise
+                except (ValueError, OverflowError):
+                    raise AofLabError(_row_fault(path, wanted, labels, blank)) from None
     except (csv.Error, UnicodeDecodeError) as exc:
         raise AofLabError(f"{path}: not a readable CSV: {exc}") from None
-    if not parts[wanted[0]]:
+    if columns is None:
         raise AofLabError(f"{path}: no data rows")
     try:
-        return build({name: (list(texts[name]), np.concatenate(part)) if name in texts else np.concatenate(part)
-                      for name, part in parts.items()})
+        return build(columns)
     except _RowFault as fault:
         row, column, message = fault.args
         line, _ = next(itertools.islice(_rows(path), row, None))
@@ -132,31 +134,173 @@ def read_csv(path, expect, build, labels=(), blank=()):
         raise
 
 
-def _blocks(fh, width: int):
-    """The data rows left in ``fh``, ``CSV_CHUNK_ROWS`` at a time, each
-    block as its columns of cell texts.  A block of plain lines is split on
-    ``,``; from the first block with a quote character, a lone ``\\r`` or a
-    line longer than ``csv.field_size_limit()``, ``csv.reader`` parses the
-    rest.  A row without ``width`` cells raises ``ValueError``."""
-    while lines := list(itertools.islice(fh, CSV_CHUNK_ROWS)):
-        text = "".join(lines)
-        crlf, limit = text.count("\r\n"), csv.field_size_limit()
-        if '"' in text or text.count("\r") != crlf or (len(text) > limit and max(map(len, lines)) > limit):
-            rows = csv.reader(itertools.chain(lines, fh))
-            while block := list(itertools.islice(rows, CSV_CHUNK_ROWS)):
-                if any(len(row) != width for row in block):
-                    raise ValueError("a row has the wrong number of cells")
-                yield list(zip(*block))
-            return
-        text = text.replace("\r\n", "\n")
-        # each line's cells, then "\n" (no unquoted cell holds one), then a last ""
-        cells = (text if text.endswith("\n") else text + "\n").replace("\n", ",\n,").split(",")
-        if len(cells) != len(lines) * (width + 1) + 1 or cells[width::width + 1].count("\n") != len(lines):
+def _join(wanted, blocks, labels):
+    """The columns of ``blocks`` joined by name, or None for no rows.  In a
+    block a label column is ``(texts, codes)`` with texts distinct in the
+    block; joined, its texts are distinct in the file."""
+    texts = {name: {} for name in wanted if name.startswith(labels)}  # cell text -> code
+    parts = {name: [] for name in wanted}
+    for block in blocks:
+        for name, column in zip(wanted, block):
+            if name in texts:
+                index, (distinct, codes) = texts[name], column
+                column = np.array([index.setdefault(text, len(index)) for text in distinct], dtype=np.int64)[codes]
+            parts[name].append(column)
+    if not parts[wanted[0]]:
+        return None
+    return {name: (list(texts[name]), np.concatenate(part)) if name in texts else np.concatenate(part)
+            for name, part in parts.items()}
+
+
+def _parsed_blocks(reader, wanted, labels, blank):
+    """The rows left in ``reader``, ``CSV_CHUNK_ROWS`` at a time, as
+    ``_join`` takes them.  A row without one cell per ``wanted`` column, or
+    an integer cell ``_ints`` rejects, raises ``ValueError``."""
+    while block := list(itertools.islice(reader, CSV_CHUNK_ROWS)):
+        if any(len(row) != len(wanted) for row in block):
             raise ValueError("a row has the wrong number of cells")
-        columns = [cells[j:-1:width + 1] for j in range(width)]
-        if width == 1 and "" in columns[0]:
-            raise ValueError("a blank line")
+        columns = []
+        for name, cells in zip(wanted, zip(*block)):
+            if name.startswith(labels):
+                index = {text: code for code, text in enumerate(dict.fromkeys(cells))}
+                columns.append((list(index), np.fromiter(map(index.__getitem__, cells), np.int64, len(cells))))
+            else:
+                columns.append(_ints(cells, name.startswith(blank)))
         yield columns
+
+
+class _Unclean(Exception):
+    """The byte decoder cannot show that it reads a file as ``csv.reader``
+    does, or the file has a fault; ``csv.reader`` parses it."""
+
+
+# Longest label cell, in bytes, that the byte decoder keys on
+LABEL_KEY_BYTES = 64
+# Most digits of an integer cell the byte decoder parses: 18 always fit int64
+_MAX_DIGITS = 18
+_COMMA, _LF, _CR, _MINUS, _ZERO = b",\n\r-0"
+# the low k bytes of a little-endian word, for k = 0..8
+_LOW_BYTES = np.array([(1 << 8 * k) - 1 for k in range(9)], dtype=np.uint64)
+
+
+def _clean_header(line: bytes, expect):
+    """The header row in ``line``, if it is ``expect``'s and plain: no quote,
+    NUL or lone ``\\r``, valid UTF-8 and within the field limit."""
+    if _unclean(line) or len(line) > csv.field_size_limit():
+        raise _Unclean
+    found = line.decode("utf-8").removesuffix("\n").removesuffix("\r").split(",")
+    if found != expect(found) or found == [""]:  # csv.reader reads a blank line as []
+        raise _Unclean
+    return found
+
+
+def _unclean(text: bytes) -> bool:
+    """Whether ``text`` has a quote, a NUL, a lone ``\\r`` or bytes that are
+    not UTF-8."""
+    if b'"' in text or b"\0" in text or text.count(b"\r") != text.count(b"\r\n"):
+        return True
+    try:
+        text.isascii() or text.decode("utf-8")
+    except UnicodeDecodeError:
+        return True
+    return False
+
+
+def _line_blocks(fh):
+    """The bytes left in the binary file ``fh``, ``CSV_CHUNK_ROWS`` lines at
+    a time; the last block may lack its final newline."""
+    buf, ends = b"", np.empty(0, dtype=np.int64)  # offsets of the newlines in buf
+    while chunk := fh.read(max(len(buf), 1 << 16)):
+        ends = np.concatenate([ends, np.flatnonzero(np.frombuffer(chunk, np.uint8) == _LF) + len(buf)])
+        buf += chunk
+        start = 0
+        for k in range(CSV_CHUNK_ROWS, len(ends) + 1, CSV_CHUNK_ROWS):
+            yield buf[start:(cut := int(ends[k - 1]) + 1)]
+            start = cut
+        buf, ends = buf[start:], ends[len(ends) - len(ends) % CSV_CHUNK_ROWS:] - start
+    if buf:
+        yield buf
+
+
+def _decoded_blocks(fh, wanted, labels, blank):
+    """The data rows left in the binary file ``fh``, ``CSV_CHUNK_ROWS`` at a
+    time, as ``_join`` takes them.  Cell bounds come from one pass over the
+    ``,`` and ``\\n`` bytes, integer cells are parsed digit by digit and label
+    cells keyed by their bytes; no cell becomes a Python object.  Raises
+    ``_Unclean`` at a block with a quote, NUL, lone ``\\r``, bytes that are
+    not UTF-8, a row without ``len(wanted)`` cells, a field over
+    ``csv.field_size_limit()``, a label over ``LABEL_KEY_BYTES`` or an
+    integer cell other than ``-?[0-9]{1,18}`` (``[0-9]{0,18}`` under
+    ``blank``): whatever ``csv.reader`` and ``_ints`` would read there, a
+    fault included, they read."""
+    width, limit = len(wanted), csv.field_size_limit()
+    pad = bytes(LABEL_KEY_BYTES)  # on each side of a block: every key word and digit a cell reads lies in it
+    for block in _line_blocks(fh):
+        if _unclean(block):
+            raise _Unclean
+        a = np.frombuffer(pad + block + (b"" if block.endswith(b"\n") else b"\n") + pad, np.uint8)
+        seps = np.flatnonzero((a == _COMMA) | (a == _LF))
+        if len(seps) != (a == _LF).sum() * width:
+            raise _Unclean
+        seps = seps.reshape(-1, width)
+        if not (a[seps[:, -1]] == _LF).all():  # each row's last separator is its newline
+            raise _Unclean
+        starts = np.empty_like(seps)
+        starts.ravel()[0], starts.ravel()[1:] = len(pad), seps.ravel()[:-1] + 1
+        lengths = seps - starts
+        lengths[:, -1] -= a[seps[:, -1] - 1] == _CR
+        if lengths.max() > limit or (width == 1 and not lengths.all()):  # a blank line
+            raise _Unclean
+        words = np.ndarray((len(a) - 7,), "<u8", a, 0, (1,))  # the 8 bytes from each offset
+        yield [_keyed(words, starts[:, j], lengths[:, j]) if name.startswith(labels)
+               else _digits(a, starts[:, j], lengths[:, j], name.startswith(blank)) for j, name in enumerate(wanted)]
+
+
+def _digits(a, starts, lengths, blank):
+    """The int64 values of the integer cells of ``a`` at ``starts`` with
+    ``lengths``: a table of their digits, right-aligned, summed row by
+    row."""
+    neg = (a[starts] == _MINUS) & (lengths > 0)
+    digits = lengths - neg
+    width = int(digits.max())
+    if width > _MAX_DIGITS or (blank and neg.any()) or (not blank and digits.min() < 1):
+        raise _Unclean
+    place = np.arange(width, 0, -1)[:, None]  # (width, cells): the place of each digit from the end
+    table = a[starts + lengths - place] - _ZERO
+    table *= place <= digits
+    if (table > 9).any():
+        raise _Unclean
+    values = np.zeros(len(starts), dtype=np.int64)
+    for row in table:
+        values *= 10
+        values += row
+    values[neg] *= -1
+    if blank:
+        values[lengths == 0] = -1
+    return values
+
+
+def _keyed(words, starts, lengths):
+    """``(texts, codes)`` of the label cells at ``starts`` with ``lengths``
+    in the bytes that ``words`` views: a cell's key is its bytes, zero-padded
+    to whole words (no cell holds a NUL), and the distinct keys are decoded
+    in order of first appearance."""
+    n_words = max(1, -(-int(lengths.max()) // 8))
+    if n_words * 8 > LABEL_KEY_BYTES:
+        raise _Unclean
+    keys = np.stack([words[starts + 8 * k] & _LOW_BYTES[np.minimum(np.maximum(lengths - 8 * k, 0), 8)]
+                     for k in range(n_words)], axis=1).astype("<u8", copy=False)
+    keys = keys.view(np.uint64 if n_words == 1 else f"S{8 * n_words}").ravel()
+    distinct = np.sort(keys)
+    distinct = distinct[np.concatenate([[True], distinct[1:] != distinct[:-1]])]
+    codes = np.searchsorted(distinct, keys)
+    first = np.full(len(distinct), len(keys))
+    np.minimum.at(first, codes, np.arange(len(keys)))
+    order = np.argsort(first)
+    rank = np.empty_like(order)
+    rank[order] = np.arange(len(order))
+    texts = distinct[order].view(f"S{8 * n_words}").tolist()
+    return [text.decode("utf-8") for text in texts], rank[codes]
 
 
 def _rows(path):

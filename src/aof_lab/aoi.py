@@ -17,9 +17,10 @@ certificate does not depend on the greedy start.
 
 from __future__ import annotations
 
+import functools
 import json
 import math
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 from typing import Iterable, Mapping, Sequence
 
 import numpy as np
@@ -36,16 +37,14 @@ FLOW_ATOL = 1e-9
 RESIDUAL_ATOL = 1e-13
 
 
-@dataclass(frozen=True)
 class DeliveryTrace:
     """Per-source lists of (generation slot, delivery slot) pairs; ``pairs``
-    holds each source's as an int64 ``(events, 2)`` array."""
+    holds each source's as a read-only int64 ``(events, 2)`` array, and
+    ``events`` the same pairs as tuples of ints, built on first use.  Traces
+    with equal pairs are equal."""
 
-    events: tuple[tuple[tuple[int, int], ...], ...]
-    pairs: tuple[np.ndarray, ...] = field(init=False, repr=False, compare=False)
-
-    def __post_init__(self):
-        pairs = tuple(np.array(src, dtype=np.int64).reshape(-1, 2) for src in self.events)
+    def __init__(self, events):
+        pairs = tuple(np.array(src, dtype=np.int64).reshape(-1, 2) for src in events)
         if not pairs:
             raise AofLabError("trace needs at least one source")
         for l, (g, d) in enumerate((p.T for p in pairs), start=1):
@@ -56,12 +55,26 @@ class DeliveryTrace:
                 raise AofLabError(f"source {l}: generation slots must be nondecreasing")
         for p in pairs:
             p.setflags(write=False)
-        object.__setattr__(self, "events", tuple(tuple(zip(*p.T.tolist())) for p in pairs))
-        object.__setattr__(self, "pairs", pairs)
+        self.pairs = pairs
+
+    @functools.cached_property
+    def events(self) -> tuple[tuple[tuple[int, int], ...], ...]:
+        return tuple(tuple(zip(*p.T.tolist())) for p in self.pairs)
+
+    def __eq__(self, other):
+        if type(other) is not DeliveryTrace:
+            return NotImplemented
+        return len(self.pairs) == len(other.pairs) and all(map(np.array_equal, self.pairs, other.pairs))
+
+    def __hash__(self):
+        return hash(self.events)
+
+    def __repr__(self):
+        return f"DeliveryTrace(events={self.events!r})"
 
     @property
     def m(self) -> int:
-        return len(self.events)
+        return len(self.pairs)
 
     def to_csv(self, path) -> None:
         pairs = np.concatenate(self.pairs)

@@ -11,12 +11,18 @@ receiver holds at that slot, their ages, and the target.  Two usages exist:
 Each label column is held as int64 codes into the space of labels it
 contains, encoded once when the dataset is built; labels appear again only
 when a column is read back, written to CSV or named in a law.  A dataset
-CSV is read by ``_util.read_csv``, which hands over each label column as
-its distinct texts plus codes, so each distinct text is parsed once, and
-written by ``_util.csv_text``, which renders each distinct label once.
+CSV is read by ``_util.read_csv``, which decodes its bytes and hands over
+each label column as its distinct texts plus codes, so each distinct text
+is parsed once, and written by ``_util.csv_text``, which renders each
+distinct label once.
 An empirical window law aligns a lag by slicing when the slots are
 contiguous and by one ``searchsorted`` per lag when they have gaps;
 counting it is one ``np.bincount`` over mixed-radix cell codes.
+``EmpiricalLawProvider`` counts a whole ``LagStack`` at once, over the
+column spaces: each column's codes serve every law as they are, the drift
+statistic is computed once per distinct (source, slice), and each chunk of
+laws is one ``np.bincount`` over ``law * cells + cell`` in stack axis
+order.
 
 Strict positivity is never imposed silently: empty cells stay empty unless
 a law is smoothed with an explicit pseudo-count, by ``smooth`` or by the
@@ -35,7 +41,8 @@ import numpy as np
 from ._util import csv_text, read_csv, read_json, write_text_atomic
 from .aoi import SENTINEL, AgeDistribution, AgeProcess
 from .errors import AofLabError, IncompatibleSpaceError
-from .laws import LagStack, WindowLaw, canonical_requests, lag_stack, source_index, variable_name, window_law_of
+from .laws import (STACK_CELLS, LagStack, WindowLaw, canonical_requests, lag_stack, source_index, source_variable,
+                   variable_name, window_law_of)
 from .spaces import JointPmf, OutcomeSpace
 
 DEFAULT_MIN_WINDOWS = 30
@@ -283,19 +290,29 @@ def quantize(dataset: Dataset, quantizer: Quantizer) -> Dataset:
     return Dataset(t=dataset.t, xs=tuple(new_xs), ages=dataset.ages, y=new_y, meta=meta)
 
 
-def _stationarity_chi2(column: CodedColumn, codes: np.ndarray) -> float:
+def _stationarity_chi2(column: CodedColumn, codes: np.ndarray, order: np.ndarray | None = None) -> float:
     """Chi-squared drift of the first-half against the second-half label
     frequencies (add-one counts), summed over the labels present in
-    ``repr`` order."""
+    ``repr`` order; ``order``, the column's ``_repr_order``, may be given."""
     half = len(codes) // 2
-    first = np.bincount(codes[:half], minlength=len(column.space))
-    second = np.bincount(codes[half:], minlength=len(column.space))
-    present = np.flatnonzero(first + second).tolist()
-    order = sorted(present, key=lambda i: repr(column.space.labels[i]))
-    n1 = 1.0 + first[order]
-    n2 = 1.0 + second[order]
+    order = _repr_order(column) if order is None else order
+    first = np.bincount(codes[:half], minlength=len(column.space))[order]
+    second = np.bincount(codes[half:], minlength=len(column.space))[order]
+    present = first + second > 0
+    n1 = 1.0 + first[present]
+    n2 = 1.0 + second[present]
     p1, p2 = n1 / n1.sum(), n2 / n2.sum()
     return float(((p1 - p2) ** 2 / p2).sum())
+
+
+def _repr_order(column: CodedColumn) -> np.ndarray:
+    """The codes of ``column``'s labels sorted by ``repr``, ties by code."""
+    return np.array(sorted(range(len(column.space)), key=lambda i: repr(column.space.labels[i])), dtype=np.int64)
+
+
+def _warn_drift(worst: float) -> None:
+    if worst > STATIONARITY_WARN:
+        warnings.warn(f"first/second-half marginal drift chi2={worst:.3f}; data may be non-stationary", stacklevel=3)
 
 
 def empirical_window_law(
@@ -347,12 +364,7 @@ def empirical_window_law(
         codes.append(values)
     probs = _count(codes, tuple(len(s) for _, s in variables)) / n_windows
 
-    worst = max(drift.values())
-    if worst > STATIONARITY_WARN:
-        warnings.warn(
-            f"first/second-half marginal drift chi2={worst:.3f}; data may be non-stationary",
-            stacklevel=2,
-        )
+    _warn_drift(max(drift.values()))
     law = JointPmf(tuple(variables), probs)
     return WindowLaw(
         law=law,
@@ -390,15 +402,85 @@ class EmpiricalLawProvider:
     window_law = window_law_of
 
     def window_law_stack(self, stack: LagStack) -> np.ndarray:
-        spaces = {var: self.dataset.coded(var).space for var, _ in stack.requests(0)}
-        reqs = [stack.requests(g) for g in range(len(stack.lags))]
-        laws = [empirical_window_law(self.dataset, r, spaces) for r in reqs]
-        # each law's axes run in sorted request order; put them in stack order
-        probs = np.stack([law.law.probs.transpose(list(map(law.requests.index, r))) for law, r in zip(laws, reqs)])
+        columns = [self.dataset.coded(source_variable(l)) for l in stack.sources]
+        counts, n_obs = _stack_counts(self.dataset.t, columns, stack, DEFAULT_MIN_WINDOWS)
+        # Each law is laid out in memory as empirical_window_law lays it out,
+        # axes in sorted request order, and viewed in stack order: sums over
+        # the stack then run, and round, as they do over per-law laws.
+        order = np.lexsort((stack.lags, np.broadcast_to(stack.sources, stack.lags.shape)))
+        back = np.argsort(order, axis=1)
+        probs = np.stack([(np.ascontiguousarray(c.transpose(o)) / n).transpose(b)
+                          for c, n, o, b in zip(counts, n_obs.tolist(), order, back)])
         if self.pseudo_count > 0.0:
-            n_obs = np.array([law.meta["n_windows"] for law in laws]).reshape(-1, *(1,) * len(stack.sources))
-            probs = _add_pseudo_count(probs, self.pseudo_count, n_obs, probs[0].size)
+            probs = _add_pseudo_count(probs, self.pseudo_count, n_obs.reshape(-1, *(1,) * len(columns)), probs[0].size)
         return probs
+
+
+def _stack_counts(t: np.ndarray, columns: Sequence[CodedColumn], stack: LagStack, min_windows: int):
+    """``(counts[G, ...], windows[G])``: the sliding-window counts of every
+    law of ``stack``, axis ``i`` over the whole space of ``columns[i]``, and
+    each law's number of usable windows, as ``empirical_window_law`` counts
+    them one law at a time.
+
+    On contiguous slots law ``g`` reads ``(i, lag)`` as the slice
+    ``codes[first - lag : n - lag]``, ``first`` being its largest lag, so
+    the drift statistic is computed once per distinct ``(source, first,
+    lag)``; on gapped slots each lag's rows come from one ``searchsorted``
+    and each law keeps the windows where all of them exist.  The drift
+    warnings of the laws before the first one with fewer than
+    ``min_windows`` windows are given in order, then that law's error.
+    Laws are counted a chunk at a time with one ``bincount`` over ``law *
+    cells + cell``, a chunk reading about ``STACK_CELLS`` codes."""
+    n, lags = len(t), stack.lags
+    shape = tuple(len(column.space) for column in columns)
+    cells = math.prod(shape)
+    orders = [_repr_order(column) for column in columns]
+    if t[-1] - t[0] == n - 1:  # contiguous slots: each read is a slice
+        first = np.minimum(lags.max(axis=1), n)
+        windows, starts = n - first, first.tolist()
+
+        def reads(g):
+            return [slice(starts[g] - lag, n - lag) for lag in lags[g].tolist()]
+    else:
+        rows = {lag: np.searchsorted(t, t - lag) for lag in np.unique(lags).tolist()}  # <= each row itself
+        ok = {lag: t[r] == t - lag for lag, r in rows.items()}
+
+        def usable(g):
+            return np.logical_and.reduce([ok[lag] for lag in lags[g].tolist()])
+
+        def reads(g):
+            keep = usable(g)
+            return [rows[lag][keep] for lag in lags[g].tolist()]
+        windows = np.array([np.count_nonzero(usable(g)) for g in range(len(lags))], dtype=np.int64)
+    short = np.flatnonzero(windows < min_windows)
+    stop = int(short[0]) if len(short) else len(lags)
+    drift = {}  # (source, slice bounds) or (law, axis) -> chi2
+    for g in range(stop):
+        values = []
+        for i, read in enumerate(reads(g)):
+            key = (stack.sources[i], read.start, read.stop) if isinstance(read, slice) else (g, i)
+            if key not in drift:
+                drift[key] = _stationarity_chi2(columns[i], columns[i].codes[read], orders[i])
+            values.append(drift[key])
+        _warn_drift(max(values))
+    if stop < len(lags):
+        raise AofLabError(f"only {windows[stop]} usable windows; need at least {min_windows}")
+    # row-major cell codes: axis i weighs the product of the sizes after it
+    weighted = [column.codes * math.prod(shape[i + 1:]) for i, column in enumerate(columns)]
+    counts = np.empty((len(lags), cells), dtype=np.int64)
+    chunk = max(1, STACK_CELLS // max(n + cells, 1))
+    flat = np.empty(chunk * n, dtype=np.int64)  # one chunk's law-offset cell codes, reused
+    sizes = windows.tolist()
+    for g0 in range(0, len(lags), chunk):
+        part, end = range(g0, min(g0 + chunk, len(lags))), 0
+        for g in part:
+            window = flat[end:end + sizes[g]]
+            window[:] = (g - g0) * cells
+            for codes, read in zip(weighted, reads(g)):
+                window += codes[read]
+            end += sizes[g]
+        counts[g0:part.stop] = np.bincount(flat[:end], minlength=len(part) * cells).reshape(len(part), cells)
+    return counts.reshape(len(lags), *shape), windows
 
 
 def dynamic_age_law(

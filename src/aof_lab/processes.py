@@ -43,6 +43,13 @@ from .spaces import NORMALIZATION_ATOL, OutcomeSpace
 if TYPE_CHECKING:  # pragma: no cover
     from .ingest import CodedColumn, Dataset
 
+# L1 move of one power step below which stationary polishing stops
+STATIONARY_STEP_ATOL = 1e-16
+# most a transition or emission row's sum may differ from 1
+ROW_SUM_ATOL = 1e-12
+# largest |pi T - pi| entry a stationary vector may leave
+STATIONARY_RESIDUAL_ATOL = 1e-10
+
 
 def _stationary_distribution(transition: np.ndarray) -> np.ndarray:
     values, vectors = np.linalg.eig(transition.T)
@@ -53,7 +60,7 @@ def _stationary_distribution(transition: np.ndarray) -> np.ndarray:
     # polish with a few power steps to push the residual to float precision
     for _ in range(200):
         pi, prev = pi @ transition, pi
-        if np.abs(pi - prev).sum() < 1e-16:
+        if np.abs(pi - prev).sum() < STATIONARY_STEP_ATOL:
             break
     return pi
 
@@ -79,7 +86,7 @@ def _check_rows(name: str, matrix: np.ndarray) -> np.ndarray:
     matrix = np.array(matrix, dtype=float)
     if matrix.ndim != 2 or np.any(matrix < 0) or not np.all(np.isfinite(matrix)):
         raise NotNormalizedError(f"{name} must be a nonnegative matrix")
-    if np.any(np.abs(matrix.sum(axis=1) - 1.0) > 1e-12):
+    if np.any(np.abs(matrix.sum(axis=1) - 1.0) > ROW_SUM_ATOL):
         raise NotNormalizedError(f"{name} rows must each sum to 1")
     matrix.setflags(write=False)
     return matrix
@@ -110,7 +117,7 @@ class ProcessModel:
         if not _is_primitive(transition):
             raise AofLabError("chain is reducible or periodic; stationarity is not well-defined")
         stationary = _stationary_distribution(transition)
-        if np.abs(stationary @ transition - stationary).max() > 1e-10:
+        if np.abs(stationary @ transition - stationary).max() > STATIONARY_RESIDUAL_ATOL:
             raise NotNormalizedError("stationary vector does not satisfy pi T = pi")
         stationary.setflags(write=False)
         emissions = tuple(_check_rows(f"emission[{l}]", e) for l, e in enumerate(self.emissions))

@@ -21,6 +21,9 @@ Label = Any
 
 NORMALIZATION_ATOL = 1e-12
 
+# most negative a probability may be: rounding error, clipped to 0
+NEGATIVE_MASS_ATOL = 1e-15
+
 
 def freeze_label(label):
     """JSON writes tuple labels as lists; rebuild hashable labels."""
@@ -80,7 +83,7 @@ class OutcomeSpace:
 
 def _validate_probs(probs: np.ndarray) -> np.ndarray:
     probs = np.asarray(probs, dtype=float)
-    if np.any(probs < -1e-15) or not np.all(np.isfinite(probs)):
+    if np.any(probs < -NEGATIVE_MASS_ATOL) or not np.all(np.isfinite(probs)):
         raise NotNormalizedError("probabilities must be finite and nonnegative")
     probs = np.where(probs < 0.0, 0.0, probs)
     total = float(probs.sum())

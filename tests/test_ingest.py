@@ -24,9 +24,10 @@ from aof_lab import (
     sample_trajectory,
     smooth,
 )
+from aof_lab import ingest
 from aof_lab.errors import AofLabError, IncompatibleSpaceError
 from aof_lab.ingest import CodedColumn
-from aof_lab.laws import canonical_requests, variable_name
+from aof_lab.laws import LagStack, canonical_requests, variable_name
 
 from oracles import dynamic_age_law_by_rows, window_law_by_rows
 
@@ -477,3 +478,108 @@ def test_csv_reads_in_batches_and_names_the_bad_line(tmp_path, monkeypatch):
     path.write_text("\n".join(lines) + "\n")
     with pytest.raises(AofLabError, match=r"line 7, column 'age_1': 'two' is not an integer"):
         Dataset.from_csv(path)
+
+
+# -- the stack counter against per-law counting --------------------------------
+
+
+def _gapped(ds, seed):
+    """``ds`` with about one row in five dropped."""
+    keep = np.random.default_rng(seed).random(len(ds)) > 0.2
+    xs = tuple(CodedColumn(col.space, col.codes[keep]) for col in ds.columns[:-1])
+    return Dataset(t=ds.t[keep], xs=xs, ages=tuple(a[keep] for a in ds.ages), y=CodedColumn(ds.columns[-1].space, ds.columns[-1].codes[keep]))
+
+
+def _per_law(ds, stack, pseudo_count):
+    """Each row of ``stack`` counted by ``empirical_window_law`` over the
+    column spaces, smoothed and put in stack axis order."""
+    spaces = {var: ds.coded(var).space for var, _ in stack.requests(0)}
+    for g in range(len(stack.lags)):
+        law = empirical_window_law(ds, stack.requests(g), spaces)
+        law_probs = smooth(law.law, pseudo_count, law.meta["n_windows"]).probs
+        yield law_probs.transpose([law.requests.index(r) for r in stack.requests(g)])
+
+
+def _random_stack(rng, m, sources, n_rows, max_lag):
+    """A stack over ``sources`` whose rows read no (source, lag) twice."""
+    rows = []
+    while len(rows) < n_rows:
+        row = rng.integers(0, max_lag + 1, size=len(sources)).tolist()
+        if len(set(zip(sources, row))) == len(sources):
+            rows.append(row)
+    return LagStack(sources, np.array(rows, dtype=np.int64))
+
+
+@pytest.mark.parametrize("stack_cells", [ingest.STACK_CELLS, 700])
+@pytest.mark.parametrize("pseudo_count", [0.0, 0.5])
+@pytest.mark.parametrize("m", [1, 2])
+@pytest.mark.parametrize("slots", ["contiguous", "gapped"])
+def test_stack_counter_equals_per_law_counting(monkeypatch, slots, m, pseudo_count, stack_cells):
+    # 700 cells is one law per chunk here; the default holds them all in one
+    monkeypatch.setattr(ingest, "STACK_CELLS", stack_cells)
+    model = make_hidden_nonmarkov(31 + m, n_states=3, n_sources=m, n_symbols=[2, 3][:m], n_targets=3)
+    ds = sample_trajectory(model, 600, seed=m)
+    if slots == "gapped":
+        ds = _gapped(ds, m)
+        assert ds.t[-1] - ds.t[0] != len(ds) - 1
+    rng = np.random.default_rng(m)
+    sources = (1, 0, 1) if m == 1 else (1, 2, 0, 2)
+    stack = _random_stack(rng, m, sources, 12, 7)
+    with warnings.catch_warnings():
+        warnings.simplefilter("ignore")
+        probs = EmpiricalLawProvider(ds, pseudo_count).window_law_stack(stack)
+        want = list(_per_law(ds, stack, pseudo_count))
+    assert probs.shape == (len(stack.lags), *want[0].shape)
+    for got, expected in zip(probs, want):
+        assert np.array_equal(got, expected)
+    # laid out as the stacked per-law laws, so sums over the stack round alike
+    assert probs.strides == np.stack(want).strides
+
+
+def _drifting_dataset(n=200):
+    """x1 switches from 0 to 1 half way; y is a fair coin."""
+    y = np.random.default_rng(3).integers(0, 2, size=n).tolist()
+    return Dataset(t=np.arange(n), xs=([0] * (n // 2) + [1] * (n - n // 2),), ages=(np.zeros(n),), y=y)
+
+
+def _messages(call):
+    """``(warning texts, error text or None)`` of ``call()``."""
+    with warnings.catch_warnings(record=True) as caught:
+        warnings.simplefilter("always")
+        try:
+            call()
+            error = None
+        except AofLabError as exc:
+            error = str(exc)
+    return [str(w.message) for w in caught], error
+
+
+def _each_law(ds, stack):
+    spaces = {var: ds.coded(var).space for var, _ in stack.requests(0)}
+    for g in range(len(stack.lags)):
+        empirical_window_law(ds, stack.requests(g), spaces)
+
+
+@pytest.mark.parametrize("slots", ["contiguous", "gapped"])
+def test_stack_counter_warns_for_the_same_laws_with_the_same_text(slots):
+    ds = _drifting_dataset()
+    if slots == "gapped":
+        ds = _gapped(ds, 4)
+    # x1 read from within one half does not drift (rows 1, 3, 4 and 5), y never
+    # does; rows 2 and 3 read x1@0 over slices that end alike
+    stack = LagStack((0, 1), [[0, 1], [0, 120], [2, 0], [150, 0], [0, 150], [1, 130]])
+    got = _messages(lambda: EmpiricalLawProvider(ds).window_law_stack(stack))
+    want = _messages(lambda: _each_law(ds, stack))
+    assert got == want
+    assert want[1] is None and 0 < len(want[0]) < len(stack.lags)
+    assert all(text.startswith("first/second-half marginal drift chi2=") for text in want[0])
+
+
+def test_stack_counter_fails_at_the_first_law_short_of_windows_after_its_warnings():
+    ds = _drifting_dataset()
+    # row 2 has 200 - 185 = 15 windows, below the 30-window minimum; row 3 has none
+    stack = LagStack((0, 1), [[0, 1], [2, 0], [0, 185], [0, 250], [0, 3]])
+    got = _messages(lambda: EmpiricalLawProvider(ds).window_law_stack(stack))
+    want = _messages(lambda: _each_law(ds, stack))
+    assert got == want
+    assert len(want[0]) == 2 and want[1] == "only 15 usable windows; need at least 30"

@@ -13,7 +13,7 @@ from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
 import aof_lab._util as util
-from aof_lab import AgeProcess, Dataset, DeliveryTrace, ProcessModel, make_hidden_nonmarkov
+from aof_lab import AgeProcess, Dataset, DeliveryTrace, ProcessModel, make_hidden_nonmarkov, sample_trajectory
 from aof_lab.aoi import SENTINEL
 from aof_lab.errors import AofLabError, NotNormalizedError
 
@@ -271,3 +271,125 @@ def test_integer_cells_read_as_int_reads_them(text):
         assert info.type is type(exc)
     else:
         assert util._ints([text], False).tolist() == [want]
+
+
+# -- the byte decoder at gen scale, and the inputs it leaves to csv.reader -----
+
+
+def _gen_scale_files(root):
+    """A 30k-row ``gen`` trajectory (1 source, 3 symbols, 3 targets) and a
+    13.5k-event 2-source delivery trace, each as ``(text, header, labels,
+    blank)``."""
+    model = make_hidden_nonmarkov(11, n_states=4, n_sources=1, n_symbols=3, n_targets=3)
+    sample_trajectory(model, 30_000, 11).to_csv(root / "trajectory.csv")
+    rng = np.random.default_rng(11)
+    sources = []
+    for rate in (0.2, 0.25):
+        g = np.cumsum(rng.geometric(rate, size=9_000)) - 1
+        g = g[g < 30_000]
+        sources.append(np.stack([g, g + rng.integers(0, 9, size=len(g))], axis=1))
+    trace = DeliveryTrace(tuple(sources))
+    assert 13_000 <= sum(len(p) for p in trace.pairs) <= 14_000
+    trace.to_csv(root / "trace.csv")
+    return {"trajectory": ((root / "trajectory.csv").read_bytes().decode(), ["t", "x_1", "age_1", "y"], ("x_", "y"), ()),
+            "trace": ((root / "trace.csv").read_bytes().decode(), ["source_id", "G", "D"], (), ())}
+
+
+@pytest.fixture(scope="module")
+def gen_scale(tmp_path_factory):
+    """The gen-scale files and what the row-by-row oracle reads from each."""
+    root = tmp_path_factory.mktemp("gen")
+    files = _gen_scale_files(root)
+    return {name: (text, header, labels, blank, read_csv_by_rows(root / f"{name}.csv", lambda found: header, labels, blank))
+            for name, (text, header, labels, blank) in files.items()}
+
+
+# every line form at the default block; 1- and 3-line blocks each in one form
+GEN_SCALE_CASES = [(name, ending, final, util.CSV_CHUNK_ROWS) for name in ("trajectory", "trace")
+                   for ending in ("\r\n", "\n") for final in (True, False)]
+GEN_SCALE_CASES += [(name, "\n", False, 1) for name in ("trajectory", "trace")]
+GEN_SCALE_CASES += [(name, "\r\n", True, 3) for name in ("trajectory", "trace")]
+
+
+@pytest.mark.parametrize("name,ending,final,chunk", GEN_SCALE_CASES)
+def test_gen_scale_files_decode_to_the_row_by_row_oracle(tmp_path, monkeypatch, gen_scale, name, ending, final, chunk):
+    text, header, labels, blank, want = gen_scale[name]
+    assert text.count("\r\n") == text.count("\n") == len(want[header[0]]) + 1  # written by csv.writer
+    text = text.replace("\r\n", ending)
+    path = tmp_path / "in.csv"
+    path.write_text(text if final else text.removesuffix(ending), newline="")
+    monkeypatch.setattr(util, "CSV_CHUNK_ROWS", chunk)
+    # clean files never reach csv.reader
+    monkeypatch.setattr(util.csv, "reader", None)
+    got = util.read_csv(path, lambda found: header, lambda columns: columns, labels, blank)
+    assert list(got) == list(want)
+    for column, cells in got.items():
+        if column.startswith(labels):
+            assert (cells[0], cells[1].tolist()) == want[column]
+        else:
+            assert cells.dtype == np.int64 and cells.tolist() == want[column]
+
+
+LONG_LABEL = "ab" * util.LABEL_KEY_BYTES
+# (class of input, header, data lines, label prefixes, blank prefixes): the
+# odd cell sits in the last of five rows, so the first blocks decode before
+# csv.reader takes the file over
+ODD_INPUTS = {
+    "quoted label": (["t", "y"], ["0,a", "1,b", "2,a", "3,b", '4,"a,b"'], ("y",), ()),
+    "quoted integer": (["t", "y"], ["0,a", "1,b", "2,a", "3,b", '"4",a'], ("y",), ()),
+    "lone CR": (["t", "y"], ["0,a", "1,b", "2,a", "3,b", "4,a\r5,b"], ("y",), ()),
+    "NUL in a label": (["t", "y"], ["0,a", "1,b", "2,a", "3,b", "4,a\x00b"], ("y",), ()),
+    "over the field limit": (["t", "y"], ["0,a", "1,b", "2,a", "3,b", "4," + "a" * (csv.field_size_limit() + 1)],
+                             ("y",), ()),
+    "label over the key width": (["t", "y"], ["0,a", "1,b", "2,a", "3,b", f"4,{LONG_LABEL}"], ("y",), ()),
+    "non-ASCII label": (["t", "y"], ["0,a", "1,é", "2,a", "3,b", "4,é"], ("y",), ()),
+    "plus sign": (["t", "y"], ["0,a", "1,b", "2,a", "3,b", "+4,a"], ("y",), ()),
+    "leading space": (["t", "y"], ["0,a", "1,b", "2,a", "3,b", " 4,a"], ("y",), ()),
+    "trailing space": (["t", "y"], ["0,a", "1,b", "2,a", "3,b", "4 ,a"], ("y",), ()),
+    "underscore": (["t", "y"], ["0,a", "1,b", "2,a", "3,b", "1_000,a"], ("y",), ()),
+    "non-ASCII digit": (["t", "y"], ["0,a", "1,b", "2,a", "3,b", "٣,a"], ("y",), ()),
+    "19 digits in range": (["t", "y"], ["0,a", "1,b", "2,a", "3,b", f"{2**63 - 1},a"], ("y",), ()),
+    "19 digits, leading zeros": (["t", "y"], ["0,a", "1,b", "2,a", "3,b", "0000000000000000004,a"], ("y",), ()),
+    "int64 minimum": (["t", "y"], ["0,a", "1,b", "2,a", "3,b", f"{-2**63},a"], ("y",), ()),
+    "over int64": (["t", "y"], ["0,a", "1,b", "2,a", "3,b", f"{2**63},a"], ("y",), ()),
+    "below int64": (["t", "y"], ["0,a", "1,b", "2,a", "3,b", f"{-2**63 - 1},a"], ("y",), ()),
+    "negative zero in a blank column": (["t", "age_1"], ["0,1", "1,", "2,3", "3,", "4,-0"], (), ("age_",)),
+    "negative in a blank column": (["t", "age_1"], ["0,1", "1,", "2,3", "3,", "4,-5"], (), ("age_",)),
+    "empty integer cell": (["t", "y"], ["0,a", "1,b", "2,a", "3,b", ",a"], ("y",), ()),
+    "a lone minus": (["t", "y"], ["0,a", "1,b", "2,a", "3,b", "-,a"], ("y",), ()),
+    "decimal point": (["t", "y"], ["0,a", "1,b", "2,a", "3,b", "4.0,a"], ("y",), ()),
+    "short row": (["t", "x_1", "y"], ["0,a,b", "1,b,a", "2,a,b", "3,b,a", "4,a"], ("x_", "y"), ()),
+    "long row": (["t", "y"], ["0,a", "1,b", "2,a", "3,b", "4,a,7"], ("y",), ()),
+    "blank line": (["t", "y"], ["0,a", "1,b", "2,a", "3,b", "", "4,a"], ("y",), ()),
+    "blank line, one column": (["y"], ["a", "b", "a", "b", "", "a"], ("y",), ()),
+    "byte order mark": (["t", "y"], ["0,a", "1,b"], ("y",), ()),
+    "not UTF-8": (["t", "y"], ["0,a", "1,b", "2,a", "3,b", "4,\udce9"], ("y",), ()),
+    "quoted header": (["t", "y"], ["0,a", "1,b"], ("y",), ()),
+    "wrong header": (["t", "y"], ["0,a", "1,b"], ("y",), ()),
+    "header only": (["t", "y"], [], ("y",), ()),
+}
+
+
+@pytest.mark.parametrize("chunk", [2, util.CSV_CHUNK_ROWS])
+@pytest.mark.parametrize("case", sorted(ODD_INPUTS))
+def test_inputs_the_byte_decoder_leaves_to_csv_reader_read_as_the_oracle_reads_them(tmp_path, monkeypatch, case, chunk):
+    header, lines, labels, blank = ODD_INPUTS[case]
+    head = {"byte order mark": "\ufeff" + ",".join(header), "quoted header": ",".join(f'"{h}"' for h in header),
+            "wrong header": ",".join(header[::-1])}.get(case, ",".join(header))
+    path = tmp_path / "in.csv"
+    path.write_bytes("\n".join([head, *lines, ""]).encode("utf-8", errors="surrogateescape"))
+    want = read_csv_by_rows(path, lambda found: header, labels, blank)
+    monkeypatch.setattr(util, "CSV_CHUNK_ROWS", chunk)
+    try:
+        got = util.read_csv(path, lambda found: header, lambda columns: columns, labels, blank)
+    except AofLabError as exc:
+        got = str(exc)
+    if isinstance(want, str):
+        assert got == want
+    else:
+        assert list(got) == list(want)
+        for column, cells in got.items():
+            if column.startswith(labels):
+                assert (cells[0], cells[1].tolist()) == want[column]
+            else:
+                assert cells.dtype == np.int64 and cells.tolist() == want[column]
