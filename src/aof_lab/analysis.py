@@ -24,24 +24,29 @@ conditions on the pooled mixture and can only be worse.  Testing losses
 evaluate per-cell Bayes actions trained under one provider against a law
 from another; :func:`cross_loss_sweep` mixes the test laws toward the
 training ones from the two constant-age stacks, each built once.
+
+``aoi`` and ``divergence`` are imported inside the functions that call
+them, so a loss curve or a decomposition loads neither module.
 """
 
 from __future__ import annotations
 
 import json
 from dataclasses import dataclass, field
-from typing import Sequence
+from typing import TYPE_CHECKING, Sequence
 
 import numpy as np
 
 from ._util import csv_table, write_text_atomic
-from .aoi import AgeDistribution, OrderingVerdict, stochastic_order_multivariate
-from .divergence import BetaReport, EpsilonReport, beta_between, epsilon_coefficient
 from .errors import AofLabError, IncompatibleSpaceError
 from .information import conditional_cross_entropy, conditional_entropy, conditional_entropy_stack
 from .laws import LagStack, LawProvider, MixtureLawProvider, axis_spaces, source_variable
 from .losses import LossSpec
 from .spaces import JointPmf, OutcomeSpace
+
+if TYPE_CHECKING:  # pragma: no cover
+    from .aoi import AgeDistribution, OrderingVerdict
+    from .divergence import BetaReport, EpsilonReport
 
 AgeVector = tuple[int, ...]
 
@@ -294,6 +299,8 @@ def _epsilon_or_default(laws, report, tau_max, mu_max, *age_dists: AgeDistributi
     the largest age component (at least 2)."""
     if report is not None:
         return report
+    from .divergence import epsilon_coefficient
+
     cap = max(2, max(max(max(vec) for vec in d.vectors) for d in age_dists))
     return epsilon_coefficient(laws, cap if tau_max is None else tau_max, cap if mu_max is None else mu_max)
 
@@ -313,6 +320,8 @@ def compare_experiments(
     raised.  The provider's Markov-deviation coefficient is measured (or
     passed in precomputed) so the signed difference can be read against it.
     """
+    from .aoi import stochastic_order_multivariate
+
     verdict = stochastic_order_multivariate(ages_smaller, ages_larger)
     loss_c = joint_training_loss(laws, ages_smaller, loss, with_age_feature=True)
     loss_d = joint_training_loss(laws, ages_larger, loss, with_age_feature=True)
@@ -362,6 +371,8 @@ def cross_loss_sweep(
     per weight ``eta``, the radius and testing loss against the test laws of
     ``MixtureLawProvider(train_laws, test_laws, eta)``; ``eta = 1.0`` tests
     on ``test_laws`` itself."""
+    from .divergence import beta_between
+
     mixtures = [MixtureLawProvider(train_laws, test_laws, eta) for eta in etas]
     train = _constant_age_laws(train_laws, ages.vectors)
     test = _constant_age_laws(test_laws, ages.vectors)
@@ -413,6 +424,9 @@ def compare_testing_experiments(
 ) -> TestingComparison:
     """Testing losses under two ordered test-age laws, with the measured
     train/test mismatch radius of each experiment alongside."""
+    from .aoi import stochastic_order_multivariate
+    from .divergence import beta_between
+
     verdict = stochastic_order_multivariate(ages_smaller, ages_larger)
     train_c, test_c = dynamic_joint(train_laws, ages_smaller), dynamic_joint(test_laws, ages_smaller)
     train_d, test_d = dynamic_joint(train_laws, ages_larger), dynamic_joint(test_laws, ages_larger)

@@ -334,6 +334,15 @@ def _check_sizes(**sizes: int) -> None:
             raise AofLabError(f"{name} must be at least 1, got {size}")
 
 
+def _rng(seed) -> np.random.Generator:
+    """numpy's generator for ``seed``; a seed numpy rejects (a negative one)
+    is a domain error that names it."""
+    try:
+        return np.random.default_rng(seed)
+    except ValueError:
+        raise AofLabError(f"seed must be a nonnegative integer, got {seed!r}") from None
+
+
 def _random_rows(rng, alpha: np.ndarray, rows: int, floor: float) -> np.ndarray:
     """``rows`` Dirichlet(``alpha``) rows, each lifted by ``floor / len(alpha)`` and renormalized."""
     draw = rng.dirichlet(alpha, size=rows)
@@ -344,7 +353,7 @@ def _random_rows(rng, alpha: np.ndarray, rows: int, floor: float) -> np.ndarray:
 def _random_model(seed, n_states, n_targets, alpha, floors, emit, window, delay) -> ProcessModel:
     """The recipe both generators share, drawn from one seeded stream in this
     order: transition rows, ``emit(rng)``'s kernels and spaces, target rows."""
-    rng = np.random.default_rng(seed)
+    rng = _rng(seed)
     transition = _random_rows(rng, np.full(n_states, alpha), n_states, floors[0])
     emissions, spaces = emit(rng)
     target = _random_rows(rng, np.full(n_targets, alpha), n_states, floors[1])
@@ -446,7 +455,7 @@ def sample_trajectory(model: ProcessModel, length: int, seed: int) -> Dataset:
     warm = model.delay + model.window - 1
     if length <= warm:
         raise AofLabError(f"length must exceed the warm-up of {warm} slots, got {length}")
-    rng = np.random.default_rng(seed)
+    rng = _rng(seed)
     rows = np.cumsum(model.transition, axis=1).tolist()
     state = int(rng.choice(model.n_states, p=model.stationary))
     path = [state]

@@ -1,13 +1,15 @@
+import contextlib
 import csv
+import io
 import json
 import os
 import subprocess
 import sys
+from dataclasses import dataclass
 from pathlib import Path
 
 import numpy as np
 import pytest
-from click.testing import CliRunner
 
 from aof_lab import (
     AgeDistribution,
@@ -27,21 +29,31 @@ from aof_lab.cli import main
 from oracles import dataset_csv_by_rows, trajectory_by_steps
 
 
-@pytest.fixture
-def runner():
-    return CliRunner()
+@dataclass(frozen=True)
+class Result:
+    exit_code: int
+    stdout: str
+    stderr: str
+
+    @property
+    def output(self) -> str:
+        return self.stdout + self.stderr
 
 
-def _invoke(runner, args):
-    result = runner.invoke(main, args, catch_exceptions=False)
-    return result
+def _invoke(args):
+    """``main(args)`` with stdout and stderr captured; an exception that
+    escapes ``main`` fails the calling test."""
+    out, err = io.StringIO(), io.StringIO()
+    with contextlib.redirect_stdout(out), contextlib.redirect_stderr(err):
+        code = main(args)
+    return Result(code, out.getvalue(), err.getvalue())
 
 
-def test_gen_deterministic_given_seed(runner, tmp_path):
+def test_gen_deterministic_given_seed(tmp_path):
     a, b = tmp_path / "a", tmp_path / "b"
     for out in (a, b):
-        res = _invoke(runner, ["--seed", "9", "--out", str(out), "gen", "--kind", "hidden",
-                               "--length", "50"])
+        res = _invoke(["--seed", "9", "--out", str(out), "gen", "--kind", "hidden",
+                       "--length", "50"])
         assert res.exit_code == 0
     model_a = json.loads((a / "model.json").read_text())
     model_b = json.loads((b / "model.json").read_text())
@@ -53,19 +65,23 @@ def test_gen_deterministic_given_seed(runner, tmp_path):
 
 @pytest.mark.parametrize("window", [1, 2, 3])
 @pytest.mark.parametrize("delay", [0, 1, 2])
-def test_gen_trajectory_matches_per_step_oracle_bytes(runner, tmp_path, window, delay):
-    res = _invoke(runner, ["--seed", "17", "--out", str(tmp_path), "gen", "--sources", "2",
-                           "--symbols", "3", "--window", str(window), "--delay", str(delay),
-                           "--length", "500"])
+def test_gen_trajectory_matches_per_step_oracle_bytes(tmp_path, window, delay):
+    res = _invoke(["--seed", "17", "--out", str(tmp_path), "gen", "--sources", "2",
+                   "--symbols", "3", "--window", str(window), "--delay", str(delay),
+                   "--length", "500"])
     assert res.exit_code == 0
     model = ProcessModel.load(tmp_path / "model.json")
     want = dataset_csv_by_rows(trajectory_by_steps(model, 500, 17))
     assert (tmp_path / "trajectory.csv").read_bytes() == want.encode("utf-8")
 
 
+def _csv_rows(path) -> list[dict]:
+    with open(path, newline="", encoding="utf-8") as f:
+        return list(csv.DictReader(f))
+
+
 def _assert_clean_error(res, *needles):
-    assert res.exit_code == 1
-    assert isinstance(res.exception, SystemExit)  # not an escaped exception
+    assert res.exit_code == 1  # main returned 1 without raising
     lines = res.output.strip().splitlines()
     assert len(lines) == 1 and lines[0].startswith("Error: ")
     assert "Traceback" not in res.output
@@ -82,10 +98,10 @@ def _assert_clean_error(res, *needles):
     ("0,1,0,1\n1,1,-99999999999999999999,1\n", ["line 3", "'age_1'", "int64"]),  # age beyond int64
     ("", ["no data rows"]),
 ])
-def test_malformed_data_csv_is_a_clean_error(runner, tmp_path, body, needles):
+def test_malformed_data_csv_is_a_clean_error(tmp_path, body, needles):
     path = tmp_path / "bad.csv"
     path.write_text("t,x_1,age_1,y\n" + body)
-    res = runner.invoke(main, ["--out", str(tmp_path), "age-curve", "--data", str(path), "--grid", "0..1"])
+    res = _invoke(["--out", str(tmp_path), "age-curve", "--data", str(path), "--grid", "0..1"])
     _assert_clean_error(res, str(path), *needles)
 
 
@@ -96,10 +112,10 @@ def test_malformed_data_csv_is_a_clean_error(runner, tmp_path, body, needles):
     ("source_id,G,D\n1,0,1\n1,2,99999999999999999999\n", ["line 3", "'D'", "int64"]),
     ("", ["line 1", "'source_id'"]),
 ])
-def test_malformed_delivery_trace_is_a_clean_error(runner, tmp_path, text, needles):
+def test_malformed_delivery_trace_is_a_clean_error(tmp_path, text, needles):
     path = tmp_path / "trace.csv"
     path.write_text(text)
-    res = runner.invoke(main, ["--out", str(tmp_path), "simulate-aoi", "--trace", str(path), "--horizon", "5"])
+    res = _invoke(["--out", str(tmp_path), "simulate-aoi", "--trace", str(path), "--horizon", "5"])
     _assert_clean_error(res, str(path), *needles)
 
 
@@ -112,10 +128,10 @@ DATA_ARGS = ["age-curve", "--data", "{path}", "--grid", "0..1"]
     (DATA_ARGS, "t,x_1,age_1,y\n0,1,0,1\n1,1,-1,1\n", "ages must be nonnegative"),
     (DATA_ARGS, "t,x_1,age_1,y\n1,1,0,1\n0,1,0,1\n", "slot indices must be strictly increasing"),
 ], ids=["generation-after-delivery", "negative-age", "decreasing-slots"])
-def test_csv_value_rule_error_names_the_file_once(runner, tmp_path, args, text, message):
+def test_csv_value_rule_error_names_the_file_once(tmp_path, args, text, message):
     path = tmp_path / "in.csv"
     path.write_text(text)
-    res = runner.invoke(main, ["--out", str(tmp_path / "out"), *(a.format(path=path) for a in args)])
+    res = _invoke(["--out", str(tmp_path / "out"), *(a.format(path=path) for a in args)])
     _assert_clean_error(res)
     assert res.output.strip() == f"Error: {path}: {message}"
 
@@ -125,13 +141,13 @@ def test_csv_value_rule_error_names_the_file_once(runner, tmp_path, args, text, 
     ([[0.5, 0.5]], "transition must be square over the states"),
     ([[0.5, 0.5]] * 3, "transition must be square over the states"),
 ], ids=["nan-cell", "1x2", "3x2"])
-def test_model_checks_run_before_the_stationary_law(runner, tmp_path, transition, message):
-    assert _invoke(runner, ["--out", str(tmp_path), "gen"]).exit_code == 0
+def test_model_checks_run_before_the_stationary_law(tmp_path, transition, message):
+    assert _invoke(["--out", str(tmp_path), "gen"]).exit_code == 0
     path = tmp_path / "bad.json"
     model = json.loads((tmp_path / "model.json").read_text())
     path.write_text(json.dumps({**model, "transition": transition}))
-    res = runner.invoke(main, ["--out", str(tmp_path / "out"), "age-curve", "--model", str(path),
-                               "--grid", "0"])
+    res = _invoke(["--out", str(tmp_path / "out"), "age-curve", "--model", str(path),
+                   "--grid", "0"])
     _assert_clean_error(res)
     assert res.output.strip() == f"Error: {path}: {message}"
 
@@ -155,14 +171,84 @@ def test_model_checks_run_before_the_stationary_law(runner, tmp_path, transition
     (["gen", "--length", "-5"], "length must exceed the warm-up of 0 slots, got -5"),
     (["gen", "--window", "3", "--length", "2"], "warm-up"),
     (["age-curve", "--model", "{model}", "--grid", "9223372036854775808,0"], "lag"),
+    # a value that starts with "-" is still the option's value
+    (["--lambda", "-1e-3", "age-curve", "--data", "{data}", "--grid", "0x0"], "pseudo-count"),
+    (["decompose", "--model", "{model}", "--delta", "-1,0"], "nonnegative"),
+    (["cross-loss", "--train", "{model}", "--test", "{model}", "--sweep", "--etas", "-0.5"], "eta"),
 ])
-def test_bad_option_value_is_a_clean_error(runner, tmp_path, args, needle):
-    assert _invoke(runner, ["--out", str(tmp_path), "gen", "--sources", "2", "--length", "200"]).exit_code == 0
+def test_bad_option_value_is_a_clean_error(tmp_path, args, needle):
+    assert _invoke(["--out", str(tmp_path), "gen", "--sources", "2", "--length", "200"]).exit_code == 0
     files = {"model": str(tmp_path / "model.json"), "data": str(tmp_path / "trajectory.csv")}
     out = tmp_path / "out"
-    res = runner.invoke(main, ["--out", str(out), *(a.format(**files) for a in args)])
+    res = _invoke(["--out", str(out), *(a.format(**files) for a in args)])
     _assert_clean_error(res, needle)
     assert not out.exists()  # nothing written
+
+
+@pytest.mark.parametrize("source", ["flag", "config"])
+def test_negative_seed_is_a_clean_error(tmp_path, source):
+    config = tmp_path / "config.json"
+    config.write_text(json.dumps({"seed": -1}))
+    out = tmp_path / "out"
+    given = ["--seed", "-1"] if source == "flag" else ["--config", str(config)]
+    res = _invoke([*given, "--out", str(out), "gen", "--length", "50"])
+    _assert_clean_error(res, "seed", "-1")
+    assert not out.exists()
+
+
+@pytest.mark.parametrize("args,needle", [
+    (["age-curve", "--model", "{missing}", "--grid", "0"], "argument --model: file "),
+    (["--config", "{missing}", "gen"], "argument --config: file "),
+    (["order-check", "--dist-a", "{dir}", "--dist-b", "{dir}"], "is a directory"),
+    (["--out", "{file}", "gen"], "argument --out: directory "),
+    (["gen", "--kind", "x"], "argument --kind: invalid choice"),
+    (["gen", "--states", "four"], "argument --states: invalid int value"),
+    (["age-curve", "--model", "{file}"], "required: --grid"),
+    (["gen", "--bogus", "1"], "unrecognized arguments: --bogus 1"),
+    (["gen", "--sta", "3"], "unrecognized arguments"),  # no abbreviated options
+    (["bogus"], "invalid choice: 'bogus'"),
+    ([], "required: COMMAND"),
+])
+def test_usage_error_is_the_usage_and_one_error_line(tmp_path, args, needle):
+    (tmp_path / "file").write_text("{}")
+    paths = {"missing": str(tmp_path / "missing.json"), "dir": str(tmp_path), "file": str(tmp_path / "file")}
+    out = tmp_path / "out"
+    given = [a.format(**paths) for a in args]
+    res = _invoke(given if "--out" in args else ["--out", str(out), *given])
+    assert res.exit_code == 2  # main returned 2 without raising
+    assert res.stdout == ""
+    lines = res.stderr.splitlines()
+    assert lines[0].startswith("usage: aof-lab")
+    assert [line for line in lines if line.startswith("Error: ")] == [lines[-1]]
+    assert needle in lines[-1]
+    assert not out.exists()
+
+
+@pytest.mark.parametrize("args,commands", [
+    (["--help"], ["gen", "age-curve", "decompose", "epsilon", "beta", "order-check", "cross-loss", "simulate-aoi"]),
+    (["gen", "--help"], ["--kind", "--states", "--length"]),
+    (["-h"], ["COMMAND"]),
+])
+def test_help_goes_to_stdout_and_exits_zero(args, commands):
+    res = _invoke(args)
+    assert res.exit_code == 0 and res.stderr == ""
+    assert res.stdout.startswith("usage: aof-lab")
+    for name in commands:
+        assert name in res.stdout
+
+
+def test_the_module_entry_exits_with_mains_code(tmp_path):
+    """``python -m aof_lab.cli`` passes main's return value to sys.exit."""
+    src = Path(__file__).resolve().parent.parent / "src"
+    env = {**os.environ, "PYTHONPATH": os.pathsep.join([str(src), os.environ.get("PYTHONPATH", "")])}
+    codes = {}
+    for case, args in (("ok", ["gen"]), ("domain", ["--seed", "-1", "gen"]), ("usage", ["gen", "--kind", "x"])):
+        res = subprocess.run([sys.executable, "-m", "aof_lab.cli", "--out", str(tmp_path / case), *args],
+                             env=env, capture_output=True, text=True)
+        codes[case] = (res.returncode, res.stdout.splitlines(), res.stderr.splitlines()[-1:])
+    assert codes["ok"] == (0, [f"wrote {tmp_path / 'ok' / 'model.json'}"], [])
+    assert codes["domain"] == (1, [], ["Error: seed must be a nonnegative integer, got -1"])
+    assert codes["usage"][:2] == (2, []) and codes["usage"][2][0].startswith("Error: argument --kind")
 
 
 @pytest.mark.parametrize("ages", [
@@ -170,20 +256,20 @@ def test_bad_option_value_is_a_clean_error(runner, tmp_path, args, needle):
     {"vectors": [[0.9], [1.5]], "probs": [0.5, 0.5]},
     {"vectors": [[]], "probs": [1]},
 ], ids=["nan-prob", "fractional-age", "zero-dimensional"])
-def test_faulty_age_law_values_are_a_clean_error(runner, tmp_path, ages):
+def test_faulty_age_law_values_are_a_clean_error(tmp_path, ages):
     bad, good = tmp_path / "bad.json", tmp_path / "good.json"
     bad.write_text(json.dumps(ages))
     good.write_text(json.dumps({"vectors": [[0], [1]], "probs": [0.5, 0.5]}))
     out = tmp_path / "out"
-    res = runner.invoke(main, ["--out", str(out), "order-check", "--dist-a", str(bad), "--dist-b", str(good)])
+    res = _invoke(["--out", str(out), "order-check", "--dist-a", str(bad), "--dist-b", str(good)])
     _assert_clean_error(res, str(bad))
     assert not (out / "order.json").exists()
 
 
-def _json_inputs(runner, root):
+def _json_inputs(root):
     """A valid file of each JSON input kind: model, joint law, age law,
     config and loss table."""
-    assert _invoke(runner, ["--out", str(root), "gen"]).exit_code == 0
+    assert _invoke(["--out", str(root), "gen"]).exit_code == 0
     model = root / "model.json"
     exact_window_law(ProcessModel.load(model), [("y", 0), ("x1", 1)]).law.save(root / "law.json")
     AgeDistribution.point_mass((1,)).save(root / "ages.json")
@@ -223,8 +309,8 @@ JSON_CASES = [(option, fault) for option in JSON_INPUTS for fault in JSON_FAULTS
 
 
 @pytest.mark.parametrize("option,fault", JSON_CASES)
-def test_faulty_json_input_is_a_clean_error(runner, tmp_path, option, fault):
-    valid = _json_inputs(runner, tmp_path)
+def test_faulty_json_input_is_a_clean_error(tmp_path, option, fault):
+    valid = _json_inputs(tmp_path)
     kind, args, key, wrong = JSON_INPUTS[option]
     path = tmp_path / "faulty.json"
     data = dict(valid[kind])
@@ -239,21 +325,21 @@ def test_faulty_json_input_is_a_clean_error(runner, tmp_path, option, fault):
         path.write_text(json.dumps({**data, **wrong}))
     files = {"file": str(path), **{k: str(tmp_path / f"{k}.json") for k in ("model", "law", "ages")}}
     out = tmp_path / "out"
-    res = runner.invoke(main, ["--out", str(out), *(a.format(**files) for a in args)])
+    res = _invoke(["--out", str(out), *(a.format(**files) for a in args)])
     _assert_clean_error(res, str(path))
     assert not out.exists()  # nothing written
 
 
-def test_gen_ignores_a_stale_temp_path_in_out(runner, tmp_path):
+def test_gen_ignores_a_stale_temp_path_in_out(tmp_path):
     (tmp_path / ".trajectory.csv.tmp").mkdir()
-    res = _invoke(runner, ["--seed", "9", "--out", str(tmp_path), "gen", "--length", "20"])
+    res = _invoke(["--seed", "9", "--out", str(tmp_path), "gen", "--length", "20"])
     assert res.exit_code == 0
     assert len((tmp_path / "trajectory.csv").read_text().splitlines()) == 21
 
 
-def test_every_output_gets_the_mode_of_a_plain_open(runner, tmp_path):
+def test_every_output_gets_the_mode_of_a_plain_open(tmp_path):
     out = tmp_path / "out"
-    _invoke(runner, ["--seed", "3", "--out", str(out), "gen", "--length", "40"])
+    _invoke(["--seed", "3", "--out", str(out), "gen", "--length", "40"])
     DeliveryTrace((((0, 1), (3, 5)),)).to_csv(tmp_path / "trace.csv")
     AgeDistribution.point_mass((1, 3)).save(tmp_path / "a.json")
     AgeDistribution.point_mass((2, 2)).save(tmp_path / "b.json")
@@ -267,7 +353,7 @@ def test_every_output_gets_the_mode_of_a_plain_open(runner, tmp_path):
                  ["beta", "--train", law, "--test", law],
                  ["order-check", "--dist-a", str(tmp_path / "a.json"), "--dist-b", str(tmp_path / "b.json")],
                  ["simulate-aoi", "--trace", str(tmp_path / "trace.csv"), "--horizon", "6"]):
-        assert _invoke(runner, ["--out", str(out), *args]).exit_code == 0
+        assert _invoke(["--out", str(out), *args]).exit_code == 0
     with open(out / "probe", "w", encoding="utf-8"):
         pass
     plain = (out / "probe").stat().st_mode & 0o777
@@ -285,68 +371,68 @@ def test_cli_import_loads_neither_scipy_nor_networkx():
     assert res.stdout.strip() == "[]"
 
 
-def test_gen_length_zero_skips_dataset(runner, tmp_path):
-    res = _invoke(runner, ["--out", str(tmp_path), "gen", "--length", "0"])
+def test_gen_length_zero_skips_dataset(tmp_path):
+    res = _invoke(["--out", str(tmp_path), "gen", "--length", "0"])
     assert res.exit_code == 0
     assert (tmp_path / "model.json").exists()
     assert not (tmp_path / "trajectory.csv").exists()
 
 
-def test_gen_invalid_noise_names_field(runner, tmp_path):
-    res = runner.invoke(main, ["--out", str(tmp_path), "gen", "--noise", "1.5"])
+def test_gen_invalid_noise_names_field(tmp_path):
+    res = _invoke(["--out", str(tmp_path), "gen", "--noise", "1.5"])
     assert res.exit_code != 0
     assert "noise" in res.output
 
 
-def test_age_curve_markov_sidecar_index(runner, tmp_path):
-    _invoke(runner, ["--seed", "4", "--out", str(tmp_path), "gen", "--kind", "markov",
-                     "--states", "3", "--targets", "2"])
-    res = _invoke(runner, ["--out", str(tmp_path), "age-curve",
-                           "--model", str(tmp_path / "model.json"), "--grid", "0..4"])
+def test_age_curve_markov_sidecar_index(tmp_path):
+    _invoke(["--seed", "4", "--out", str(tmp_path), "gen", "--kind", "markov",
+             "--states", "3", "--targets", "2"])
+    res = _invoke(["--out", str(tmp_path), "age-curve",
+                   "--model", str(tmp_path / "model.json"), "--grid", "0..4"])
     assert res.exit_code == 0
     meta = json.loads((tmp_path / "age_curve.meta.json").read_text())
     assert meta["curves"]["default"]["nonmonotonicity_index"] <= 1e-9
     assert meta["config"]["loss"] == "log"
 
 
-def test_age_curve_window_sweep_nonincreasing_index(runner, tmp_path):
-    _invoke(runner, ["--seed", "7", "--out", str(tmp_path), "gen", "--kind", "hidden",
-                     "--states", "5", "--symbols", "2", "--targets", "3",
-                     "--noise", "0.15", "--concentration", "0.25"])
-    res = _invoke(runner, ["--out", str(tmp_path), "age-curve",
-                           "--model", str(tmp_path / "model.json"),
-                           "--grid", "0..5", "--windows", "1,2,3"])
+def test_age_curve_window_sweep_nonincreasing_index(tmp_path):
+    _invoke(["--seed", "7", "--out", str(tmp_path), "gen", "--kind", "hidden",
+             "--states", "5", "--symbols", "2", "--targets", "3",
+             "--noise", "0.15", "--concentration", "0.25"])
+    res = _invoke(["--out", str(tmp_path), "age-curve",
+                   "--model", str(tmp_path / "model.json"),
+                   "--grid", "0..5", "--windows", "1,2,3"])
     assert res.exit_code == 0
     meta = json.loads((tmp_path / "age_curve.meta.json").read_text())
     idx = [meta["curves"][f"b={b}"]["nonmonotonicity_index"] for b in (1, 2, 3)]
     assert idx[0] >= idx[1] >= idx[2]
     for b in (1, 2, 3):
-        rows = list(csv.DictReader((tmp_path / f"curve_b{b}.csv").open()))
+        rows = _csv_rows(tmp_path / f"curve_b{b}.csv")
         assert len(rows) == 6
         assert set(rows[0]) == {"delta_1", "loss"}
 
 
-def test_age_curve_single_point_grid(runner, tmp_path):
-    _invoke(runner, ["--seed", "4", "--out", str(tmp_path), "gen", "--kind", "markov"])
-    res = _invoke(runner, ["--out", str(tmp_path), "age-curve",
-                           "--model", str(tmp_path / "model.json"), "--grid", "2"])
+def test_age_curve_single_point_grid(tmp_path):
+    _invoke(["--seed", "4", "--out", str(tmp_path), "gen", "--kind", "markov"])
+    res = _invoke(["--out", str(tmp_path), "age-curve",
+                   "--model", str(tmp_path / "model.json"), "--grid", "2"])
     assert res.exit_code == 0
-    rows = list(csv.DictReader((tmp_path / "curve.csv").open()))
+    rows = _csv_rows(tmp_path / "curve.csv")
     assert len(rows) == 1 and rows[0]["delta_1"] == "2"
 
 
-def test_law_source_exclusivity(runner, tmp_path):
-    res = runner.invoke(main, ["--out", str(tmp_path), "age-curve", "--grid", "0..1"])
+def test_law_source_exclusivity(tmp_path):
+    res = _invoke(["--out", str(tmp_path), "age-curve", "--grid", "0..1"])
     assert res.exit_code != 0
     assert "law source" in res.output
 
 
-def test_decompose_both_paths_same_h(runner, tmp_path):
-    _invoke(runner, ["--seed", "5", "--out", str(tmp_path), "gen", "--kind", "hidden",
-                     "--sources", "2"])
-    res = _invoke(runner, ["--out", str(tmp_path), "decompose",
-                           "--model", str(tmp_path / "model.json"), "--delta", "2,1",
-                           "--path", "both"])
+def test_decompose_both_paths_same_h(tmp_path):
+    _invoke(["--seed", "5", "--out", str(tmp_path), "gen", "--kind", "hidden",
+             "--sources", "2"])
+    res = _invoke(["--out", str(tmp_path), "decompose",
+                   "--model", str(tmp_path / "model.json"), "--delta", "2,1",
+                   "--path", "both"])
     assert res.exit_code == 0
     data = json.loads((tmp_path / "decompose.json").read_text())
     assert len(data["reports"]) == 2
@@ -354,44 +440,44 @@ def test_decompose_both_paths_same_h(runner, tmp_path):
     assert abs(h0 - h1) <= 1e-12
 
 
-def test_decompose_zero_delta_f2_zero(runner, tmp_path):
-    _invoke(runner, ["--seed", "5", "--out", str(tmp_path), "gen", "--kind", "hidden"])
-    res = _invoke(runner, ["--out", str(tmp_path), "decompose",
-                           "--model", str(tmp_path / "model.json"), "--delta", "0",
-                           "--path", "0"])
+def test_decompose_zero_delta_f2_zero(tmp_path):
+    _invoke(["--seed", "5", "--out", str(tmp_path), "gen", "--kind", "hidden"])
+    res = _invoke(["--out", str(tmp_path), "decompose",
+                   "--model", str(tmp_path / "model.json"), "--delta", "0",
+                   "--path", "0"])
     data = json.loads((tmp_path / "decompose.json").read_text())
     assert data["reports"][0]["f2"] == 0.0
 
 
-def test_decompose_markov_f2_tiny(runner, tmp_path):
-    _invoke(runner, ["--seed", "6", "--out", str(tmp_path), "gen", "--kind", "markov"])
-    _invoke(runner, ["--out", str(tmp_path), "decompose",
-                     "--model", str(tmp_path / "model.json"), "--delta", "3", "--path", "0"])
+def test_decompose_markov_f2_tiny(tmp_path):
+    _invoke(["--seed", "6", "--out", str(tmp_path), "gen", "--kind", "markov"])
+    _invoke(["--out", str(tmp_path), "decompose",
+             "--model", str(tmp_path / "model.json"), "--delta", "3", "--path", "0"])
     data = json.loads((tmp_path / "decompose.json").read_text())
     assert data["reports"][0]["f2"] <= 1e-10
 
 
-def test_epsilon_markov_zero_and_sweep(runner, tmp_path):
-    _invoke(runner, ["--seed", "6", "--out", str(tmp_path), "gen", "--kind", "markov",
-                     "--states", "3", "--targets", "3"])
+def test_epsilon_markov_zero_and_sweep(tmp_path):
+    _invoke(["--seed", "6", "--out", str(tmp_path), "gen", "--kind", "markov",
+             "--states", "3", "--targets", "3"])
     (tmp_path / "markov.json").write_bytes((tmp_path / "model.json").read_bytes())
-    res = _invoke(runner, ["--out", str(tmp_path), "epsilon",
-                           "--model", str(tmp_path / "markov.json"),
-                           "--tau-max", "2", "--mu-max", "2"])
+    res = _invoke(["--out", str(tmp_path), "epsilon",
+                   "--model", str(tmp_path / "markov.json"),
+                   "--tau-max", "2", "--mu-max", "2"])
     assert res.exit_code == 0
     data = json.loads((tmp_path / "epsilon.json").read_text())
     assert data["epsilon"] <= 1e-9
     assert data["tau_max"] == 2
 
-    _invoke(runner, ["--seed", "8", "--out", str(tmp_path), "gen", "--kind", "hidden",
-                     "--states", "5", "--symbols", "3", "--targets", "3", "--noise", "0.4"])
-    res = _invoke(runner, ["--out", str(tmp_path), "epsilon",
-                           "--model", str(tmp_path / "model.json"),
-                           "--mix-ref", str(tmp_path / "markov.json"),
-                           "--sweep", "--etas", "0.5,0.25,0.125",
-                           "--tau-max", "2", "--mu-max", "2"])
+    _invoke(["--seed", "8", "--out", str(tmp_path), "gen", "--kind", "hidden",
+             "--states", "5", "--symbols", "3", "--targets", "3", "--noise", "0.4"])
+    res = _invoke(["--out", str(tmp_path), "epsilon",
+                   "--model", str(tmp_path / "model.json"),
+                   "--mix-ref", str(tmp_path / "markov.json"),
+                   "--sweep", "--etas", "0.5,0.25,0.125",
+                   "--tau-max", "2", "--mu-max", "2"])
     assert res.exit_code == 0
-    rows = list(csv.DictReader((tmp_path / "epsilon_sweep.csv").open()))
+    rows = _csv_rows(tmp_path / "epsilon_sweep.csv")
     eps = [float(r["epsilon"]) for r in rows]
     assert eps[0] > eps[1] > eps[2] > 0
 
@@ -401,10 +487,10 @@ def test_epsilon_markov_zero_and_sweep(runner, tmp_path):
     [["--window", str(w), "--delay", str(d)] for w in (1, 2, 3) for d in (0, 1, 2)]
     + [["--sources", "2", "--window", "2"]],
 )
-def test_epsilon_default_caps_on_every_window_and_delay(runner, tmp_path, gen_args):
-    _invoke(runner, ["--seed", "3", "--out", str(tmp_path), "gen", *gen_args])
+def test_epsilon_default_caps_on_every_window_and_delay(tmp_path, gen_args):
+    _invoke(["--seed", "3", "--out", str(tmp_path), "gen", *gen_args])
     model = str(tmp_path / "model.json")
-    res = _invoke(runner, ["--out", str(tmp_path), "epsilon", "--model", model])
+    res = _invoke(["--out", str(tmp_path), "epsilon", "--model", model])
     assert res.exit_code == 0, res.output
     data = json.loads((tmp_path / "epsilon.json").read_text())
     assert data["tau_max"] == data["mu_max"] == 8
@@ -413,106 +499,106 @@ def test_epsilon_default_caps_on_every_window_and_delay(runner, tmp_path, gen_ar
     two = "--sources" in gen_args
     for args in (["age-curve", "--grid", "0..16x0..16" if two else "0..16"],
                  ["decompose", "--delta", "16,16" if two else "16"]):
-        res = _invoke(runner, ["--out", str(tmp_path), args[0], "--model", model, *args[1:]])
+        res = _invoke(["--out", str(tmp_path), args[0], "--model", model, *args[1:]])
         assert res.exit_code == 0, res.output
 
 
-def test_epsilon_rejects_oversized_laws_naming_the_flags(runner, tmp_path):
-    _invoke(runner, ["--out", str(tmp_path), "gen", "--sources", "3", "--symbols", "4",
-                     "--window", "2"])
-    res = runner.invoke(main, ["--out", str(tmp_path), "epsilon", "--model", str(tmp_path / "model.json")])
+def test_epsilon_rejects_oversized_laws_naming_the_flags(tmp_path):
+    _invoke(["--out", str(tmp_path), "gen", "--sources", "3", "--symbols", "4",
+             "--window", "2"])
+    res = _invoke(["--out", str(tmp_path), "epsilon", "--model", str(tmp_path / "model.json")])
     assert res.exit_code != 0
     assert "--lag-cap" in res.output and "--tau-max" in res.output and "--mu-max" in res.output
 
 
-def test_beta_same_file_zero(runner, tmp_path):
-    _invoke(runner, ["--seed", "6", "--out", str(tmp_path), "gen", "--kind", "markov"])
+def test_beta_same_file_zero(tmp_path):
+    _invoke(["--seed", "6", "--out", str(tmp_path), "gen", "--kind", "markov"])
     model = ProcessModel.load(tmp_path / "model.json")
     law = exact_window_law(model, [("y", 0), ("x1", 1)])
     law.law.save(tmp_path / "law.json")
-    res = _invoke(runner, ["--out", str(tmp_path), "beta",
-                           "--train", str(tmp_path / "law.json"),
-                           "--test", str(tmp_path / "law.json")])
+    res = _invoke(["--out", str(tmp_path), "beta",
+                   "--train", str(tmp_path / "law.json"),
+                   "--test", str(tmp_path / "law.json")])
     assert res.exit_code == 0
     data = json.loads((tmp_path / "beta.json").read_text())
     assert data["beta"] == 0.0 and data["divergence"] == 0.0
 
 
-def test_order_check_verdicts(runner, tmp_path):
+def test_order_check_verdicts(tmp_path):
     AgeDistribution.uniform([(0, 1), (1, 1)]).save(tmp_path / "a.json")
     AgeDistribution.uniform([(1, 1), (2, 2)]).save(tmp_path / "b.json")
-    res = _invoke(runner, ["--out", str(tmp_path), "order-check",
-                           "--dist-a", str(tmp_path / "a.json"),
-                           "--dist-b", str(tmp_path / "a.json")])
+    res = _invoke(["--out", str(tmp_path), "order-check",
+                   "--dist-a", str(tmp_path / "a.json"),
+                   "--dist-b", str(tmp_path / "a.json")])
     assert json.loads((tmp_path / "order.json").read_text())["holds"]
     AgeDistribution.point_mass((1, 3)).save(tmp_path / "c.json")
     AgeDistribution.point_mass((2, 2)).save(tmp_path / "d.json")
-    res = _invoke(runner, ["--out", str(tmp_path), "order-check",
-                           "--dist-a", str(tmp_path / "c.json"),
-                           "--dist-b", str(tmp_path / "d.json")])
+    res = _invoke(["--out", str(tmp_path), "order-check",
+                   "--dist-a", str(tmp_path / "c.json"),
+                   "--dist-b", str(tmp_path / "d.json")])
     data = json.loads((tmp_path / "order.json").read_text())
     assert not data["holds"]
     assert data["witness"]["generators"] == [[1, 3]]
 
 
-def test_cross_loss_same_model_zero_gap(runner, tmp_path):
-    _invoke(runner, ["--seed", "7", "--out", str(tmp_path), "gen", "--kind", "hidden"])
+def test_cross_loss_same_model_zero_gap(tmp_path):
+    _invoke(["--seed", "7", "--out", str(tmp_path), "gen", "--kind", "hidden"])
     AgeDistribution.uniform([(0,), (1,)]).save(tmp_path / "ages.json")
-    res = _invoke(runner, ["--out", str(tmp_path), "cross-loss",
-                           "--train", str(tmp_path / "model.json"),
-                           "--test", str(tmp_path / "model.json"),
-                           "--ages", str(tmp_path / "ages.json")])
+    res = _invoke(["--out", str(tmp_path), "cross-loss",
+                   "--train", str(tmp_path / "model.json"),
+                   "--test", str(tmp_path / "model.json"),
+                   "--ages", str(tmp_path / "ages.json")])
     assert res.exit_code == 0
-    rows = list(csv.DictReader((tmp_path / "cross_loss.csv").open()))
+    rows = _csv_rows(tmp_path / "cross_loss.csv")
     assert abs(float(rows[0]["gap"])) <= 1e-12
     assert float(rows[0]["beta"]) == 0.0
 
 
-def test_cross_loss_sweep_columns(runner, tmp_path):
-    _invoke(runner, ["--seed", "7", "--out", str(tmp_path), "gen", "--kind", "hidden"])
-    _invoke(runner, ["--seed", "30", "--out", str(tmp_path / "other"), "gen", "--kind", "hidden",
-                     "--noise", "0.6"])
+def test_cross_loss_sweep_columns(tmp_path):
+    _invoke(["--seed", "7", "--out", str(tmp_path), "gen", "--kind", "hidden"])
+    _invoke(["--seed", "30", "--out", str(tmp_path / "other"), "gen", "--kind", "hidden",
+             "--noise", "0.6"])
     AgeDistribution.uniform([(0,), (1,)]).save(tmp_path / "ages.json")
-    res = _invoke(runner, ["--out", str(tmp_path), "cross-loss",
-                           "--train", str(tmp_path / "model.json"),
-                           "--test", str(tmp_path / "other" / "model.json"),
-                           "--ages", str(tmp_path / "ages.json"),
-                           "--sweep", "--etas", "0.5,0.25"])
+    res = _invoke(["--out", str(tmp_path), "cross-loss",
+                   "--train", str(tmp_path / "model.json"),
+                   "--test", str(tmp_path / "other" / "model.json"),
+                   "--ages", str(tmp_path / "ages.json"),
+                   "--sweep", "--etas", "0.5,0.25"])
     assert res.exit_code == 0
-    rows = list(csv.DictReader((tmp_path / "cross_loss.csv").open()))
+    rows = _csv_rows(tmp_path / "cross_loss.csv")
     assert [r["eta"] for r in rows] == ["0.5", "0.25"]
     assert set(rows[0]) == {"eta", "beta", "training", "testing", "gap"}
     assert float(rows[0]["beta"]) > float(rows[1]["beta"]) > 0
 
 
-def test_simulate_aoi_sawtooth_and_bad_trace(runner, tmp_path):
+def test_simulate_aoi_sawtooth_and_bad_trace(tmp_path):
     DeliveryTrace((((0, 1), (3, 5)),)).to_csv(tmp_path / "trace.csv")
-    res = _invoke(runner, ["--out", str(tmp_path), "simulate-aoi",
-                           "--trace", str(tmp_path / "trace.csv"), "--horizon", "7"])
+    res = _invoke(["--out", str(tmp_path), "simulate-aoi",
+                   "--trace", str(tmp_path / "trace.csv"), "--horizon", "7"])
     assert res.exit_code == 0
-    rows = list(csv.DictReader((tmp_path / "ages.csv").open()))
+    rows = _csv_rows(tmp_path / "ages.csv")
     assert [r["age_1"] for r in rows] == ["", "1", "2", "3", "4", "2", "3"]
     # malformed trace: delivery before generation
     (tmp_path / "bad.csv").write_text("source_id,G,D\n1,3,2\n")
-    res = runner.invoke(main, ["--out", str(tmp_path), "simulate-aoi",
-                               "--trace", str(tmp_path / "bad.csv"), "--horizon", "5"])
+    res = _invoke(["--out", str(tmp_path), "simulate-aoi",
+                   "--trace", str(tmp_path / "bad.csv"), "--horizon", "5"])
     assert res.exit_code != 0
 
 
-def test_config_file_precedence(runner, tmp_path):
+def test_config_file_precedence(tmp_path):
     cfg = tmp_path / "cfg.json"
     cfg.write_text(json.dumps({"loss": "quad", "out": str(tmp_path / "cfgout")}))
-    _invoke(runner, ["--seed", "4", "--out", str(tmp_path), "gen", "--kind", "markov"])
+    _invoke(["--seed", "4", "--out", str(tmp_path), "gen", "--kind", "markov"])
     # config file sets loss & out; flag overrides out
-    res = _invoke(runner, ["--config", str(cfg), "--out", str(tmp_path), "age-curve",
-                           "--model", str(tmp_path / "model.json"), "--grid", "0..2"])
+    res = _invoke(["--config", str(cfg), "--out", str(tmp_path), "age-curve",
+                   "--model", str(tmp_path / "model.json"), "--grid", "0..2"])
     assert res.exit_code == 0
     meta = json.loads((tmp_path / "age_curve.meta.json").read_text())
     assert meta["config"]["loss"] == "quad"
     assert meta["config"]["out"] == str(tmp_path)
 
 
-def test_untrained_cell_exits_nonzero(runner, tmp_path):
+def test_untrained_cell_exits_nonzero(tmp_path):
     # train model never emits symbol 2, so that feature cell is untrained;
     # the test model puts mass there
     import numpy as np
@@ -528,18 +614,18 @@ def test_untrained_cell_exits_nonzero(runner, tmp_path):
     ProcessModel(T, [narrow_emit], [space3], target, space2).save(tmp_path / "train.json")
     ProcessModel(T, [wide_emit], [space3], target, space2).save(tmp_path / "test.json")
     AgeDistribution.point_mass((1,)).save(tmp_path / "ages.json")
-    res = runner.invoke(main, ["--out", str(tmp_path), "cross-loss",
-                               "--train", str(tmp_path / "train.json"),
-                               "--test", str(tmp_path / "test.json"),
-                               "--ages", str(tmp_path / "ages.json")])
+    res = _invoke(["--out", str(tmp_path), "cross-loss",
+                   "--train", str(tmp_path / "train.json"),
+                   "--test", str(tmp_path / "test.json"),
+                   "--ages", str(tmp_path / "ages.json")])
     assert res.exit_code != 0
     assert "untrained" in res.output.lower()
 
 
 @pytest.mark.parametrize("gen_args", [["--sources", "1"], ["--sources", "2", "--window", "2", "--delay", "1"]])
-def test_cross_loss_rows_equal_direct_provider_evaluation(runner, tmp_path, gen_args):
+def test_cross_loss_rows_equal_direct_provider_evaluation(tmp_path, gen_args):
     for seed, out in (("7", tmp_path / "train"), ("30", tmp_path / "test")):
-        _invoke(runner, ["--seed", seed, "--out", str(out), "gen", "--targets", "3", *gen_args])
+        _invoke(["--seed", seed, "--out", str(out), "gen", "--targets", "3", *gen_args])
     train = ExactLawProvider(ProcessModel.load(tmp_path / "train" / "model.json"))
     test = ExactLawProvider(ProcessModel.load(tmp_path / "test" / "model.json"))
     ages = AgeDistribution.uniform(list(np.ndindex(*(3,) * train.m)))
@@ -550,9 +636,9 @@ def test_cross_loss_rows_equal_direct_provider_evaluation(runner, tmp_path, gen_
             "--train", str(tmp_path / "train" / "model.json"),
             "--test", str(tmp_path / "test" / "model.json"), "--ages", str(tmp_path / "ages.json")]
     for sweep in (False, True):
-        res = _invoke(runner, args + (["--sweep", "--etas", "0.5,0.125"] if sweep else []))
+        res = _invoke(args + (["--sweep", "--etas", "0.5,0.125"] if sweep else []))
         assert res.exit_code == 0
-        rows = list(csv.DictReader((tmp_path / "cross_loss.csv").open()))
+        rows = _csv_rows(tmp_path / "cross_loss.csv")
         etas = [0.5, 0.125] if sweep else [None]
         assert len(rows) == len(etas)
         for row, eta in zip(rows, etas):

@@ -43,7 +43,9 @@ def test_unknown_name_is_an_attribute_error_and_submodules_still_import():
 BASE = {"numpy", "aof_lab", "aof_lab.cli", "aof_lab._util", "aof_lab.errors"}
 LAWS = BASE | {"aof_lab.spaces", "aof_lab.laws"}
 AGES = LAWS | {"aof_lab.aoi"}
-# case -> (python statement, or CLI arguments; numpy and the aof_lab modules loaded after it)
+ANALYSIS = LAWS | {"aof_lab.processes", "aof_lab.analysis", "aof_lab.information", "aof_lab.losses"}
+# case -> (python statement, or CLI arguments; numpy and the aof_lab modules loaded after it).
+# No case loads click: it is not in any of these sets, and the check below lists it when loaded.
 IMPORT_CASES = {
     "import aof_lab": ("import aof_lab", {"aof_lab"}),
     "from aof_lab import aoi": ("from aof_lab import aoi",
@@ -57,8 +59,9 @@ IMPORT_CASES = {
     "epsilon --data": (["epsilon", "--data", "{data}", "--tau-max", "1", "--mu-max", "1"],
                        AGES | {"aof_lab.ingest", "aof_lab.divergence"}),
     "age-curve --data": (["age-curve", "--data", "{data}", "--grid", "0..1"],
-                         AGES | {"aof_lab.ingest", "aof_lab.divergence", "aof_lab.analysis", "aof_lab.information",
-                                 "aof_lab.losses"}),
+                         AGES | {"aof_lab.ingest", "aof_lab.analysis", "aof_lab.information", "aof_lab.losses"}),
+    "age-curve --model": (["age-curve", "--model", "{model}", "--grid", "0..1"], ANALYSIS),
+    "decompose --model": (["decompose", "--model", "{model}", "--delta", "1"], ANALYSIS),
 }
 
 
@@ -88,9 +91,9 @@ def test_each_command_loads_only_the_modules_it_calls(tmp_path, case):
     AgeDistribution.point_mass((2, 2)).save(files["b"])
     if isinstance(statement, list):
         args = ["--out", str(tmp_path / "out"), *(a.format(**files) for a in statement)]
-        statement = f"from aof_lab.cli import main; main.main({args!r}, standalone_mode=False)"
-    code = (f"import json, sys; {statement}; "
-            "print(json.dumps(sorted(m for m in sys.modules if m == 'numpy' or m.split('.')[0] == 'aof_lab')))")
+        statement = f"from aof_lab.cli import main; assert main({args!r}) == 0"
+    code = (f"import json, sys; {statement}; print(json.dumps(sorted("
+            "m for m in sys.modules if m in ('numpy', 'click') or m.split('.')[0] == 'aof_lab')))")
     assert set(json.loads(_cold_python(code))) == want
 
 

@@ -255,6 +255,15 @@ def test_seeded_generation_is_pinned(tmp_path, kind, wide, seed):
     assert digests == SEEDED[kind, wide, seed]
 
 
+
+@pytest.mark.parametrize("draw", ["model", "trajectory"])
+def test_a_negative_seed_is_a_domain_error_naming_it(draw):
+    make = {"model": lambda: make_hidden_nonmarkov(-1),
+            "trajectory": lambda: sample_trajectory(make_hidden_nonmarkov(0), 50, -3)}[draw]
+    with pytest.raises(AofLabError, match="seed must be a nonnegative integer, got -"):
+        make()
+
+
 def test_two_state_symmetric_transition_law():
     model = _two_state(flip=0.3)
     law = exact_window_law(model, [("x1", 0), ("x1", 1)])
