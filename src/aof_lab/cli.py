@@ -72,6 +72,24 @@ class _Parser(argparse.ArgumentParser):
         # argparse exits only from error(), overridden above, and after --help
         raise _HelpShown
 
+    def parse_known_args(self, args=None, namespace=None):
+        # a command's leftovers are its own usage error: argparse would hand
+        # them up to the top-level parser, whose usage is not the command's
+        namespace, extras = super().parse_known_args(args, namespace)
+        if extras:
+            self.error("unrecognized arguments: " + " ".join(getattr(token, "typed", token) for token in extras))
+        return namespace, extras
+
+
+class _Joined(str):
+    """The token ``--option=value`` made of ``--option value``, which it
+    keeps as typed."""
+
+    def __new__(cls, option: str, value: str):
+        joined = super().__new__(cls, f"{option}={value}")
+        joined.typed = f"{option} {value}"
+        return joined
+
 
 def _input_file(text: str) -> str:
     if not os.path.exists(text):
@@ -98,7 +116,7 @@ def _attach_values(argv: Sequence[str]) -> list[str]:
     for token in tokens:
         if token in _VALUED:
             value = next(tokens, None)
-            token = token if value is None else f"{token}={value}"
+            token = token if value is None else _Joined(token, value)
         out.append(token)
     return out
 
@@ -247,6 +265,9 @@ def age_curve(cfg, model_path, data_path, grid, windows):
         from . import processes
 
         blist = _parse("--windows", windows, _ints)
+        twice = [b for i, b in enumerate(blist) if b in blist[:i]]
+        if twice:
+            raise AofLabError(f"--windows: window {twice[0]} is given twice")
         curves = [
             analysis.loss_curve(processes.ExactLawProvider(model.with_window(b)), vectors, loss) for b in blist
         ]

@@ -15,14 +15,14 @@ CSV is read by ``_util.read_csv``, which decodes its bytes and hands over
 each label column as its distinct texts plus codes, so each distinct text
 is parsed once, and written by ``_util.csv_text``, which renders each
 distinct label once.
-An empirical window law aligns a lag by slicing when the slots are
-contiguous and by one ``searchsorted`` per lag when they have gaps;
-counting it is one ``np.bincount`` over mixed-radix cell codes.
-``EmpiricalLawProvider`` counts a whole ``LagStack`` at once, over the
-column spaces: each column's codes serve every law as they are, the drift
-statistic is computed once per distinct (source, slice), and each chunk of
-laws is one ``np.bincount`` over ``law * cells + cell`` in stack axis
-order.
+Every empirical window law is counted by ``_stack_counts``, which counts a
+whole ``LagStack`` over the column spaces: it aligns a lag by slicing when
+the slots are contiguous and by one ``searchsorted`` per lag when they have
+gaps, computes the drift statistic once per distinct (source, slice), and
+counts each chunk of laws with one ``np.bincount`` over ``law * cells +
+cell`` in stack axis order.  ``EmpiricalLawProvider`` asks it for whole
+stacks; ``empirical_window_law`` is its one-law case, with the counts moved
+onto the given spaces or the labels seen in the usable windows.
 
 Strict positivity is never imposed silently: empty cells stay empty unless
 a law is smoothed with an explicit pseudo-count, by ``smooth`` or by the
@@ -219,6 +219,8 @@ class Dataset:
 
         def from_columns(columns):
             sources = range(1, (len(columns) - 2) // 2 + 1)
+            if not sources:
+                raise AofLabError("no x_<l> column; a trajectory needs at least one feature source")
             return cls(t=columns["t"], xs=tuple(labels(*columns[f"x_{l}"]) for l in sources),
                        ages=tuple(columns[f"age_{l}"] for l in sources), y=labels(*columns["y"]))
 
@@ -290,12 +292,11 @@ def quantize(dataset: Dataset, quantizer: Quantizer) -> Dataset:
     return Dataset(t=dataset.t, xs=tuple(new_xs), ages=dataset.ages, y=new_y, meta=meta)
 
 
-def _stationarity_chi2(column: CodedColumn, codes: np.ndarray, order: np.ndarray | None = None) -> float:
+def _stationarity_chi2(column: CodedColumn, codes: np.ndarray, order: np.ndarray) -> float:
     """Chi-squared drift of the first-half against the second-half label
     frequencies (add-one counts), summed over the labels present in
-    ``repr`` order; ``order``, the column's ``_repr_order``, may be given."""
+    ``order``, the column's codes sorted by label ``repr``, ties by code."""
     half = len(codes) // 2
-    order = _repr_order(column) if order is None else order
     first = np.bincount(codes[:half], minlength=len(column.space))[order]
     second = np.bincount(codes[half:], minlength=len(column.space))[order]
     present = first + second > 0
@@ -303,16 +304,6 @@ def _stationarity_chi2(column: CodedColumn, codes: np.ndarray, order: np.ndarray
     n2 = 1.0 + second[present]
     p1, p2 = n1 / n1.sum(), n2 / n2.sum()
     return float(((p1 - p2) ** 2 / p2).sum())
-
-
-def _repr_order(column: CodedColumn) -> np.ndarray:
-    """The codes of ``column``'s labels sorted by ``repr``, ties by code."""
-    return np.array(sorted(range(len(column.space)), key=lambda i: repr(column.space.labels[i])), dtype=np.int64)
-
-
-def _warn_drift(worst: float) -> None:
-    if worst > STATIONARITY_WARN:
-        warnings.warn(f"first/second-half marginal drift chi2={worst:.3f}; data may be non-stationary", stacklevel=3)
 
 
 def empirical_window_law(
@@ -328,48 +319,32 @@ def empirical_window_law(
     whose lagged slots are missing are skipped; fewer than ``min_windows``
     usable windows is an error.  A variable's space is ``spaces[var]``,
     else ``spaces[name]`` for its lagged name, else the labels seen in the
-    usable windows.
+    usable windows.  The law is the one-law case of ``_stack_counts``, its
+    counts moved from the column spaces onto those spaces.
     """
-    reqs = lag_stack([requests]).requests(0)
+    stack = lag_stack([requests])
+    reqs = stack.requests(0)
     columns = [dataset.coded(var) for var, _ in reqs]
-    t = dataset.t
-    lags = sorted({lag for _, lag in reqs})
-    if t[-1] - t[0] == len(t) - 1:  # contiguous slots: each lag's rows are a slice
-        start = min(lags[-1], len(t))
-        source_rows = {lag: slice(start - lag, len(t) - lag) for lag in lags}
-        n_windows = len(t) - start
-    else:
-        usable = np.ones(len(t), dtype=bool)
-        rows = {}
-        for lag in lags:
-            rows[lag] = np.searchsorted(t, t - lag)  # <= the row itself, so in range
-            usable &= t[rows[lag]] == t - lag
-        source_rows = {lag: r[usable] for lag, r in rows.items()}
-        n_windows = int(usable.sum())
-    if n_windows < min_windows:
-        raise AofLabError(f"only {n_windows} usable windows; need at least {min_windows}")
-
-    variables, codes, drift, spaces = [], [], {}, spaces or {}
-    for (var, lag), column in zip(reqs, columns):
+    counts, windows, drift = _stack_counts(dataset.t, columns, stack, min_windows)
+    counts, n_windows, spaces = counts[0], int(windows[0]), spaces or {}
+    # each axis's column codes used in some window; the column space is in
+    # _compact order, so the labels seen are too
+    seen = [np.flatnonzero(counts.sum(axis=tuple(a for a in range(counts.ndim) if a != i))) for i in range(len(reqs))]
+    variables, placed = [], []
+    for (var, lag), column, codes in zip(reqs, columns, seen):
         name = variable_name(var, lag)
-        values = column.codes[source_rows[lag]]
-        drift[name] = _stationarity_chi2(column, values)
         space = spaces.get(var, spaces.get(name))
         if space is None:
-            seen = _compact(column.space.labels, values)
-            space, values = seen.space, seen.codes
-        else:
-            values = _recode(column, values, space, name)
+            space = OutcomeSpace(tuple(column.space.labels[c] for c in codes.tolist()))
         variables.append((name, space))
-        codes.append(values)
-    probs = _count(codes, tuple(len(s) for _, s in variables)) / n_windows
-
-    _warn_drift(max(drift.values()))
-    law = JointPmf(tuple(variables), probs)
+        placed.append(_recode(column, codes, space, name))
+    law = np.zeros(tuple(len(space) for _, space in variables), dtype=np.int64)
+    law[np.ix_(*placed)] = counts[np.ix_(*seen)]
+    chi2 = {variable_name(*req): value for req, value in zip(reqs, drift[0].tolist())}
     return WindowLaw(
-        law=law,
+        law=JointPmf(tuple(variables), law / n_windows),
         requests=reqs,
-        meta={"source": "empirical", "n_windows": n_windows, "stationarity_chi2": drift},
+        meta={"source": "empirical", "n_windows": n_windows, "stationarity_chi2": chi2},
     )
 
 
@@ -403,7 +378,7 @@ class EmpiricalLawProvider:
 
     def window_law_stack(self, stack: LagStack) -> np.ndarray:
         columns = [self.dataset.coded(source_variable(l)) for l in stack.sources]
-        counts, n_obs = _stack_counts(self.dataset.t, columns, stack, DEFAULT_MIN_WINDOWS)
+        counts, n_obs, _ = _stack_counts(self.dataset.t, columns, stack, DEFAULT_MIN_WINDOWS)
         # Each law is laid out in memory as empirical_window_law lays it out,
         # axes in sorted request order, and viewed in stack order: sums over
         # the stack then run, and round, as they do over per-law laws.
@@ -417,70 +392,71 @@ class EmpiricalLawProvider:
 
 
 def _stack_counts(t: np.ndarray, columns: Sequence[CodedColumn], stack: LagStack, min_windows: int):
-    """``(counts[G, ...], windows[G])``: the sliding-window counts of every
-    law of ``stack``, axis ``i`` over the whole space of ``columns[i]``, and
-    each law's number of usable windows, as ``empirical_window_law`` counts
+    """``(counts[G, ...], windows[G], drift[G, k])``: the sliding-window
+    counts of every law of ``stack``, axis ``i`` over the whole space of
+    ``columns[i]``, each law's usable windows and each axis's drift chi2,
+    as the row-by-row oracle ``tests/oracles.window_law_by_rows`` finds
     them one law at a time.
 
     On contiguous slots law ``g`` reads ``(i, lag)`` as the slice
     ``codes[first - lag : n - lag]``, ``first`` being its largest lag, so
     the drift statistic is computed once per distinct ``(source, first,
     lag)``; on gapped slots each lag's rows come from one ``searchsorted``
-    and each law keeps the windows where all of them exist.  The drift
-    warnings of the laws before the first one with fewer than
-    ``min_windows`` windows are given in order, then that law's error.
-    Laws are counted a chunk at a time with one ``bincount`` over ``law *
-    cells + cell``, a chunk reading about ``STACK_CELLS`` codes."""
+    and each law keeps the windows where all of them exist.  One walk over
+    the laws makes each law's reads, warns of its drift and adds its
+    windows to the chunk being counted, so the first law short of
+    ``min_windows`` windows is an error after the warnings of the laws
+    before it.  A chunk, about ``STACK_CELLS`` codes, is counted by one
+    ``bincount`` over ``law * cells + cell``."""
     n, lags = len(t), stack.lags
     shape = tuple(len(column.space) for column in columns)
     cells = math.prod(shape)
-    orders = [_repr_order(column) for column in columns]
-    if t[-1] - t[0] == n - 1:  # contiguous slots: each read is a slice
-        first = np.minimum(lags.max(axis=1), n)
-        windows, starts = n - first, first.tolist()
-
-        def reads(g):
-            return [slice(starts[g] - lag, n - lag) for lag in lags[g].tolist()]
+    orders = [np.array(sorted(range(len(c.space)), key=lambda i: repr(c.space.labels[i])), dtype=np.int64)
+              for c in columns]
+    contiguous = t[-1] - t[0] == n - 1
+    if contiguous:  # each read is a slice
+        firsts = np.minimum(lags.max(axis=1), n).tolist()
     else:
         rows = {lag: np.searchsorted(t, t - lag) for lag in np.unique(lags).tolist()}  # <= each row itself
         ok = {lag: t[r] == t - lag for lag, r in rows.items()}
-
-        def usable(g):
-            return np.logical_and.reduce([ok[lag] for lag in lags[g].tolist()])
-
-        def reads(g):
-            keep = usable(g)
-            return [rows[lag][keep] for lag in lags[g].tolist()]
-        windows = np.array([np.count_nonzero(usable(g)) for g in range(len(lags))], dtype=np.int64)
-    short = np.flatnonzero(windows < min_windows)
-    stop = int(short[0]) if len(short) else len(lags)
-    drift = {}  # (source, slice bounds) or (law, axis) -> chi2
-    for g in range(stop):
-        values = []
-        for i, read in enumerate(reads(g)):
-            key = (stack.sources[i], read.start, read.stop) if isinstance(read, slice) else (g, i)
-            if key not in drift:
-                drift[key] = _stationarity_chi2(columns[i], columns[i].codes[read], orders[i])
-            values.append(drift[key])
-        _warn_drift(max(values))
-    if stop < len(lags):
-        raise AofLabError(f"only {windows[stop]} usable windows; need at least {min_windows}")
     # row-major cell codes: axis i weighs the product of the sizes after it
     weighted = [column.codes * math.prod(shape[i + 1:]) for i, column in enumerate(columns)]
     counts = np.empty((len(lags), cells), dtype=np.int64)
+    windows = np.empty(len(lags), dtype=np.int64)
+    drift = np.empty(lags.shape)
+    known = {}  # (source, slice bounds) or (law, axis) -> chi2
     chunk = max(1, STACK_CELLS // max(n + cells, 1))
     flat = np.empty(chunk * n, dtype=np.int64)  # one chunk's law-offset cell codes, reused
-    sizes = windows.tolist()
-    for g0 in range(0, len(lags), chunk):
-        part, end = range(g0, min(g0 + chunk, len(lags))), 0
-        for g in part:
-            window = flat[end:end + sizes[g]]
-            window[:] = (g - g0) * cells
-            for codes, read in zip(weighted, reads(g)):
-                window += codes[read]
-            end += sizes[g]
-        counts[g0:part.stop] = np.bincount(flat[:end], minlength=len(part) * cells).reshape(len(part), cells)
-    return counts.reshape(len(lags), *shape), windows
+    end = 0
+    for g, row in enumerate(lags.tolist()):
+        if contiguous:
+            size = n - firsts[g]
+            reads = [slice(firsts[g] - lag, n - lag) for lag in row]
+        else:
+            keep = np.logical_and.reduce([ok[lag] for lag in row])
+            size = int(np.count_nonzero(keep))
+            reads = [rows[lag][keep] for lag in row]
+        if size < min_windows:
+            raise AofLabError(f"only {size} usable windows; need at least {min_windows}")
+        windows[g] = size
+        for i, read in enumerate(reads):
+            key = (stack.sources[i], read.start, read.stop) if contiguous else (g, i)
+            if key not in known:
+                known[key] = _stationarity_chi2(columns[i], columns[i].codes[read], orders[i])
+            drift[g, i] = known[key]
+        worst = max(drift[g].tolist())
+        if worst > STATIONARITY_WARN:
+            warnings.warn(f"first/second-half marginal drift chi2={worst:.3f}; data may be non-stationary", stacklevel=2)
+        part = g % chunk
+        window = flat[end:end + size]
+        window[:] = part * cells
+        for codes, read in zip(weighted, reads):
+            window += codes[read]
+        end += size
+        if part == chunk - 1 or g == len(lags) - 1:
+            counts[g - part:g + 1] = np.bincount(flat[:end], minlength=(part + 1) * cells).reshape(part + 1, cells)
+            end = 0
+    return counts.reshape(len(lags), *shape), windows, drift
 
 
 def dynamic_age_law(

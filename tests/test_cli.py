@@ -121,13 +121,19 @@ def test_malformed_delivery_trace_is_a_clean_error(tmp_path, text, needles):
 
 TRACE_ARGS = ["simulate-aoi", "--trace", "{path}", "--horizon", "5"]
 DATA_ARGS = ["age-curve", "--data", "{path}", "--grid", "0..1"]
+NO_SOURCE = "no x_<l> column; a trajectory needs at least one feature source"
 
 
 @pytest.mark.parametrize("args,text,message", [
     (TRACE_ARGS, "source_id,G,D\n1,3,2\n", "source 1: generation 3 after delivery 2"),
     (DATA_ARGS, "t,x_1,age_1,y\n0,1,0,1\n1,1,-1,1\n", "ages must be nonnegative"),
     (DATA_ARGS, "t,x_1,age_1,y\n1,1,0,1\n0,1,0,1\n", "slot indices must be strictly increasing"),
-], ids=["generation-after-delivery", "negative-age", "decreasing-slots"])
+    # with no feature column the commands would fail later, on misleading terms
+    (DATA_ARGS, "t,y\n0,1\n1,0\n", NO_SOURCE),
+    (["decompose", "--data", "{path}", "--delta", "1"], "t,y\n0,1\n1,0\n", NO_SOURCE),
+    (["epsilon", "--data", "{path}"], "t,y\n0,1\n1,0\n", NO_SOURCE),
+], ids=["generation-after-delivery", "negative-age", "decreasing-slots", "no-source-age-curve",
+        "no-source-decompose", "no-source-epsilon"])
 def test_csv_value_rule_error_names_the_file_once(tmp_path, args, text, message):
     path = tmp_path / "in.csv"
     path.write_text(text)
@@ -156,6 +162,8 @@ def test_model_checks_run_before_the_stationary_law(tmp_path, transition, messag
     (["age-curve", "--model", "{model}", "--grid", "0..x"], "--grid"),
     (["age-curve", "--model", "{model}", "--grid", "0..2;1"], "--grid"),
     (["age-curve", "--model", "{model}", "--grid", "0x0", "--windows", "a"], "--windows"),
+    # a repeated window would be computed and written twice under one name
+    (["age-curve", "--model", "{model}", "--grid", "0..2", "--windows", "1,2,1"], "--windows: window 1 is given twice"),
     (["decompose", "--model", "{model}", "--delta", "x"], "--delta"),
     (["decompose", "--model", "{model}", "--delta", "1,1", "--path", "a"], "--path"),
     (["epsilon", "--model", "{model}", "--sweep", "--mix-ref", "{model}", "--etas", "0.5,abc"], "--etas"),
@@ -221,6 +229,29 @@ def test_usage_error_is_the_usage_and_one_error_line(tmp_path, args, needle):
     assert lines[0].startswith("usage: aof-lab")
     assert [line for line in lines if line.startswith("Error: ")] == [lines[-1]]
     assert needle in lines[-1]
+    assert not out.exists()
+
+
+@pytest.mark.parametrize("args,usage,error", [
+    (["gen", "--bogus", "1"], "usage: aof-lab gen [-h]", "unrecognized arguments: --bogus 1"),
+    # a value-taking option is echoed as typed, whether joined to its value or not
+    (["epsilon", "--data", "{file}", "--lag-cap", "1"], "usage: aof-lab epsilon [-h]",
+     "unrecognized arguments: --lag-cap 1"),
+    (["epsilon", "--data", "{file}", "--lag-cap=1"], "usage: aof-lab epsilon [-h]",
+     "unrecognized arguments: --lag-cap=1"),
+    # before the command, leftovers are the top-level parser's
+    (["--bogus", "gen"], "usage: aof-lab [-h]", "unrecognized arguments: --bogus"),
+    (["--data", "{file}", "epsilon"], "usage: aof-lab [-h]", "unrecognized arguments: --data {file}"),
+])
+def test_leftover_arguments_get_the_usage_of_the_parser_that_left_them(tmp_path, args, usage, error):
+    (tmp_path / "file").write_text("{}")
+    out = tmp_path / "out"
+    fill = {"file": str(tmp_path / "file")}
+    res = _invoke(["--out", str(out), *(a.format(**fill) for a in args)])
+    assert res.exit_code == 2 and res.stdout == ""
+    lines = res.stderr.splitlines()
+    assert lines[0].startswith(usage)
+    assert lines[-1] == "Error: " + error.format(**fill)
     assert not out.exists()
 
 

@@ -241,7 +241,7 @@ def test_empirical_provider_smoothing_positivity():
     law = prov.window_law(reqs)
     assert law.law.probs.min() > 0
     spaces = {"x1": ds.columns[0].space, "y": ds.columns[-1].space}
-    counted = empirical_window_law(ds, reqs, spaces)
+    counted = window_law_by_rows(ds, reqs, spaces)
     expected = smooth(counted.law, 1.0, counted.meta["n_windows"])
     assert np.array_equal(law.law.probs, expected.probs)
 
@@ -480,7 +480,7 @@ def test_csv_reads_in_batches_and_names_the_bad_line(tmp_path, monkeypatch):
         Dataset.from_csv(path)
 
 
-# -- the stack counter against per-law counting --------------------------------
+# -- the stack counter against the row-by-row oracle, law by law --------------
 
 
 def _gapped(ds, seed):
@@ -490,12 +490,18 @@ def _gapped(ds, seed):
     return Dataset(t=ds.t[keep], xs=xs, ages=tuple(a[keep] for a in ds.ages), y=CodedColumn(ds.columns[-1].space, ds.columns[-1].codes[keep]))
 
 
-def _per_law(ds, stack, pseudo_count):
-    """Each row of ``stack`` counted by ``empirical_window_law`` over the
-    column spaces, smoothed and put in stack axis order."""
+def _oracle_laws(ds, stack):
+    """Each row of ``stack`` counted by the row-by-row oracle over the column
+    spaces."""
     spaces = {var: ds.coded(var).space for var, _ in stack.requests(0)}
     for g in range(len(stack.lags)):
-        law = empirical_window_law(ds, stack.requests(g), spaces)
+        yield window_law_by_rows(ds, stack.requests(g), spaces)
+
+
+def _per_law(ds, stack, pseudo_count):
+    """Each row of ``stack`` counted by the oracle, smoothed and put in stack
+    axis order."""
+    for g, law in enumerate(_oracle_laws(ds, stack)):
         law_probs = smooth(law.law, pseudo_count, law.meta["n_windows"]).probs
         yield law_probs.transpose([law.requests.index(r) for r in stack.requests(g)])
 
@@ -554,10 +560,27 @@ def _messages(call):
     return [str(w.message) for w in caught], error
 
 
+def _drift_text(law):
+    """The drift warning the oracle's ``stationarity_chi2`` of ``law`` calls
+    for, or None."""
+    worst = max(law.meta["stationarity_chi2"].values())
+    if worst > ingest.STATIONARITY_WARN:
+        return f"first/second-half marginal drift chi2={worst:.3f}; data may be non-stationary"
+    return None
+
+
 def _each_law(ds, stack):
-    spaces = {var: ds.coded(var).space for var, _ in stack.requests(0)}
-    for g in range(len(stack.lags)):
-        empirical_window_law(ds, stack.requests(g), spaces)
+    """``(warning texts, error text or None)`` of counting ``stack`` law by
+    law, from the oracle: each law's drift warning, up to the first law
+    short of the minimum windows, whose count is the error."""
+    texts, least = [], ingest.DEFAULT_MIN_WINDOWS
+    for law in _oracle_laws(ds, stack):
+        if law.meta["n_windows"] < least:
+            return texts, f"only {law.meta['n_windows']} usable windows; need at least {least}"
+        text = _drift_text(law)
+        if text is not None:
+            texts.append(text)
+    return texts, None
 
 
 @pytest.mark.parametrize("slots", ["contiguous", "gapped"])
@@ -569,7 +592,7 @@ def test_stack_counter_warns_for_the_same_laws_with_the_same_text(slots):
     # does; rows 2 and 3 read x1@0 over slices that end alike
     stack = LagStack((0, 1), [[0, 1], [0, 120], [2, 0], [150, 0], [0, 150], [1, 130]])
     got = _messages(lambda: EmpiricalLawProvider(ds).window_law_stack(stack))
-    want = _messages(lambda: _each_law(ds, stack))
+    want = _each_law(ds, stack)
     assert got == want
     assert want[1] is None and 0 < len(want[0]) < len(stack.lags)
     assert all(text.startswith("first/second-half marginal drift chi2=") for text in want[0])
@@ -580,6 +603,18 @@ def test_stack_counter_fails_at_the_first_law_short_of_windows_after_its_warning
     # row 2 has 200 - 185 = 15 windows, below the 30-window minimum; row 3 has none
     stack = LagStack((0, 1), [[0, 1], [2, 0], [0, 185], [0, 250], [0, 3]])
     got = _messages(lambda: EmpiricalLawProvider(ds).window_law_stack(stack))
-    want = _messages(lambda: _each_law(ds, stack))
+    want = _each_law(ds, stack)
     assert got == want
     assert len(want[0]) == 2 and want[1] == "only 15 usable windows; need at least 30"
+
+
+def test_a_drifting_law_with_a_label_outside_the_given_space_warns_then_fails():
+    # x1 drifts from 0 to 1; the given space lacks 1.  The drift is found
+    # while counting, before the counts meet the space: the warning comes
+    # first, then the error naming the label
+    ds = _drifting_dataset()
+    reqs = [("y", 0), ("x1", 0)]
+    got = _messages(lambda: empirical_window_law(ds, reqs, {"x1": OutcomeSpace((0,))}))
+    drift = _drift_text(window_law_by_rows(ds, reqs))
+    assert drift is not None
+    assert got == ([drift], "x1@0: labels 1 not in the given space")
