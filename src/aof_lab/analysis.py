@@ -216,8 +216,11 @@ def loss_curve(laws: LawProvider, grid: Sequence[Sequence[int]], loss: LossSpec)
     vectors = [_age_vector(g, laws.m) for g in grid]
     if not vectors:
         raise AofLabError("grid must hold at least one age vector")
-    if len(set(vectors)) != len(vectors):
-        raise AofLabError("grid points must be distinct")
+    seen = set()
+    for vec in vectors:
+        if vec in seen:
+            raise AofLabError(f"grid points must be distinct, got {vec} twice")
+        seen.add(vec)
     values = conditional_entropy_stack(_constant_age_laws(laws, vectors), laws.target_space, loss).tolist()
     index = 0.0
     value_of = dict(zip(vectors, values))

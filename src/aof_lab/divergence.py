@@ -12,11 +12,15 @@ The conditional mutual information always uses the product reference
 
 One kernel computes the conditional mutual information, over a stack of
 (x, y, z) cubes with no loop over conditioning cells; a single joint law is
-a stack of one.  ``epsilon_coefficient`` walks the lag grid one layout at a
-time (the sources whose future lag is nonzero).  It builds each layout's
-lags with numpy as a ``LagStack`` in cube order (x at tau, y at 0, x at
-tau + mu), so every stack the provider returns is already a stack of
-cubes, and scatters the values back into the lexicographic grid.
+a stack of one.  It scores the stack in place, overwriting the laws with
+their chi-squared terms, so the product reference and a boolean mask are
+the only stack-sized arrays it allocates; a caller hands it a stack it owns
+(``chi2_conditional_mi`` copies the joint's).  ``epsilon_coefficient`` walks
+the lag grid one layout at a time (the sources whose future lag is nonzero).
+It builds each layout's lags with numpy as a ``LagStack`` in cube order (x
+at tau, y at 0, x at tau + mu), so every stack the provider returns is
+already a stack of cubes, and scatters the values back into the
+lexicographic grid.
 ``epsilon_sweep`` shares that walk: for a family of mixtures ``(1 - eta) *
 base + eta * other`` it builds each chunk's two endpoint stacks once and
 mixes and scores them per ``eta``.
@@ -77,8 +81,10 @@ def _chi2_cmi_stack(cubes: np.ndarray, x_spaces: Sequence[OutcomeSpace]) -> np.n
     """Chi-squared conditional MI of every cube in a ``(G, n_x, n_y, n_z)``
     stack, where the x axis runs row-major over ``x_spaces``.
 
-    Raises :class:`PositivityError` naming every conditioning cell, by its
-    labels, that puts mass on a zero product-reference cell.
+    The stack is scored in place: on return ``cubes`` holds the
+    chi-squared terms, not the laws.  Raises :class:`PositivityError`, with ``cubes``
+    untouched, naming every conditioning cell, by its labels, that puts mass
+    on a zero product-reference cell.
     """
     w = cubes.sum(axis=(2, 3))
     py = cubes.sum(axis=3)
@@ -86,19 +92,23 @@ def _chi2_cmi_stack(cubes: np.ndarray, x_spaces: Sequence[OutcomeSpace]) -> np.n
     # a conditioning cell without mass has an all-zero slab and reference
     ref = py[:, :, :, None] * pz[:, :, None, :]
     ref /= np.where(w > 0.0, w, 1.0)[:, :, None, None]
-    terms = cubes - ref
-    terms *= terms
-    if not ref.all():
-        pos = ref > 0.0
-        stray = (~pos & (cubes > POSITIVITY_ATOL)).any(axis=(0, 2, 3))
-        if np.any(stray):
-            cells = [grid_label(x_spaces, x) for x in np.flatnonzero(stray)]
+    zero = ref == 0.0
+    has_zero = zero.any()
+    if has_zero:
+        stray = (cubes > POSITIVITY_ATOL) & zero
+        if stray.any():
+            cells = [grid_label(x_spaces, x) for x in np.flatnonzero(stray.any(axis=(0, 2, 3)))]
             raise PositivityError(
                 f"positivity violated: triple mass on a zero product-reference cell at {cells}", cells
             )
-        ref[~pos] = np.inf  # such a cell holds at most POSITIVITY_ATOL and adds zero
-    terms /= ref
-    return terms.sum(axis=(1, 2, 3))
+    np.subtract(cubes, ref, out=cubes)
+    cubes *= cubes
+    if has_zero:
+        # after the subtraction, which would turn inf into nan: such a cell
+        # holds at most POSITIVITY_ATOL and adds zero
+        np.copyto(ref, np.inf, where=zero)
+    cubes /= ref
+    return cubes.sum(axis=(1, 2, 3))
 
 
 def chi2_conditional_mi(
@@ -120,7 +130,8 @@ def chi2_conditional_mi(
     sub = joint.arrange([*given, target, *future])
     n_y = len(joint.space(target))
     n_z = int(np.prod([len(joint.space(n)) for n in future], dtype=np.int64))
-    cube = sub.probs.reshape(1, -1, n_y, n_z)
+    # the kernel scores in place, and ``arrange`` may return the joint's own array
+    cube = sub.probs.reshape(1, -1, n_y, n_z).copy()
     return float(_chi2_cmi_stack(cube, [joint.space(n) for n in given])[0])
 
 

@@ -165,6 +165,8 @@ class Dataset:
             raise AofLabError("dataset must have at least one row")
         if np.any(np.diff(t) <= 0):
             raise AofLabError("slot indices must be strictly increasing")
+        if not self.xs:
+            raise AofLabError("a trajectory needs at least one feature source")
         if len(self.xs) != len(self.ages):
             raise AofLabError("need one age column per feature column")
         ages = tuple(np.asarray(col, dtype=np.int64) for col in self.ages)

@@ -167,7 +167,9 @@ class LawProvider(Protocol):
 
     def window_law_stack(self, stack: LagStack) -> np.ndarray:
         """The laws of ``stack`` as ``probs[G, ...]``: ``probs[g]`` is law
-        ``g``, with axis ``i`` over the space of ``stack.sources[i]``."""
+        ``g``, with axis ``i`` over the space of ``stack.sources[i]``.  The
+        array is new on every call and owned by the caller, which may
+        overwrite it (the chi-squared kernel scores it in place)."""
         ...
 
 

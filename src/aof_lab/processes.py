@@ -267,6 +267,7 @@ def exact_window_laws(model: ProcessModel, stack: LagStack) -> np.ndarray:
         powers[k] = powers[k - 1] @ model.transition
 
     probs = np.zeros((len(stack.lags), math.prod(var_sizes)))
+    flat = probs.reshape(-1)
     for u in np.argsort(first):
         members = np.flatnonzero(group == u)
         sizes = sizes_of[first[u]][sizes_of[first[u]] > 0].tolist()
@@ -293,9 +294,11 @@ def exact_window_laws(model: ProcessModel, stack: LagStack) -> np.ndarray:
                 back = powers[gaps[:, i]] @ back
                 back = (emit[i][:, :, :, None] * back[:, :, None, :]).reshape(len(part), n_states, -1)
             laws = table.transpose(0, 2, 1) @ powers[gaps[:, split - 1]] @ back
-            # every read belongs to a variable, so distinct elementary cells land on distinct cells
-            cells = (weights[:, :split] @ digits_left)[:, :, None] + (weights[:, split:] @ digits_right)[:, None, :]
-            probs[part[:, None], cells.reshape(len(part), -1)] = laws.reshape(len(part), -1)
+            # every read belongs to a variable, so distinct elementary cells land on
+            # distinct cells; each law's row offset into ``flat`` joins the left part
+            left = weights[:, :split] @ digits_left + (part * probs.shape[1])[:, None]
+            cells = left[:, :, None] + (weights[:, split:] @ digits_right)[:, None, :]
+            flat[cells.reshape(-1)] = laws.reshape(-1)
     sums = probs.sum(axis=1)
     drift = float(np.abs(sums - 1.0).max())
     if drift > NORMALIZATION_ATOL:

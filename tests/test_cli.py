@@ -164,6 +164,8 @@ def test_model_checks_run_before_the_stationary_law(tmp_path, transition, messag
     (["age-curve", "--model", "{model}", "--grid", "0x0", "--windows", "a"], "--windows"),
     # a repeated window would be computed and written twice under one name
     (["age-curve", "--model", "{model}", "--grid", "0..2", "--windows", "1,2,1"], "--windows: window 1 is given twice"),
+    # likewise a repeated grid point, named by its first repeat
+    (["age-curve", "--model", "{model}", "--grid", "0,1;1,0;0,1;1,0"], "grid points must be distinct, got (0, 1) twice"),
     (["decompose", "--model", "{model}", "--delta", "x"], "--delta"),
     (["decompose", "--model", "{model}", "--delta", "1,1", "--path", "a"], "--path"),
     (["epsilon", "--model", "{model}", "--sweep", "--mix-ref", "{model}", "--etas", "0.5,abc"], "--etas"),

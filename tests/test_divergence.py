@@ -1,3 +1,5 @@
+import tracemalloc
+
 import numpy as np
 import pytest
 
@@ -22,6 +24,7 @@ from aof_lab import (
 )
 from aof_lab.divergence import _chi2_cmi_stack, epsilon_sweep
 from aof_lab.errors import IncompatibleSpaceError, PositivityError, ReferenceNotInteriorError
+from aof_lab.laws import STACK_CELLS
 from aof_lab.processes import exact_window_law
 
 from oracles import chi2_cmi_direct, chi2_mc, epsilon_direct, loglog_slope, random_joint, random_pmf
@@ -261,9 +264,15 @@ def test_chi2_cmi_positivity_error_names_conditioning_cells():
     # signed mass cancels a target marginal, zeroing the reference under it
     cubes[0, 1, 0] = [0.1, -0.1]
     cubes[1, 5, 1] = [-0.1, 0.1]
+    given = cubes.copy()
     with pytest.raises(PositivityError) as exc:
         _chi2_cmi_stack(cubes, x_spaces)
     assert exc.value.cells == [("a", 1), ("b", 2)]
+    assert str(exc.value) == (
+        "positivity violated: triple mass on a zero product-reference cell at [('a', 1), ('b', 2)]"
+    )
+    # the kernel scores in place, but only once the stack has passed the check
+    assert cubes.tobytes() == given.tobytes()
 
 
 def test_chi2_cmi_stack_mixes_degenerate_and_positive_cubes():
@@ -276,13 +285,44 @@ def test_chi2_cmi_stack_mixes_degenerate_and_positive_cubes():
     degenerate[2, :, 1:] = 0.0
     degenerate /= degenerate.sum()
     cubes = np.stack([positive, degenerate])
-    values = _chi2_cmi_stack(cubes, [spaces["x"]])
+    # the kernel consumes the stack it scores, so every call gets a copy
+    values = _chi2_cmi_stack(cubes.copy(), [spaces["x"]])
     for cube, value in zip(cubes, values):
         joint = JointPmf(tuple(spaces.items()), cube)
         assert abs(value - chi2_cmi_direct(joint, "y", ["z"], ["x"])) <= 1e-15
         # scored alone, each cube gives the same value bit for bit
-        assert _chi2_cmi_stack(cube[None], [spaces["x"]])[0] == value
+        assert _chi2_cmi_stack(cube[None].copy(), [spaces["x"]])[0] == value
     assert values[1] > 0.0
+
+
+@pytest.mark.parametrize("order", [("x", "y", "z"), ("z", "x", "y")],
+                         ids=["already-arranged", "rearranged"])
+def test_chi2_conditional_mi_leaves_the_joint_unchanged(order):
+    # with the axes already in [given, target, future] order, arrange hands
+    # back the joint's own array, which the in-place kernel must not score
+    rng = np.random.default_rng(6)
+    spaces = {"x": OutcomeSpace((0, 1, 2)), "y": OutcomeSpace((0, 1)), "z": OutcomeSpace((0, 1))}
+    joint = random_joint(rng, [(n, spaces[n]) for n in order], floor=0.02)
+    before = joint.probs.tobytes()
+    first = chi2_conditional_mi(joint, "y", ["z"], ["x"])
+    assert joint.probs.tobytes() == before
+    assert chi2_conditional_mi(joint, "y", ["z"], ["x"]) == first
+    assert first == pytest.approx(chi2_cmi_direct(joint, "y", ["z"], ["x"]), abs=1e-12)
+
+
+def test_epsilon_grid_walk_holds_at_most_three_stacks():
+    # 702 laws of up to 8,192 cells, walked in chunks of at most STACK_CELLS
+    # cells: a chunk's laws are scored in place, so besides them only their
+    # product reference and smaller tables are live
+    model = make_hidden_nonmarkov(7, n_states=4, n_sources=3, n_symbols=2, n_targets=2, window=2)
+    laws = ExactLawProvider(model)
+    tracemalloc.start()
+    try:
+        epsilon_coefficient(laws, 2, 2)
+        _, peak = tracemalloc.get_traced_memory()
+    finally:
+        tracemalloc.stop()
+    assert peak <= 3 * STACK_CELLS * 8
 
 
 @pytest.mark.parametrize("shape", [dict(n_states=3, n_sources=1), dict(n_states=2, n_sources=2, window=2)])

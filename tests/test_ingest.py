@@ -461,6 +461,12 @@ def test_quantize_equals_bin_of_per_value():
             Dataset(t=[], xs=xs, ages=([],), y=y)
 
 
+def test_dataset_without_a_feature_column_is_rejected():
+    # with no source, epsilon would fail later on an empty lag grid
+    with pytest.raises(AofLabError, match="^a trajectory needs at least one feature source$"):
+        Dataset(t=range(100), xs=(), ages=(), y=np.arange(100) % 2)
+
+
 def test_csv_reads_in_batches_and_names_the_bad_line(tmp_path, monkeypatch):
     import aof_lab._util as util
 
