@@ -10,15 +10,12 @@ name is imported from its module on first use (PEP 562 ``__getattr__``) and
 then cached here, so ``aof_lab.X`` is the very object ``aof_lab.<module>.X``.
 The CLI imports per command what the command calls: ``--help`` loads
 ``cli``, ``_util`` and ``errors``; ``order-check`` and ``simulate-aoi`` add
-``spaces``, ``laws`` and ``aoi``; ``epsilon --model`` adds ``spaces``,
-``laws``, ``processes`` and ``divergence``; ``age-curve --model`` and
-``decompose --model`` add ``analysis``, ``information`` and ``losses`` in
-place of ``divergence``; a ``--data`` command loads ``ingest`` and ``aoi``
-and not ``processes`` (the README's "Start-up" section lists every
-command).  Every command used to load all twelve modules.  Cold on a 2-CPU
-host without a bytecode cache, ``--help`` fell from 0.27-0.29 s to 0.22 s
-and ``order-check`` from 0.28 s to 0.24 s.  The CLI's only third-party
-import is numpy: it parses with stdlib ``argparse``.
+only ``aoi``; ``epsilon --model`` adds ``spaces``, ``laws``, ``processes``
+and ``divergence``; ``age-curve --model`` and ``decompose --model`` add
+``analysis``, ``information`` and ``losses`` in place of ``divergence``; a
+``--data`` command loads ``ingest`` and not ``processes`` (the README's
+"Start-up" section lists every command).  The CLI's only third-party import
+is numpy: it parses with stdlib ``argparse``.
 
 Neither ``import aof_lab`` nor library use touches the environment.  A
 process that starts as the CLI sets ``OPENBLAS_NUM_THREADS=1`` before numpy

@@ -32,6 +32,14 @@ from .errors import AofLabError
 # alive at once
 CSV_CHUNK_ROWS = 8192
 
+# largest table (law cells, age cells, transport cells, or elementary cells
+# times hidden states) one object may need; guards against inputs whose
+# tables cannot fit in memory
+DEFAULT_MAX_CELLS = 4_000_000
+
+# largest distance from 1 at which a probability vector counts as normalized
+NORMALIZATION_ATOL = 1e-12
+
 
 def thread_count() -> int:
     """Worker threads: always one (more measured no gain); the benchmark records it."""

@@ -20,10 +20,11 @@ once plus one per walked source of the laws reading it at two lags.
 Dynamic ages are handled by mixing per-age laws (the stack of constant-age
 laws weighted by the age law): training with the age as a feature recovers
 the age-weighted average of constant-age losses, training without it
-conditions on the pooled mixture and can only be worse.  Testing losses
-evaluate per-cell Bayes actions trained under one provider against a law
-from another; :func:`cross_loss_sweep` mixes the test laws toward the
-training ones from the two constant-age stacks, each built once.
+conditions on the pooled mixture and can only be worse.  Every testing loss
+is one ``conditional_cross_entropy`` call: per-cell Bayes actions trained on
+one provider's age-weighted joint, scored on another's under the same ages.
+:func:`cross_loss_sweep` mixes the test laws toward the training ones from
+the two constant-age stacks, each built once.
 
 ``aoi`` and ``divergence`` are imported inside the functions that call
 them, so a loss curve or a decomposition loads neither module.
@@ -32,7 +33,7 @@ them, so a loss curve or a decomposition loads neither module.
 from __future__ import annotations
 
 import json
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 from typing import TYPE_CHECKING, Sequence
 
 import numpy as np
@@ -56,7 +57,7 @@ def _age_vector(delta: Sequence[int], m: int) -> AgeVector:
     if len(vec) != m:
         raise IncompatibleSpaceError(f"age vector {vec} does not match {m} sources")
     if any(d < 0 for d in vec):
-        raise AofLabError("age components must be nonnegative")
+        raise AofLabError(f"age components must be nonnegative, got {vec}")
     return vec
 
 
@@ -65,7 +66,8 @@ def _constant_age_laws(laws: LawProvider, lags, sources: Sequence[int] | None = 
     lags = np.asarray(lags)
     sources = range(1, laws.m + 1) if sources is None else sources
     if lags.shape[1] != len(sources):
-        raise IncompatibleSpaceError("age distribution and provider disagree on sources")
+        raise IncompatibleSpaceError(f"age distribution and provider disagree on sources: "
+                                     f"age vectors of length {lags.shape[1]}, {len(sources)} sources")
     lags = np.column_stack([lags, np.zeros(len(lags), dtype=np.int64)])
     return laws.window_law_stack(LagStack((*sources, 0), lags))
 
@@ -199,11 +201,7 @@ class LossCurve:
     grid: tuple[AgeVector, ...]
     values: tuple[float, ...]
     loss_kind: str
-    meta: dict = field(default_factory=dict)
-
-    @property
-    def nonmonotonicity_index(self) -> float:
-        return self.meta["nonmonotonicity_index"]
+    nonmonotonicity_index: float
 
     def to_csv(self, path) -> None:
         header = [f"delta_{l}" for l in range(1, len(self.grid[0]) + 1)] + ["loss"]
@@ -233,7 +231,7 @@ def loss_curve(laws: LawProvider, grid: Sequence[Sequence[int]], loss: LossSpec)
         grid=tuple(vectors),
         values=tuple(float(v) for v in values),
         loss_kind=loss.kind,
-        meta={"nonmonotonicity_index": float(index)},
+        nonmonotonicity_index=float(index),
     )
 
 
@@ -297,11 +295,8 @@ class TrainingComparison:
         }
 
 
-def _epsilon_or_default(laws, report, tau_max, mu_max, *age_dists: AgeDistribution) -> EpsilonReport:
-    """``report``, else the provider's coefficient with caps defaulting to
-    the largest age component (at least 2)."""
-    if report is not None:
-        return report
+def _epsilon_or_default(laws, tau_max, mu_max, *age_dists: AgeDistribution) -> EpsilonReport:
+    """The provider's coefficient, caps defaulting to the largest age component (at least 2)."""
     from .divergence import epsilon_coefficient
 
     cap = max(2, max(max(max(vec) for vec in d.vectors) for d in age_dists))
@@ -313,22 +308,21 @@ def compare_experiments(
     ages_smaller: AgeDistribution,
     ages_larger: AgeDistribution,
     loss: LossSpec,
-    epsilon_report: EpsilonReport | None = None,
     tau_max: int | None = None,
     mu_max: int | None = None,
 ) -> TrainingComparison:
     """Compare joint training losses under stochastically ordered age laws.
 
     An unmet ordering hypothesis is reported in the verdict rather than
-    raised.  The provider's Markov-deviation coefficient is measured (or
-    passed in precomputed) so the signed difference can be read against it.
+    raised.  The provider's Markov-deviation coefficient is measured (caps
+    default to the largest age component, at least 2) alongside.
     """
     from .aoi import stochastic_order_multivariate
 
     verdict = stochastic_order_multivariate(ages_smaller, ages_larger)
     loss_c = joint_training_loss(laws, ages_smaller, loss, with_age_feature=True)
     loss_d = joint_training_loss(laws, ages_larger, loss, with_age_feature=True)
-    epsilon_report = _epsilon_or_default(laws, epsilon_report, tau_max, mu_max, ages_smaller, ages_larger)
+    epsilon_report = _epsilon_or_default(laws, tau_max, mu_max, ages_smaller, ages_larger)
     diff = loss_c - loss_d
     return TrainingComparison(
         loss_smaller=float(loss_c),
@@ -340,29 +334,19 @@ def compare_experiments(
     )
 
 
-def testing_loss(
-    train_laws: LawProvider,
-    test_laws: LawProvider,
-    ages_test: AgeDistribution,
-    loss: LossSpec,
-    ages_train: AgeDistribution | None = None,
-) -> float:
+def testing_loss(train_laws: LawProvider, test_laws: LawProvider, ages: AgeDistribution, loss: LossSpec) -> float:
     """Expected test-law loss of per-cell Bayes actions trained elsewhere.
 
     Actions are trained per (age vector, feature cell) under the training
-    provider and evaluated under the test provider's laws weighted by the
-    test age distribution.  Conditioning cells with test mass but no train
-    mass raise :class:`UntrainedCellError`.
+    provider, both providers' laws weighted by ``ages``; an action depends on
+    its row's conditional only.  Conditioning cells with test mass but no
+    train mass raise :class:`UntrainedCellError`.
     """
-    joint_train = dynamic_joint(train_laws, ages_test if ages_train is None else ages_train)
-    return _joint_testing_loss(dynamic_joint(test_laws, ages_test), joint_train, loss)
+    return _joint_testing_loss(dynamic_joint(test_laws, ages), dynamic_joint(train_laws, ages), loss)
 
 
 def _joint_testing_loss(joint_test: JointPmf, joint_train: JointPmf, loss: LossSpec) -> float:
-    if joint_test.space(AGE_VARIABLE).labels != joint_train.space(AGE_VARIABLE).labels:
-        raise IncompatibleSpaceError(
-            "train and test age supports differ; supply matching age distributions"
-        )
+    """The loss under ``joint_test`` of the per-cell Bayes actions of ``joint_train``."""
     features = [n for n in joint_test.names if n != "y"]
     return conditional_cross_entropy(joint_test, joint_train, "y", features, loss)
 
@@ -391,7 +375,7 @@ def cross_loss_sweep(
 
 @dataclass(frozen=True)
 class TestingComparison:
-    """Testing losses of two experiments with ordered test-age laws."""
+    """Testing losses of two experiments with ordered age laws."""
 
     testing_smaller: float
     testing_larger: float
@@ -421,23 +405,19 @@ def compare_testing_experiments(
     ages_smaller: AgeDistribution,
     ages_larger: AgeDistribution,
     loss: LossSpec,
-    epsilon_report: EpsilonReport | None = None,
     tau_max: int | None = None,
     mu_max: int | None = None,
 ) -> TestingComparison:
-    """Testing losses under two ordered test-age laws, with the measured
-    train/test mismatch radius of each experiment alongside."""
+    """:func:`testing_loss` under two ordered age laws, with the train/test
+    mismatch radius of each experiment's two joints alongside."""
     from .aoi import stochastic_order_multivariate
     from .divergence import beta_between
 
     verdict = stochastic_order_multivariate(ages_smaller, ages_larger)
-    train_c, test_c = dynamic_joint(train_laws, ages_smaller), dynamic_joint(test_laws, ages_smaller)
-    train_d, test_d = dynamic_joint(train_laws, ages_larger), dynamic_joint(test_laws, ages_larger)
-    t_c = _joint_testing_loss(test_c, train_c, loss)
-    t_d = _joint_testing_loss(test_d, train_d, loss)
-    beta_c = beta_between(train_c, test_c)
-    beta_d = beta_between(train_d, test_d)
-    epsilon_report = _epsilon_or_default(train_laws, epsilon_report, tau_max, mu_max, ages_smaller, ages_larger)
+    joints = [(dynamic_joint(train_laws, a), dynamic_joint(test_laws, a)) for a in (ages_smaller, ages_larger)]
+    t_c, t_d = (_joint_testing_loss(test, train, loss) for train, test in joints)
+    beta_c, beta_d = (beta_between(train, test) for train, test in joints)
+    epsilon_report = _epsilon_or_default(train_laws, tau_max, mu_max, ages_smaller, ages_larger)
     diff = t_c - t_d
     return TestingComparison(
         testing_smaller=float(t_c),

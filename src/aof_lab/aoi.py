@@ -21,14 +21,16 @@ import functools
 import json
 import math
 from dataclasses import dataclass
-from typing import Iterable, Mapping, Sequence
+from typing import TYPE_CHECKING, Iterable, Mapping, Sequence
 
 import numpy as np
 
-from ._util import CSV_CHUNK_ROWS, csv_check, csv_text, read_csv, read_json, write_text_atomic
+from ._util import (CSV_CHUNK_ROWS, DEFAULT_MAX_CELLS, NORMALIZATION_ATOL, csv_check, csv_text, read_csv, read_json,
+                    write_text_atomic)
 from .errors import AofLabError, IncompatibleSpaceError, WarmupError
-from .laws import DEFAULT_MAX_CELLS
-from .spaces import NORMALIZATION_ATOL, Pmf
+
+if TYPE_CHECKING:  # pragma: no cover
+    from .spaces import Pmf
 
 SENTINEL = -1
 

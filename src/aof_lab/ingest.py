@@ -27,6 +27,9 @@ onto the given spaces or the labels seen in the usable windows.
 Strict positivity is never imposed silently: empty cells stay empty unless
 a law is smoothed with an explicit pseudo-count, by ``smooth`` or by the
 provider's ``pseudo_count``.
+
+``aoi`` is imported inside ``dynamic_age_law`` and ``assemble_dynamic``, so
+a command that reads a trajectory loads it only when it builds age laws.
 """
 
 from __future__ import annotations
@@ -34,16 +37,18 @@ from __future__ import annotations
 import math
 import warnings
 from dataclasses import dataclass, field
-from typing import Mapping, NamedTuple, Sequence
+from typing import TYPE_CHECKING, Mapping, NamedTuple, Sequence
 
 import numpy as np
 
 from ._util import csv_text, read_csv, read_json, write_text_atomic
-from .aoi import SENTINEL, AgeDistribution, AgeProcess
 from .errors import AofLabError, IncompatibleSpaceError
 from .laws import (STACK_CELLS, LagStack, WindowLaw, canonical_requests, lag_stack, source_index, source_variable,
                    variable_name, window_law_of)
 from .spaces import JointPmf, OutcomeSpace
+
+if TYPE_CHECKING:  # pragma: no cover
+    from .aoi import AgeDistribution, AgeProcess
 
 DEFAULT_MIN_WINDOWS = 30
 
@@ -472,6 +477,8 @@ def dynamic_age_law(
     (already staled).  Age cells with fewer than ``min_rows`` rows are
     reported together in the error message, in order of first appearance.
     """
+    from .aoi import AgeDistribution
+
     ages = np.array(dataset.ages, dtype=np.int64).reshape(dataset.m, len(dataset)).T
     vectors, first, group = np.unique(ages, axis=0, return_index=True, return_inverse=True)
     group = group.reshape(-1)
@@ -506,6 +513,8 @@ def assemble_dynamic(dataset: Dataset, ages: AgeProcess) -> Dataset:
     earlier; slots whose staled feature is unavailable (warm-up or missing
     rows) are dropped, and so are rows at slots outside the age process.
     """
+    from .aoi import SENTINEL
+
     if ages.m != dataset.m:
         raise IncompatibleSpaceError("age process and dataset disagree on source count")
     t = dataset.t

@@ -26,14 +26,14 @@ from typing import Protocol, Sequence
 
 import numpy as np
 
+from ._util import DEFAULT_MAX_CELLS
 from .errors import IncompatibleSpaceError
 from .spaces import JointPmf, OutcomeSpace
 
 Request = tuple[str, int]
 
-# largest table (law cells, or elementary cells times hidden states) one law
-# may need; guards against grids whose laws cannot fit in memory
-DEFAULT_MAX_CELLS = 4_000_000
+# DEFAULT_MAX_CELLS, the cap on any one law's table, lives in ``_util`` so
+# that ``aoi`` can read it without loading this module
 
 # most cells a batched law evaluation keeps live at once; stacks larger than
 # this are built and consumed in chunks

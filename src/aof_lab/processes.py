@@ -130,8 +130,10 @@ class ProcessModel:
         target_kernel = _check_rows("target_kernel", self.target_kernel)
         if target_kernel.shape != (n, len(self.target_space)):
             raise IncompatibleSpaceError("target kernel shape mismatch")
-        if self.window < 1 or self.delay < 0:
-            raise AofLabError("window must be >= 1 and delay >= 0")
+        if self.window < 1:
+            raise AofLabError(f"window must be >= 1, got {self.window}")
+        if self.delay < 0:
+            raise AofLabError(f"delay must be >= 0, got {self.delay}")
         checked = {"states": states, "transition": transition, "stationary": stationary,
                    "emissions": emissions, "emission_spaces": spaces, "target_kernel": target_kernel}
         for name, value in checked.items():

@@ -14,12 +14,10 @@ from typing import Any, Mapping, Sequence
 
 import numpy as np
 
-from ._util import read_json, write_text_atomic
+from ._util import NORMALIZATION_ATOL, read_json, write_text_atomic
 from .errors import IncompatibleSpaceError, NotNormalizedError
 
 Label = Any
-
-NORMALIZATION_ATOL = 1e-12
 
 # most negative a probability may be: rounding error, clipped to 0
 NEGATIVE_MASS_ATOL = 1e-15

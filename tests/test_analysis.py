@@ -371,7 +371,7 @@ def test_cross_loss_sweep_validates_weights_and_providers():
     wide, _ = _gen_pair((2, 1, 0), 62)
     with pytest.raises(IncompatibleSpaceError, match="source count"):
         cross_loss_sweep(train, wide, ages, log_loss(), [1.0])
-    with pytest.raises(IncompatibleSpaceError, match="disagree on sources"):
+    with pytest.raises(IncompatibleSpaceError, match="disagree on sources: age vectors of length 1, 2 sources"):
         cross_loss_sweep(wide, wide, ages, log_loss(), [1.0])
 
 

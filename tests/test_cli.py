@@ -184,6 +184,10 @@ def test_model_checks_run_before_the_stationary_law(tmp_path, transition, messag
     # a value that starts with "-" is still the option's value
     (["--lambda", "-1e-3", "age-curve", "--data", "{data}", "--grid", "0x0"], "pseudo-count"),
     (["decompose", "--model", "{model}", "--delta", "-1,0"], "nonnegative"),
+    # each names the offending value
+    (["age-curve", "--model", "{model}", "--grid", "0,0", "--windows", "0"], "Error: window must be >= 1, got 0"),
+    (["gen", "--delay", "-1"], "Error: delay must be >= 0, got -1"),
+    (["decompose", "--model", "{model}", "--delta", "-1,1"], "Error: age components must be nonnegative, got (-1, 1)"),
     (["cross-loss", "--train", "{model}", "--test", "{model}", "--sweep", "--etas", "-0.5"], "eta"),
 ])
 def test_bad_option_value_is_a_clean_error(tmp_path, args, needle):

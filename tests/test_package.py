@@ -11,7 +11,7 @@ from pathlib import Path
 import pytest
 
 import aof_lab
-from aof_lab import AgeDistribution, DeliveryTrace, make_hidden_nonmarkov, sample_trajectory
+from aof_lab import AgeDistribution, DeliveryTrace, JointPmf, OutcomeSpace, make_hidden_nonmarkov, sample_trajectory
 
 SRC = Path(__file__).resolve().parent.parent / "src"
 
@@ -42,26 +42,33 @@ def test_unknown_name_is_an_attribute_error_and_submodules_still_import():
 
 BASE = {"numpy", "aof_lab", "aof_lab.cli", "aof_lab._util", "aof_lab.errors"}
 LAWS = BASE | {"aof_lab.spaces", "aof_lab.laws"}
-AGES = LAWS | {"aof_lab.aoi"}
-ANALYSIS = LAWS | {"aof_lab.processes", "aof_lab.analysis", "aof_lab.information", "aof_lab.losses"}
+AGES = BASE | {"aof_lab.aoi"}
+LOSSES = LAWS | {"aof_lab.analysis", "aof_lab.information", "aof_lab.losses"}
+ANALYSIS = LOSSES | {"aof_lab.processes"}
 # case -> (python statement, or CLI arguments; numpy and the aof_lab modules loaded after it).
 # No case loads click: it is not in any of these sets, and the check below lists it when loaded.
 IMPORT_CASES = {
     "import aof_lab": ("import aof_lab", {"aof_lab"}),
-    "from aof_lab import aoi": ("from aof_lab import aoi",
-                                {"numpy", "aof_lab", "aof_lab.aoi", "aof_lab._util", "aof_lab.errors", "aof_lab.laws",
-                                 "aof_lab.spaces"}),
+    "from aof_lab import aoi": ("from aof_lab import aoi", {"numpy", "aof_lab", "aof_lab.aoi", "aof_lab._util",
+                                                            "aof_lab.errors"}),
     "--help": (["--help"], BASE),
     "simulate-aoi": (["simulate-aoi", "--trace", "{trace}", "--horizon", "6"], AGES),
     "order-check": (["order-check", "--dist-a", "{a}", "--dist-b", "{b}"], AGES),
+    "beta": (["beta", "--train", "{joint}", "--test", "{joint}"], LAWS | {"aof_lab.divergence"}),
+    "gen": (["gen"], LAWS | {"aof_lab.processes"}),
+    "gen --length": (["gen", "--length", "50"], LAWS | {"aof_lab.processes", "aof_lab.ingest"}),
     "epsilon --model": (["epsilon", "--model", "{model}", "--tau-max", "1", "--mu-max", "1"],
                         LAWS | {"aof_lab.processes", "aof_lab.divergence"}),
+    "epsilon --sweep": (["epsilon", "--model", "{model}", "--sweep", "--mix-ref", "{model}", "--etas", "0.5",
+                         "--tau-max", "1", "--mu-max", "1"], LAWS | {"aof_lab.processes", "aof_lab.divergence"}),
     "epsilon --data": (["epsilon", "--data", "{data}", "--tau-max", "1", "--mu-max", "1"],
-                       AGES | {"aof_lab.ingest", "aof_lab.divergence"}),
-    "age-curve --data": (["age-curve", "--data", "{data}", "--grid", "0..1"],
-                         AGES | {"aof_lab.ingest", "aof_lab.analysis", "aof_lab.information", "aof_lab.losses"}),
+                       LAWS | {"aof_lab.ingest", "aof_lab.divergence"}),
+    "age-curve --data": (["age-curve", "--data", "{data}", "--grid", "0..1"], LOSSES | {"aof_lab.ingest"}),
+    "decompose --data": (["decompose", "--data", "{data}", "--delta", "1"], LOSSES | {"aof_lab.ingest"}),
     "age-curve --model": (["age-curve", "--model", "{model}", "--grid", "0..1"], ANALYSIS),
     "decompose --model": (["decompose", "--model", "{model}", "--delta", "1"], ANALYSIS),
+    "cross-loss": (["cross-loss", "--train", "{model}", "--test", "{model}"],
+                   ANALYSIS | {"aof_lab.aoi", "aof_lab.divergence"}),
 }
 
 
@@ -82,13 +89,14 @@ def test_each_command_loads_only_the_modules_it_calls(tmp_path, case):
     loads; an eager import added later would undo the saving silently."""
     statement, want = IMPORT_CASES[case]
     files = {"model": tmp_path / "model.json", "trace": tmp_path / "trace.csv", "data": tmp_path / "data.csv",
-             "a": tmp_path / "a.json", "b": tmp_path / "b.json"}
+             "a": tmp_path / "a.json", "b": tmp_path / "b.json", "joint": tmp_path / "joint.json"}
     model = make_hidden_nonmarkov(3, n_states=3)
     model.save(files["model"])
     sample_trajectory(model, 200, 3).to_csv(files["data"])
     DeliveryTrace((((0, 1), (3, 5)),)).to_csv(files["trace"])
     AgeDistribution.point_mass((1, 3)).save(files["a"])
     AgeDistribution.point_mass((2, 2)).save(files["b"])
+    JointPmf((("x", OutcomeSpace((0, 1))),), [0.25, 0.75]).save(files["joint"])
     if isinstance(statement, list):
         args = ["--out", str(tmp_path / "out"), *(a.format(**files) for a in statement)]
         statement = f"from aof_lab.cli import main; assert main({args!r}) == 0"
