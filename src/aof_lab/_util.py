@@ -12,8 +12,12 @@ show it reads as ``csv.reader`` and ``int`` do (a quote, a NUL, a lone
 over ``LABEL_KEY_BYTES``, an integer cell other than ``-?[0-9]{1,18}``, or
 any fault) is parsed by ``csv.reader`` from the start, which re-reads a
 faulty file row by row to name the line and column.  ``csv_text`` renders
-each distinct cell of a column once and joins the rows a block at a time,
-to the bytes ``csv.writer`` writes."""
+each distinct cell of a column once into a table of right-aligned bytes
+(an int column wider than a block: each block's digits) and assembles a
+block of rows as one byte matrix of cells and separators whose padding it
+drops, so again no cell becomes a Python object; the bytes are those
+``csv.writer`` writes.  ``csv_table``, for the few-row report tables, is
+one ``csv.writer`` pass."""
 
 from __future__ import annotations
 
@@ -28,8 +32,8 @@ import numpy as np
 
 from .errors import AofLabError
 
-# Rows per block when a CSV is read or rendered: bounds the cell strings
-# alive at once
+# Rows per block when a CSV is read or rendered: bounds the cells alive at
+# once
 CSV_CHUNK_ROWS = 8192
 
 # largest table (law cells, age cells, transport cells, or elementary cells
@@ -48,6 +52,8 @@ def thread_count() -> int:
 
 def _cell_text(value, alone: bool) -> str:
     """``value`` as ``csv.writer`` writes it, as a row's only cell if ``alone``."""
+    if type(value) is int:  # csv.writer writes str() of an int
+        return str(value)
     buf = io.StringIO()
     csv.writer(buf).writerow([value] if alone else [value, ""])
     return buf.getvalue()[:-2 if alone else -3]
@@ -55,38 +61,83 @@ def _cell_text(value, alone: bool) -> str:
 
 def csv_text(header, columns) -> str:
     """The text ``csv.writer`` writes for ``header`` and the rows that
-    ``columns`` hold, rendered column by column and joined
-    ``CSV_CHUNK_ROWS`` rows at a time.  A column is an int array, or
-    ``(values, codes)``: its distinct cell values and an int index into
-    them per row."""
-    blocks = zip(*(_column_blocks(column, len(columns) == 1) for column in columns))
-    parts = [",".join(_cell_text(name, len(header) == 1) for name in header) + "\r\n"]
-    parts += ["\r\n".join(map(",".join, zip(*cells))) + "\r\n" for cells in blocks]
-    return "".join(parts)
+    ``columns`` hold.  A column is an int array, or ``(values, codes)``: its
+    distinct cell values and an int index into them per row.  Each distinct
+    cell is rendered once, into a ``_byte_table``; an int column whose range
+    is wider than a block is rendered a block at a time instead.  A block of
+    ``CSV_CHUNK_ROWS`` rows (fewer if long cells would take its matrix past
+    ``_BLOCK_BYTES``) is one byte matrix of cells and separators, from which
+    the padding is dropped, so no cell becomes a Python object."""
+    tables, codes = [], []
+    for column in columns:
+        if not isinstance(column, np.ndarray):
+            values, column = column
+            tables.append(_byte_table([_cell_text(value, len(columns) == 1) for value in values]))
+        elif len(column) and (hi := int(column.max())) - (lo := int(column.min())) < CSV_CHUNK_ROWS:
+            tables.append(_int_table(lo + np.arange(hi - lo + 1)))
+            column = column - lo
+        else:
+            tables.append(None)
+        codes.append(column)
+    width = sum(len(str(-2**63)) if table is None else table.shape[1] + 1 for table in tables) + 1
+    step = max(1, min(CSV_CHUNK_ROWS, _BLOCK_BYTES // width))
+    out = bytearray(csv_table(header, ()).encode())
+    for start in range(0, len(codes[0]), step):
+        cells = [_int_table(c[start:start + step]) if table is None else table[c[start:start + step]]
+                 for table, c in zip(tables, codes)]
+        rows = len(cells[0])
+        parts = [part for cell in cells for part in (cell, np.broadcast_to(_SEPARATORS[:1], (rows, 1)))]
+        parts[-1] = np.broadcast_to(_SEPARATORS[1:], (rows, 2))
+        block = np.concatenate(parts, axis=1)
+        out += memoryview(block[block != _PAD])
+    return out.decode()
 
 
-def _column_blocks(column, alone: bool):
-    """The cell texts of a ``csv_text`` column, ``CSV_CHUNK_ROWS`` at a time.
-    Each distinct value is rendered once, into a table; an int column whose
-    range is wider than a block is rendered block by block instead."""
-    if isinstance(column, np.ndarray):
-        lo, hi = (int(column.min()), int(column.max())) if len(column) else (0, 0)
-        if hi - lo >= CSV_CHUNK_ROWS:
-            for start in range(0, len(column), CSV_CHUNK_ROWS):
-                yield list(map(str, column[start:start + CSV_CHUNK_ROWS].tolist()))
-            return
-        texts, codes = map(str, range(lo, hi + 1)), column - lo
-    else:
-        values, codes = column
-        texts = (_cell_text(value, alone) for value in values)
-    table = np.array(list(texts), dtype=object)
-    for start in range(0, len(codes), CSV_CHUNK_ROWS):
-        yield table[codes[start:start + CSV_CHUNK_ROWS]].tolist()
+# The byte that pads a cell in a byte table: no UTF-8 text holds it
+_PAD = 0xFF
+_SEPARATORS = np.frombuffer(b",\r\n", np.uint8)
+# Most bytes in the matrix of one block that csv_text assembles
+_BLOCK_BYTES = 1 << 20
+# 10**1 .. 10**18: a magnitude's digit count is one plus the number it reaches
+_POWERS = 10 ** np.arange(1, 19, dtype=np.uint64)
+
+
+def _byte_table(texts) -> np.ndarray:
+    """The UTF-8 bytes of ``texts``, one row each, right-aligned after ``_PAD`` bytes."""
+    raw = [text.encode() for text in texts]
+    lengths = np.fromiter(map(len, raw), np.int64, len(raw))
+    width = int(lengths.max(initial=0))
+    table = np.full((len(raw), width), _PAD, np.uint8)
+    table[np.arange(width) >= width - lengths[:, None]] = np.frombuffer(b"".join(raw), np.uint8)
+    return table
+
+
+def _int_table(values: np.ndarray) -> np.ndarray:
+    """The ``_byte_table`` of the decimal texts of the int64 ``values``,
+    rendered digit by digit."""
+    neg = values < 0
+    magnitude = values.astype(np.uint64)
+    np.negative(magnitude, out=magnitude, where=neg)  # -2**63 too: 2**63 fits uint64
+    lengths = np.searchsorted(_POWERS, magnitude, side="right") + 1 + neg
+    width = int(lengths.max(initial=1))
+    table = np.empty((len(values), width), np.uint8)
+    for k in range(width - 1, -1, -1):  # // and a product beat np.divmod here
+        quotient = magnitude // 10
+        table[:, k] = magnitude - quotient * 10
+        magnitude = quotient
+    table += _ZERO
+    table[np.arange(width) < width - lengths[:, None]] = _PAD
+    table[neg, width - lengths[neg]] = _MINUS
+    return table
 
 
 def csv_table(header, rows) -> str:
-    """``csv_text`` of a small table given as rows of cell values."""
-    return csv_text(header, [(column, np.arange(len(rows))) for column in zip(*rows)])
+    """The text ``csv.writer`` writes for ``header`` and ``rows`` of cell values."""
+    buf = io.StringIO()
+    writer = csv.writer(buf)
+    writer.writerow(header)
+    writer.writerows(rows)
+    return buf.getvalue()
 
 
 def _open(path, mode="r"):

@@ -438,13 +438,19 @@ def mix_toward_markov(model: ProcessModel, markov_ref: ProcessModel, eta: float)
 
 def _symbol_column(parts: Sequence[np.ndarray], tuples: bool, coded_column: type[CodedColumn]) -> CodedColumn:
     """Code a column of nonnegative int labels (one part), or of int tuples
-    with one part per tuple slot, by its distinct rows.  Each slot is folded
-    into the codes of the slots before it and recoded, so a code stays below
-    the row count and cannot overflow however wide the window."""
+    with one part per tuple slot, by its distinct rows in sorted order.  Each
+    slot is folded into the codes of the slots before it and recoded through
+    a table indexed by the folded key, so a code stays below the row count and
+    cannot overflow however wide the window."""
     codes = np.zeros(len(parts[0]), dtype=np.int64)
     for part in parts:
-        _, first, codes = np.unique(codes * (int(part.max()) + 1) + part, return_index=True, return_inverse=True)
-    rows = np.stack(parts, axis=1)[first].tolist()
+        keys = codes * (int(part.max()) + 1) + part
+        seen = np.zeros(int(keys.max()) + 1, dtype=bool)
+        seen[keys] = True
+        codes = (np.cumsum(seen) - 1)[keys]
+    first = np.full(int(codes.max()) + 1, len(codes))
+    np.minimum.at(first, codes, np.arange(len(codes)))
+    rows = np.stack([part[first] for part in parts], axis=1).tolist()
     labels = [tuple(r) for r in rows] if tuples else [r[0] for r in rows]
     return coded_column(OutcomeSpace(tuple(labels)), codes)
 
@@ -470,9 +476,11 @@ def sample_trajectory(model: ProcessModel, length: int, seed: int) -> Dataset:
     states = np.array(path, dtype=np.int64)
 
     def draw(kernel):
-        cum = np.cumsum(kernel, axis=1)[states]
         r = rng.random(length)
-        return (r[:, None] > cum).sum(axis=1)
+        symbols = np.zeros(length, dtype=np.int64)
+        for column in np.cumsum(kernel, axis=1).T:  # a symbol is the number of cumulative masses below r
+            symbols += r > column[states]
+        return symbols
 
     emitted = [draw(e) for e in model.emissions]
     targets = draw(model.target_kernel)

@@ -1,4 +1,5 @@
 import math
+import tracemalloc
 
 import numpy as np
 import pytest
@@ -93,6 +94,26 @@ def test_age_process_rejects_a_horizon_beyond_the_cell_cap():
     with pytest.raises(AofLabError) as err:
         age_process(trace, horizon)
     assert str(err.value) == f"2 sources x horizon {horizon} is over {DEFAULT_MAX_CELLS} age cells"
+
+
+def test_age_csv_write_peaks_below_eight_times_its_bytes(tmp_path):
+    # a 30k-slot, 2-source path: each block of rows is assembled as one byte
+    # matrix, so besides the text only block-sized arrays are live
+    rng = np.random.default_rng(3)
+    events = []
+    for rate in (0.2, 0.25):
+        g = np.cumsum(rng.geometric(rate, size=8000)) - 1
+        g = g[g < 30_000]
+        events.append(np.stack([g, g + rng.integers(0, 9, size=len(g))], axis=1))
+    ages = age_process(DeliveryTrace(events), 30_000)
+    path = tmp_path / "ages.csv"
+    tracemalloc.start()
+    try:
+        ages.to_csv(path)
+        _, peak = tracemalloc.get_traced_memory()
+    finally:
+        tracemalloc.stop()
+    assert peak < 8 * path.stat().st_size
 
 
 def _random_trace(rng, n_events, horizon):

@@ -295,6 +295,28 @@ def test_chi2_cmi_stack_mixes_degenerate_and_positive_cubes():
     assert values[1] > 0.0
 
 
+def _chi2_by_strided_sum(cubes):
+    """The kernel's arithmetic on positive cubes, with ``pz`` from one
+    ``sum(axis=2)`` over the strided y axis."""
+    w = cubes.sum(axis=(2, 3))
+    ref = cubes.sum(axis=3)[:, :, :, None] * cubes.sum(axis=2)[:, :, None, :]
+    ref /= w[:, :, None, None]
+    terms = cubes - ref
+    terms *= terms
+    terms /= ref
+    return terms.sum(axis=(1, 2, 3))
+
+
+@pytest.mark.parametrize("n_y", range(2, 10))
+def test_chi2_cmi_stack_keeps_the_bits_of_the_strided_sum(n_y):
+    rng = np.random.default_rng(n_y)
+    x_spaces = [OutcomeSpace((0, 1, 2))]
+    for n_z in range(1, 71):
+        cubes = rng.dirichlet(np.ones(3 * n_y * n_z), size=4).reshape(4, 3, n_y, n_z)
+        want = _chi2_by_strided_sum(cubes)
+        assert _chi2_cmi_stack(cubes.copy(), x_spaces).tobytes() == want.tobytes(), n_z
+
+
 @pytest.mark.parametrize("order", [("x", "y", "z"), ("z", "x", "y")],
                          ids=["already-arranged", "rearranged"])
 def test_chi2_conditional_mi_leaves_the_joint_unchanged(order):

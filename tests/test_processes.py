@@ -21,12 +21,14 @@ from aof_lab import (
     mix_toward_markov,
     sample_trajectory,
 )
+from aof_lab._util import CSV_CHUNK_ROWS
 from aof_lab.errors import AofLabError, IncompatibleSpaceError
 from aof_lab.laws import DEFAULT_MAX_CELLS, STACK_CELLS, LagStack, axis_spaces, canonical_requests, lag_stack
 from aof_lab.processes import _stationary_distribution, exact_window_laws
 from aof_lab.spaces import NORMALIZATION_ATOL
 
-from oracles import enumeration_work, loglog_slope, trajectory_by_steps, window_law_by_enumeration
+from oracles import (dataset_csv_by_rows, enumeration_work, loglog_slope, trajectory_by_steps,
+                     window_law_by_enumeration)
 
 
 def _two_state(flip=0.3):
@@ -456,6 +458,25 @@ def test_sample_trajectory_equals_per_step_oracle(window, delay):
         for a, b in zip([*got.xs, got.y], [*want.xs, want.y]):
             assert list(a) == list(b)
             assert all(type(u) is type(v) for u, v in zip(a, b))
+
+
+@given(hidden=st.booleans(), states=st.integers(2, 6), sources=st.integers(1, 3), symbols=st.integers(1, 4),
+       targets=st.integers(1, 4), window=st.integers(1, 3), delay=st.integers(0, 2), seed=st.integers(0, 2**32 - 1),
+       data=st.data())
+@settings(max_examples=40, deadline=None)
+def test_sampled_trajectory_csv_is_the_per_step_oracle_csv(tmp_path_factory, hidden, states, sources, symbols,
+                                                          targets, window, delay, seed, data):
+    # the envelope of ``gen --length``, a one-key symbol table included, with
+    # lengths from one row to past two write blocks
+    shape = dict(n_states=states, n_sources=sources, n_targets=targets, window=window, delay=delay)
+    model = (make_hidden_nonmarkov(seed, n_symbols=symbols, **shape) if hidden
+             else make_markov_observable(seed, **shape))
+    warm = window + delay - 1
+    length = data.draw(st.one_of(st.integers(warm + 1, warm + 30), st.integers(warm + 1, 2 * CSV_CHUNK_ROWS + 30),
+                                 st.integers(2 * CSV_CHUNK_ROWS - 30, 2 * CSV_CHUNK_ROWS + 30)))
+    path = tmp_path_factory.mktemp("gen") / "trajectory.csv"
+    sample_trajectory(model, length, seed).to_csv(path)
+    assert path.read_bytes() == dataset_csv_by_rows(trajectory_by_steps(model, length, seed)).encode()
 
 
 @pytest.mark.parametrize("n_symbols,window", [(1000, 7), (3, 40), (3, 41)])

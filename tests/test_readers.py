@@ -6,6 +6,7 @@ must agree with ``csv.reader`` and ``csv.writer`` used one row at a time."""
 import csv
 import io
 import json
+import tracemalloc
 
 import numpy as np
 import pytest
@@ -202,7 +203,9 @@ def test_a_cell_over_the_field_limit_is_not_readable(tmp_path):
 WRITE_LABELS = st.one_of(st.integers(-3, 3), st.tuples(st.integers(0, 1), st.integers(0, 1)),
                          st.lists(st.sampled_from(["a", ",", '"', "\n", "\r", " "]), max_size=3).map("".join))
 # ints below and far above a block's width of values, and the sentinel
-WRITE_INTS = st.one_of(st.integers(SENTINEL, 20), st.integers(0, 10**12))
+AGE_INTS = st.one_of(st.integers(SENTINEL, 20), st.integers(0, 10**12), st.just(2**63 - 1))
+# those, negative ranges far wider than a block, and the int64 ends
+WRITE_INTS = st.one_of(AGE_INTS, st.integers(-10**12, 0), st.sampled_from([-2**63, -2**63 + 1]))
 REPORT_CELLS = st.one_of(st.none(), st.integers(-5, 5), st.floats(), st.sampled_from(["", "a,b", 'q"', "x\ny", "(0|1)"]))
 
 
@@ -211,14 +214,14 @@ REPORT_CELLS = st.one_of(st.none(), st.integers(-5, 5), st.floats(), st.sampled_
 def test_csv_text_writes_the_bytes_of_csv_writer(tmp_path_factory, data, chunk):
     root = tmp_path_factory.mktemp("csv")
     n, m = data.draw(st.integers(1, 12)), data.draw(st.integers(1, 2))
-    ints = st.lists(WRITE_INTS, min_size=n, max_size=n)
+    ints = st.lists(AGE_INTS, min_size=n, max_size=n)
     ds = Dataset(t=np.cumsum(data.draw(st.lists(st.integers(1, 10**9), min_size=n, max_size=n))),
                  xs=tuple(data.draw(st.lists(WRITE_LABELS, min_size=n, max_size=n)) for _ in range(m)),
                  ages=tuple(np.abs(data.draw(ints)) for _ in range(m)),
                  y=data.draw(st.lists(WRITE_LABELS, min_size=n, max_size=n)))
     ages = AgeProcess(np.array([data.draw(ints) for _ in range(m)]))
     events = [sorted(data.draw(st.lists(st.tuples(WRITE_INTS, st.integers(0, 5)), max_size=n))) for _ in range(m)]
-    trace = DeliveryTrace(tuple(tuple((g, g + delay) for g, delay in src) for src in events))
+    trace = DeliveryTrace(tuple(tuple((g, min(g + delay, 2**63 - 1)) for g, delay in src) for src in events))
     width = data.draw(st.integers(1, 3))
     report = data.draw(st.lists(st.lists(REPORT_CELLS, min_size=width, max_size=width), max_size=4))
     default, util.CSV_CHUNK_ROWS = util.CSV_CHUNK_ROWS, chunk
@@ -236,6 +239,22 @@ def test_csv_text_writes_the_bytes_of_csv_writer(tmp_path_factory, data, chunk):
     want = csv_by_rows(["source_id", "G", "D"], ([l, g, d] for l, src in enumerate(trace.events, start=1) for g, d in src))
     assert (root / "trace.csv").read_bytes() == want.encode()
     assert table == csv_by_rows([f"c{k}" for k in range(width)], report)
+
+
+def test_a_long_label_shortens_the_write_blocks(tmp_path):
+    # one 50,000-byte label among 20,000 rows: a full block padded to its
+    # width would be a 400 MB matrix
+    n = 20_000
+    ds = Dataset(t=np.arange(n), xs=(["a" * 50_000] + ["b"] * (n - 1),), ages=(np.zeros(n, dtype=np.int64),),
+                 y=[0, 1] * (n // 2))
+    tracemalloc.start()
+    try:
+        ds.to_csv(tmp_path / "ds.csv")
+        _, peak = tracemalloc.get_traced_memory()
+    finally:
+        tracemalloc.stop()
+    assert (tmp_path / "ds.csv").read_bytes() == dataset_csv_by_rows(ds).encode()
+    assert peak < 2**23
 
 
 def test_one_column_report_quotes_an_empty_cell():
