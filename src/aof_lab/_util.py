@@ -59,15 +59,15 @@ def _cell_text(value, alone: bool) -> str:
     return buf.getvalue()[:-2 if alone else -3]
 
 
-def csv_text(header, columns) -> str:
-    """The text ``csv.writer`` writes for ``header`` and the rows that
-    ``columns`` hold.  A column is an int array, or ``(values, codes)``: its
-    distinct cell values and an int index into them per row.  Each distinct
-    cell is rendered once, into a ``_byte_table``; an int column whose range
-    is wider than a block is rendered a block at a time instead.  A block of
-    ``CSV_CHUNK_ROWS`` rows (fewer if long cells would take its matrix past
-    ``_BLOCK_BYTES``) is one byte matrix of cells and separators, from which
-    the padding is dropped, so no cell becomes a Python object."""
+def csv_text(header, columns) -> bytearray:
+    """What ``csv.writer`` writes for ``header`` and the rows of ``columns``,
+    as the UTF-8 buffer it assembles.  A column is an int array, or
+    ``(values, codes)``: its distinct cell values and an int index into them
+    per row.  Each distinct cell is rendered once, into a ``_byte_table``; an
+    int column whose range is wider than a block is rendered a block at a
+    time.  A block of ``CSV_CHUNK_ROWS`` rows (fewer if long cells would take
+    its matrix past ``_BLOCK_BYTES``) is one byte matrix of cells and
+    separators minus their padding, so no cell becomes a Python object."""
     tables, codes = [], []
     for column in columns:
         if not isinstance(column, np.ndarray):
@@ -81,7 +81,7 @@ def csv_text(header, columns) -> str:
         codes.append(column)
     width = sum(len(str(-2**63)) if table is None else table.shape[1] + 1 for table in tables) + 1
     step = max(1, min(CSV_CHUNK_ROWS, _BLOCK_BYTES // width))
-    out = bytearray(csv_table(header, ()).encode())
+    out = bytearray(csv_table(header, ()))
     for start in range(0, len(codes[0]), step):
         cells = [_int_table(c[start:start + step]) if table is None else table[c[start:start + step]]
                  for table, c in zip(tables, codes)]
@@ -90,7 +90,7 @@ def csv_text(header, columns) -> str:
         parts[-1] = np.broadcast_to(_SEPARATORS[1:], (rows, 2))
         block = np.concatenate(parts, axis=1)
         out += memoryview(block[block != _PAD])
-    return out.decode()
+    return out
 
 
 # The byte that pads a cell in a byte table: no UTF-8 text holds it
@@ -131,13 +131,13 @@ def _int_table(values: np.ndarray) -> np.ndarray:
     return table
 
 
-def csv_table(header, rows) -> str:
-    """The text ``csv.writer`` writes for ``header`` and ``rows`` of cell values."""
+def csv_table(header, rows) -> bytes:
+    """What ``csv.writer`` writes for ``header`` and ``rows`` of cell values, as UTF-8 bytes."""
     buf = io.StringIO()
     writer = csv.writer(buf)
     writer.writerow(header)
     writer.writerows(rows)
-    return buf.getvalue()
+    return buf.getvalue().encode()
 
 
 def _open(path, mode="r"):
@@ -445,17 +445,17 @@ def read_json(path, build):
         raise AofLabError(f"{path}: malformed content: {exc}") from None
 
 
-def write_text_atomic(path, text: str) -> None:
-    """Write via a sibling temp file and rename, so readers never see a
-    partial report.  The temp file is created with mode 0o666, so the file
-    gets the permissions a plain ``open()`` would give it under the umask."""
+def write_text_atomic(path, data: bytes) -> None:
+    """Write ``data`` via a sibling temp file and rename, so readers never
+    see a partial report.  The temp file is created with mode 0o666, so the
+    file gets the permissions a plain ``open()`` would give it under the umask."""
     path = Path(path)
     path.parent.mkdir(parents=True, exist_ok=True)
     tmp = path.with_name(f".{path.name}.{os.urandom(8).hex()}.tmp")
     fd = os.open(tmp, os.O_WRONLY | os.O_CREAT | os.O_EXCL, 0o666)
     try:
-        with os.fdopen(fd, "w", encoding="utf-8", newline="") as fh:
-            fh.write(text)
+        with os.fdopen(fd, "wb") as fh:
+            fh.write(data)
         os.replace(tmp, path)
     except BaseException:
         if os.path.exists(tmp):

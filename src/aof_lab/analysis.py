@@ -125,7 +125,7 @@ class DecompositionReport:
         }
 
     def save(self, path) -> None:
-        write_text_atomic(path, json.dumps(self.to_json_dict(), indent=2))
+        write_text_atomic(path, json.dumps(self.to_json_dict(), indent=2).encode())
 
 
 def decompose(

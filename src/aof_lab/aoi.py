@@ -112,7 +112,7 @@ class AgeProcess:
     def __post_init__(self):
         ages = np.array(self.ages, dtype=np.int64)
         if ages.ndim != 2 or ages.shape[1] == 0:
-            raise AofLabError("ages must be a (sources, horizon) array")
+            raise AofLabError(f"ages must be a (sources, horizon) array with horizon >= 1, got shape {ages.shape}")
         if np.any(ages < SENTINEL):
             raise AofLabError(f"ages must be nonnegative, or {SENTINEL} for the sentinel")
         ages.setflags(write=False)
@@ -208,7 +208,7 @@ class AgeDistribution:
             seen.add(vec)
         probs = np.array(self.probs, dtype=float)
         if probs.shape != (len(vectors),):
-            raise AofLabError("probs length must match support size")
+            raise AofLabError(f"probs must have shape {(len(vectors),)}, one per age vector, got {probs.shape}")
         if not np.all(np.isfinite(probs)) or np.any(probs < 0) or abs(float(probs.sum()) - 1.0) > NORMALIZATION_ATOL:
             raise AofLabError("age probabilities must be finite, nonnegative and sum to 1")
         probs.setflags(write=False)
@@ -244,7 +244,7 @@ class AgeDistribution:
         return cls(tuple(tuple(v) for v in data["vectors"]), np.asarray(data["probs"], dtype=float))
 
     def save(self, path) -> None:
-        write_text_atomic(path, json.dumps(self.to_json_dict()))
+        write_text_atomic(path, json.dumps(self.to_json_dict()).encode())
 
     @classmethod
     def load(cls, path) -> "AgeDistribution":

@@ -210,7 +210,7 @@ def _wrote(path: Path) -> None:
 
 
 def _emit_json(path: Path, payload: dict) -> None:
-    write_text_atomic(path, json.dumps(payload, indent=2) + "\n")
+    write_text_atomic(path, (json.dumps(payload, indent=2) + "\n").encode())
     _wrote(path)
 
 

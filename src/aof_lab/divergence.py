@@ -17,10 +17,10 @@ their chi-squared terms, so the product reference and a boolean mask are
 the only stack-sized arrays it allocates; a caller hands it a stack it owns
 (``chi2_conditional_mi`` copies the joint's).  ``epsilon_coefficient`` walks
 the lag grid one layout at a time (the sources whose future lag is nonzero).
-It builds each layout's lags with numpy as a ``LagStack`` in cube order (x
-at tau, y at 0, x at tau + mu), so every stack the provider returns is
-already a stack of cubes, and scatters the values back into the
-lexicographic grid.
+It builds each chunk's lags from its own point indices as a ``LagStack``
+in cube order (x at tau, y at 0, x at tau + mu), so every stack the provider
+returns is already a stack of cubes and no grid-sized table but the values
+is made, and scatters the values into the lexicographic grid.
 ``epsilon_sweep`` shares that walk: for a family of mixtures ``(1 - eta) *
 base + eta * other`` it builds each chunk's two endpoint stacks once and
 mixes and scores them per ``eta``.
@@ -142,7 +142,7 @@ def chi2_conditional_mi(
     return float(_chi2_cmi_stack(cube, [joint.space(n) for n in given])[0])
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, eq=False)
 class EpsilonReport:
     """Markov-deviation coefficient over a capped lag grid.
 
@@ -151,7 +151,10 @@ class EpsilonReport:
     certified lower bound on the uncapped supremum.  The argmax is the first
     (tau, mu) whose epsilon is within ``EPSILON_TIE_ATOL`` of ``epsilon``, so
     last-bit noise cannot move it (on a Markov model: tau = 0..0, mu = 0..01).
-    ``grid`` retains every evaluated (tau, mu, value) triple for audit.
+    ``grid`` retains every evaluated chi-squared conditional MI for audit,
+    as a flat read-only float64 array in lexicographic (tau, mu) order (mu
+    not all zero).  Reports compare by identity (``eq=False``): an array
+    field has no value equality to generate.
     """
 
     epsilon: float
@@ -159,7 +162,7 @@ class EpsilonReport:
     argmax_mu: tuple[int, ...]
     tau_max: int
     mu_max: int
-    grid: tuple[tuple[tuple[int, ...], tuple[int, ...], float], ...]
+    grid: np.ndarray
 
     def to_json_dict(self) -> dict:
         return {
@@ -210,9 +213,10 @@ def _epsilon_reports(laws: "LawProvider", tau_max: int, mu_max: int, n_reports: 
     if tau_max < 0 or mu_max < 0:
         raise IncompatibleSpaceError("lag caps must be nonnegative")
     m = laws.m
-    taus = list(itertools.product(range(tau_max + 1), repeat=m))
-    mus = [mu for mu in itertools.product(range(mu_max + 1), repeat=m) if any(mu)]
-    if not mus:
+    # every lag vector in lexicographic order; the all-zero mu comes first
+    taus = np.indices((tau_max + 1,) * m, dtype=np.int64).reshape(m, -1).T
+    mus = np.indices((mu_max + 1,) * m, dtype=np.int64).reshape(m, -1).T[1:]
+    if not len(mus):
         raise IncompatibleSpaceError("empty lag grid: mu_max must allow a nonzero lag")
     y_space = laws.target_space
     x_spaces = [laws.feature_space(l) for l in range(1, m + 1)]
@@ -226,42 +230,35 @@ def _epsilon_reports(laws: "LawProvider", tau_max: int, mu_max: int, n_reports: 
         )
 
     values = np.empty((n_reports, len(taus), len(mus)))
-    tau_lags, mu_lags = np.array(taus, dtype=np.int64), np.array(mus, dtype=np.int64)
     for mask in itertools.product((False, True), repeat=m):
-        cols = np.flatnonzero(np.all((mu_lags > 0) == mask, axis=1))
+        cols = np.flatnonzero(np.all((mus > 0) == mask, axis=1))
         if not len(cols):
             continue
         # cube axes: x@tau per source, y@0, then x@(tau + mu) per masked source
         future = np.flatnonzero(mask)
         sources = (*range(1, m + 1), 0, *(future + 1).tolist())
-        rows, columns = np.repeat(np.arange(len(taus)), len(cols)), np.tile(cols, len(taus))
-        lags = np.column_stack([tau_lags[rows], np.zeros(len(rows), dtype=np.int64),
-                                (tau_lags[rows] + mu_lags[columns])[:, future]])
         n_z = int(np.prod([len(x_spaces[l]) for l in future]))
         chunk = max(1, STACK_CELLS // (n_x * len(y_space) * n_z))
-        for start in range(0, len(rows), chunk):
-            part = slice(start, start + chunk)
-            for k, probs in enumerate(stacks(LagStack(sources, lags[part]))):
+        # the layout's points, (tau, cols) row-major, one chunk at a time
+        for start in range(0, len(taus) * len(cols), chunk):
+            rows, at = np.divmod(np.arange(start, min(start + chunk, len(taus) * len(cols))), len(cols))
+            columns = cols[at]
+            lags = np.column_stack([taus[rows], np.zeros(len(rows), dtype=np.int64),
+                                    (taus[rows] + mus[columns])[:, future]])
+            for k, probs in enumerate(stacks(LagStack(sources, lags))):
                 cubes = probs.reshape(len(probs), n_x, len(y_space), n_z)
-                values[k][rows[part], columns[part]] = _chi2_cmi_stack(cubes, x_spaces)
+                values[k][rows, columns] = _chi2_cmi_stack(cubes, x_spaces)
+    values.setflags(write=False)
     return [_report(taus, mus, v, tau_max, mu_max) for v in values]
 
 
-def _report(taus, mus, values: np.ndarray, tau_max: int, mu_max: int) -> EpsilonReport:
-    eps = np.sqrt(np.maximum(values, 0.0))
+def _report(taus: np.ndarray, mus: np.ndarray, values: np.ndarray, tau_max: int, mu_max: int) -> EpsilonReport:
+    eps = np.maximum(values, 0.0)
+    np.sqrt(eps, out=eps)
     # first near-maximum in lexicographic (tau, mu) order
     t, j = divmod(int(np.argmax(eps >= eps.max() - EPSILON_TIE_ATOL)), len(mus))
-    grid = tuple(
-        (tau, mu, value) for tau, row in zip(taus, values.tolist()) for mu, value in zip(mus, row)
-    )
-    return EpsilonReport(
-        epsilon=float(eps.max()),
-        argmax_tau=taus[t],
-        argmax_mu=mus[j],
-        tau_max=tau_max,
-        mu_max=mu_max,
-        grid=grid,
-    )
+    return EpsilonReport(epsilon=float(eps.max()), argmax_tau=tuple(taus[t].tolist()),
+                         argmax_mu=tuple(mus[j].tolist()), tau_max=tau_max, mu_max=mu_max, grid=values.reshape(-1))
 
 
 @dataclass(frozen=True)

@@ -123,13 +123,16 @@ class ProcessModel:
         emissions = tuple(_check_rows(f"emission[{l}]", e) for l, e in enumerate(self.emissions))
         spaces = tuple(self.emission_spaces)
         if len(emissions) != len(spaces):
-            raise IncompatibleSpaceError("one emission kernel per source is required")
+            raise IncompatibleSpaceError(f"one emission kernel per source is required, got {len(emissions)} "
+                                         f"kernels for {len(spaces)} emission spaces")
         for l, (kernel, space) in enumerate(zip(emissions, spaces)):
             if kernel.shape != (n, len(space)):
-                raise IncompatibleSpaceError(f"emission kernel {l} shape mismatch")
+                raise IncompatibleSpaceError(f"emission kernel {l} has shape {kernel.shape}, want (states, symbols) "
+                                             f"= {(n, len(space))}")
         target_kernel = _check_rows("target_kernel", self.target_kernel)
         if target_kernel.shape != (n, len(self.target_space)):
-            raise IncompatibleSpaceError("target kernel shape mismatch")
+            raise IncompatibleSpaceError(f"target kernel has shape {target_kernel.shape}, want (states, targets) "
+                                         f"= {(n, len(self.target_space))}")
         if self.window < 1:
             raise AofLabError(f"window must be >= 1, got {self.window}")
         if self.delay < 0:
@@ -173,7 +176,7 @@ class ProcessModel:
         }
 
     def save(self, path) -> None:
-        write_text_atomic(path, json.dumps(self.to_json_dict()))
+        write_text_atomic(path, json.dumps(self.to_json_dict()).encode())
 
     @classmethod
     def from_json_dict(cls, data: dict) -> "ProcessModel":

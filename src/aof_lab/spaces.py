@@ -251,7 +251,7 @@ class JointPmf:
         return cls(variables, probs)
 
     def save(self, path) -> None:
-        write_text_atomic(path, json.dumps(self.to_json_dict()))
+        write_text_atomic(path, json.dumps(self.to_json_dict()).encode())
 
     @classmethod
     def load(cls, path) -> "JointPmf":

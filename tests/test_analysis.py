@@ -387,7 +387,7 @@ def test_compare_testing_experiments_equals_its_parts(shape):
     assert rep.beta_larger == beta_between(dynamic_joint(train, b), dynamic_joint(test, b))
     assert rep.difference == rep.testing_smaller - rep.testing_larger
     assert rep.violation == max(0.0, rep.difference)
-    assert rep.epsilon_report.grid == epsilon_coefficient(train, 1, 1).grid
+    assert np.array_equal(rep.epsilon_report.grid, epsilon_coefficient(train, 1, 1).grid)
 
 
 def _entropy_from_window_law(prov, pairs, loss):

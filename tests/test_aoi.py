@@ -54,6 +54,15 @@ def test_trace_invariants_enforced():
         DeliveryTrace((((3, 4), (1, 5)),))  # generations out of order
 
 
+
+def test_delivery_traces_compare_and_hash_by_their_events():
+    a = DeliveryTrace((((0, 1), (3, 5)), ((2, 2),)))
+    b = DeliveryTrace((((0, 1), (3, 5)), ((2, 2),)))
+    assert a == b and hash(a) == hash(b) and len({a, b}) == 1
+    assert a != DeliveryTrace((((0, 1), (3, 5)),))  # fewer sources
+    assert a != DeliveryTrace((((0, 1), (3, 6)), ((2, 2),)))
+    assert a != a.events and a.__eq__(a.events) is NotImplemented
+
 @given(st.lists(st.lists(st.tuples(st.integers(-3, 6), st.integers(-3, 6)), max_size=5), min_size=1, max_size=3))
 @settings(max_examples=200, deadline=None)
 def test_trace_checks_name_the_first_faulty_event(events):
@@ -482,6 +491,19 @@ def test_age_distribution_errors_name_the_first_offending_vector(vectors, messag
         AgeDistribution(vectors, np.full(len(vectors), 1 / len(vectors)))
     assert str(err.value) == message
 
+
+
+def test_age_distribution_probs_of_the_wrong_length_give_both_shapes():
+    with pytest.raises(AofLabError) as err:
+        AgeDistribution(((0,), (1,)), [1.0])
+    assert str(err.value) == "probs must have shape (2,), one per age vector, got (1,)"
+
+
+@pytest.mark.parametrize("shape", [(2, 0), (3,), (1, 2, 3)])
+def test_age_process_of_the_wrong_shape_gives_the_shape(shape):
+    with pytest.raises(AofLabError) as err:
+        AgeProcess(np.zeros(shape, dtype=np.int64))
+    assert str(err.value) == f"ages must be a (sources, horizon) array with horizon >= 1, got shape {shape}"
 
 def test_age_distribution_keeps_whole_float_and_numpy_components():
     dist = AgeDistribution(((np.int64(1), 2.0), (0, 3)), [0.25, 0.75])

@@ -67,3 +67,69 @@ def test_warm_entry_returns_a_failure_as_error_text(tmp_path, failure):
         pytest.fail(f"SystemExit({exc.code}) escaped the warm entry")
     assert elapsed > 0 and error.startswith(want)
     assert not (tmp_path / "out").exists()
+
+
+# One tiny warm run of each command kind the workloads time, traced: prints
+# each command's error (None on success), every counter the tracer recorded
+# and every counter it declares, per target.
+TRACED_RUNS = """
+import json
+import runner, tracing
+from aof_lab import AgeDistribution
+from aof_lab.processes import make_hidden_nonmarkov, make_markov_observable
+
+tracer = tracing.Tracer()
+tracer.install()
+for seed, name in ((1, "model"), (2, "other")):
+    make_hidden_nonmarkov(seed, n_states=3, n_sources=2, n_symbols=2, n_targets=2).save(name + ".json")
+make_markov_observable(3, n_states=2, n_sources=2, n_targets=2).save("ref.json")
+AgeDistribution.uniform([(0, 1), (1, 0), (1, 1)]).save("ages.json")
+AgeDistribution.point_mass((1, 3)).save("a.json")
+AgeDistribution.point_mass((2, 2)).save("b.json")
+with open("trace.csv", "w") as fh:
+    fh.write("source_id,G,D\\n1,0,1\\n1,2,4\\n2,1,1\\n")
+traj, caps = "o/0/trajectory.csv", ["--tau-max", "1", "--mu-max", "1"]
+commands = [
+    ["--seed", "5", "gen", "--length", "300"],
+    ["epsilon", "--model", "model.json", *caps],
+    ["epsilon", "--data", traj, *caps],
+    ["epsilon", "--model", "model.json", "--sweep", "--mix-ref", "ref.json", *caps],
+    ["age-curve", "--model", "model.json", "--grid", "0..1x0..1", "--windows", "1,2"],
+    ["age-curve", "--data", traj, "--grid", "0..2"],
+    ["decompose", "--model", "model.json", "--delta", "1,1", "--path", "both"],
+    ["decompose", "--data", traj, "--delta", "2"],
+    ["--loss", "quad", "cross-loss", "--train", "model.json", "--test", "other.json", "--ages", "ages.json",
+     "--sweep"],
+    ["simulate-aoi", "--trace", "trace.csv", "--horizon", "10"],
+    ["order-check", "--dist-a", "a.json", "--dist-b", "b.json"],
+]
+tracer.active = True
+errors = [runner.run_warm(["--out", f"o/{k}", *args])[1] for k, args in enumerate(commands)]
+tracer.active = False
+declared = {f"{module}.{name}": ["calls", *counters] for module, name, counters in tracing.TARGETS}
+print(json.dumps({"errors": errors, "counts": tracer.counts, "declared": declared}))
+"""
+
+# Targets no command calls: every analysis builds its laws through a
+# provider's window_law_stack, which the tracer does not wrap, and the
+# sweeps and comparisons score whole stacks, not single joints.
+UNREACHED = {"processes.exact_window_law", "processes.ExactLawProvider.window_law", "laws.MixtureLawProvider.window_law",
+             "divergence.chi2_conditional_mi", "analysis.dynamic_joint", "analysis.testing_loss",
+             "ingest.empirical_window_law", "ingest.EmpiricalLawProvider.window_law"}
+
+
+def test_traced_warm_runs_fire_every_counter_the_commands_reach(tmp_path):
+    """A counter runs only in a traced bench run; this runs each one."""
+    env = {**os.environ, "PYTHONPATH": os.pathsep.join([str(ROOT / "src"), str(ROOT / "bench")]),
+           "PYTHONDONTWRITEBYTECODE": "1"}
+    res = subprocess.run([sys.executable, "-c", TRACED_RUNS], env=env, cwd=tmp_path, capture_output=True, text=True)
+    assert res.returncode == 0, res.stderr
+    report = json.loads(res.stdout.splitlines()[-1])
+    assert report["errors"] == [None] * 11
+    assert UNREACHED <= set(report["declared"])
+    for target, counters in report["declared"].items():
+        if target not in UNREACHED:
+            fired = report["counts"].get(target, {})
+            assert all(fired.get(key, 0) > 0 for key in counters), (target, fired)
+    # epsilon --model at caps 1 on 2 sources: 4 tau x 3 mu; --data on 1 source: 2 x 1
+    assert report["counts"]["divergence.epsilon_coefficient"]["grid_points"] == 4 * 3 + 2 * 1

@@ -21,7 +21,10 @@ from aof_lab import (
     dynamic_joint,
     exact_window_law,
     joint_training_loss,
+    log_loss,
+    loss_curve,
     quadratic_loss,
+    zero_one_loss,
 )
 from aof_lab import testing_loss as eval_testing_loss
 from aof_lab.cli import main
@@ -189,6 +192,10 @@ def test_model_checks_run_before_the_stationary_law(tmp_path, transition, messag
     (["gen", "--delay", "-1"], "Error: delay must be >= 0, got -1"),
     (["decompose", "--model", "{model}", "--delta", "-1,1"], "Error: age components must be nonnegative, got (-1, 1)"),
     (["cross-loss", "--train", "{model}", "--test", "{model}", "--sweep", "--etas", "-0.5"], "eta"),
+    (["--loss", "bogus", "age-curve", "--model", "{model}", "--grid", "0"],
+     "Error: unknown loss 'bogus'; use log, quad, zero-one, or table:<path>"),
+    (["age-curve", "--data", "{data}", "--grid", "0", "--windows", "1"], "Error: --windows needs a --model law source"),
+    (["epsilon", "--model", "{model}", "--sweep"], "Error: --sweep needs --model and --mix-ref model files"),
 ])
 def test_bad_option_value_is_a_clean_error(tmp_path, args, needle):
     assert _invoke(["--out", str(tmp_path), "gen", "--sources", "2", "--length", "200"]).exit_code == 0
@@ -340,9 +347,11 @@ JSON_INPUTS = {
     "--loss table:": ("table", ["--loss", "table:{file}", "age-curve", "--model", "{model}", "--grid", "0"],
                       "actions", {"loss": [[0.0, 1.0], [1.0]]}),
 }
-JSON_FAULTS = ["not JSON", "top-level list", "missing key", "wrong-shaped value", "missing file"]
+JSON_FAULTS = ["not JSON", "not UTF-8", "top-level list", "missing key", "unknown key", "wrong-shaped value",
+               "missing file"]
 JSON_CASES = [(option, fault) for option in JSON_INPUTS for fault in JSON_FAULTS
-              if (fault != "missing key" or JSON_INPUTS[option][2]) and (fault != "missing file" or option == "--loss table:")]
+              if (fault != "missing key" or JSON_INPUTS[option][2]) and (fault != "missing file" or option == "--loss table:")
+              and (fault != "unknown key" or option == "--config")]
 
 
 @pytest.mark.parametrize("option,fault", JSON_CASES)
@@ -353,11 +362,15 @@ def test_faulty_json_input_is_a_clean_error(tmp_path, option, fault):
     data = dict(valid[kind])
     if fault == "not JSON":
         path.write_text('{"a": ')
+    elif fault == "not UTF-8":
+        path.write_bytes(json.dumps(data).encode()[:-1] + b', "\xff": 1}')
     elif fault == "top-level list":
         path.write_text(json.dumps([data]))
     elif fault == "missing key":
         del data[key]
         path.write_text(json.dumps(data))
+    elif fault == "unknown key":
+        path.write_text(json.dumps({**data, "bogus": 1}))
     elif fault == "wrong-shaped value":
         path.write_text(json.dumps({**data, **wrong}))
     files = {"file": str(path), **{k: str(tmp_path / f"{k}.json") for k in ("model", "law", "ages")}}
@@ -621,6 +634,18 @@ def test_simulate_aoi_sawtooth_and_bad_trace(tmp_path):
                    "--trace", str(tmp_path / "bad.csv"), "--horizon", "5"])
     assert res.exit_code != 0
 
+
+
+@pytest.mark.parametrize("name", ["log", "quad", "zero-one"])
+def test_each_loss_name_scores_the_curve_with_its_kernel(tmp_path, name):
+    kernel = {"log": log_loss, "quad": quadratic_loss, "zero-one": zero_one_loss}[name]()
+    assert _invoke(["--seed", "4", "--out", str(tmp_path), "gen", "--sources", "2"]).exit_code == 0
+    res = _invoke(["--loss", name, "--out", str(tmp_path), "age-curve",
+                   "--model", str(tmp_path / "model.json"), "--grid", "0..1x0..2"])
+    assert res.exit_code == 0
+    provider = ExactLawProvider(ProcessModel.load(tmp_path / "model.json"))
+    want = loss_curve(provider, [(i, j) for i in range(2) for j in range(3)], kernel)
+    assert [float(row["loss"]) for row in _csv_rows(tmp_path / "curve.csv")] == list(want.values)
 
 def test_config_file_precedence(tmp_path):
     cfg = tmp_path / "cfg.json"

@@ -1,3 +1,4 @@
+import itertools
 import tracemalloc
 
 import numpy as np
@@ -140,7 +141,6 @@ def test_hidden_nonmarkov_has_positive_epsilon():
     model = make_hidden_nonmarkov(7, n_states=4, n_symbols=2, n_targets=2, noise=0.3)
     rep = epsilon_coefficient(ExactLawProvider(model), tau_max=2, mu_max=2)
     assert rep.epsilon > 1e-3
-    taus = {g[0] for g in rep.grid}
     assert len(rep.grid) == 3 * 2  # tau in 0..2, mu in 1..2 for m=1
     assert rep.argmax_tau[0] <= 2 and 1 <= rep.argmax_mu[0] <= 2
 
@@ -231,7 +231,7 @@ def _assert_matches_oracle(provider, law_at, caps):
     eps, tau, mu, values = epsilon_direct(law_at, provider.m, caps, caps)
     assert abs(rep.epsilon - eps) <= 1e-12
     assert (rep.argmax_tau, rep.argmax_mu) == (tau, mu)
-    assert np.abs(np.array([v for _, _, v in rep.grid]) - values).max() <= 1e-12
+    assert np.abs(rep.grid - values).max() <= 1e-12
 
 
 @pytest.mark.parametrize(
@@ -347,6 +347,35 @@ def test_epsilon_grid_walk_holds_at_most_three_stacks():
     assert peak <= 3 * STACK_CELLS * 8
 
 
+def test_epsilon_grid_walk_memory_barely_grows_with_the_grid():
+    # caps 4 give 125 x 124 = 15,500 grid points, caps 6 give 343 x 342 =
+    # 117,306: each chunk's lags come from its own point indices, so only
+    # the grid's float64 values grow with it, not lag tables or Python tuples
+    model = make_hidden_nonmarkov(7, n_states=4, n_sources=3, n_symbols=2, n_targets=2)
+    laws = ExactLawProvider(model)
+    peaks = {}
+    for caps in (4, 6):
+        tracemalloc.start()
+        try:
+            rep = epsilon_coefficient(laws, caps, caps)
+            _, peaks[caps] = tracemalloc.get_traced_memory()
+        finally:
+            tracemalloc.stop()
+        assert len(rep.grid) == ((caps + 1) ** 3) * ((caps + 1) ** 3 - 1)
+    assert peaks[6] <= 1.5 * peaks[4]
+
+
+def test_epsilon_grid_is_a_read_only_flat_array_in_lexicographic_order():
+    model = make_hidden_nonmarkov(11, n_states=4, n_sources=2, n_symbols=2, n_targets=2)
+    rep = epsilon_coefficient(ExactLawProvider(model), 2, 1)
+    taus = list(itertools.product(range(3), repeat=2))
+    mus = [mu for mu in itertools.product(range(2), repeat=2) if any(mu)]
+    assert rep.grid.dtype == np.float64 and rep.grid.shape == (len(taus) * len(mus),)
+    assert not rep.grid.flags.writeable
+    at = rep.grid.tolist().index(max(rep.grid.tolist()))
+    assert (rep.argmax_tau, rep.argmax_mu) == (taus[at // len(mus)], mus[at % len(mus)])
+
+
 @pytest.mark.parametrize("shape", [dict(n_states=3, n_sources=1), dict(n_states=2, n_sources=2, window=2)])
 def test_epsilon_argmax_on_markov_model_ignores_float_noise(shape):
     model = make_markov_observable(41, n_targets=2, **shape)
@@ -367,7 +396,7 @@ def test_epsilon_sweep_reports_equal_mixture_provider_runs(m, window, delay):
     assert len(reports) == len(etas)
     for eta, rep in zip(etas, reports):
         want = epsilon_coefficient(mix_toward_markov(model, ref, eta), 2, 2)
-        assert rep.grid == want.grid
+        assert np.array_equal(rep.grid, want.grid)
         assert (rep.epsilon, rep.argmax_tau, rep.argmax_mu) == (want.epsilon, want.argmax_tau, want.argmax_mu)
         assert (rep.tau_max, rep.mu_max) == (2, 2)
 

@@ -171,6 +171,16 @@ def test_lag_stack_rejects_malformed_lags(sources, lags, message):
         LagStack(sources, lags)
 
 
+
+@pytest.mark.parametrize("req, message", [
+    (("x1", -1), "lags must be nonnegative, got -1 for 'x1'"),
+    (("z", 0), "unknown variable 'z'; expected 'y' or 'x<l>'"),
+], ids=["negative-lag", "unknown-variable"])
+def test_lag_stack_rejects_a_request_it_cannot_read(req, message):
+    with pytest.raises(IncompatibleSpaceError) as err:
+        lag_stack([[("y", 0), req]])
+    assert str(err.value) == message
+
 @pytest.mark.parametrize("kind", ["exact", "empirical", "mixture"])
 def test_window_law_stack_rejects_a_source_above_m(kind):
     provider = _three_providers(5, 2, 1, 0)[kind]
@@ -200,6 +210,22 @@ def test_process_model_freezes_a_copy_and_leaves_the_callers_arrays_writable():
     assert not (model.transition.flags.writeable or model.target_kernel.flags.writeable)
     assert np.array_equal(exact_window_law(model, [("y", 0), ("x1", 1)]).law.probs, law)
 
+
+
+_T, _EYE = np.array([[0.7, 0.3], [0.4, 0.6]]), np.eye(2)
+_TWO, _THREE = OutcomeSpace((0, 1)), OutcomeSpace((0, 1, 2))
+
+
+@pytest.mark.parametrize("args, message", [
+    ((_T, [_EYE, _EYE], [_TWO], _EYE, _TWO),
+     "one emission kernel per source is required, got 2 kernels for 1 emission spaces"),
+    ((_T, [_EYE], [_THREE], _EYE, _TWO), "emission kernel 0 has shape (2, 2), want (states, symbols) = (2, 3)"),
+    ((_T, [_EYE], [_TWO], _EYE, _THREE), "target kernel has shape (2, 2), want (states, targets) = (2, 3)"),
+], ids=["kernel-count", "emission-shape", "target-shape"])
+def test_process_model_kernel_errors_give_what_they_got_and_wanted(args, message):
+    with pytest.raises(IncompatibleSpaceError) as err:
+        ProcessModel(*args)
+    assert str(err.value) == message
 
 def test_stationary_and_primitivity_checks():
     model = _two_state()

@@ -238,7 +238,7 @@ def test_csv_text_writes_the_bytes_of_csv_writer(tmp_path_factory, data, chunk):
     assert (root / "ages.csv").read_bytes() == want.encode()
     want = csv_by_rows(["source_id", "G", "D"], ([l, g, d] for l, src in enumerate(trace.events, start=1) for g, d in src))
     assert (root / "trace.csv").read_bytes() == want.encode()
-    assert table == csv_by_rows([f"c{k}" for k in range(width)], report)
+    assert table == csv_by_rows([f"c{k}" for k in range(width)], report).encode()
 
 
 def test_a_long_label_shortens_the_write_blocks(tmp_path):
@@ -259,7 +259,7 @@ def test_a_long_label_shortens_the_write_blocks(tmp_path):
 
 def test_one_column_report_quotes_an_empty_cell():
     rows = [[""], [None], [1.5], ["a,b"], [float("nan")]]
-    assert util.csv_table(["x"], rows) == csv_by_rows(["x"], rows) == 'x\r\n""\r\n""\r\n1.5\r\n"a,b"\r\nnan\r\n'
+    assert util.csv_table(["x"], rows) == csv_by_rows(["x"], rows).encode() == b'x\r\n""\r\n""\r\n1.5\r\n"a,b"\r\nnan\r\n'
 
 
 def _int64_cell(text: str) -> int:
