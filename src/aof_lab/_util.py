@@ -68,23 +68,26 @@ def csv_text(header, columns) -> bytearray:
     time.  A block of ``CSV_CHUNK_ROWS`` rows (fewer if long cells would take
     its matrix past ``_BLOCK_BYTES``) is one byte matrix of cells and
     separators minus their padding, so no cell becomes a Python object."""
-    tables, codes = [], []
+    tables, codes, lows = [], [], []
     for column in columns:
+        lo = 0
         if not isinstance(column, np.ndarray):
             values, column = column
             tables.append(_byte_table([_cell_text(value, len(columns) == 1) for value in values]))
         elif len(column) and (hi := int(column.max())) - (lo := int(column.min())) < CSV_CHUNK_ROWS:
             tables.append(_int_table(lo + np.arange(hi - lo + 1)))
-            column = column - lo
         else:
             tables.append(None)
+        # a narrow int column's row in its table is its value minus ``lo``,
+        # taken a block at a time
         codes.append(column)
+        lows.append(lo)
     width = sum(len(str(-2**63)) if table is None else table.shape[1] + 1 for table in tables) + 1
     step = max(1, min(CSV_CHUNK_ROWS, _BLOCK_BYTES // width))
     out = bytearray(csv_table(header, ()))
     for start in range(0, len(codes[0]), step):
-        cells = [_int_table(c[start:start + step]) if table is None else table[c[start:start + step]]
-                 for table, c in zip(tables, codes)]
+        cells = [_int_table(c[start:start + step]) if table is None else table[c[start:start + step] - lo]
+                 for table, c, lo in zip(tables, codes, lows)]
         rows = len(cells[0])
         parts = [part for cell in cells for part in (cell, np.broadcast_to(_SEPARATORS[:1], (rows, 1)))]
         parts[-1] = np.broadcast_to(_SEPARATORS[1:], (rows, 2))

@@ -12,15 +12,16 @@ The conditional mutual information always uses the product reference
 
 One kernel computes the conditional mutual information, over a stack of
 (x, y, z) cubes with no loop over conditioning cells; a single joint law is
-a stack of one.  It scores the stack in place, overwriting the laws with
-their chi-squared terms, so the product reference and a boolean mask are
-the only stack-sized arrays it allocates; a caller hands it a stack it owns
+a stack of one.  It scores the stack in place, a block of whole cubes at a
+time, overwriting the laws with their chi-squared terms, so it allocates
+nothing larger than a block; a caller hands it a stack it owns
 (``chi2_conditional_mi`` copies the joint's).  ``epsilon_coefficient`` walks
 the lag grid one layout at a time (the sources whose future lag is nonzero).
 It builds each chunk's lags from its own point indices as a ``LagStack``
 in cube order (x at tau, y at 0, x at tau + mu), so every stack the provider
 returns is already a stack of cubes and no grid-sized table but the values
-is made, and scatters the values into the lexicographic grid.
+is made, scatters the values into the lexicographic grid, and drops each
+chunk's laws before the next chunk is built.
 ``epsilon_sweep`` shares that walk: for a family of mixtures ``(1 - eta) *
 base + eta * other`` it builds each chunk's two endpoint stacks once and
 mixes and scores them per ``eta``.
@@ -29,6 +30,7 @@ mixes and scores them per ``eta``.
 from __future__ import annotations
 
 import itertools
+import math
 from dataclasses import dataclass
 from typing import TYPE_CHECKING, Iterable, Sequence
 
@@ -41,6 +43,10 @@ from .spaces import JointPmf, OutcomeSpace, Pmf, check_same_variables, grid_labe
 # triple mass above this on a cell whose product reference is zero breaks the
 # domination the conditional mutual information relies on
 POSITIVITY_ATOL = 1e-15
+
+# cells in a block of the chi-squared kernel: a quarter stack, so a block,
+# its product reference and its P(x, z) stay in a core's cache together
+_BLOCK_CELLS = STACK_CELLS // 4
 
 # grid points whose epsilon lies this close to the maximum tie for the argmax
 EPSILON_TIE_ATOL = 1e-12
@@ -81,41 +87,57 @@ def _chi2_cmi_stack(cubes: np.ndarray, x_spaces: Sequence[OutcomeSpace]) -> np.n
     """Chi-squared conditional MI of every cube in a ``(G, n_x, n_y, n_z)``
     stack, where the x axis runs row-major over ``x_spaces``.
 
-    The stack is scored in place: on return ``cubes`` holds the
-    chi-squared terms, not the laws.  Raises :class:`PositivityError`, with ``cubes``
-    untouched, naming every conditioning cell, by its labels, that puts mass
-    on a zero product-reference cell.
+    The stack is scored in place, in blocks of whole cubes of about
+    ``_BLOCK_CELLS`` cells, so every temporary is block-sized: on return
+    ``cubes`` holds the chi-squared terms, not the laws.  Raises
+    :class:`PositivityError`, once every block has been checked, naming
+    every conditioning cell, by its labels, that puts mass on a zero
+    product-reference cell anywhere in the stack; a block that fails the
+    check is left unscored, so a stack of one block is then left untouched.
     """
-    w = cubes.sum(axis=(2, 3))
-    py = cubes.sum(axis=3)
-    if 2 <= cubes.shape[2] < 8:
+    per = max(1, _BLOCK_CELLS // math.prod(cubes.shape[1:]))
+    values = np.empty(len(cubes))
+    stray = np.zeros(cubes.shape[1], dtype=bool)
+    for start in range(0, len(cubes), per):
+        stray |= _chi2_cmi_block(cubes[start:start + per], values[start:start + per])
+    if stray.any():
+        cells = [grid_label(x_spaces, x) for x in np.flatnonzero(stray)]
+        raise PositivityError(f"positivity violated: triple mass on a zero product-reference cell at {cells}", cells)
+    return values
+
+
+def _chi2_cmi_block(block: np.ndarray, out: np.ndarray) -> np.ndarray:
+    """Which conditioning cells of a block of cubes put mass on a zero
+    product-reference cell; if none does, the block is scored in place and
+    its values are written to ``out``."""
+    w = block.sum(axis=(2, 3))
+    py = block.sum(axis=3)
+    if 2 <= block.shape[2] < 8:
         # numpy adds so short a strided axis in order, so adding its slices
         # in turn gives the same bits without the strided reduction
-        pz = cubes[:, :, 0] + cubes[:, :, 1]
-        for k in range(2, cubes.shape[2]):
-            pz += cubes[:, :, k]
+        pz = block[:, :, 0] + block[:, :, 1]
+        for k in range(2, block.shape[2]):
+            pz += block[:, :, k]
     else:
-        pz = cubes.sum(axis=2)
+        pz = block.sum(axis=2)
     ref = py[:, :, :, None] * pz[:, :, None, :]
     # a conditioning cell without mass has an all-zero slab and reference
     ref /= np.where(w > 0.0, w, 1.0)[:, :, None, None]
     zero = ref == 0.0
     has_zero = zero.any()
     if has_zero:
-        stray = (cubes > POSITIVITY_ATOL) & zero
+        stray = ((block > POSITIVITY_ATOL) & zero).any(axis=(0, 2, 3))
         if stray.any():
-            cells = [grid_label(x_spaces, x) for x in np.flatnonzero(stray.any(axis=(0, 2, 3)))]
-            raise PositivityError(
-                f"positivity violated: triple mass on a zero product-reference cell at {cells}", cells
-            )
-    np.subtract(cubes, ref, out=cubes)
-    cubes *= cubes
+            return stray
+    np.subtract(block, ref, out=block)
+    block *= block
     if has_zero:
         # after the subtraction, which would turn inf into nan: such a cell
         # holds at most POSITIVITY_ATOL and adds zero
         np.copyto(ref, np.inf, where=zero)
-    cubes /= ref
-    return cubes.sum(axis=(1, 2, 3))
+    block /= ref
+    out[:] = block.sum(axis=(1, 2, 3))
+    return np.zeros(block.shape[1], dtype=bool)
 
 
 def chi2_conditional_mi(
@@ -245,9 +267,11 @@ def _epsilon_reports(laws: "LawProvider", tau_max: int, mu_max: int, n_reports: 
             columns = cols[at]
             lags = np.column_stack([taus[rows], np.zeros(len(rows), dtype=np.int64),
                                     (taus[rows] + mus[columns])[:, future]])
+            # drop each stack once it is scored, so the next is built without it
             for k, probs in enumerate(stacks(LagStack(sources, lags))):
                 cubes = probs.reshape(len(probs), n_x, len(y_space), n_z)
                 values[k][rows, columns] = _chi2_cmi_stack(cubes, x_spaces)
+                del probs, cubes
     values.setflags(write=False)
     return [_report(taus, mus, v, tau_max, mu_max) for v in values]
 

@@ -23,6 +23,7 @@ from aof_lab import (
     quadratic_loss,
     sample_trajectory,
 )
+from aof_lab import divergence
 from aof_lab.divergence import _chi2_cmi_stack, epsilon_sweep
 from aof_lab.errors import IncompatibleSpaceError, PositivityError, ReferenceNotInteriorError
 from aof_lab.laws import STACK_CELLS
@@ -275,6 +276,22 @@ def test_chi2_cmi_positivity_error_names_conditioning_cells():
     assert cubes.tobytes() == given.tobytes()
 
 
+def test_chi2_cmi_positivity_error_is_the_same_across_blocks(monkeypatch):
+    # violations in the first and last of three cubes, the clean cube between
+    x_spaces = [OutcomeSpace(("a", "b")), OutcomeSpace((0, 1, 2))]
+    cubes = np.full((3, 6, 2, 2), 1.0 / 48)
+    cubes[0, 1, 0] = [0.1, -0.1]
+    cubes[2, 5, 1] = [-0.1, 0.1]
+    with pytest.raises(PositivityError) as whole:
+        _chi2_cmi_stack(cubes.copy(), x_spaces)
+    # one cube per block: every block is checked, so the error names the union
+    monkeypatch.setattr(divergence, "_BLOCK_CELLS", 1)
+    with pytest.raises(PositivityError) as split:
+        _chi2_cmi_stack(cubes.copy(), x_spaces)
+    assert split.value.cells == whole.value.cells == [("a", 1), ("b", 2)]
+    assert str(split.value) == str(whole.value)
+
+
 def test_chi2_cmi_stack_mixes_degenerate_and_positive_cubes():
     rng = np.random.default_rng(5)
     spaces = {"x": OutcomeSpace((0, 1, 2)), "y": OutcomeSpace((0, 1)), "z": OutcomeSpace((0, 1, 2))}
@@ -332,10 +349,11 @@ def test_chi2_conditional_mi_leaves_the_joint_unchanged(order):
     assert first == pytest.approx(chi2_cmi_direct(joint, "y", ["z"], ["x"]), abs=1e-12)
 
 
-def test_epsilon_grid_walk_holds_at_most_three_stacks():
+def test_epsilon_grid_walk_holds_at_most_two_stacks():
     # 702 laws of up to 8,192 cells, walked in chunks of at most STACK_CELLS
-    # cells: a chunk's laws are scored in place, so besides them only their
-    # product reference and smaller tables are live
+    # cells: only one chunk's laws are live at a time, and they are scored in
+    # place a block at a time, so besides them only block-sized temporaries
+    # and the builder's tables are live
     model = make_hidden_nonmarkov(7, n_states=4, n_sources=3, n_symbols=2, n_targets=2, window=2)
     laws = ExactLawProvider(model)
     tracemalloc.start()
@@ -344,7 +362,27 @@ def test_epsilon_grid_walk_holds_at_most_three_stacks():
         _, peak = tracemalloc.get_traced_memory()
     finally:
         tracemalloc.stop()
-    assert peak <= 3 * STACK_CELLS * 8
+    assert peak <= 2 * STACK_CELLS * 8
+
+
+@pytest.mark.parametrize("block_cells", [1, 100])
+@pytest.mark.parametrize("m, caps", [(1, 3), (2, 2), (3, 1)])
+def test_epsilon_grid_keeps_its_bits_whatever_the_chi2_block(monkeypatch, m, caps, block_cells):
+    # one law per block (1 cell), or a few small laws with a ragged last block
+    model = make_hidden_nonmarkov(19, n_states=4, n_sources=m, n_symbols=2, n_targets=2, window=2)
+    ref = make_markov_observable(20, n_states=2, n_sources=m, n_targets=2, window=2)
+    etas = [0.5, 0.0]
+
+    def run():
+        return [epsilon_coefficient(ExactLawProvider(model), caps, caps),
+                *epsilon_sweep(ExactLawProvider(ref), ExactLawProvider(model), etas, caps, caps)]
+
+    want = run()
+    monkeypatch.setattr(divergence, "_BLOCK_CELLS", block_cells)
+    for rep, default in zip(run(), want, strict=True):
+        assert rep.grid.tobytes() == default.grid.tobytes()
+        assert rep.epsilon == default.epsilon
+        assert (rep.argmax_tau, rep.argmax_mu) == (default.argmax_tau, default.argmax_mu)
 
 
 def test_epsilon_grid_walk_memory_barely_grows_with_the_grid():
