@@ -451,16 +451,18 @@ def read_json(path, build):
 def write_text_atomic(path, data: bytes) -> None:
     """Write ``data`` via a sibling temp file and rename, so readers never
     see a partial report.  The temp file is created with mode 0o666, so the
-    file gets the permissions a plain ``open()`` would give it under the umask."""
+    file gets the permissions a plain ``open()`` would give it under the umask.
+    An ``OSError`` is an ``AofLabError`` naming ``path``."""
     path = Path(path)
-    path.parent.mkdir(parents=True, exist_ok=True)
     tmp = path.with_name(f".{path.name}.{os.urandom(8).hex()}.tmp")
-    fd = os.open(tmp, os.O_WRONLY | os.O_CREAT | os.O_EXCL, 0o666)
     try:
-        with os.fdopen(fd, "wb") as fh:
+        path.parent.mkdir(parents=True, exist_ok=True)
+        with open(tmp, "xb") as fh:
             fh.write(data)
         os.replace(tmp, path)
-    except BaseException:
+    except BaseException as exc:
         if os.path.exists(tmp):
             os.unlink(tmp)
+        if isinstance(exc, OSError):
+            raise AofLabError(f"{path}: cannot write: {exc.strerror}") from None
         raise

@@ -19,8 +19,8 @@ Every empirical window law is counted by ``_stack_counts``, which counts a
 whole ``LagStack`` over the column spaces: it aligns a lag by slicing when
 the slots are contiguous and by one ``searchsorted`` per lag when they have
 gaps, computes the drift statistic once per distinct (source, slice), and
-counts each chunk of laws with one ``np.bincount`` over ``law * cells +
-cell`` in stack axis order.  ``EmpiricalLawProvider`` asks it for whole
+counts each law's row-major cell codes in stack axis order with one
+``bincount`` per law.  ``EmpiricalLawProvider`` asks it for whole
 stacks; ``empirical_window_law`` is its one-law case, with the counts moved
 onto the given spaces or the labels seen in the usable windows.
 
@@ -43,8 +43,8 @@ import numpy as np
 
 from ._util import csv_text, read_csv, read_json, write_text_atomic
 from .errors import AofLabError, IncompatibleSpaceError
-from .laws import (STACK_CELLS, LagStack, WindowLaw, canonical_requests, lag_stack, source_index, source_variable,
-                   variable_name, window_law_of)
+from .laws import (LagStack, WindowLaw, canonical_requests, lag_stack, source_index, source_variable, variable_name,
+                   window_law_of)
 from .spaces import JointPmf, OutcomeSpace
 
 if TYPE_CHECKING:  # pragma: no cover
@@ -410,11 +410,10 @@ def _stack_counts(t: np.ndarray, columns: Sequence[CodedColumn], stack: LagStack
     the drift statistic is computed once per distinct ``(source, first,
     lag)``; on gapped slots each lag's rows come from one ``searchsorted``
     and each law keeps the windows where all of them exist.  One walk over
-    the laws makes each law's reads, warns of its drift and adds its
-    windows to the chunk being counted, so the first law short of
+    the laws makes each law's reads, warns of its drift and counts its
+    windows with one ``bincount`` per law, so the first law short of
     ``min_windows`` windows is an error after the warnings of the laws
-    before it.  A chunk, about ``STACK_CELLS`` codes, is counted by one
-    ``bincount`` over ``law * cells + cell``."""
+    before it."""
     n, lags = len(t), stack.lags
     shape = tuple(len(column.space) for column in columns)
     cells = math.prod(shape)
@@ -432,9 +431,6 @@ def _stack_counts(t: np.ndarray, columns: Sequence[CodedColumn], stack: LagStack
     windows = np.empty(len(lags), dtype=np.int64)
     drift = np.empty(lags.shape)
     known = {}  # (source, slice bounds) or (law, axis) -> chi2
-    chunk = max(1, STACK_CELLS // max(n + cells, 1))
-    flat = np.empty(chunk * n, dtype=np.int64)  # one chunk's law-offset cell codes, reused
-    end = 0
     for g, row in enumerate(lags.tolist()):
         if contiguous:
             size = n - firsts[g]
@@ -454,15 +450,10 @@ def _stack_counts(t: np.ndarray, columns: Sequence[CodedColumn], stack: LagStack
         worst = max(drift[g].tolist())
         if worst > STATIONARITY_WARN:
             warnings.warn(f"first/second-half marginal drift chi2={worst:.3f}; data may be non-stationary", stacklevel=2)
-        part = g % chunk
-        window = flat[end:end + size]
-        window[:] = part * cells
+        cell = np.zeros(size, dtype=np.int64)
         for codes, read in zip(weighted, reads):
-            window += codes[read]
-        end += size
-        if part == chunk - 1 or g == len(lags) - 1:
-            counts[g - part:g + 1] = np.bincount(flat[:end], minlength=(part + 1) * cells).reshape(part + 1, cells)
-            end = 0
+            cell += codes[read]
+        counts[g] = np.bincount(cell, minlength=cells)
     return counts.reshape(len(lags), *shape), windows, drift
 
 

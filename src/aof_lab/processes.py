@@ -413,8 +413,8 @@ def make_hidden_nonmarkov(
     """
     if not 0.0 <= noise <= 1.0:
         raise AofLabError(f"noise must lie in [0, 1], got {noise}")
-    if concentration <= 0:
-        raise AofLabError("concentration must be positive")
+    if not 0 < concentration < math.inf:
+        raise AofLabError(f"concentration must be positive and finite, got {concentration}")
     _check_sizes(n_states=n_states, n_sources=n_sources, n_targets=n_targets)
     symbol_counts = [n_symbols] * n_sources if isinstance(n_symbols, int) else [int(k) for k in n_symbols]
     if len(symbol_counts) != n_sources:

@@ -182,6 +182,8 @@ def test_model_checks_run_before_the_stationary_law(tmp_path, transition, messag
     (["--lambda", "inf", "epsilon", "--data", "{data}", "--tau-max", "1", "--mu-max", "1"], "pseudo-count"),
     (["--lambda", "nan", "age-curve", "--data", "{data}", "--grid", "0x0"], "pseudo-count"),
     (["gen", "--length", "-5"], "length must exceed the warm-up of 0 slots, got -5"),
+    (["gen", "--concentration", "nan"], "Error: concentration must be positive and finite, got nan"),
+    (["gen", "--concentration", "inf"], "Error: concentration must be positive and finite, got inf"),
     (["gen", "--window", "3", "--length", "2"], "warm-up"),
     (["age-curve", "--model", "{model}", "--grid", "9223372036854775808,0"], "lag"),
     # a value that starts with "-" is still the option's value
@@ -215,6 +217,22 @@ def test_negative_seed_is_a_clean_error(tmp_path, source):
     res = _invoke([*given, "--out", str(out), "gen", "--length", "50"])
     _assert_clean_error(res, "seed", "-1")
     assert not out.exists()
+
+
+@pytest.mark.parametrize("source", ["flag", "config"])
+def test_an_output_directory_that_cannot_be_made_is_a_clean_error(tmp_path, source):
+    # --out below a file cannot be made; a config "out" naming a file is not
+    # checked by the parser, so the write itself must fail cleanly
+    blocker = tmp_path / "file"
+    blocker.write_text("{}")
+    out = blocker / "sub" if source == "flag" else blocker
+    config = tmp_path / "config.json"
+    config.write_text(json.dumps({"out": str(out)}))
+    given = ["--out", str(out)] if source == "flag" else ["--config", str(config)]
+    res = _invoke([*given, "gen", "--length", "50"])
+    _assert_clean_error(res, f"Error: {out / 'model.json'}: cannot write: ")
+    assert blocker.read_text() == "{}"
+    assert sorted(p.name for p in tmp_path.iterdir()) == ["config.json", "file"]  # nothing written
 
 
 @pytest.mark.parametrize("args,needle", [

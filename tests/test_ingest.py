@@ -1,3 +1,4 @@
+import tracemalloc
 import warnings
 
 import numpy as np
@@ -522,13 +523,11 @@ def _random_stack(rng, m, sources, n_rows, max_lag):
     return LagStack(sources, np.array(rows, dtype=np.int64))
 
 
-@pytest.mark.parametrize("stack_cells", [ingest.STACK_CELLS, 700])
+@pytest.mark.parametrize("n_laws", [1, 12])
 @pytest.mark.parametrize("pseudo_count", [0.0, 0.5])
 @pytest.mark.parametrize("m", [1, 2])
 @pytest.mark.parametrize("slots", ["contiguous", "gapped"])
-def test_stack_counter_equals_per_law_counting(monkeypatch, slots, m, pseudo_count, stack_cells):
-    # 700 cells is one law per chunk here; the default holds them all in one
-    monkeypatch.setattr(ingest, "STACK_CELLS", stack_cells)
+def test_stack_counter_equals_per_law_counting(slots, m, pseudo_count, n_laws):
     model = make_hidden_nonmarkov(31 + m, n_states=3, n_sources=m, n_symbols=[2, 3][:m], n_targets=3)
     ds = sample_trajectory(model, 600, seed=m)
     if slots == "gapped":
@@ -536,7 +535,7 @@ def test_stack_counter_equals_per_law_counting(monkeypatch, slots, m, pseudo_cou
         assert ds.t[-1] - ds.t[0] != len(ds) - 1
     rng = np.random.default_rng(m)
     sources = (1, 0, 1) if m == 1 else (1, 2, 0, 2)
-    stack = _random_stack(rng, m, sources, 12, 7)
+    stack = _random_stack(rng, m, sources, n_laws, 7)
     with warnings.catch_warnings():
         warnings.simplefilter("ignore")
         probs = EmpiricalLawProvider(ds, pseudo_count).window_law_stack(stack)
@@ -546,6 +545,26 @@ def test_stack_counter_equals_per_law_counting(monkeypatch, slots, m, pseudo_cou
         assert np.array_equal(got, expected)
     # laid out as the stacked per-law laws, so sums over the stack round alike
     assert probs.strides == np.stack(want).strides
+
+
+@pytest.mark.parametrize("m", [1, 2])
+def test_stack_counter_holds_a_few_columns_of_cell_codes(m):
+    # each law is counted on its own: besides the weighted column codes only
+    # per-law cell codes are live, not a buffer of many laws' codes
+    model = make_hidden_nonmarkov(40 + m, n_states=3, n_sources=m, n_symbols=3, n_targets=3)
+    ds = sample_trajectory(model, 30_000, seed=m)
+    sources = (*range(1, m + 1), 0)
+    lags = np.array([[l, l + 1][:m] + [1] for l in range(6)], dtype=np.int64)
+    provider = EmpiricalLawProvider(ds)
+    tracemalloc.start()
+    try:
+        with warnings.catch_warnings():
+            warnings.simplefilter("ignore")
+            provider.window_law_stack(LagStack(sources, lags))
+        _, peak = tracemalloc.get_traced_memory()
+    finally:
+        tracemalloc.stop()
+    assert peak <= 6 * len(ds) * 8
 
 
 def _drifting_dataset(n=200):
