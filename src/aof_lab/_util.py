@@ -1,7 +1,9 @@
 """Small shared helpers: the one reader per input format, ``read_csv`` and
 ``read_json``, each reporting a faulty file as one ``AofLabError`` naming
 the file (and for a CSV the line and column), the one CSV renderer,
-``csv_text``, and the one atomic write.
+``csv_text``, with the trajectory header and label texts it writes, and
+the one atomic write, ``write_text_atomic``, which takes the bytes of a
+file or an iterable of byte blocks written in turn.
 
 Both CSV paths work on columns.  ``read_csv`` decodes the bytes of a
 block of lines with numpy: one pass over the ``,`` and ``\\n`` bytes bounds
@@ -59,15 +61,28 @@ def _cell_text(value, alone: bool) -> str:
     return buf.getvalue()[:-2 if alone else -3]
 
 
+def trajectory_header(m: int) -> list[str]:
+    """The header of a trajectory CSV with ``m`` feature sources."""
+    return ["t"] + [f"x_{l}" for l in range(1, m + 1)] + [f"age_{l}" for l in range(1, m + 1)] + ["y"]
+
+
+def render_cell(value) -> str:
+    """The text of a label in a trajectory CSV: a tuple is ``(a|b|...)``."""
+    if isinstance(value, tuple):
+        return "(" + "|".join(render_cell(v) for v in value) + ")"
+    return str(value)
+
+
 def csv_text(header, columns) -> bytearray:
-    """What ``csv.writer`` writes for ``header`` and the rows of ``columns``,
-    as the UTF-8 buffer it assembles.  A column is an int array, or
-    ``(values, codes)``: its distinct cell values and an int index into them
-    per row.  Each distinct cell is rendered once, into a ``_byte_table``; an
-    int column whose range is wider than a block is rendered a block at a
-    time.  A block of ``CSV_CHUNK_ROWS`` rows (fewer if long cells would take
-    its matrix past ``_BLOCK_BYTES``) is one byte matrix of cells and
-    separators minus their padding, so no cell becomes a Python object."""
+    """What ``csv.writer`` writes for ``header`` (no header row if None) and
+    the rows of ``columns``, as the UTF-8 buffer it assembles.  A column is
+    an int array, or ``(values, codes)``: its distinct cell values and an
+    int index into them per row.  Each distinct cell is rendered once, into
+    a ``_byte_table``; an int column whose range is wider than a block is
+    rendered a block at a time.  A block of ``CSV_CHUNK_ROWS`` rows (fewer
+    if long cells would take its matrix past ``_BLOCK_BYTES``) is one byte
+    matrix of cells and separators minus their padding, so no cell becomes
+    a Python object."""
     tables, codes, lows = [], [], []
     for column in columns:
         lo = 0
@@ -84,7 +99,7 @@ def csv_text(header, columns) -> bytearray:
         lows.append(lo)
     width = sum(len(str(-2**63)) if table is None else table.shape[1] + 1 for table in tables) + 1
     step = max(1, min(CSV_CHUNK_ROWS, _BLOCK_BYTES // width))
-    out = bytearray(csv_table(header, ()))
+    out = bytearray() if header is None else bytearray(csv_table(header, ()))
     for start in range(0, len(codes[0]), step):
         cells = [_int_table(c[start:start + step]) if table is None else table[c[start:start + step] - lo]
                  for table, c, lo in zip(tables, codes, lows)]
@@ -448,17 +463,20 @@ def read_json(path, build):
         raise AofLabError(f"{path}: malformed content: {exc}") from None
 
 
-def write_text_atomic(path, data: bytes) -> None:
-    """Write ``data`` via a sibling temp file and rename, so readers never
-    see a partial report.  The temp file is created with mode 0o666, so the
-    file gets the permissions a plain ``open()`` would give it under the umask.
-    An ``OSError`` is an ``AofLabError`` naming ``path``."""
+def write_text_atomic(path, data) -> None:
+    """Write ``data``, the bytes of the file or an iterable of byte blocks
+    written in turn, via a sibling temp file and rename, so readers never
+    see a partial file; if a block cannot be made or written, the temp file
+    is removed and ``path`` keeps what it held.  The temp file is created
+    with mode 0o666, so the file gets the permissions a plain ``open()``
+    would give it under the umask.  An ``OSError`` is an ``AofLabError``
+    naming ``path``."""
     path = Path(path)
     tmp = path.with_name(f".{path.name}.{os.urandom(8).hex()}.tmp")
     try:
         path.parent.mkdir(parents=True, exist_ok=True)
         with open(tmp, "xb") as fh:
-            fh.write(data)
+            fh.writelines([data] if isinstance(data, (bytes, bytearray)) else data)
         os.replace(tmp, path)
     except BaseException as exc:
         if os.path.exists(tmp):

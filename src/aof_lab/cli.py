@@ -240,13 +240,13 @@ def gen(cfg, kind, states, sources, symbols, targets, window, delay, noise, conc
             n_targets=targets, window=window, delay=delay, noise=noise,
             concentration=concentration,
         )
-    trajectory = processes.sample_trajectory(model, length, cfg["seed"]) if length else None
+    trajectory = processes.trajectory_csv(model, length, cfg["seed"]) if length else None
     out = Path(cfg["out"])
     payload = model.to_json_dict()
     payload["config"] = {**cfg, "kind": kind, "length": length}
     _emit_json(out / "model.json", payload)
     if trajectory is not None:
-        trajectory.to_csv(out / "trajectory.csv")
+        write_text_atomic(out / "trajectory.csv", trajectory)
         _wrote(out / "trajectory.csv")
 
 

@@ -41,7 +41,7 @@ from typing import TYPE_CHECKING, Mapping, NamedTuple, Sequence
 
 import numpy as np
 
-from ._util import csv_text, read_csv, read_json, write_text_atomic
+from ._util import csv_text, read_csv, read_json, render_cell, trajectory_header, write_text_atomic
 from .errors import AofLabError, IncompatibleSpaceError
 from .laws import (LagStack, WindowLaw, canonical_requests, lag_stack, source_index, source_variable, variable_name,
                    window_law_of)
@@ -70,12 +70,6 @@ def _parse_cell(text: str):
         if inner:
             return tuple(_parse_cell(part.strip()) for part in inner.split("|"))
     return text
-
-
-def _render_cell(value) -> str:
-    if isinstance(value, tuple):
-        return "(" + "|".join(_render_cell(v) for v in value) + ")"
-    return str(value)
 
 
 def _plain(value):
@@ -142,10 +136,6 @@ def _count(codes: Sequence[np.ndarray], shape: tuple[int, ...]) -> np.ndarray:
     for column, size in zip(codes, shape):
         flat = flat * size + column
     return np.bincount(flat, minlength=math.prod(shape)).reshape(shape)
-
-
-def _csv_header(m: int) -> list[str]:
-    return ["t"] + [f"x_{l}" for l in range(1, m + 1)] + [f"age_{l}" for l in range(1, m + 1)] + ["y"]
 
 
 @dataclass(frozen=True, eq=False)
@@ -215,8 +205,8 @@ class Dataset:
         return self.columns[-1 if src is None else src - 1]
 
     def to_csv(self, path) -> None:
-        coded = [([_render_cell(lab) for lab in col.space.labels], col.codes) for col in self.columns]
-        write_text_atomic(path, csv_text(_csv_header(self.m), [self.t, *coded[:-1], *self.ages, coded[-1]]))
+        coded = [([render_cell(lab) for lab in col.space.labels], col.codes) for col in self.columns]
+        write_text_atomic(path, csv_text(trajectory_header(self.m), [self.t, *coded[:-1], *self.ages, coded[-1]]))
 
     @classmethod
     def from_csv(cls, path) -> "Dataset":
@@ -231,7 +221,7 @@ class Dataset:
             return cls(t=columns["t"], xs=tuple(labels(*columns[f"x_{l}"]) for l in sources),
                        ages=tuple(columns[f"age_{l}"] for l in sources), y=labels(*columns["y"]))
 
-        return read_csv(path, lambda found: _csv_header(sum(name.startswith("x_") for name in found)),
+        return read_csv(path, lambda found: trajectory_header(sum(name.startswith("x_") for name in found)),
                         from_columns, labels=("x_", "y"))
 
 
@@ -425,8 +415,10 @@ def _stack_counts(t: np.ndarray, columns: Sequence[CodedColumn], stack: LagStack
     else:
         rows = {lag: np.searchsorted(t, t - lag) for lag in np.unique(lags).tolist()}  # <= each row itself
         ok = {lag: t[r] == t - lag for lag, r in rows.items()}
-    # row-major cell codes: axis i weighs the product of the sizes after it
-    weighted = [column.codes * math.prod(shape[i + 1:]) for i, column in enumerate(columns)]
+    # row-major cell codes: axis i weighs the product of the sizes after it;
+    # the last axis weighs one, so its codes are used as they are
+    weighted = [column.codes * math.prod(shape[i + 1:]) for i, column in enumerate(columns[:-1])]
+    weighted.append(columns[-1].codes)
     counts = np.empty((len(lags), cells), dtype=np.int64)
     windows = np.empty(len(lags), dtype=np.int64)
     drift = np.empty(lags.shape)
@@ -454,6 +446,7 @@ def _stack_counts(t: np.ndarray, columns: Sequence[CodedColumn], stack: LagStack
         for codes, read in zip(weighted, reads):
             cell += codes[read]
         counts[g] = np.bincount(cell, minlength=cells)
+        del cell  # so the next law's cell codes do not join this law's
     return counts.reshape(len(lags), *shape), windows, drift
 
 

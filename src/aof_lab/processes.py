@@ -22,6 +22,15 @@ so no separate cap limits how far apart lags may lie.
 
 The builder snaps the total mass of each law back to one after checking
 that it is within ``NORMALIZATION_ATOL`` of one.
+
+A trajectory of ``length`` slots is drawn ``CSV_CHUNK_ROWS`` slots at a
+time by ``_sampled_blocks``.  After the initial state's ``choice`` its
+uniforms are one ``PCG64`` stream, one 64-bit step per double, read at
+fixed offsets: the chain's at 0 (the first unused), source ``l``'s
+emissions at ``l * length`` and the target's at ``(m + 1) * length``.
+``sample_trajectory`` joins the blocks into a ``Dataset``;
+``trajectory_csv`` renders each block as the rows its ``to_csv`` writes,
+so ``gen`` holds one block whatever the length.
 """
 
 from __future__ import annotations
@@ -35,13 +44,13 @@ from typing import TYPE_CHECKING, Sequence
 
 import numpy as np
 
-from ._util import read_json, write_text_atomic
+from ._util import CSV_CHUNK_ROWS, csv_table, csv_text, read_json, render_cell, trajectory_header, write_text_atomic
 from .errors import AofLabError, IncompatibleSpaceError, NotNormalizedError
 from .laws import DEFAULT_MAX_CELLS, STACK_CELLS, LagStack, MixtureLawProvider, WindowLaw, window_law_of
 from .spaces import NORMALIZATION_ATOL, OutcomeSpace
 
 if TYPE_CHECKING:  # pragma: no cover
-    from .ingest import CodedColumn, Dataset
+    from .ingest import Dataset
 
 # L1 move of one power step below which stationary polishing stops
 STATIONARY_STEP_ATOL = 1e-16
@@ -439,12 +448,13 @@ def mix_toward_markov(model: ProcessModel, markov_ref: ProcessModel, eta: float)
     return MixtureLawProvider(base=ExactLawProvider(markov_ref), other=ExactLawProvider(model), eta=eta)
 
 
-def _symbol_column(parts: Sequence[np.ndarray], tuples: bool, coded_column: type[CodedColumn]) -> CodedColumn:
-    """Code a column of nonnegative int labels (one part), or of int tuples
-    with one part per tuple slot, by its distinct rows in sorted order.  Each
-    slot is folded into the codes of the slots before it and recoded through
-    a table indexed by the folded key, so a code stays below the row count and
-    cannot overflow however wide the window."""
+def _distinct_rows(parts: Sequence[np.ndarray]) -> tuple[list, np.ndarray]:
+    """``(labels, codes)`` of a column of nonnegative int labels (one part),
+    or of int tuples with one part per tuple slot: its distinct rows in
+    sorted order and an int64 index into them per row.  Each slot is folded
+    into the codes of the slots before it and recoded through a table indexed
+    by the folded key, so a code stays below the row count and cannot
+    overflow however wide the window."""
     codes = np.zeros(len(parts[0]), dtype=np.int64)
     for part in parts:
         keys = codes * (int(part.max()) + 1) + part
@@ -454,46 +464,105 @@ def _symbol_column(parts: Sequence[np.ndarray], tuples: bool, coded_column: type
     first = np.full(int(codes.max()) + 1, len(codes))
     np.minimum.at(first, codes, np.arange(len(codes)))
     rows = np.stack([part[first] for part in parts], axis=1).tolist()
-    labels = [tuple(r) for r in rows] if tuples else [r[0] for r in rows]
-    return coded_column(OutcomeSpace(tuple(labels)), codes)
+    return [tuple(r) for r in rows] if len(parts) > 1 else [r[0] for r in rows], codes
+
+
+def _sampled_blocks(model: ProcessModel, length: int, seed: int):
+    """The draws of a ``length``-slot trajectory, ``CSV_CHUNK_ROWS`` slots at
+    a time, as an iterator of blocks of int64 columns: ``t``, each source's
+    window parts newest first (slot ``t - delay``, then one earlier, ...),
+    then the target.  A block holds the rows of its slots that have a full
+    feature window, and a block without such a row is skipped.  The length
+    and seed are checked before the first block is asked for.
+
+    Each stream of uniforms (see the module docstring for its offset) is
+    read through its own ``PCG64`` copy, started from the state after the
+    ``choice`` and moved on with ``advance``.  The chain state and each
+    source's last ``delay + window - 1`` symbols carry from one block to
+    the next."""
+    warm = model.delay + model.window - 1
+    if length <= warm:
+        raise AofLabError(f"length must exceed the warm-up of {warm} slots, got {length}")
+    rng = _rng(seed)
+    state = int(rng.choice(model.n_states, p=model.stationary))
+    after_choice = rng.bit_generator.state
+    streams = []
+    for k in range(model.m + 2):
+        bits = np.random.PCG64()
+        bits.state = after_choice
+        streams.append(np.random.Generator(bits.advance(k * length)))
+    rows = np.cumsum(model.transition, axis=1).tolist()
+    kernels = [np.cumsum(kernel, axis=1).T for kernel in (*model.emissions, model.target_kernel)]
+
+    def blocks(state):
+        tails = [np.empty(0, dtype=np.int64)] * model.m  # each source's symbols of the slots before the block
+        for start in range(0, length, CSV_CHUNK_ROWS):
+            stop = min(start + CSV_CHUNK_ROWS, length)
+            path = [state] if start == 0 else []  # slot 0's state is drawn, so its uniform is unused
+            for u in memoryview(streams[0].random(stop - start))[len(path):]:
+                state = bisect.bisect_right(rows[state], u)
+                path.append(state)
+            states = np.array(path, dtype=np.int64)
+            emitted = []
+            for stream, cumulative in zip(streams[1:], kernels):
+                r = stream.random(stop - start)
+                symbols = np.zeros(stop - start, dtype=np.int64)
+                for column in cumulative:  # a symbol is the number of cumulative masses below r
+                    symbols += r > column[states]
+                emitted.append(symbols)
+            first = max(start, warm)  # the block's first row
+            columns = [np.arange(first, stop, dtype=np.int64)]
+            for l, symbols in enumerate(emitted[:-1]):
+                # the carried symbols, then the block's: index i is slot base + i
+                slots = np.concatenate([tails[l], symbols])
+                base = start - len(tails[l])
+                columns += [slots[first - model.delay - j - base: stop - model.delay - j - base]
+                            for j in range(model.window)]
+                tails[l] = slots[max(0, len(slots) - warm):]
+            columns.append(emitted[-1][first - start:])
+            if first < stop:
+                yield columns
+
+    return blocks(state)
+
+
+def trajectory_csv(model: ProcessModel, length: int, seed: int):
+    """The bytes ``sample_trajectory(model, length, seed).to_csv`` writes, as
+    an iterator of blocks for ``write_text_atomic``: the header row, then the
+    rows of each block of ``_sampled_blocks``, so the memory it holds is one
+    block's whatever the length.  A feature window's labels are its distinct
+    rows in the block."""
+    b = model.window
+
+    def text(block):
+        xs = []
+        for l in range(model.m):
+            labels, codes = _distinct_rows(block[1 + l * b: 1 + (l + 1) * b])
+            xs.append(([render_cell(label) for label in labels], codes))
+        ages = [np.zeros(len(block[0]), dtype=np.int64)] * model.m
+        return csv_text(None, [block[0], *xs, *ages, block[-1]])
+
+    return itertools.chain([csv_table(trajectory_header(model.m), ())], map(text, _sampled_blocks(model, length, seed)))
 
 
 def sample_trajectory(model: ProcessModel, length: int, seed: int) -> Dataset:
     """Simulate ``length`` slots and emit one fresh-feature row per usable slot.
 
     Rows start once the first full feature window is available; all age
-    columns are zero because every row carries the freshest feature.
+    columns are zero because every row carries the freshest feature.  The
+    blocks of ``_sampled_blocks`` are joined and each column coded by its
+    distinct rows.
     """
     from .ingest import CodedColumn, Dataset  # here, so exact-law commands load neither ingest nor aoi
 
-    warm = model.delay + model.window - 1
-    if length <= warm:
-        raise AofLabError(f"length must exceed the warm-up of {warm} slots, got {length}")
-    rng = _rng(seed)
-    rows = np.cumsum(model.transition, axis=1).tolist()
-    state = int(rng.choice(model.n_states, p=model.stationary))
-    path = [state]
-    for u in memoryview(rng.random(length))[1:]:
-        state = bisect.bisect_right(rows[state], u)
-        path.append(state)
-    states = np.array(path, dtype=np.int64)
+    columns = [np.concatenate(column) for column in zip(*_sampled_blocks(model, length, seed))]
+    b = model.window
 
-    def draw(kernel):
-        r = rng.random(length)
-        symbols = np.zeros(length, dtype=np.int64)
-        for column in np.cumsum(kernel, axis=1).T:  # a symbol is the number of cumulative masses below r
-            symbols += r > column[states]
-        return symbols
+    def coded(parts):
+        labels, codes = _distinct_rows(parts)
+        return CodedColumn(OutcomeSpace(tuple(labels)), codes)
 
-    emitted = [draw(e) for e in model.emissions]
-    targets = draw(model.target_kernel)
-
-    # a feature window is read newest first: slot t - delay, then one earlier, ...
-    lagged = [
-        [sym[warm - model.delay - j: length - model.delay - j] for j in range(model.window)] for sym in emitted
-    ]
-    xs = tuple(_symbol_column(parts, model.window > 1, CodedColumn) for parts in lagged)
-    t_values = np.arange(warm, length, dtype=np.int64)
-    ages = tuple(np.zeros(len(t_values), dtype=np.int64) for _ in range(model.m))
-    y = _symbol_column([targets[warm:]], False, CodedColumn)
-    return Dataset(t=t_values, xs=xs, ages=ages, y=y)
+    t = columns[0]
+    xs = tuple(coded(columns[1 + l * b: 1 + (l + 1) * b]) for l in range(model.m))
+    ages = tuple(np.zeros(len(t), dtype=np.int64) for _ in range(model.m))
+    return Dataset(t=t, xs=xs, ages=ages, y=coded(columns[-1:]))

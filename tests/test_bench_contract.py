@@ -112,10 +112,13 @@ print(json.dumps({"errors": errors, "counts": tracer.counts, "declared": declare
 
 # Targets no command calls: every analysis builds its laws through a
 # provider's window_law_stack, which the tracer does not wrap, and the
-# sweeps and comparisons score whole stacks, not single joints.
+# sweeps and comparisons score whole stacks, not single joints.  ``gen``
+# streams its trajectory through processes.trajectory_csv, not through a
+# sampled Dataset and its to_csv.
 UNREACHED = {"processes.exact_window_law", "processes.ExactLawProvider.window_law", "laws.MixtureLawProvider.window_law",
              "divergence.chi2_conditional_mi", "analysis.dynamic_joint", "analysis.testing_loss",
-             "ingest.empirical_window_law", "ingest.EmpiricalLawProvider.window_law"}
+             "ingest.empirical_window_law", "ingest.EmpiricalLawProvider.window_law",
+             "processes.sample_trajectory", "ingest.Dataset.to_csv"}
 
 
 def test_traced_warm_runs_fire_every_counter_the_commands_reach(tmp_path):

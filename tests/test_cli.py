@@ -23,9 +23,13 @@ from aof_lab import (
     joint_training_loss,
     log_loss,
     loss_curve,
+    make_hidden_nonmarkov,
     quadratic_loss,
+    sample_trajectory,
     zero_one_loss,
 )
+import aof_lab._util as util
+from aof_lab import processes
 from aof_lab import testing_loss as eval_testing_loss
 from aof_lab.cli import main
 
@@ -76,6 +80,33 @@ def test_gen_trajectory_matches_per_step_oracle_bytes(tmp_path, window, delay):
     model = ProcessModel.load(tmp_path / "model.json")
     want = dataset_csv_by_rows(trajectory_by_steps(model, 500, 17))
     assert (tmp_path / "trajectory.csv").read_bytes() == want.encode("utf-8")
+
+
+@pytest.mark.parametrize("block", [2, 7])
+@pytest.mark.parametrize("kind", ["markov", "hidden"])
+@pytest.mark.parametrize("window", [1, 2, 3])
+@pytest.mark.parametrize("delay", [0, 1, 2])
+def test_gen_streams_one_trajectory_across_block_ends(tmp_path, monkeypatch, block, kind, window, delay):
+    # small blocks put block ends inside the warm-up and inside feature
+    # windows; a block of 2 is shorter than most warm-ups, so the carried
+    # symbols span blocks
+    monkeypatch.setattr(processes, "CSV_CHUNK_ROWS", block)
+    monkeypatch.setattr(util, "CSV_CHUNK_ROWS", block)
+    warm = window + delay - 1
+    for sources in (1, 2, 3):
+        for length in sorted({warm + 1, block - 1, block, block + 1, 5 * block + 3} - set(range(warm + 1))):
+            out = tmp_path / f"{sources}-{length}"
+            res = _invoke(["--seed", "23", "--out", str(out), "gen", "--kind", kind, "--sources", str(sources),
+                           "--symbols", "3", "--window", str(window), "--delay", str(delay), "--length", str(length)])
+            assert res.exit_code == 0, res.output
+            model = ProcessModel.load(out / "model.json")
+            got = (out / "trajectory.csv").read_bytes()
+            assert got == dataset_csv_by_rows(trajectory_by_steps(model, length, 23)).encode()
+            sample_trajectory(model, length, 23).to_csv(out / "library.csv")
+            assert got == (out / "library.csv").read_bytes()
+            # the header, then each block with a row past the warm-up
+            blocks = sum(1 for _ in processes.trajectory_csv(model, length, 23))
+            assert blocks == 1 + -(-length // block) - warm // block
 
 
 def _csv_rows(path) -> list[dict]:
@@ -403,6 +434,26 @@ def test_gen_ignores_a_stale_temp_path_in_out(tmp_path):
     res = _invoke(["--seed", "9", "--out", str(tmp_path), "gen", "--length", "20"])
     assert res.exit_code == 0
     assert len((tmp_path / "trajectory.csv").read_text().splitlines()) == 21
+
+
+def _failing_blocks(model):
+    """The first two blocks of a trajectory, then a fault mid-stream."""
+    blocks = processes.trajectory_csv(model, 1_000, 5)
+    yield next(blocks)
+    yield next(blocks)
+    raise RuntimeError("block source failed")
+
+
+@pytest.mark.parametrize("existing", [False, True])
+def test_a_block_source_that_fails_leaves_no_temp_file_and_the_old_target(tmp_path, existing):
+    target = tmp_path / "trajectory.csv"
+    if existing:
+        target.write_bytes(b"old bytes\n")
+    with pytest.raises(RuntimeError, match="block source failed"):
+        util.write_text_atomic(target, _failing_blocks(make_hidden_nonmarkov(5)))
+    assert [p.name for p in tmp_path.iterdir()] == (["trajectory.csv"] if existing else [])
+    if existing:
+        assert target.read_bytes() == b"old bytes\n"
 
 
 def test_every_output_gets_the_mode_of_a_plain_open(tmp_path):

@@ -547,10 +547,17 @@ def test_stack_counter_equals_per_law_counting(slots, m, pseudo_count, n_laws):
     assert probs.strides == np.stack(want).strides
 
 
+# rows-sized int64 columns the traced peak of a stack count may pass its
+# m + 1 by: the bincount output, the drift statistic and tracemalloc's own
+# bookkeeping (measured: 0.03)
+STACK_COUNT_MARGIN = 0.25
+
+
 @pytest.mark.parametrize("m", [1, 2])
 def test_stack_counter_holds_a_few_columns_of_cell_codes(m):
-    # each law is counted on its own: besides the weighted column codes only
-    # per-law cell codes are live, not a buffer of many laws' codes
+    # each law is counted on its own: live are the m weighted feature codes
+    # (the target, the last axis, weighs one and is read as it is) and one
+    # law's cell codes, not a buffer of many laws' codes
     model = make_hidden_nonmarkov(40 + m, n_states=3, n_sources=m, n_symbols=3, n_targets=3)
     ds = sample_trajectory(model, 30_000, seed=m)
     sources = (*range(1, m + 1), 0)
@@ -564,7 +571,7 @@ def test_stack_counter_holds_a_few_columns_of_cell_codes(m):
         _, peak = tracemalloc.get_traced_memory()
     finally:
         tracemalloc.stop()
-    assert peak <= 6 * len(ds) * 8
+    assert peak <= (m + 1 + STACK_COUNT_MARGIN) * len(ds) * 8
 
 
 def _drifting_dataset(n=200):

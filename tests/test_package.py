@@ -56,7 +56,7 @@ IMPORT_CASES = {
     "order-check": (["order-check", "--dist-a", "{a}", "--dist-b", "{b}"], AGES),
     "beta": (["beta", "--train", "{joint}", "--test", "{joint}"], LAWS | {"aof_lab.divergence"}),
     "gen": (["gen"], LAWS | {"aof_lab.processes"}),
-    "gen --length": (["gen", "--length", "50"], LAWS | {"aof_lab.processes", "aof_lab.ingest"}),
+    "gen --length": (["gen", "--length", "50"], LAWS | {"aof_lab.processes"}),
     "epsilon --model": (["epsilon", "--model", "{model}", "--tau-max", "1", "--mu-max", "1"],
                         LAWS | {"aof_lab.processes", "aof_lab.divergence"}),
     "epsilon --sweep": (["epsilon", "--model", "{model}", "--sweep", "--mix-ref", "{model}", "--etas", "0.5",

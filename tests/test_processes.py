@@ -21,10 +21,10 @@ from aof_lab import (
     mix_toward_markov,
     sample_trajectory,
 )
-from aof_lab._util import CSV_CHUNK_ROWS
+from aof_lab._util import CSV_CHUNK_ROWS, write_text_atomic
 from aof_lab.errors import AofLabError, IncompatibleSpaceError
 from aof_lab.laws import DEFAULT_MAX_CELLS, STACK_CELLS, LagStack, axis_spaces, canonical_requests, lag_stack
-from aof_lab.processes import _stationary_distribution, exact_window_laws
+from aof_lab.processes import _stationary_distribution, exact_window_laws, trajectory_csv
 from aof_lab.spaces import NORMALIZATION_ATOL
 
 from oracles import (dataset_csv_by_rows, enumeration_work, loglog_slope, trajectory_by_steps,
@@ -401,6 +401,26 @@ def test_oversized_gap_rejected_before_allocation():
     finally:
         tracemalloc.stop()
     assert peak < 2**20
+
+
+# Bytes the traced peak of gen's write path may gain from 20,000 to 200,000
+# rows: two int64 columns of one block (measured: 46 KB on the model below)
+STREAM_PEAK_SLACK = 2 * CSV_CHUNK_ROWS * 8
+
+
+def test_gen_write_path_memory_does_not_grow_with_length(tmp_path):
+    model = make_hidden_nonmarkov(7, n_sources=2, window=3, delay=2)
+    peaks = {}
+    for length in (20_000, 200_000):
+        tracemalloc.start()
+        try:
+            write_text_atomic(tmp_path / "trajectory.csv", trajectory_csv(model, length, 7))
+            _, peaks[length] = tracemalloc.get_traced_memory()
+        finally:
+            tracemalloc.stop()
+    assert peaks[200_000] <= peaks[20_000] + STREAM_PEAK_SLACK
+    warm = 2 + 3 - 1  # delay + window - 1 slots without a row
+    assert len((tmp_path / "trajectory.csv").read_bytes().splitlines()) == 1 + 200_000 - warm
 
 
 def test_markov_observable_invariants():
