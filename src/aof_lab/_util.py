@@ -1,9 +1,10 @@
 """Small shared helpers: the one reader per input format, ``read_csv`` and
 ``read_json``, each reporting a faulty file as one ``AofLabError`` naming
 the file (and for a CSV the line and column), the one CSV renderer,
-``csv_text``, with the trajectory header and label texts it writes, and
-the one atomic write, ``write_text_atomic``, which takes the bytes of a
-file or an iterable of byte blocks written in turn.
+``csv_text``, with the trajectory header and label texts it writes, the
+one atomic write, ``write_text_atomic``, which takes the bytes of a file or
+an iterable of byte blocks written in turn, and the one check of integer
+inputs (slots, ages, delivery pairs, age vectors), ``whole_numbers``.
 
 Both CSV paths work on columns.  ``read_csv`` decodes the bytes of a
 block of lines with numpy: one pass over the ``,`` and ``\\n`` bytes bounds
@@ -45,6 +46,35 @@ DEFAULT_MAX_CELLS = 4_000_000
 
 # largest distance from 1 at which a probability vector counts as normalized
 NORMALIZATION_ATOL = 1e-12
+
+
+def is_whole(value) -> bool:
+    """Whether ``value`` is a whole number in the int64 range; a bool is not."""
+    if isinstance(value, (int, np.integer)) and not isinstance(value, bool):
+        return -2**63 <= value < 2**63
+    return isinstance(value, (float, np.floating)) and float(value).is_integer() and -2.0**63 <= value < 2.0**63
+
+
+def whole_numbers(values, field: str) -> np.ndarray:
+    """``values`` as an int64 array of their shape if every one passes
+    ``is_whole``, else an ``AofLabError`` naming ``field`` and the first
+    that fails.  An integer array passes on its dtype and a float array on
+    one vectorized test; any other input is looked at one value at a
+    time."""
+    given = values if isinstance(values, np.ndarray) else np.array(values, dtype=object)
+    if given.dtype.kind == "i":
+        return given.astype(np.int64, copy=False)
+    flat, floats = given.reshape(-1), given.dtype.kind == "f"
+    if floats:
+        ok = (flat == np.trunc(flat)) & (flat >= -2.0**63) & (flat < 2.0**63)
+    else:
+        ok = np.fromiter(map(is_whole, flat), bool, len(flat))
+    if not ok.all():
+        bad = flat[int(np.argmin(ok))]
+        bad = bad.item() if isinstance(bad, np.generic) else bad
+        raise AofLabError(f"{field} must be whole numbers in the int64 range, got {bad!r}")
+    whole = flat.astype(np.int64) if floats else np.fromiter(map(int, flat), np.int64, len(flat))
+    return whole.reshape(given.shape)
 
 
 def thread_count() -> int:

@@ -38,7 +38,7 @@ from typing import TYPE_CHECKING, Sequence
 
 import numpy as np
 
-from ._util import csv_table, write_text_atomic
+from ._util import DEFAULT_MAX_CELLS, csv_table, whole_numbers, write_text_atomic
 from .errors import AofLabError, IncompatibleSpaceError
 from .information import conditional_cross_entropy, conditional_entropy, conditional_entropy_stack
 from .laws import LagStack, LawProvider, MixtureLawProvider, axis_spaces, source_variable
@@ -52,8 +52,8 @@ if TYPE_CHECKING:  # pragma: no cover
 AgeVector = tuple[int, ...]
 
 
-def _age_vector(delta: Sequence[int], m: int) -> AgeVector:
-    vec = tuple(int(d) for d in delta)
+def _age_vector(delta: Sequence[int], m: int, field: str = "delta") -> AgeVector:
+    vec = tuple(whole_numbers(delta, f"{field} lags").tolist())
     if len(vec) != m:
         raise IncompatibleSpaceError(f"age vector {vec} does not match {m} sources")
     if any(d < 0 for d in vec):
@@ -141,13 +141,18 @@ def decompose(
     full lags and earlier ones are pinned at zero, then the next coordinate
     follows.  ``h == f1 - f2`` holds for any law and any path; ``h`` is also
     computed directly so reports expose the identity rather than assume it.
+    A ``delta`` whose staircase table, ``(sum(delta) + 1) x m`` cells, is
+    over ``DEFAULT_MAX_CELLS`` is refused before anything is built.
     """
     m = laws.m
     vec = _age_vector(delta, m)
+    if (sum(vec) + 1) * m > DEFAULT_MAX_CELLS:
+        raise AofLabError(f"age vector {vec}: its staircase of {sum(vec) + 1} age vectors x {m} sources "
+                          f"is over {DEFAULT_MAX_CELLS} cells")
     if path is None:
         path = tuple(range(m))
     else:
-        path = tuple(int(c) for c in path)
+        path = tuple(whole_numbers(path, "path").tolist())
         if sorted(path) != list(range(m)):
             raise IncompatibleSpaceError(f"path {path} must be a permutation of 0..{m - 1}")
 
@@ -211,7 +216,7 @@ class LossCurve:
 
 def loss_curve(laws: LawProvider, grid: Sequence[Sequence[int]], loss: LossSpec) -> LossCurve:
     """Evaluate the minimum training loss over a grid of age vectors."""
-    vectors = [_age_vector(g, laws.m) for g in grid]
+    vectors = [_age_vector(g, laws.m, "grid point") for g in grid]
     if not vectors:
         raise AofLabError("grid must hold at least one age vector")
     seen = set()

@@ -25,8 +25,8 @@ from typing import TYPE_CHECKING, Iterable, Mapping, Sequence
 
 import numpy as np
 
-from ._util import (CSV_CHUNK_ROWS, DEFAULT_MAX_CELLS, NORMALIZATION_ATOL, csv_check, csv_text, read_csv, read_json,
-                    write_text_atomic)
+from ._util import (CSV_CHUNK_ROWS, DEFAULT_MAX_CELLS, NORMALIZATION_ATOL, csv_check, csv_text, is_whole, read_csv,
+                    read_json, whole_numbers, write_text_atomic)
 from .errors import AofLabError, IncompatibleSpaceError, WarmupError
 
 if TYPE_CHECKING:  # pragma: no cover
@@ -46,7 +46,8 @@ class DeliveryTrace:
     with equal pairs are equal."""
 
     def __init__(self, events):
-        pairs = tuple(np.array(src, dtype=np.int64).reshape(-1, 2) for src in events)
+        pairs = tuple(np.array(whole_numbers(src, f"source {l} pairs")).reshape(-1, 2)
+                      for l, src in enumerate(events, start=1))
         if not pairs:
             raise AofLabError("trace needs at least one source")
         for l, (g, d) in enumerate((p.T for p in pairs), start=1):
@@ -110,7 +111,7 @@ class AgeProcess:
     ages: np.ndarray  # (m, horizon) int
 
     def __post_init__(self):
-        ages = np.array(self.ages, dtype=np.int64)
+        ages = np.array(whole_numbers(self.ages, "ages"))
         if ages.ndim != 2 or ages.shape[1] == 0:
             raise AofLabError(f"ages must be a (sources, horizon) array with horizon >= 1, got shape {ages.shape}")
         if np.any(ages < SENTINEL):
@@ -173,9 +174,8 @@ def age_process(trace: DeliveryTrace, horizon: int) -> AgeProcess:
 
 
 def _age_component(value) -> int:
-    """``value`` as an int; anything but a whole number is an error."""
-    whole = isinstance(value, (int, np.integer)) or (isinstance(value, float) and value.is_integer())
-    if whole and not isinstance(value, bool):
+    """``value`` as an int; anything ``is_whole`` refuses is an error."""
+    if is_whole(value):
         return int(value)
     raise AofLabError(f"age components must be integers, got {value!r}")
 

@@ -8,9 +8,10 @@ receiver holds at that slot, their ages, and the target.  Two usages exist:
 * dynamic-age datasets carry pre-staled features; per-age laws are built by
   grouping rows on their age vector, no shifting involved.
 
-Each label column is held as int64 codes into the space of labels it
-contains, encoded once when the dataset is built; labels appear again only
-when a column is read back, written to CSV or named in a law.  A dataset
+Each label column is held once, as int64 codes into the space of labels it
+contains, encoded when the dataset is built; labels appear again only when
+a column is read back by ``coded(var).labels()``, written to CSV or named
+in a law.  A dataset
 CSV is read by ``_util.read_csv``, which decodes its bytes and hands over
 each label column as its distinct texts plus codes, so each distinct text
 is parsed once, and written by ``_util.csv_text``, which renders each
@@ -36,12 +37,12 @@ from __future__ import annotations
 
 import math
 import warnings
-from dataclasses import dataclass, field
+from dataclasses import InitVar, dataclass, field
 from typing import TYPE_CHECKING, Mapping, NamedTuple, Sequence
 
 import numpy as np
 
-from ._util import csv_text, read_csv, read_json, render_cell, trajectory_header, write_text_atomic
+from ._util import csv_text, read_csv, read_json, render_cell, trajectory_header, whole_numbers, write_text_atomic
 from .errors import AofLabError, IncompatibleSpaceError
 from .laws import (LagStack, WindowLaw, canonical_requests, lag_stack, source_index, source_variable, variable_name,
                    window_law_of)
@@ -144,29 +145,30 @@ class Dataset:
 
     A feature or target column may be given as labels or as a
     :class:`CodedColumn`; either way ``columns`` holds the codes of x_1..x_m
-    and y against the labels each column contains, and ``xs`` and ``y``
-    hold the labels."""
+    and y against the labels each column contains, and is the only copy of
+    them the dataset keeps: ``coded(var).labels()`` reads a column's labels
+    back.  Slots and ages must be whole numbers."""
 
     t: np.ndarray
-    xs: tuple[np.ndarray, ...]
+    xs: InitVar[Sequence]
     ages: tuple[np.ndarray, ...]
-    y: np.ndarray
+    y: InitVar[Sequence]
     meta: dict = field(default_factory=dict)
     columns: tuple[CodedColumn, ...] = field(init=False, repr=False)
 
-    def __post_init__(self):
-        t = np.asarray(self.t, dtype=np.int64)
+    def __post_init__(self, xs, y):
+        t = whole_numbers(self.t, "t")
         if t.ndim != 1 or len(t) == 0:
             raise AofLabError("dataset must have at least one row")
         if np.any(np.diff(t) <= 0):
             raise AofLabError("slot indices must be strictly increasing")
-        if not self.xs:
+        if not xs:
             raise AofLabError("a trajectory needs at least one feature source")
-        if len(self.xs) != len(self.ages):
+        if len(xs) != len(self.ages):
             raise AofLabError("need one age column per feature column")
-        ages = tuple(np.asarray(col, dtype=np.int64) for col in self.ages)
+        ages = tuple(whole_numbers(col, f"age_{l}") for l, col in enumerate(self.ages, start=1))
         given = [
-            col if isinstance(col, CodedColumn) else [_plain(v) for v in col] for col in (*self.xs, self.y)
+            col if isinstance(col, CodedColumn) else [_plain(v) for v in col] for col in (*xs, y)
         ]
         for col in (*ages, *(c.codes if isinstance(c, CodedColumn) else c for c in given)):
             if len(col) != len(t):
@@ -183,16 +185,13 @@ class Dataset:
         for col in ages:
             if np.any(col < 0):
                 raise AofLabError("ages must be nonnegative")
-        labels = [col.labels() for col in columns]
         object.__setattr__(self, "t", t)
-        object.__setattr__(self, "xs", tuple(labels[:-1]))
         object.__setattr__(self, "ages", ages)
-        object.__setattr__(self, "y", labels[-1])
         object.__setattr__(self, "columns", tuple(columns))
 
     @property
     def m(self) -> int:
-        return len(self.xs)
+        return len(self.columns) - 1
 
     def __len__(self) -> int:
         return len(self.t)
@@ -458,7 +457,8 @@ def dynamic_age_law(
     """Age-vector frequencies plus one per-age joint law of (x_1..x_m, y).
 
     Rows are grouped on their age columns; features are taken as stored
-    (already staled).  Age cells with fewer than ``min_rows`` rows are
+    (already staled).  A variable's space is ``spaces[name]``, else its
+    column's own space.  Age cells with fewer than ``min_rows`` rows are
     reported together in the error message, in order of first appearance.
     """
     from .aoi import AgeDistribution
@@ -474,9 +474,9 @@ def dynamic_age_law(
         raise AofLabError(f"sparse age cells (need >= {min_rows} rows): {cells}")
 
     names = [f"x{l}" for l in range(1, dataset.m + 1)] + ["y"]
-    variables, codes = [], []
+    variables, codes, spaces = [], [], spaces or {}
     for name, column in zip(names, dataset.columns):
-        space = column.space if spaces is None else spaces[name]
+        space = spaces.get(name, column.space)
         variables.append((name, space))
         codes.append(_recode(column, column.codes, space, name))
     counts = _count([group, *codes], (len(vectors), *(len(s) for _, s in variables)))

@@ -16,7 +16,7 @@ import numpy as np
 
 from aof_lab import AgeDistribution, Dataset, JointPmf, OutcomeSpace, Pmf, WindowLaw, bayes_action, expected_loss
 from aof_lab.aoi import RESIDUAL_ATOL
-from aof_lab.laws import canonical_requests, source_index, variable_name
+from aof_lab.laws import canonical_requests, variable_name
 
 
 def enumerate_decision_rules(joint: JointPmf, target: str, given, loss) -> float:
@@ -251,7 +251,7 @@ def window_law_by_rows(dataset, requests, spaces=None) -> WindowLaw:
     its cell; the drift statistic counts every label by rescanning."""
     reqs = canonical_requests(requests)
     row_of = {int(t): i for i, t in enumerate(dataset.t)}
-    columns = [dataset.y if source_index(var) is None else dataset.xs[source_index(var) - 1] for var, _ in reqs]
+    columns = [dataset.coded(var).labels() for var, _ in reqs]
     windows = []
     for t in dataset.t:
         rows = [row_of.get(int(t) - lag) for _, lag in reqs]
@@ -284,11 +284,11 @@ def dynamic_age_law_by_rows(dataset, spaces=None):
     groups = {}
     for i in range(len(dataset)):
         groups.setdefault(tuple(int(dataset.ages[l][i]) for l in range(dataset.m)), []).append(i)
-    if spaces is None:
-        spaces = {f"x{l}": _observed_space_by_set(dataset.xs[l - 1]) for l in range(1, dataset.m + 1)}
-        spaces["y"] = _observed_space_by_set(dataset.y)
     names = [f"x{l}" for l in range(1, dataset.m + 1)] + ["y"]
-    columns = [*dataset.xs, dataset.y]
+    columns = [dataset.coded(name).labels() for name in names]
+    # a name the mapping leaves out, or every name without one, gets the
+    # labels its column holds
+    spaces = {**{name: _observed_space_by_set(col) for name, col in zip(names, columns)}, **(spaces or {})}
     variables = tuple((name, spaces[name]) for name in names)
     vectors = sorted(groups)
     laws = {}
@@ -352,8 +352,10 @@ def dataset_csv_by_rows(dataset) -> str:
     """The dataset CSV rendered one cell at a time with ``csv.writer``."""
     header = (["t"] + [f"x_{l}" for l in range(1, dataset.m + 1)]
               + [f"age_{l}" for l in range(1, dataset.m + 1)] + ["y"])
-    return csv_by_rows(header, ([int(dataset.t[i])] + [_cell_text(col[i]) for col in dataset.xs]
-                                + [int(a[i]) for a in dataset.ages] + [_cell_text(dataset.y[i])]
+    xs = [dataset.coded(f"x{l}").labels() for l in range(1, dataset.m + 1)]
+    y = dataset.coded("y").labels()
+    return csv_by_rows(header, ([int(dataset.t[i])] + [_cell_text(col[i]) for col in xs]
+                                + [int(a[i]) for a in dataset.ages] + [_cell_text(y[i])]
                                 for i in range(len(dataset))))
 
 

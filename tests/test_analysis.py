@@ -26,9 +26,11 @@ from aof_lab import (
     sample_trajectory,
     zero_one_loss,
 )
+from aof_lab import analysis
 from aof_lab import testing_loss as eval_testing_loss
 from aof_lab.analysis import cross_loss_sweep
 from aof_lab.errors import AofLabError, IncompatibleSpaceError
+from aof_lab.laws import DEFAULT_MAX_CELLS
 
 from oracles import loglog_slope, per_cell_bayes_search
 
@@ -155,6 +157,37 @@ def test_decompose_validates_path():
     prov = ExactLawProvider(_hidden(12, m=2))
     with pytest.raises(IncompatibleSpaceError):
         decompose(prov, (1, 1), log_loss(), (0, 0))
+
+
+@pytest.mark.parametrize("call,field,bad", [
+    (lambda p: min_training_loss(p, (1.5, 0), log_loss()), "delta lags", "1.5"),
+    (lambda p: min_training_loss(p, (True, 0), log_loss()), "delta lags", "True"),
+    (lambda p: loss_curve(p, [(0.9, 0), (2.2, 0)], log_loss()), "grid point lags", "0.9"),
+    (lambda p: loss_curve(p, [(0, 0), (2**63, 0)], log_loss()), "grid point lags", str(2**63)),
+    (lambda p: decompose(p, (np.float64(1.5), 1), log_loss()), "delta lags", "1.5"),
+    (lambda p: decompose(p, (2**63, 1), log_loss()), "delta lags", str(2**63)),
+    (lambda p: decompose(p, (1, 1), log_loss(), (0.5, 1)), "path", "0.5"),
+])
+def test_age_vectors_refuse_components_that_are_not_whole(call, field, bad):
+    # (1.5,) used to be read as age 1, and a grid of (0.9,), (2.2,) as (0,), (2,)
+    with pytest.raises(AofLabError, match=rf"^{field} must be whole numbers in the int64 range, got {bad}$"):
+        call(ExactLawProvider(_hidden(12, m=2)))
+
+
+def test_decompose_refuses_a_staircase_over_the_cell_cap(monkeypatch):
+    # (sum(delta) + 1) x m cells; the smallest refused sum is refused before
+    # anything is built
+    prov = ExactLawProvider(_hidden(12, m=2))
+    smallest = DEFAULT_MAX_CELLS // 2
+    with pytest.raises(AofLabError) as err:
+        decompose(prov, (smallest - 1, 1), log_loss())
+    assert str(err.value) == (f"age vector ({smallest - 1}, 1): its staircase of {smallest + 1} age vectors x 2 "
+                              f"sources is over {DEFAULT_MAX_CELLS} cells")
+    # under a cap of 12 cells, the largest accepted sum is 5
+    monkeypatch.setattr(analysis, "DEFAULT_MAX_CELLS", 12)
+    assert decompose(prov, (4, 1), log_loss()).delta == (4, 1)
+    with pytest.raises(AofLabError, match=r"^age vector \(5, 1\): its staircase of 7 age vectors x 2 sources"):
+        decompose(prov, (5, 1), log_loss())
 
 
 def test_loss_curve_markov_has_no_drops():

@@ -97,6 +97,36 @@ def test_trace_source_cap_counts_the_slots_through_the_last_delivery(tmp_path):
         DeliveryTrace.from_csv(path)
 
 
+@pytest.mark.parametrize("ages,bad", [
+    ([[0.5, 1.9]], "0.5"),
+    (np.array([[0.0, 1.5]]), "1.5"),
+    ([[0, True]], "True"),
+    ([[0, 2**63]], str(2**63)),
+    (np.array([[0, 2**63]], dtype=np.uint64), str(2**63)),
+    ([[0, float("inf")]], "inf"),
+])
+def test_age_process_refuses_ages_that_are_not_whole(ages, bad):
+    # [[0.5, 1.9]] used to be held as [[0, 1]]
+    with pytest.raises(AofLabError, match=rf"^ages must be whole numbers in the int64 range, got {bad}$"):
+        AgeProcess(ages)
+    assert AgeProcess([[0.0, 1.0]]).ages.tolist() == [[0, 1]]
+
+
+@pytest.mark.parametrize("events,source,bad", [
+    ([[(0.5, 1)]], 1, "0.5"),
+    ([[(0, 1)], [(1, 2.5)]], 2, "2.5"),
+    ([np.array([[0.0, 1.25]])], 1, "1.25"),
+    ([[(0, True)]], 1, "True"),
+    ([[(0, 2**63)]], 1, str(2**63)),
+    ([[(float("nan"), 1)]], 1, "nan"),
+])
+def test_delivery_trace_refuses_pairs_that_are_not_whole(events, source, bad):
+    field = f"source {source} pairs"
+    with pytest.raises(AofLabError, match=rf"^{field} must be whole numbers in the int64 range, got {bad}$"):
+        DeliveryTrace(events)
+    assert DeliveryTrace([[(0.0, 1.0)]]) == DeliveryTrace([[(0, 1)]])
+
+
 def test_age_process_rejects_a_horizon_beyond_the_cell_cap():
     trace = DeliveryTrace((((0, 1),), ((2, 2),)))
     horizon = DEFAULT_MAX_CELLS // 2 + 1

@@ -239,6 +239,24 @@ def test_bad_option_value_is_a_clean_error(tmp_path, args, needle):
     assert not out.exists()  # nothing written
 
 
+@pytest.mark.parametrize("law_source", ["--model", "--data"])
+@pytest.mark.parametrize("delta,needle", [
+    # beyond int64: np.repeat used to end in an OverflowError traceback
+    ("99999999999999999999", "Error: delta lags must be whole numbers in the int64 range, got 99999999999999999999"),
+    # the smallest sum whose (sum + 1) x 1 staircase passes the cell cap
+    (str(util.DEFAULT_MAX_CELLS), f"Error: age vector ({util.DEFAULT_MAX_CELLS},): its staircase of "
+                                  f"{util.DEFAULT_MAX_CELLS + 1} age vectors x 1 sources is over "
+                                  f"{util.DEFAULT_MAX_CELLS} cells"),
+])
+def test_decompose_refuses_a_staircase_it_cannot_hold(tmp_path, law_source, delta, needle):
+    assert _invoke(["--out", str(tmp_path), "gen", "--sources", "1", "--length", "200"]).exit_code == 0
+    source = tmp_path / ("model.json" if law_source == "--model" else "trajectory.csv")
+    out = tmp_path / "out"
+    res = _invoke(["--out", str(out), "decompose", law_source, str(source), "--delta", delta])
+    _assert_clean_error(res, needle)
+    assert not out.exists()
+
+
 @pytest.mark.parametrize("source", ["flag", "config"])
 def test_negative_seed_is_a_clean_error(tmp_path, source):
     config = tmp_path / "config.json"

@@ -485,10 +485,10 @@ def test_sample_trajectory_deterministic_and_consistent():
     a = sample_trajectory(model, 300, seed=4)
     b = sample_trajectory(model, 300, seed=4)
     assert np.array_equal(a.t, b.t)
-    assert all(x == y for x, y in zip(a.y, b.y))
-    assert all(x == y for x, y in zip(a.xs[0], b.xs[0]))
+    assert all(x == y for x, y in zip(a.coded("y").labels(), b.coded("y").labels()))
+    assert all(x == y for x, y in zip(a.coded("x1").labels(), b.coded("x1").labels()))
     c = sample_trajectory(model, 300, seed=5)
-    assert any(x != y for x, y in zip(a.xs[0], c.xs[0]))
+    assert any(x != y for x, y in zip(a.coded("x1").labels(), c.coded("x1").labels()))
 
 
 @pytest.mark.parametrize("window,delay", [(1, 0), (2, 1), (3, 2)])
@@ -501,7 +501,8 @@ def test_sample_trajectory_equals_per_step_oracle(window, delay):
         got = sample_trajectory(model, 3_000, seed=seed + 100)
         want = trajectory_by_steps(model, 3_000, seed=seed + 100)
         assert np.array_equal(got.t, want.t)
-        for a, b in zip([*got.xs, got.y], [*want.xs, want.y]):
+        names = [f"x{l}" for l in range(1, got.m + 1)] + ["y"]
+        for a, b in zip([got.coded(v).labels() for v in names], [want.coded(v).labels() for v in names]):
             assert list(a) == list(b)
             assert all(type(u) is type(v) for u, v in zip(a, b))
 
@@ -533,9 +534,10 @@ def test_sample_trajectory_codes_wide_windows_and_many_symbols(n_symbols, window
                                   window=window, delay=1, noise=0.5)
     got = sample_trajectory(model, 400, seed=5)
     want = trajectory_by_steps(model, 400, seed=5)
-    assert list(got.xs[0]) == list(want.xs[0]) and list(got.y) == list(want.y)
-    assert len(set(got.xs[0])) > 300
-    assert all(type(v) is int for label in got.xs[0] for v in label)
+    assert (list(got.coded("x1").labels()) == list(want.coded("x1").labels())
+            and list(got.coded("y").labels()) == list(want.coded("y").labels()))
+    assert len(set(got.coded("x1").labels())) > 300
+    assert all(type(v) is int for label in got.coded("x1").labels() for v in label)
 
 
 def test_sample_frequencies_match_stationary_marginals():
@@ -544,7 +546,7 @@ def test_sample_frequencies_match_stationary_marginals():
     ds = sample_trajectory(model, n, seed=6)
     law = exact_window_law(model, [("y", 0)])
     want = law.law.pmf("y@0").probs
-    counts = np.array([sum(1 for v in ds.y if v == k) for k in range(3)], dtype=float)
+    counts = np.array([sum(1 for v in ds.coded("y").labels() if v == k) for k in range(3)], dtype=float)
     freq = counts / counts.sum()
     # 3-sigma multinomial bounds per symbol
     sigma = np.sqrt(want * (1 - want) / n)
