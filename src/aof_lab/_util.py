@@ -58,23 +58,18 @@ def is_whole(value) -> bool:
 def whole_numbers(values, field: str) -> np.ndarray:
     """``values`` as an int64 array of their shape if every one passes
     ``is_whole``, else an ``AofLabError`` naming ``field`` and the first
-    that fails.  An integer array passes on its dtype and a float array on
-    one vectorized test; any other input is looked at one value at a
-    time."""
+    that fails.  An integer array that casts safely to int64 passes on its
+    dtype; any other input is looked at one value at a time."""
     given = values if isinstance(values, np.ndarray) else np.array(values, dtype=object)
-    if given.dtype.kind == "i":
+    if given.dtype.kind in "iu" and np.can_cast(given.dtype, np.int64):
         return given.astype(np.int64, copy=False)
-    flat, floats = given.reshape(-1), given.dtype.kind == "f"
-    if floats:
-        ok = (flat == np.trunc(flat)) & (flat >= -2.0**63) & (flat < 2.0**63)
-    else:
-        ok = np.fromiter(map(is_whole, flat), bool, len(flat))
+    flat = given.reshape(-1)
+    ok = np.fromiter(map(is_whole, flat), bool, len(flat))
     if not ok.all():
         bad = flat[int(np.argmin(ok))]
         bad = bad.item() if isinstance(bad, np.generic) else bad
         raise AofLabError(f"{field} must be whole numbers in the int64 range, got {bad!r}")
-    whole = flat.astype(np.int64) if floats else np.fromiter(map(int, flat), np.int64, len(flat))
-    return whole.reshape(given.shape)
+    return np.fromiter(map(int, flat), np.int64, len(flat)).reshape(given.shape)
 
 
 def thread_count() -> int:

@@ -243,7 +243,7 @@ def test_bad_option_value_is_a_clean_error(tmp_path, args, needle):
 @pytest.mark.parametrize("delta,needle", [
     # beyond int64: np.repeat used to end in an OverflowError traceback
     ("99999999999999999999", "Error: delta lags must be whole numbers in the int64 range, got 99999999999999999999"),
-    # the smallest sum whose (sum + 1) x 1 staircase passes the cell cap
+    # the smallest sum whose (sum + 1) x 1 staircase is over the cell cap
     (str(util.DEFAULT_MAX_CELLS), f"Error: age vector ({util.DEFAULT_MAX_CELLS},): its staircase of "
                                   f"{util.DEFAULT_MAX_CELLS + 1} age vectors x 1 sources is over "
                                   f"{util.DEFAULT_MAX_CELLS} cells"),

@@ -490,6 +490,10 @@ def test_dataset_refuses_slots_and_ages_that_are_not_whole(field, values, bad):
     ds = Dataset(t=[0.0, 1.0, 3.0], xs=(["a", "b", "a"],), ages=(np.array([2, 0, 1], dtype=np.int32),), y=[0, 1, 0])
     assert ds.t.tolist() == [0, 1, 3] and ds.ages[0].tolist() == [2, 0, 1]
     assert ds.t.dtype == ds.ages[0].dtype == np.int64
+    ds = Dataset(t=np.array([0, 1, 3], dtype=np.uint32), xs=(["a", "b", "a"],),
+                 ages=(np.array([2, 0, 1], dtype=np.uint16),), y=[0, 1, 0])
+    assert ds.t.tolist() == [0, 1, 3] and ds.ages[0].tolist() == [2, 0, 1]
+    assert ds.t.dtype == ds.ages[0].dtype == np.int64
 
 
 def test_csv_reads_in_batches_and_names_the_bad_line(tmp_path, monkeypatch):
