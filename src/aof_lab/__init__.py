@@ -35,8 +35,7 @@ _EXPORTS = {
         "stochastic_order_univariate",
     ),
     "analysis": (
-        "DecompositionReport", "LossCurve", "TestingComparison", "TrainingComparison", "compare_experiments",
-        "compare_testing_experiments", "decompose", "dynamic_joint", "joint_training_loss", "loss_curve",
+        "DecompositionReport", "LossCurve", "decompose", "dynamic_joint", "joint_training_loss", "loss_curve",
         "min_training_loss", "testing_loss",
     ),
     "divergence": (

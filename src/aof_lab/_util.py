@@ -250,8 +250,9 @@ def _join(wanted, blocks, labels):
             parts[name].append(column)
     if not parts[wanted[0]]:
         return None
-    return {name: (list(texts[name]), np.concatenate(part)) if name in texts else np.concatenate(part)
-            for name, part in parts.items()}
+    # each column's parts are popped as it is joined, so they are freed one column at a time
+    joined = {name: np.concatenate(parts.pop(name)) for name in wanted}
+    return {name: (list(texts[name]), column) if name in texts else column for name, column in joined.items()}
 
 
 def _parsed_blocks(reader, wanted, labels, blank):

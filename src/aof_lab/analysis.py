@@ -26,8 +26,8 @@ one provider's age-weighted joint, scored on another's under the same ages.
 :func:`cross_loss_sweep` mixes the test laws toward the training ones from
 the two constant-age stacks, each built once.
 
-``aoi`` and ``divergence`` are imported inside the functions that call
-them, so a loss curve or a decomposition loads neither module.
+``aoi`` serves type hints only and ``divergence`` is imported inside
+:func:`cross_loss_sweep`, so a loss curve or a decomposition loads neither.
 """
 
 from __future__ import annotations
@@ -46,8 +46,7 @@ from .losses import LossSpec
 from .spaces import JointPmf, OutcomeSpace
 
 if TYPE_CHECKING:  # pragma: no cover
-    from .aoi import AgeDistribution, OrderingVerdict
-    from .divergence import BetaReport, EpsilonReport
+    from .aoi import AgeDistribution
 
 AgeVector = tuple[int, ...]
 
@@ -274,71 +273,6 @@ def joint_training_loss(
     return conditional_entropy(joint, "y", features, loss)
 
 
-@dataclass(frozen=True)
-class TrainingComparison:
-    """Joint training losses of two experiments with ordered age laws."""
-
-    loss_smaller: float
-    loss_larger: float
-    difference: float
-    violation: float
-    ordering: OrderingVerdict
-    epsilon_report: EpsilonReport
-
-    @property
-    def hypothesis_ok(self) -> bool:
-        return self.ordering.holds
-
-    def to_json_dict(self) -> dict:
-        return {
-            "loss_smaller": self.loss_smaller,
-            "loss_larger": self.loss_larger,
-            "difference": self.difference,
-            "violation": self.violation,
-            "ordering": self.ordering.to_json_dict(),
-            "epsilon": self.epsilon_report.to_json_dict(),
-        }
-
-
-def _epsilon_or_default(laws, tau_max, mu_max, *age_dists: AgeDistribution) -> EpsilonReport:
-    """The provider's coefficient, caps defaulting to the largest age component (at least 2)."""
-    from .divergence import epsilon_coefficient
-
-    cap = max(2, max(max(max(vec) for vec in d.vectors) for d in age_dists))
-    return epsilon_coefficient(laws, cap if tau_max is None else tau_max, cap if mu_max is None else mu_max)
-
-
-def compare_experiments(
-    laws: LawProvider,
-    ages_smaller: AgeDistribution,
-    ages_larger: AgeDistribution,
-    loss: LossSpec,
-    tau_max: int | None = None,
-    mu_max: int | None = None,
-) -> TrainingComparison:
-    """Compare joint training losses under stochastically ordered age laws.
-
-    An unmet ordering hypothesis is reported in the verdict rather than
-    raised.  The provider's Markov-deviation coefficient is measured (caps
-    default to the largest age component, at least 2) alongside.
-    """
-    from .aoi import stochastic_order_multivariate
-
-    verdict = stochastic_order_multivariate(ages_smaller, ages_larger)
-    loss_c = joint_training_loss(laws, ages_smaller, loss, with_age_feature=True)
-    loss_d = joint_training_loss(laws, ages_larger, loss, with_age_feature=True)
-    epsilon_report = _epsilon_or_default(laws, tau_max, mu_max, ages_smaller, ages_larger)
-    diff = loss_c - loss_d
-    return TrainingComparison(
-        loss_smaller=float(loss_c),
-        loss_larger=float(loss_d),
-        difference=float(diff),
-        violation=float(max(0.0, diff)),
-        ordering=verdict,
-        epsilon_report=epsilon_report,
-    )
-
-
 def testing_loss(train_laws: LawProvider, test_laws: LawProvider, ages: AgeDistribution, loss: LossSpec) -> float:
     """Expected test-law loss of per-cell Bayes actions trained elsewhere.
 
@@ -376,61 +310,3 @@ def cross_loss_sweep(
         testing = _joint_testing_loss(joint_test, joint_train, loss)
         results.append((beta_between(joint_train, joint_test).beta, testing))
     return training, results
-
-
-@dataclass(frozen=True)
-class TestingComparison:
-    """Testing losses of two experiments with ordered age laws."""
-
-    testing_smaller: float
-    testing_larger: float
-    difference: float
-    violation: float
-    ordering: OrderingVerdict
-    epsilon_report: EpsilonReport
-    beta_smaller: BetaReport
-    beta_larger: BetaReport
-
-    def to_json_dict(self) -> dict:
-        return {
-            "testing_smaller": self.testing_smaller,
-            "testing_larger": self.testing_larger,
-            "difference": self.difference,
-            "violation": self.violation,
-            "ordering": self.ordering.to_json_dict(),
-            "epsilon": self.epsilon_report.to_json_dict(),
-            "beta_smaller": self.beta_smaller.to_json_dict(),
-            "beta_larger": self.beta_larger.to_json_dict(),
-        }
-
-
-def compare_testing_experiments(
-    train_laws: LawProvider,
-    test_laws: LawProvider,
-    ages_smaller: AgeDistribution,
-    ages_larger: AgeDistribution,
-    loss: LossSpec,
-    tau_max: int | None = None,
-    mu_max: int | None = None,
-) -> TestingComparison:
-    """:func:`testing_loss` under two ordered age laws, with the train/test
-    mismatch radius of each experiment's two joints alongside."""
-    from .aoi import stochastic_order_multivariate
-    from .divergence import beta_between
-
-    verdict = stochastic_order_multivariate(ages_smaller, ages_larger)
-    joints = [(dynamic_joint(train_laws, a), dynamic_joint(test_laws, a)) for a in (ages_smaller, ages_larger)]
-    t_c, t_d = (_joint_testing_loss(test, train, loss) for train, test in joints)
-    beta_c, beta_d = (beta_between(train, test) for train, test in joints)
-    epsilon_report = _epsilon_or_default(train_laws, tau_max, mu_max, ages_smaller, ages_larger)
-    diff = t_c - t_d
-    return TestingComparison(
-        testing_smaller=float(t_c),
-        testing_larger=float(t_d),
-        difference=float(diff),
-        violation=float(max(0.0, diff)),
-        ordering=verdict,
-        epsilon_report=epsilon_report,
-        beta_smaller=beta_c,
-        beta_larger=beta_d,
-    )

@@ -211,7 +211,8 @@ class Dataset:
     def from_csv(cls, path) -> "Dataset":
         def labels(texts, codes) -> CodedColumn:
             parsed = _encode([_parse_cell(text) for text in texts])
-            return CodedColumn(parsed.space, parsed.codes[codes])
+            # in place: the joined codes belong to this read, and a copy would be a second rows-sized array
+            return CodedColumn(parsed.space, np.take(parsed.codes, codes, out=codes))
 
         def from_columns(columns):
             sources = range(1, (len(columns) - 2) // 2 + 1)

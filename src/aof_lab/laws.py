@@ -26,7 +26,7 @@ from typing import Protocol, Sequence
 
 import numpy as np
 
-from ._util import DEFAULT_MAX_CELLS
+from ._util import DEFAULT_MAX_CELLS, is_whole
 from .errors import IncompatibleSpaceError
 from .spaces import JointPmf, OutcomeSpace
 
@@ -41,9 +41,13 @@ STACK_CELLS = 2**18
 
 
 def parse_request(req) -> tuple[int, int]:
-    """``(source, lag)`` of a ``(variable, lag)`` request, source 0 for 'y'."""
+    """``(source, lag)`` of a ``(variable, lag)`` request, source 0 for 'y'.
+    A lag must pass ``is_whole``: 1.5 or ``True`` is refused, not truncated."""
     var, lag = req
-    var, lag = str(var), int(lag)
+    var = str(var)
+    if not is_whole(lag):
+        raise IncompatibleSpaceError(f"lag of {var!r} must be a whole number in the int64 range, got {lag!r}")
+    lag = int(lag)
     if lag < 0:
         raise IncompatibleSpaceError(f"lags must be nonnegative, got {lag} for {var!r}")
     if var != "y" and not (var.startswith("x") and var[1:].isdigit() and int(var[1:]) >= 1):

@@ -44,7 +44,8 @@ from typing import TYPE_CHECKING, Sequence
 
 import numpy as np
 
-from ._util import CSV_CHUNK_ROWS, csv_table, csv_text, read_json, render_cell, trajectory_header, write_text_atomic
+from ._util import (CSV_CHUNK_ROWS, csv_table, csv_text, is_whole, read_json, render_cell, trajectory_header,
+                    write_text_atomic)
 from .errors import AofLabError, IncompatibleSpaceError, NotNormalizedError
 from .laws import DEFAULT_MAX_CELLS, STACK_CELLS, LagStack, MixtureLawProvider, WindowLaw, window_law_of
 from .spaces import NORMALIZATION_ATOL, OutcomeSpace
@@ -142,12 +143,16 @@ class ProcessModel:
         if target_kernel.shape != (n, len(self.target_space)):
             raise IncompatibleSpaceError(f"target kernel has shape {target_kernel.shape}, want (states, targets) "
                                          f"= {(n, len(self.target_space))}")
-        if self.window < 1:
-            raise AofLabError(f"window must be >= 1, got {self.window}")
-        if self.delay < 0:
-            raise AofLabError(f"delay must be >= 0, got {self.delay}")
-        checked = {"states": states, "transition": transition, "stationary": stationary,
-                   "emissions": emissions, "emission_spaces": spaces, "target_kernel": target_kernel}
+        for name in ("window", "delay"):
+            if not is_whole(getattr(self, name)):
+                raise AofLabError(f"{name} must be a whole number in the int64 range, got {getattr(self, name)!r}")
+        window, delay = int(self.window), int(self.delay)
+        if window < 1:
+            raise AofLabError(f"window must be >= 1, got {window}")
+        if delay < 0:
+            raise AofLabError(f"delay must be >= 0, got {delay}")
+        checked = {"states": states, "transition": transition, "stationary": stationary, "emissions": emissions,
+                   "emission_spaces": spaces, "target_kernel": target_kernel, "window": window, "delay": delay}
         for name, value in checked.items():
             object.__setattr__(self, name, value)
 

@@ -9,12 +9,9 @@ from aof_lab import (
     OutcomeSpace,
     ProcessModel,
     beta_between,
-    compare_experiments,
-    compare_testing_experiments,
     conditional_entropy,
     decompose,
     dynamic_joint,
-    epsilon_coefficient,
     joint_training_loss,
     log_loss,
     loss_curve,
@@ -255,29 +252,6 @@ def test_joint_training_gap_seed():
     assert gap > 0.01
 
 
-def test_compare_experiments_equal_and_ordered():
-    model = make_markov_observable(17, n_states=3, n_sources=1, n_targets=2)
-    prov = ExactLawProvider(model)
-    ages = AgeDistribution.uniform([(1,), (2,)])
-    rep = compare_experiments(prov, ages, ages, log_loss(), tau_max=1, mu_max=1)
-    assert rep.difference == 0.0
-    assert rep.hypothesis_ok
-    older = AgeDistribution.uniform([(2,), (3,)])
-    rep2 = compare_experiments(prov, ages, older, log_loss(), tau_max=1, mu_max=1)
-    assert rep2.hypothesis_ok
-    assert rep2.loss_smaller <= rep2.loss_larger + 1e-9
-    assert rep2.epsilon_report.epsilon <= 1e-9
-
-
-def test_compare_experiments_reports_unmet_hypothesis():
-    prov = ExactLawProvider(_hidden(18))
-    a = AgeDistribution.point_mass((2,))
-    b = AgeDistribution.point_mass((1,))
-    rep = compare_experiments(prov, a, b, log_loss(), tau_max=1, mu_max=1)
-    assert not rep.hypothesis_ok
-    assert rep.ordering.witness is not None
-
-
 def test_testing_loss_self_equals_training():
     prov = ExactLawProvider(_hidden(19))
     ages = AgeDistribution.uniform([(0,), (2,)])
@@ -308,18 +282,6 @@ def test_testing_gap_scales_linearly_with_beta():
     assert loglog_slope(betas, gaps) >= 0.8
     mix0 = MixtureLawProvider(base=train, other=other, eta=0.0)
     assert abs(eval_testing_loss(train, mix0, ages, log_loss()) - training) <= 1e-12
-
-
-def test_compare_testing_experiments_limit_case():
-    model = make_markov_observable(22, n_states=3, n_sources=1, n_targets=2)
-    prov = ExactLawProvider(model)
-    a = AgeDistribution.uniform([(0,), (1,)])
-    b = AgeDistribution.uniform([(1,), (2,)])
-    rep = compare_testing_experiments(prov, prov, a, b, log_loss(), tau_max=1, mu_max=1)
-    assert rep.ordering.holds
-    assert rep.beta_smaller.beta == 0.0 and rep.beta_larger.beta == 0.0
-    assert rep.epsilon_report.epsilon <= 1e-9
-    assert rep.testing_smaller <= rep.testing_larger + 1e-9
 
 
 def test_dynamic_joint_is_normalized_mixture():
@@ -406,21 +368,6 @@ def test_cross_loss_sweep_validates_weights_and_providers():
         cross_loss_sweep(train, wide, ages, log_loss(), [1.0])
     with pytest.raises(IncompatibleSpaceError, match="disagree on sources: age vectors of length 1, 2 sources"):
         cross_loss_sweep(wide, wide, ages, log_loss(), [1.0])
-
-
-@pytest.mark.parametrize("shape", GEN_SHAPES)
-def test_compare_testing_experiments_equals_its_parts(shape):
-    train, test = _gen_pair(shape, 70)
-    a, b = _age_law(shape[0], 1, 71), _age_law(shape[0], 2, 72)
-    loss = quadratic_loss()
-    rep = compare_testing_experiments(train, test, a, b, loss, tau_max=1, mu_max=1)
-    assert rep.testing_smaller == eval_testing_loss(train, test, a, loss)
-    assert rep.testing_larger == eval_testing_loss(train, test, b, loss)
-    assert rep.beta_smaller == beta_between(dynamic_joint(train, a), dynamic_joint(test, a))
-    assert rep.beta_larger == beta_between(dynamic_joint(train, b), dynamic_joint(test, b))
-    assert rep.difference == rep.testing_smaller - rep.testing_larger
-    assert rep.violation == max(0.0, rep.difference)
-    assert np.array_equal(rep.epsilon_report.grid, epsilon_coefficient(train, 1, 1).grid)
 
 
 def _entropy_from_window_law(prov, pairs, loss):

@@ -192,6 +192,36 @@ def test_model_checks_run_before_the_stationary_law(tmp_path, transition, messag
     assert res.output.strip() == f"Error: {path}: {message}"
 
 
+@pytest.mark.parametrize("key,value", [("window", 1.5), ("window", True), ("delay", 0.5), ("delay", True)],
+                         ids=["window-fraction", "window-bool", "delay-fraction", "delay-bool"])
+@pytest.mark.parametrize("command", [["epsilon"], ["age-curve", "--grid", "0"]], ids=["epsilon", "age-curve"])
+def test_model_window_and_delay_that_are_not_whole_are_a_clean_error(tmp_path, key, value, command):
+    assert _invoke(["--out", str(tmp_path), "gen"]).exit_code == 0
+    path = tmp_path / "bad.json"
+    model = json.loads((tmp_path / "model.json").read_text())
+    path.write_text(json.dumps({**model, key: value}))
+    out = tmp_path / "out"
+    res = _invoke(["--out", str(out), command[0], "--model", str(path), *command[1:]])
+    _assert_clean_error(res)
+    assert res.output.strip() == f"Error: {path}: {key} must be a whole number in the int64 range, got {value!r}"
+    assert not out.exists()
+
+
+def test_model_window_and_delay_given_as_whole_floats_read_as_ints(tmp_path):
+    assert _invoke(["--out", str(tmp_path), "gen", "--window", "2", "--delay", "1"]).exit_code == 0
+    model = json.loads((tmp_path / "model.json").read_text())
+    (tmp_path / "floats.json").write_text(json.dumps({**model, "window": 2.0, "delay": 1.0}))
+    for name in ("model", "floats"):
+        res = _invoke(["--out", str(tmp_path / name), "age-curve", "--model", str(tmp_path / f"{name}.json"),
+                       "--grid", "0..2"])
+        assert res.exit_code == 0, res.output
+    floats = ProcessModel.load(tmp_path / "floats.json")
+    assert (type(floats.window), type(floats.delay)) == (int, int)
+    assert floats.to_json_dict() == ProcessModel.load(tmp_path / "model.json").to_json_dict()
+    curve = [(tmp_path / name / "curve.csv").read_bytes() for name in ("model", "floats")]
+    assert curve[0] == curve[1]
+
+
 @pytest.mark.parametrize("args,needle", [
     (["age-curve", "--model", "{model}", "--grid", "0..x"], "--grid"),
     (["age-curve", "--model", "{model}", "--grid", "0..2;1"], "--grid"),
@@ -646,6 +676,24 @@ def test_epsilon_rejects_oversized_laws_naming_the_flags(tmp_path):
     res = _invoke(["--out", str(tmp_path), "epsilon", "--model", str(tmp_path / "model.json")])
     assert res.exit_code != 0
     assert "--lag-cap" in res.output and "--tau-max" in res.output and "--mu-max" in res.output
+
+
+@pytest.mark.parametrize("law_source", ["--model", "--data"])
+@pytest.mark.parametrize("caps,message", [
+    (["--tau-max", "-1"], "lag caps must be nonnegative"),
+    (["--mu-max", "-1"], "lag caps must be nonnegative"),
+    (["--lag-cap", "-1"], "lag caps must be nonnegative"),
+    (["--mu-max", "0"], "empty lag grid: mu_max must allow a nonzero lag"),
+], ids=["tau-negative", "mu-negative", "lag-cap-negative", "mu-zero"])
+def test_epsilon_refuses_a_negative_or_empty_lag_grid(tmp_path, law_source, caps, message):
+    assert _invoke(["--out", str(tmp_path), "gen", "--length", "200"]).exit_code == 0
+    source = tmp_path / ("model.json" if law_source == "--model" else "trajectory.csv")
+    out = tmp_path / "out"
+    lag_cap, caps = (caps, []) if caps[0] == "--lag-cap" else ([], caps)
+    res = _invoke(["--out", str(out), *lag_cap, "epsilon", law_source, str(source), *caps])
+    _assert_clean_error(res)
+    assert res.output.strip() == f"Error: {message}"
+    assert not out.exists()
 
 
 def test_beta_same_file_zero(tmp_path):

@@ -26,6 +26,7 @@ from aof_lab import (
     smooth,
 )
 from aof_lab import ingest
+from aof_lab._util import CSV_CHUNK_ROWS
 from aof_lab.errors import AofLabError, IncompatibleSpaceError
 from aof_lab.ingest import CodedColumn
 from aof_lab.laws import LagStack, canonical_requests, variable_name
@@ -643,6 +644,28 @@ def test_a_dataset_holds_each_column_once_as_int64(tmp_path, m):
             tracemalloc.stop()
         assert held <= (2 + 2 * m) * 8 * rows + DATASET_HELD_MARGIN, name
         assert not label_arrays, name
+
+
+# bytes per row that reading a dataset may peak above what it then holds,
+# beyond one int64 copy per code column (the dataset compacts each while the
+# joined codes are still held); measured: 1 B/row, a bool check
+FROM_CSV_PEAK_SLACK = 4
+
+
+@pytest.mark.parametrize("m", [1, 2])
+def test_reading_a_dataset_peaks_one_code_copy_above_what_it_holds(tmp_path, m):
+    # enough rows that per-row copies, not the per-block buffers, set the peak
+    n = 16 * CSV_CHUNK_ROWS
+    model = make_hidden_nonmarkov(50 + m, n_states=3, n_sources=m, n_symbols=2, n_targets=2, noise=0.3)
+    path = tmp_path / "ds.csv"
+    sample_trajectory(model, n, seed=m).to_csv(path)
+    tracemalloc.start()
+    try:
+        ds = Dataset.from_csv(path)
+        held, peak = tracemalloc.get_traced_memory()
+    finally:
+        tracemalloc.stop()
+    assert peak - held <= ((m + 1) * 8 + FROM_CSV_PEAK_SLACK) * len(ds)
 
 
 def _drifting_dataset(n=200):

@@ -17,7 +17,7 @@ SRC = Path(__file__).resolve().parent.parent / "src"
 
 
 def test_every_public_name_is_the_object_of_its_module():
-    assert len(aof_lab.__all__) == 64
+    assert len(aof_lab.__all__) == 60
     assert aof_lab.__all__ == sorted(set(aof_lab.__all__))
     for module, names in aof_lab._EXPORTS.items():
         owner = importlib.import_module(f"aof_lab.{module}")

@@ -181,6 +181,21 @@ def test_lag_stack_rejects_a_request_it_cannot_read(req, message):
         lag_stack([[("y", 0), req]])
     assert str(err.value) == message
 
+@pytest.mark.parametrize("lag", [1.5, True, float("nan"), 2**63], ids=["fraction", "bool", "nan", "over-int64"])
+@pytest.mark.parametrize("call", ["exact", "empirical", "lag_stack"])
+def test_a_lag_that_is_not_whole_is_refused_not_truncated(call, lag):
+    req = [("y", 0), ("x1", lag)]
+    with pytest.raises(IncompatibleSpaceError) as err:
+        lag_stack([req]) if call == "lag_stack" else _three_providers(5, 1, 1, 0)[call].window_law(req)
+    assert str(err.value) == f"lag of 'x1' must be a whole number in the int64 range, got {lag!r}"
+
+
+def test_whole_float_and_numpy_lags_read_as_ints():
+    stack = lag_stack([[("y", np.int32(0)), ("x1", 2.0)], [("y", 0), ("x1", np.uint64(3))]])
+    assert stack.requests(0) == (("y", 0), ("x1", 2)) and stack.requests(1) == (("y", 0), ("x1", 3))
+    assert all(type(lag) is int for _, lag in canonical_requests([("x1", np.float64(4.0)), ("y", np.int8(1))]))
+
+
 @pytest.mark.parametrize("kind", ["exact", "empirical", "mixture"])
 def test_window_law_stack_rejects_a_source_above_m(kind):
     provider = _three_providers(5, 2, 1, 0)[kind]
@@ -401,6 +416,14 @@ def test_oversized_gap_rejected_before_allocation():
     finally:
         tracemalloc.stop()
     assert peak < 2**20
+
+
+def test_an_unrolled_law_over_the_cell_cap_is_refused():
+    # x1 read twice 20 slots apart: no read merges, 2**11 x 2**11 x 2 cells x 4 states
+    provider = ExactLawProvider(make_hidden_nonmarkov(3, window=11))
+    with pytest.raises(AofLabError) as err:
+        provider.window_law([("y", 0), ("x1", 0), ("x1", 20)])
+    assert str(err.value) == f"unrolled law would need {2**22 * 2 * 4} cells (cap {DEFAULT_MAX_CELLS})"
 
 
 # Bytes the traced peak of gen's write path may gain from 20,000 to 200,000
