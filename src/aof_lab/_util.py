@@ -25,6 +25,7 @@ one ``csv.writer`` pass."""
 from __future__ import annotations
 
 import csv
+import ctypes
 import io
 import itertools
 import json
@@ -70,6 +71,23 @@ def whole_numbers(values, field: str) -> np.ndarray:
         bad = bad.item() if isinstance(bad, np.generic) else bad
         raise AofLabError(f"{field} must be whole numbers in the int64 range, got {bad!r}")
     return np.fromiter(map(int, flat), np.int64, len(flat)).reshape(given.shape)
+
+
+def keep_heap_pages(nbytes: int) -> None:
+    """Allocate and free one untouched block of ``nbytes`` through the C
+    allocator.  glibc unmaps a freed block above its mmap threshold and
+    raises that threshold to the block's size, and its heap trim threshold
+    to twice it (mallopt(3)), so a loop whose temporaries stay below the
+    block then reuses heap pages instead of faulting fresh ones in on every
+    pass.  The block bypasses numpy, so tracemalloc does not count it; where
+    no C allocator can be reached this does nothing."""
+    try:
+        libc = ctypes.CDLL(None)
+        libc.malloc.restype = ctypes.c_void_p
+        libc.free.argtypes = (ctypes.c_void_p,)
+    except (OSError, AttributeError, TypeError):
+        return
+    libc.free(libc.malloc(nbytes))
 
 
 def thread_count() -> int:

@@ -60,6 +60,20 @@ def _age_vector(delta: Sequence[int], m: int, field: str = "delta") -> AgeVector
     return vec
 
 
+def _age_vectors(grid: Sequence[Sequence[int]], m: int) -> list[AgeVector]:
+    """``_age_vector`` of every grid point.  A rectangular grid of whole,
+    nonnegative numbers is checked in one ``whole_numbers`` call; any other
+    grid point by point, so the error names the first bad point as before."""
+    points = list(grid)
+    try:
+        table = whole_numbers(points, "grid point lags")
+    except AofLabError:
+        table = None
+    if table is not None and len(points) and table.shape == (len(points), m) and table.min() >= 0:
+        return list(map(tuple, table.tolist()))
+    return [_age_vector(g, m, "grid point") for g in points]
+
+
 def _constant_age_laws(laws: LawProvider, lags, sources: Sequence[int] | None = None) -> np.ndarray:
     """Laws of (x@lag per source, y@0) per row of ``lags``, ``sources`` by default 1..m, as one stack."""
     lags = np.asarray(lags)
@@ -215,7 +229,7 @@ class LossCurve:
 
 def loss_curve(laws: LawProvider, grid: Sequence[Sequence[int]], loss: LossSpec) -> LossCurve:
     """Evaluate the minimum training loss over a grid of age vectors."""
-    vectors = [_age_vector(g, laws.m, "grid point") for g in grid]
+    vectors = _age_vectors(grid, laws.m)
     if not vectors:
         raise AofLabError("grid must hold at least one age vector")
     seen = set()

@@ -15,13 +15,16 @@ One kernel computes the conditional mutual information, over a stack of
 a stack of one.  It scores the stack in place, a block of whole cubes at a
 time, overwriting the laws with their chi-squared terms, so it allocates
 nothing larger than a block; a caller hands it a stack it owns
-(``chi2_conditional_mi`` copies the joint's).  ``epsilon_coefficient`` walks
+(``chi2_conditional_mi`` copies the joint's).  A block of laws (no negative
+cell, no conditioning mass above one) needs no zero-reference mask; any
+other block is checked cell by cell.  ``epsilon_coefficient`` walks
 the lag grid one layout at a time (the sources whose future lag is nonzero).
 It builds each chunk's lags from its own point indices as a ``LagStack``
 in cube order (x at tau, y at 0, x at tau + mu), so every stack the provider
 returns is already a stack of cubes and no grid-sized table but the values
-is made, scatters the values into the lexicographic grid, and drops each
-chunk's laws before the next chunk is built.
+is made, and scatters the values into the lexicographic grid.  Every chunk
+is built into one buffer, allocated for the largest chunk, and the C heap
+is asked to keep the pages of each chunk's temporaries for the next.
 ``epsilon_sweep`` shares that walk: for a family of mixtures ``(1 - eta) *
 base + eta * other`` it builds each chunk's two endpoint stacks once and
 mixes and scores them per ``eta``.
@@ -36,6 +39,7 @@ from typing import TYPE_CHECKING, Iterable, Sequence
 
 import numpy as np
 
+from ._util import keep_heap_pages
 from .errors import AofLabError, IncompatibleSpaceError, PositivityError, ReferenceNotInteriorError
 from .laws import DEFAULT_MAX_CELLS, STACK_CELLS, LagStack, MixtureLawProvider
 from .spaces import JointPmf, OutcomeSpace, Pmf, check_same_variables, grid_label
@@ -47,6 +51,10 @@ POSITIVITY_ATOL = 1e-15
 # cells in a block of the chi-squared kernel: a quarter stack, so a block,
 # its product reference and its P(x, z) stay in a core's cache together
 _BLOCK_CELLS = STACK_CELLS // 4
+
+# the least positive float64: the reference a zero-reference cell of a block
+# of laws takes, so that its term rounds to zero with no mask
+_SMALLEST_SUBNORMAL = 5e-324
 
 # grid points whose epsilon lies this close to the maximum tie for the argmax
 EPSILON_TIE_ATOL = 1e-12
@@ -106,12 +114,39 @@ def _chi2_cmi_stack(cubes: np.ndarray, x_spaces: Sequence[OutcomeSpace]) -> np.n
     return values
 
 
+def _sum_last(a: np.ndarray) -> np.ndarray:
+    """``a.sum(axis=-1)`` with the same bits.  numpy adds a contiguous axis
+    shorter than 16 one row at a time: below 8 in order, else the first 8
+    paired up and the rest in order.  Adding slices in that order gives the
+    same sums without a call per row."""
+    n = a.shape[-1]
+    if not 2 <= n < 16:
+        return a.sum(axis=-1)
+    if n < 8:
+        s = a[..., 0] + a[..., 1]
+        rest = range(2, n)
+    else:
+        s = (a[..., 0] + a[..., 1]) + (a[..., 2] + a[..., 3])
+        s += (a[..., 4] + a[..., 5]) + (a[..., 6] + a[..., 7])
+        rest = range(8, n)
+    for k in rest:
+        s += a[..., k]
+    return s
+
+
 def _chi2_cmi_block(block: np.ndarray, out: np.ndarray) -> np.ndarray:
     """Which conditioning cells of a block of cubes put mass on a zero
     product-reference cell; if none does, the block is scored in place and
-    its values are written to ``out``."""
-    w = block.sum(axis=(2, 3))
-    py = block.sum(axis=3)
+    its values are written to ``out``.
+
+    A block of laws needs no zero mask.  If no cell is negative and no
+    conditioning mass exceeds one, a reference is zero only where ``py *
+    pz``, at least the square of the cell, rounds to zero: the cell is then
+    below 1.6e-162, so it does not stray, and with the reference raised to
+    the smallest subnormal its term still rounds to the zero it adds with an
+    infinite one.  Any other block takes the full mask and stray scan."""
+    w = _sum_last(block.reshape(*block.shape[:2], -1))
+    py = _sum_last(block)
     if 2 <= block.shape[2] < 8:
         # numpy adds so short a strided axis in order, so adding its slices
         # in turn gives the same bits without the strided reduction
@@ -120,18 +155,21 @@ def _chi2_cmi_block(block: np.ndarray, out: np.ndarray) -> np.ndarray:
             pz += block[:, :, k]
     else:
         pz = block.sum(axis=2)
-    ref = py[:, :, :, None] * pz[:, :, None, :]
+    # one product per cell, so einsum's faster outer product has the same bits
+    ref = np.einsum("gxy,gxz->gxyz", py, pz)
     # a conditioning cell without mass has an all-zero slab and reference
     ref /= np.where(w > 0.0, w, 1.0)[:, :, None, None]
-    zero = ref == 0.0
-    has_zero = zero.any()
-    if has_zero:
+    if w.max() <= 1.0 and block.min() >= 0.0:
+        np.maximum(ref, _SMALLEST_SUBNORMAL, out=ref)
+        zero = None
+    else:
+        zero = ref == 0.0
         stray = ((block > POSITIVITY_ATOL) & zero).any(axis=(0, 2, 3))
         if stray.any():
             return stray
     np.subtract(block, ref, out=block)
     block *= block
-    if has_zero:
+    if zero is not None:
         # after the subtraction, which would turn inf into nan: such a cell
         # holds at most POSITIVITY_ATOL and adds zero
         np.copyto(ref, np.inf, where=zero)
@@ -210,7 +248,7 @@ def epsilon_coefficient(laws: "LawProvider", tau_max: int = 8, mu_max: int = 8) 
     the split into conditioning and future blocks.  A model whose laws
     exceed ``DEFAULT_MAX_CELLS`` cells is rejected before any law is built.
     """
-    return _epsilon_reports(laws, tau_max, mu_max, 1, lambda stack: [laws.window_law_stack(stack)])[0]
+    return _epsilon_reports(laws, tau_max, mu_max, 1, lambda stack, out: [laws.window_law_stack(stack, out)])[0]
 
 
 def epsilon_sweep(
@@ -221,17 +259,20 @@ def epsilon_sweep(
     its laws once and mixes the two stacks per ``eta``."""
     mixtures = [MixtureLawProvider(base, other, eta) for eta in etas]
 
-    def stacks(stack):
+    def stacks(stack, out):
         a, b = base.window_law_stack(stack), other.window_law_stack(stack)
-        return (mixture.mix(a, b) for mixture in mixtures)
+        return (mixture.mix(a, b, out) for mixture in mixtures)
 
     return _epsilon_reports(base, tau_max, mu_max, len(etas), stacks)
 
 
 def _epsilon_reports(laws: "LawProvider", tau_max: int, mu_max: int, n_reports: int, stacks) -> list[EpsilonReport]:
     """Walk the lag grid of :func:`epsilon_coefficient` on the spaces of
-    ``laws``; ``stacks(stack)`` yields ``n_reports`` law stacks of a
-    :class:`LagStack`, one per report."""
+    ``laws``; ``stacks(stack, out)`` yields ``n_reports`` law stacks of a
+    :class:`LagStack`, one per report, each built into ``out`` if its
+    provider takes it.  ``out`` is a view of one buffer, allocated for the
+    largest chunk and reused by every chunk, so no chunk's laws are freed
+    and faulted in again."""
     if tau_max < 0 or mu_max < 0:
         raise IncompatibleSpaceError("lag caps must be nonnegative")
     m = laws.m
@@ -251,25 +292,31 @@ def _epsilon_reports(laws: "LawProvider", tau_max: int, mu_max: int, n_reports: 
             "so use a model with fewer sources, fewer symbols or a shorter window"
         )
 
-    values = np.empty((n_reports, len(taus), len(mus)))
+    layouts = []
     for mask in itertools.product((False, True), repeat=m):
         cols = np.flatnonzero(np.all((mus > 0) == mask, axis=1))
-        if not len(cols):
-            continue
-        # cube axes: x@tau per source, y@0, then x@(tau + mu) per masked source
-        future = np.flatnonzero(mask)
+        if len(cols):
+            future = np.flatnonzero(mask)
+            # cube axes: x@tau per source, y@0, then x@(tau + mu) per masked source
+            sizes = (*map(len, x_spaces), len(y_space), *(len(x_spaces[l]) for l in future))
+            chunk = min(max(1, STACK_CELLS // math.prod(sizes)), len(taus) * len(cols))
+            layouts.append((cols, future, sizes, chunk))
+    buffer = np.empty(max(chunk * math.prod(sizes) for _, _, sizes, chunk in layouts))
+    values = np.empty((n_reports, len(taus), len(mus)))
+    # each chunk's temporaries, a few stacks at most, then reuse heap pages
+    keep_heap_pages(4 * STACK_CELLS * 8)
+    for cols, future, sizes, chunk in layouts:
         sources = (*range(1, m + 1), 0, *(future + 1).tolist())
-        n_z = int(np.prod([len(x_spaces[l]) for l in future]))
-        chunk = max(1, STACK_CELLS // (n_x * len(y_space) * n_z))
         # the layout's points, (tau, cols) row-major, one chunk at a time
         for start in range(0, len(taus) * len(cols), chunk):
             rows, at = np.divmod(np.arange(start, min(start + chunk, len(taus) * len(cols))), len(cols))
             columns = cols[at]
             lags = np.column_stack([taus[rows], np.zeros(len(rows), dtype=np.int64),
                                     (taus[rows] + mus[columns])[:, future]])
+            out = buffer[:len(rows) * math.prod(sizes)].reshape(len(rows), *sizes)
             # drop each stack once it is scored, so the next is built without it
-            for k, probs in enumerate(stacks(LagStack(sources, lags))):
-                cubes = probs.reshape(len(probs), n_x, len(y_space), n_z)
+            for k, probs in enumerate(stacks(LagStack(sources, lags), out)):
+                cubes = probs.reshape(len(probs), n_x, len(y_space), -1)
                 values[k][rows, columns] = _chi2_cmi_stack(cubes, x_spaces)
                 del probs, cubes
     values.setflags(write=False)

@@ -99,12 +99,16 @@ class CodedColumn(NamedTuple):
 
 def _compact(labels: Sequence, codes: np.ndarray) -> CodedColumn:
     """Keep the labels that ``codes`` (indices into the pairwise distinct
-    ``labels``) use, ordered by type name then ``repr``, and recode."""
+    ``labels``) use, ordered by type name then ``repr``, and recode.  Codes
+    that are compact already are kept as a read-only view, not copied."""
     used = np.flatnonzero(np.bincount(codes, minlength=len(labels))).tolist()
     order = sorted(used, key=lambda i: (str(type(labels[i])), repr(labels[i])))
-    recode = np.zeros(len(labels), dtype=np.int64)
-    recode[order] = np.arange(len(order))
-    codes = recode[codes]
+    if order == list(range(len(labels))):
+        codes = codes.view()
+    else:
+        recode = np.zeros(len(labels), dtype=np.int64)
+        recode[order] = np.arange(len(order))
+        codes = recode[codes]
     codes.setflags(write=False)
     return CodedColumn(OutcomeSpace(tuple(labels[i] for i in order)), codes)
 
@@ -160,7 +164,7 @@ class Dataset:
         t = whole_numbers(self.t, "t")
         if t.ndim != 1 or len(t) == 0:
             raise AofLabError("dataset must have at least one row")
-        if np.any(np.diff(t) <= 0):
+        if np.any(t[1:] <= t[:-1]):
             raise AofLabError("slot indices must be strictly increasing")
         if not xs:
             raise AofLabError("a trajectory needs at least one feature source")
@@ -177,13 +181,13 @@ class Dataset:
         for col in given:
             if isinstance(col, CodedColumn):
                 codes = np.asarray(col.codes, dtype=np.int64)
-                if codes.ndim != 1 or np.any(codes < 0) or np.any(codes >= len(col.space)):
+                if codes.ndim != 1 or codes.min() < 0 or codes.max() >= len(col.space):
                     raise AofLabError("column codes must index the column's space")
                 columns.append(_compact(col.space.labels, codes))
             else:
                 columns.append(_encode(col))
         for col in ages:
-            if np.any(col < 0):
+            if col.min() < 0:
                 raise AofLabError("ages must be nonnegative")
         object.__setattr__(self, "t", t)
         object.__setattr__(self, "ages", ages)
@@ -373,7 +377,8 @@ class EmpiricalLawProvider:
 
     window_law = window_law_of
 
-    def window_law_stack(self, stack: LagStack) -> np.ndarray:
+    def window_law_stack(self, stack: LagStack, out: np.ndarray | None = None) -> np.ndarray:
+        # ``out`` is not used: a stack's laws keep the per-law memory layout below
         columns = [self.dataset.coded(source_variable(l)) for l in stack.sources]
         counts, n_obs, _ = _stack_counts(self.dataset.t, columns, stack, DEFAULT_MIN_WINDOWS)
         # Each law is laid out in memory as empirical_window_law lays it out,

@@ -8,7 +8,7 @@ differing, are asked for as one :class:`LagStack`: the source of each axis
 array, one row per law.  A provider's one law method, ``window_law_stack``,
 returns them as ``probs[G, ...]`` in the stack's axis order, so a caller
 asks for the order it consumes and scores the batch without a ``JointPmf``
-per law.  Exact providers unroll a process model, empirical providers count
+per law; a caller that reuses a buffer may pass it as ``out``.  Exact providers unroll a process model, empirical providers count
 sliding windows, and the mixture provider blends two compatible providers
 cell by cell with ``MixtureLawProvider.mix``, which sweeps also apply to
 endpoint stacks they build once.
@@ -169,11 +169,13 @@ class LawProvider(Protocol):
     def target_space(self) -> OutcomeSpace:
         ...
 
-    def window_law_stack(self, stack: LagStack) -> np.ndarray:
+    def window_law_stack(self, stack: LagStack, out: np.ndarray | None = None) -> np.ndarray:
         """The laws of ``stack`` as ``probs[G, ...]``: ``probs[g]`` is law
         ``g``, with axis ``i`` over the space of ``stack.sources[i]``.  The
-        array is new on every call and owned by the caller, which may
-        overwrite it (the chi-squared kernel scores it in place)."""
+        array is owned by the caller, which may overwrite it (the
+        chi-squared kernel scores it in place).  It is ``out``, filled, if
+        the caller passes a C-contiguous float64 array of that shape and the
+        provider builds into one; else it is new."""
         ...
 
 
@@ -217,10 +219,13 @@ class MixtureLawProvider:
 
     window_law = window_law_of
 
-    def window_law_stack(self, stack: LagStack) -> np.ndarray:
-        return self.mix(self.base.window_law_stack(stack), self.other.window_law_stack(stack))
+    def window_law_stack(self, stack: LagStack, out: np.ndarray | None = None) -> np.ndarray:
+        return self.mix(self.base.window_law_stack(stack), self.other.window_law_stack(stack), out)
 
-    def mix(self, a: np.ndarray, b: np.ndarray) -> np.ndarray:
+    def mix(self, a: np.ndarray, b: np.ndarray, out: np.ndarray | None = None) -> np.ndarray:
         """``(1 - eta) * a + eta * b`` for a law or a stack of laws of the
-        base and other providers: every law of this provider is built so."""
-        return (1.0 - self.eta) * a + self.eta * b
+        base and other providers, written into ``out`` if one is given:
+        every law of this provider is built so."""
+        out = np.multiply(a, 1.0 - self.eta, out=out)
+        out += self.eta * b
+        return out

@@ -16,9 +16,13 @@ once with array operations.  Laws with the same read shape, the symbol
 counts of their reads in order, run as one contraction from both ends:
 forward rows left of a balanced split and backward columns right of it meet
 in one batched matmul, with ``T^g`` taken from powers of the transition
-matrix computed once.  ``exact_window_law`` is the case of one request set.
+matrix computed once.  A shape's split and digit tables are its plan, built
+once per process and cached by the shape; a part of a group gathers every
+read's ``T^g`` and emission kernel with one index each.  A caller may pass
+the array to fill.  ``exact_window_law`` is the case of one request set.
 ``DEFAULT_MAX_CELLS`` bounds the power table as well as each law's table,
-so no separate cap limits how far apart lags may lie.
+and every bound is checked before a law's table is allocated, so no
+separate cap limits how far apart lags may lie.
 
 The builder snaps the total mass of each law back to one after checking
 that it is within ``NORMALIZATION_ATOL`` of one.
@@ -36,6 +40,7 @@ so ``gen`` holds one block whatever the length.
 from __future__ import annotations
 
 import bisect
+import functools
 import itertools
 import json
 import math
@@ -217,34 +222,32 @@ def exact_window_law(model: ProcessModel, requests: Sequence) -> WindowLaw:
     return window_law_of(ExactLawProvider(model), requests)
 
 
-def exact_window_laws(model: ProcessModel, stack: LagStack) -> np.ndarray:
-    """Exact laws of a lag stack, as ``probs[G, ...]`` in the stack's axis order.
+@functools.lru_cache(maxsize=256)
+def _read_plan(sizes: tuple[int, ...]) -> tuple[int, np.ndarray, np.ndarray]:
+    """How ``exact_window_laws`` contracts a read shape (the symbol counts of
+    a law's reads in slot order): the split at the read that best balances
+    the cells on either side, and the digit of each read in every left and
+    right elementary cell.  Each read adds the new outermost cell axis:
+    forward cells run row-major over reads split - 1 .. 0, backward cells
+    over split .. n - 1.  Cached by shape, so the tables are read-only."""
+    n = len(sizes)
+    split = min(range(1, max(n, 2)), key=lambda s: max(math.prod(sizes[:s]), math.prod(sizes[s:])))
+    digits_left = np.ascontiguousarray(np.indices(sizes[:split][::-1]).reshape(split, -1)[::-1])
+    digits_right = np.indices(sizes[split:]).reshape(n - split, math.prod(sizes[split:]))
+    digits_left.setflags(write=False)
+    digits_right.setflags(write=False)
+    return split, digits_left, digits_right
 
-    A target axis reads one cell at slot ``-lag``; a feature axis reads its
-    window newest first from slot ``-(lag + delay)``, read ``j`` being digit
-    ``b - 1 - j`` of its variable's cell.  Each law's reads are sorted by
-    slot, features by source before the target, and coincident reads merge,
-    adding their digit weights.  Laws are grouped by read shape.  A group is
-    split at the read that best balances the cells on either side: forward
-    rows ``pi D T^g ... D`` and backward columns ``D T^g ... D 1`` meet in
-    one batched ``F' T^g B``, and the outer sum of the left and right digit
-    weights places each elementary cell.  A power table or an unrolled law
-    (cells times states) larger than ``DEFAULT_MAX_CELLS`` is rejected before
-    it is built; tables are built in chunks of at most ``STACK_CELLS`` cells.
-    """
-    unknown = [l for l in stack.sources if not 0 <= l <= model.m]
-    if unknown:
-        raise IncompatibleSpaceError(f"model has {model.m} sources; got 'x{unknown[0]}'")
-    n_states, b = model.n_states, model.window
-    # kernels padded to the largest alphabet, indexed by a read's source (0 for the target)
-    kernels = [model.target_kernel, *model.emissions]
-    kernel_stack = np.zeros((len(kernels), n_states, max(k.shape[1] for k in kernels)))
-    for i, kernel in enumerate(kernels):
-        kernel_stack[i, :, :kernel.shape[1]] = kernel
-    alphabet = np.array([k.shape[1] for k in kernels])
-    var_sizes = [int(alphabet[l]) ** (1 if l == 0 else b) for l in stack.sources]
+
+def _stack_reads(model: ProcessModel, stack: LagStack, alphabet: np.ndarray, var_sizes: list[int]):
+    """The reads of every law of ``stack`` for ``exact_window_laws``, as
+    ``(kind, coeff, gaps, group, first, shapes)``: per law, each distinct
+    read's source (0 for the target), digit weight and slot gap to the next
+    read, in slot order and padded past its last read; each law's read-shape
+    group and each group's first law and shape.  Its own index arrays are
+    freed on return, before any law table is built."""
+    b = model.window
     var_strides = [math.prod(var_sizes[i + 1:]) for i in range(len(var_sizes))]
-
     # reads (axis, j of its window), features by source and the target last: the order within a slot
     cols = sorted(((a, j) for a, l in enumerate(stack.sources) for j in range(b if l else 1)),
                   key=lambda col: stack.sources[col[0]] or model.m + 1)
@@ -263,17 +266,94 @@ def exact_window_laws(model: ProcessModel, stack: LagStack) -> np.ndarray:
     at = np.zeros_like(slot)
     at[:, 1:] = np.cumsum((slot[:, 1:] != slot[:, :-1]) | (src[:, 1:] != src[:, :-1]), axis=1)
     # a row's slots past its last distinct read repeat that read's slot, so their gaps are zero
-    kind, coeff = np.zeros_like(slot), np.zeros_like(slot)
+    kind = np.zeros_like(slot)
     read_slot = np.repeat(slot[:, -1:], slot.shape[1], axis=1)
     kind[rows, at], read_slot[rows, at] = src, slot
-    np.add.at(coeff, (rows, at), weight)
+    # a read's digit weights add up to less than its law's cells, so on every
+    # stack exact_window_laws goes on to build their float sums are exact
+    coeff = np.bincount((rows * slot.shape[1] + at).ravel(), weight.ravel(), slot.size)
+    coeff = coeff.astype(np.int64).reshape(slot.shape)
     sizes_of = np.where(np.arange(slot.shape[1]) <= at[:, -1:], alphabet[kind], 0)
     # np.unique over one void item per row: axis=0's groups at a fraction of its cost on small stacks
     rows_as_items = sizes_of.view(np.dtype((np.void, sizes_of.itemsize * sizes_of.shape[1]))).ravel()
     _, first, group = np.unique(rows_as_items, return_index=True, return_inverse=True)
-
+    shapes = [tuple(sizes_of[i][sizes_of[i] > 0].tolist()) for i in first]
     # gap i steps from read i to the next; the last, to the all-ones end, is zero
-    gaps_of = np.diff(read_slot, axis=1, append=read_slot[:, -1:])
+    gaps = np.diff(read_slot, axis=1, append=read_slot[:, -1:])
+    return kind, coeff, gaps, group, first, shapes
+
+
+def _contract(stationary: np.ndarray, steps: np.ndarray, emit: np.ndarray, sizes: tuple[int, ...],
+              split: int) -> np.ndarray:
+    """The elementary cells of laws that share a read shape, flat in ``[p,
+    left, right]`` order, from every read's step ``steps[p, i]`` and
+    emission kernel ``emit[p, i]``, each gathered for all reads at once:
+    forward rows meet backward columns at ``split``.  The gathered tables
+    are freed on return, before the cells are placed."""
+    p, n_states = len(steps), len(stationary)
+    # states lie on the axis before the cells, so each step works on long rows
+    table = stationary[None, :, None] * emit[:, 0, :, :sizes[0]]
+    for i in range(1, split):
+        table = steps[:, i - 1].transpose(0, 2, 1) @ table
+        table = (table[:, :, None, :] * emit[:, i, :, :sizes[i], None]).reshape(p, n_states, -1)
+    back = np.ones((p, n_states, 1))
+    for i in range(len(sizes) - 1, split - 1, -1):
+        back = steps[:, i] @ back
+        back = (emit[:, i, :, :sizes[i], None] * back[:, :, None, :]).reshape(p, n_states, -1)
+    return (table.transpose(0, 2, 1) @ steps[:, split - 1] @ back).reshape(-1)
+
+
+def _cells(weights: np.ndarray, split: int, digits_left: np.ndarray, digits_right: np.ndarray,
+           offsets: np.ndarray) -> np.ndarray:
+    """Where ``_contract``'s elementary cells land in a stack's flat table:
+    the outer sum of the left and right digit weights, with each law's row
+    offset joining the left part.  Every read belongs to a variable, so
+    distinct elementary cells land on distinct cells."""
+    left = weights[:, :split] @ digits_left + offsets[:, None]
+    return (left[:, :, None] + (weights[:, split:] @ digits_right)[:, None, :]).reshape(-1)
+
+
+def exact_window_laws(model: ProcessModel, stack: LagStack, out: np.ndarray | None = None) -> np.ndarray:
+    """Exact laws of a lag stack, as ``probs[G, ...]`` in the stack's axis
+    order, written into ``out`` (a C-contiguous float64 array of that shape)
+    when one is given.
+
+    A target axis reads one cell at slot ``-lag``; a feature axis reads its
+    window newest first from slot ``-(lag + delay)``, read ``j`` being digit
+    ``b - 1 - j`` of its variable's cell.  Each law's reads are sorted by
+    slot, features by source before the target, and coincident reads merge,
+    adding their digit weights.  Laws are grouped by read shape, and each
+    shape's ``_read_plan`` splits it: forward rows ``pi D T^g ... D`` and
+    backward columns ``D T^g ... D 1`` meet in one batched ``F' T^g B``, and
+    the outer sum of the left and right digit weights places each
+    elementary cell.  A law table, power table or unrolled law (cells times
+    states) larger than ``DEFAULT_MAX_CELLS`` is rejected before it is
+    built; unrolled tables, with the steps and kernels gathered for them,
+    are built in chunks of at most ``STACK_CELLS`` cells.
+    """
+    unknown = [l for l in stack.sources if not 0 <= l <= model.m]
+    if unknown:
+        raise IncompatibleSpaceError(f"model has {model.m} sources; got 'x{unknown[0]}'")
+    n_states, b = model.n_states, model.window
+    # kernels padded to the largest alphabet, indexed by a read's source (0 for the target)
+    kernels = [model.target_kernel, *model.emissions]
+    kernel_stack = np.zeros((len(kernels), n_states, max(k.shape[1] for k in kernels)))
+    for i, kernel in enumerate(kernels):
+        kernel_stack[i, :, :kernel.shape[1]] = kernel
+    alphabet = np.array([k.shape[1] for k in kernels])
+    var_sizes = [int(alphabet[l]) ** (1 if l == 0 else b) for l in stack.sources]
+    kind, coeff, gaps_of, group, first, shapes = _stack_reads(model, stack, alphabet, var_sizes)
+    for sizes in shapes:
+        if math.prod(sizes) * n_states > DEFAULT_MAX_CELLS:
+            raise AofLabError(f"unrolled law would need {math.prod(sizes) * n_states} cells (cap {DEFAULT_MAX_CELLS})")
+    law_cells = math.prod(var_sizes)
+    if law_cells > DEFAULT_MAX_CELLS:
+        reads = ", ".join(f"{var}@{lag}" for var, lag in stack.requests(0))
+        raise AofLabError(f"window law of [{reads}] would need {law_cells} cells (cap {DEFAULT_MAX_CELLS})")
+    shape = (len(stack.lags), *var_sizes)
+    if out is not None and (out.shape != shape or out.dtype != np.float64 or not out.flags.c_contiguous):
+        raise IncompatibleSpaceError(f"out must be a C-contiguous float64 array of shape {shape}")
+
     max_gap = int(gaps_of.max())
     if (max_gap + 1) * n_states**2 > DEFAULT_MAX_CELLS:
         raise AofLabError(
@@ -285,45 +365,27 @@ def exact_window_laws(model: ProcessModel, stack: LagStack) -> np.ndarray:
     for k in range(1, max_gap + 1):
         powers[k] = powers[k - 1] @ model.transition
 
-    probs = np.zeros((len(stack.lags), math.prod(var_sizes)))
+    probs = (np.empty(shape) if out is None else out).reshape(len(stack.lags), law_cells)
     flat = probs.reshape(-1)
     for u in np.argsort(first):
-        members = np.flatnonzero(group == u)
-        sizes = sizes_of[first[u]][sizes_of[first[u]] > 0].tolist()
+        members, sizes = np.flatnonzero(group == u), shapes[u]
         n, n_cells = len(sizes), math.prod(sizes)
-        if n_cells * n_states > DEFAULT_MAX_CELLS:
-            raise AofLabError(f"unrolled law would need {n_cells * n_states} cells (cap {DEFAULT_MAX_CELLS})")
-        split = min(range(1, max(n, 2)), key=lambda s: max(math.prod(sizes[:s]), math.prod(sizes[s:])))
-        # each read adds the new outermost cell axis: forward cells run
-        # row-major over reads split - 1 .. 0, backward cells over split .. n - 1
-        digits_left = np.indices(sizes[:split][::-1]).reshape(split, -1)[::-1]
-        digits_right = np.indices(sizes[split:]).reshape(n - split, math.prod(sizes[split:]))
-        chunk = max(1, STACK_CELLS // (n_cells * n_states))
+        if n_cells < law_cells:  # merged reads leave cells no elementary cell reaches
+            probs[members] = 0.0
+        split, digits_left, digits_right = _read_plan(sizes)
+        # each law's unrolled cells and its gathered steps and kernels count against STACK_CELLS
+        chunk = max(1, STACK_CELLS // (n_states * (n_cells + n * (n_states + kernel_stack.shape[2]))))
         for start in range(0, len(members), chunk):
             part = members[start:start + chunk]
-            index, gaps, weights = kind[part, :n], gaps_of[part, :n], coeff[part, :n]
-            emit = [kernel_stack[index[:, i], :, :size] for i, size in enumerate(sizes)]
-            # states lie on the axis before the cells, so each step works on long rows
-            table = model.stationary[None, :, None] * emit[0]
-            for i in range(1, split):
-                table = powers[gaps[:, i - 1]].transpose(0, 2, 1) @ table
-                table = (table[:, :, None, :] * emit[i][:, :, :, None]).reshape(len(part), n_states, -1)
-            back = np.ones((len(part), n_states, 1))
-            for i in range(n - 1, split - 1, -1):
-                back = powers[gaps[:, i]] @ back
-                back = (emit[i][:, :, :, None] * back[:, :, None, :]).reshape(len(part), n_states, -1)
-            laws = table.transpose(0, 2, 1) @ powers[gaps[:, split - 1]] @ back
-            # every read belongs to a variable, so distinct elementary cells land on
-            # distinct cells; each law's row offset into ``flat`` joins the left part
-            left = weights[:, :split] @ digits_left + (part * probs.shape[1])[:, None]
-            cells = left[:, :, None] + (weights[:, split:] @ digits_right)[:, None, :]
-            flat[cells.reshape(-1)] = laws.reshape(-1)
+            # one statement, so no part's laws or cells outlive it
+            flat[_cells(coeff[part, :n], split, digits_left, digits_right, part * law_cells)] = _contract(
+                model.stationary, powers[gaps_of[part, :n]], kernel_stack[kind[part, :n]], sizes, split)
     sums = probs.sum(axis=1)
     drift = float(np.abs(sums - 1.0).max())
     if drift > NORMALIZATION_ATOL:
         raise NotNormalizedError(f"window laws sum to 1 +- {drift!r} before normalization")
     probs /= sums[:, None]
-    return probs.reshape(len(stack.lags), *var_sizes)
+    return probs.reshape(shape) if out is None else out
 
 
 @dataclass(eq=False)
@@ -346,8 +408,8 @@ class ExactLawProvider:
 
     window_law = window_law_of
 
-    def window_law_stack(self, stack: LagStack) -> np.ndarray:
-        return exact_window_laws(self.model, stack)
+    def window_law_stack(self, stack: LagStack, out: np.ndarray | None = None) -> np.ndarray:
+        return exact_window_laws(self.model, stack, out)
 
 
 def _check_sizes(**sizes: int) -> None:

@@ -24,6 +24,7 @@ from aof_lab import (
     zero_one_loss,
 )
 from aof_lab import analysis
+from aof_lab._util import whole_numbers
 from aof_lab import testing_loss as eval_testing_loss
 from aof_lab.analysis import cross_loss_sweep
 from aof_lab.errors import AofLabError, IncompatibleSpaceError
@@ -215,6 +216,38 @@ def test_loss_curve_rejects_duplicate_grid_points():
         loss_curve(prov, [(1,), (1,)], log_loss())
     with pytest.raises(AofLabError, match="at least one age vector"):
         loss_curve(prov, [], log_loss())
+
+
+def test_loss_curve_checks_a_whole_grid_in_one_call(monkeypatch):
+    prov = ExactLawProvider(_hidden(14, m=2))
+    grid = [(i, j) for i in range(4) for j in range(3)]
+    want = loss_curve(prov, grid, log_loss())
+    calls = []
+
+    def counted(values, field):
+        calls.append(field)
+        return whole_numbers(values, field)
+
+    monkeypatch.setattr(analysis, "whole_numbers", counted)
+    for given in (grid, np.array(grid)):
+        calls.clear()
+        got = loss_curve(prov, given, log_loss())
+        assert calls == ["grid point lags"]
+        assert got.grid == want.grid and all(type(v) is int for vec in got.grid for v in vec)
+        assert got.values == want.values
+
+
+@pytest.mark.parametrize("grid", [
+    [(0, 1), (True, 0)], [(0, 1), (1,)], [(0, 1), (1, 2, 3)], [(0, 1), (-1, 0)], [(0, 1), (1.5, 0)],
+    [(0, 1), 3], [(0, 1), ("a", 0)],
+], ids=["bool", "short", "long", "negative", "fraction", "scalar", "text"])
+def test_loss_curve_errors_name_the_first_bad_point_as_one_by_one(grid):
+    prov = ExactLawProvider(_hidden(14, m=2))
+    with pytest.raises(Exception) as one_by_one:
+        [analysis._age_vector(g, 2, "grid point") for g in grid]
+    with pytest.raises(type(one_by_one.value)) as whole:
+        loss_curve(prov, grid, log_loss())
+    assert str(whole.value) == str(one_by_one.value)
 
 
 def test_joint_training_identity_and_inequality():

@@ -24,10 +24,11 @@ from aof_lab import (
     sample_trajectory,
 )
 from aof_lab import divergence
-from aof_lab.divergence import _chi2_cmi_stack, epsilon_sweep
+from aof_lab.divergence import POSITIVITY_ATOL, _chi2_cmi_stack, epsilon_sweep
 from aof_lab.errors import IncompatibleSpaceError, PositivityError, ReferenceNotInteriorError
-from aof_lab.laws import STACK_CELLS
+from aof_lab.laws import STACK_CELLS, LagStack
 from aof_lab.processes import exact_window_law
+from aof_lab.spaces import grid_label
 
 from oracles import chi2_cmi_direct, chi2_mc, epsilon_direct, loglog_slope, random_joint, random_pmf
 
@@ -332,6 +333,83 @@ def test_chi2_cmi_stack_keeps_the_bits_of_the_strided_sum(n_y):
         cubes = rng.dirichlet(np.ones(3 * n_y * n_z), size=4).reshape(4, 3, n_y, n_z)
         want = _chi2_by_strided_sum(cubes)
         assert _chi2_cmi_stack(cubes.copy(), x_spaces).tobytes() == want.tobytes(), n_z
+
+
+def _chi2_by_full_zero_scan(cubes):
+    """The kernel's arithmetic with numpy's own sums, a full ``ref == 0``
+    mask and stray scan, and an infinite reference on every zero-reference
+    cell: ``(values, None)``, or ``(None, stray)``, the straying x cells."""
+    w = cubes.sum(axis=(2, 3))
+    ref = cubes.sum(axis=3)[:, :, :, None] * cubes.sum(axis=2)[:, :, None, :]
+    ref /= np.where(w > 0.0, w, 1.0)[:, :, None, None]
+    zero = ref == 0.0
+    stray = ((cubes > POSITIVITY_ATOL) & zero).any(axis=(0, 2, 3))
+    if stray.any():
+        return None, np.flatnonzero(stray).tolist()
+    terms = cubes - ref
+    terms *= terms
+    np.copyto(ref, np.inf, where=zero)
+    terms /= ref
+    return terms.sum(axis=(1, 2, 3)), None
+
+
+def _cubes_with_zero_references():
+    """Stacks whose product references vanish on some cells: window-2 laws
+    at mu = 1 (the overlap of x@tau and x@(tau + 1) rules out cells), cubes
+    with zeroed slabs, rows and columns, and cubes with masses of 1e-200,
+    whose products underflow, or 1e-155, whose references are subnormal,
+    next to ordinary cells."""
+    model = make_hidden_nonmarkov(31, n_states=3, n_sources=1, n_symbols=2, n_targets=3, window=2)
+    laws = ExactLawProvider(model).window_law_stack(LagStack((1, 0, 1), [[tau, 0, tau + 1] for tau in range(6)]))
+    yield laws.reshape(6, 4, 3, 4)
+    rng = np.random.default_rng(32)
+    for n_y, n_z in [(2, 3), (3, 5), (2, 9), (4, 17)]:
+        cubes = rng.dirichlet(np.ones(4 * n_y * n_z), size=5).reshape(5, 4, n_y, n_z)
+        cubes[0, 1] = 0.0
+        cubes[1, 2, 0] = 0.0
+        cubes[2, :, :, 1] = 0.0
+        cubes[3, 0, 1:, :] = 1e-200
+        cubes[3, 0, :, 1:] = 1e-200
+        cubes[3, 2, 1:, :] = 1e-155
+        cubes[3, 2, :, 1:] = 1e-155
+        cubes[4, 3] *= 1e-200
+        yield cubes / cubes.sum(axis=(1, 2, 3), keepdims=True)
+
+
+@pytest.mark.parametrize("block_cells", [1, 100, divergence._BLOCK_CELLS])
+def test_chi2_cmi_stack_keeps_the_bits_of_the_full_zero_scan(monkeypatch, block_cells):
+    monkeypatch.setattr(divergence, "_BLOCK_CELLS", block_cells)
+    for cubes in _cubes_with_zero_references():
+        want, stray = _chi2_by_full_zero_scan(cubes)
+        assert stray is None and np.isfinite(want).all()
+        x_spaces = [OutcomeSpace(tuple(range(cubes.shape[1])))]
+        assert _chi2_cmi_stack(cubes.copy(), x_spaces).tobytes() == want.tobytes()
+        # a conditioning mass above one, as in an unnormalized stack, takes the full scan
+        assert _chi2_cmi_stack(3.0 * cubes, x_spaces).tobytes() == _chi2_by_full_zero_scan(3.0 * cubes)[0].tobytes()
+    # there a cell of 2.3e-162 alone in its row and column has a reference
+    # that rounds to zero only because its mass of 3 divides it
+    heavy = np.zeros((1, 2, 2, 2))
+    heavy[:, :, 0, 0], heavy[0, 0, 1, 1] = 3.0, 2.3e-162
+    want, _ = _chi2_by_full_zero_scan(heavy)
+    assert _chi2_cmi_stack(heavy.copy(), [OutcomeSpace((0, 1))]).tobytes() == want.tobytes()
+
+
+def test_chi2_cmi_stack_checks_signed_cubes_as_the_full_zero_scan():
+    x_spaces = [OutcomeSpace(("a", "b")), OutcomeSpace((0, 1))]
+    rng = np.random.default_rng(33)
+    cubes = rng.dirichlet(np.ones(4 * 2 * 3), size=3).reshape(3, 4, 2, 3)
+    # a negative cell whose row and column keep positive references: scored as before
+    signed = cubes.copy()
+    signed[1, 2, 0, 0] = -1e-4
+    want, stray = _chi2_by_full_zero_scan(signed)
+    assert stray is None and _chi2_cmi_stack(signed.copy(), x_spaces).tobytes() == want.tobytes()
+    # rows that cancel to a zero reference under cells above POSITIVITY_ATOL
+    signed[0, 1, 0] = [0.1, -0.1, 0.0]
+    signed[2, 3, :, 2] = [0.05, -0.05]
+    _, stray = _chi2_by_full_zero_scan(signed)
+    with pytest.raises(PositivityError) as err:
+        _chi2_cmi_stack(signed.copy(), x_spaces)
+    assert err.value.cells == [grid_label(x_spaces, x) for x in stray] == [("a", 1), ("b", 1)]
 
 
 @pytest.mark.parametrize("order", [("x", "y", "z"), ("z", "x", "y")],

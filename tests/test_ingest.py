@@ -668,6 +668,36 @@ def test_reading_a_dataset_peaks_one_code_copy_above_what_it_holds(tmp_path, m):
     assert peak - held <= ((m + 1) * 8 + FROM_CSV_PEAK_SLACK) * len(ds)
 
 
+# bytes per row that building a dataset from compact code columns may peak
+# above its inputs: the one bool array of the slot-order check
+DATASET_BUILD_PEAK_PER_ROW = 2
+
+
+def test_compact_code_columns_are_kept_without_a_copy():
+    # the codes of 0..3 under sorted labels are compact already, so the
+    # dataset keeps a read-only view of them and copies no column
+    rows = 200_000
+    rng = np.random.default_rng(9)
+    x, y = (CodedColumn(OutcomeSpace((0, 1, 2, 3)), rng.permutation(np.arange(rows) % 4)) for _ in range(2))
+    t, ages = np.arange(rows), np.zeros(rows, dtype=np.int64)
+    tracemalloc.start()
+    try:
+        start, _ = tracemalloc.get_traced_memory()
+        ds = Dataset(t=t, xs=(x,), ages=(ages,), y=y)
+        _, peak = tracemalloc.get_traced_memory()
+    finally:
+        tracemalloc.stop()
+    assert peak - start <= DATASET_BUILD_PEAK_PER_ROW * rows
+    for given, kept in zip((x, y), ds.columns):
+        assert kept.space == given.space and np.shares_memory(kept.codes, given.codes)
+        assert not kept.codes.flags.writeable and given.codes.flags.writeable
+    # codes that are not compact are still recoded into a copy of their own
+    shuffled = Dataset(t=t[:4], xs=(CodedColumn(OutcomeSpace(("b", "a", "c")), np.array([0, 1, 0, 1])),),
+                       ages=(ages[:4],), y=[0, 1, 0, 1])
+    assert shuffled.coded("x1").space.labels == ("a", "b")
+    assert shuffled.coded("x1").codes.tolist() == [1, 0, 1, 0]
+
+
 def _drifting_dataset(n=200):
     """x1 switches from 0 to 1 half way; y is a fair coin."""
     y = np.random.default_rng(3).integers(0, 2, size=n).tolist()

@@ -21,6 +21,7 @@ from aof_lab import (
     mix_toward_markov,
     sample_trajectory,
 )
+from aof_lab import processes
 from aof_lab._util import CSV_CHUNK_ROWS, write_text_atomic
 from aof_lab.errors import AofLabError, IncompatibleSpaceError
 from aof_lab.laws import DEFAULT_MAX_CELLS, STACK_CELLS, LagStack, axis_spaces, canonical_requests, lag_stack
@@ -418,12 +419,69 @@ def test_oversized_gap_rejected_before_allocation():
     assert peak < 2**20
 
 
+def _refusal_and_peak(requests):
+    """The error text of an oversized law on a window-11 model, and the
+    traced peak of refusing it."""
+    provider = ExactLawProvider(make_hidden_nonmarkov(3, window=11))
+    tracemalloc.start()
+    try:
+        with pytest.raises(AofLabError) as err:
+            provider.window_law(requests)
+        _, peak = tracemalloc.get_traced_memory()
+    finally:
+        tracemalloc.stop()
+    return str(err.value), peak
+
+
 def test_an_unrolled_law_over_the_cell_cap_is_refused():
     # x1 read twice 20 slots apart: no read merges, 2**11 x 2**11 x 2 cells x 4 states
-    provider = ExactLawProvider(make_hidden_nonmarkov(3, window=11))
-    with pytest.raises(AofLabError) as err:
-        provider.window_law([("y", 0), ("x1", 0), ("x1", 20)])
-    assert str(err.value) == f"unrolled law would need {2**22 * 2 * 4} cells (cap {DEFAULT_MAX_CELLS})"
+    message, peak = _refusal_and_peak([("y", 0), ("x1", 0), ("x1", 20)])
+    assert message == f"unrolled law would need {2**22 * 2 * 4} cells (cap {DEFAULT_MAX_CELLS})"
+    assert peak < 2**20
+
+
+def test_a_law_table_over_the_cell_cap_is_refused_before_it_is_allocated():
+    # overlapping windows merge their reads, so only the law's own table,
+    # 2 x 2**11 x 2**11 cells, is too large
+    message, peak = _refusal_and_peak([("y", 0), ("x1", 0), ("x1", 1)])
+    assert message == f"window law of [y@0, x1@0, x1@1] would need {2 * 2**11 * 2**11} cells (cap {DEFAULT_MAX_CELLS})"
+    assert peak < 2**20
+
+
+def _merging_stack():
+    # window-2 reads at lags 0..3 apart: some merge, some do not, so the
+    # stack holds several read shapes and laws with unreachable cells
+    lags = [[a, 0, c] for a in range(3) for c in range(4) if c != a]
+    return LagStack((1, 0, 1), lags)
+
+
+def test_exact_laws_keep_their_bits_with_a_cold_or_a_warm_plan_cache():
+    model = make_hidden_nonmarkov(23, n_states=3, n_sources=1, n_symbols=3, n_targets=2, window=2, delay=1)
+    processes._read_plan.cache_clear()
+    cold = exact_window_laws(model, _merging_stack())
+    assert processes._read_plan.cache_info().hits == 0
+    warm = exact_window_laws(model, _merging_stack())
+    info = processes._read_plan.cache_info()
+    assert info.hits == info.misses > 1
+    assert cold.tobytes() == warm.tobytes()
+    split, left, right = processes._read_plan((3, 2, 3))
+    assert not (left.flags.writeable or right.flags.writeable)
+
+
+def test_exact_laws_fill_a_callers_buffer_with_the_same_bits():
+    model = make_hidden_nonmarkov(23, n_states=3, n_sources=1, n_symbols=3, n_targets=2, window=2, delay=1)
+    stack = _merging_stack()
+    want = exact_window_laws(model, stack)
+    out = np.full(want.shape, np.nan)
+    got = ExactLawProvider(model).window_law_stack(stack, out)
+    assert got is out and out.tobytes() == want.tobytes()
+    # the mixture's stack is written into the buffer too, with the bits of a new one
+    mixture = mix_toward_markov(model, make_markov_observable(24, n_states=3, n_sources=1, n_targets=2, window=2), 0.3)
+    mixed = mixture.window_law_stack(stack)
+    out[...] = np.nan
+    assert mixture.window_law_stack(stack, out) is out and out.tobytes() == mixed.tobytes()
+    with pytest.raises(IncompatibleSpaceError, match="out must be a C-contiguous float64 array"):
+        exact_window_laws(model, stack, np.empty(want.shape)[:, ::-1])
 
 
 # Bytes the traced peak of gen's write path may gain from 20,000 to 200,000
