@@ -313,6 +313,7 @@ def epsilon(cfg, model_path, data_path, tau_max, mu_max, sweep, mix_ref, etas):
         from . import processes
 
         ref = processes.ProcessModel.load(mix_ref)
+        etas = _ETAS if etas is None else etas
         eta_values = _parse("--etas", etas, _floats)
         # the laws of processes.mix_toward_markov(model, ref, eta) for each eta
         reports = divergence.epsilon_sweep(processes.ExactLawProvider(ref), provider, eta_values, tau_max, mu_max)
@@ -355,6 +356,7 @@ def cross_loss(cfg, train_path, test_path, ages_path, sweep, etas):
     """Training vs testing loss under dynamic ages (optionally a beta sweep)."""
     from . import analysis, aoi, processes
 
+    etas = _ETAS if sweep and etas is None else etas
     loss = _parse_loss(cfg["loss"])
     train_model = processes.ProcessModel.load(train_path)
     test_model = processes.ProcessModel.load(test_path)
@@ -364,7 +366,7 @@ def cross_loss(cfg, train_path, test_path, ages_path, sweep, etas):
     else:
         ages = aoi.AgeDistribution.point_mass((0,) * train_prov.m)
     out = Path(cfg["out"])
-    meta = {"config": {**cfg, "train": train_path, "test": test_path, "ages": ages_path, "etas": etas if sweep else None}}
+    meta = {"config": {**cfg, "train": train_path, "test": test_path, "ages": ages_path, "etas": etas}}
     # the plain run is the sweep's eta = 1.0 case: testing under the test model itself
     eta_values = _parse("--etas", etas, _floats) if sweep else [1.0]
     test_prov = processes.ExactLawProvider(test_model)
@@ -446,7 +448,7 @@ def _build_parser() -> tuple[_Parser, frozenset[str]]:
     option("--mu-max", type=int, metavar="INT")
     option("--sweep", action="store_true", help="Sweep mixture weights; needs --mix-ref.")
     option("--mix-ref", type=_input_file, metavar="FILE", help="Markov reference model for the mixture sweep.")
-    option("--etas", default=_ETAS)
+    option("--etas", help=f"Comma list of mixture weights for --sweep (default {_ETAS}).")
 
     option = command(beta)
     option("--train", dest="train_path", type=_input_file, required=True, metavar="FILE",
@@ -464,7 +466,7 @@ def _build_parser() -> tuple[_Parser, frozenset[str]]:
     option("--ages", dest="ages_path", type=_input_file, metavar="FILE",
            help="Age distribution JSON; default is fresh features (all ages zero).")
     option("--sweep", action="store_true", help="Mix the test model toward the train model.")
-    option("--etas", default=_ETAS)
+    option("--etas", help=f"Comma list of mixture weights for --sweep (default {_ETAS}).")
 
     option = command(simulate_aoi)
     option("--trace", dest="trace_path", type=_input_file, required=True, metavar="FILE",
@@ -485,6 +487,10 @@ def _run(argv: Sequence[str]) -> None:
     except _HelpShown:
         return
     run = args.pop("run")
+    # a sweep-only option without --sweep would be ignored: refuse it
+    for name in ("mix_ref", "etas"):
+        if args.get(name) is not None and not args["sweep"]:
+            raise AofLabError(f"--{name.replace('_', '-')} only applies with --sweep")
     cfg = _settings(args.pop("config"), {key: args.pop(key) for key in DEFAULTS})
     run(cfg, **args)
 

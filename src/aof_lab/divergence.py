@@ -22,9 +22,9 @@ the lag grid one layout at a time (the sources whose future lag is nonzero).
 It builds each chunk's lags from its own point indices as a ``LagStack``
 in cube order (x at tau, y at 0, x at tau + mu), so every stack the provider
 returns is already a stack of cubes and no grid-sized table but the values
-is made, and scatters the values into the lexicographic grid.  Every chunk
-is built into one buffer, allocated for the largest chunk, and the C heap
-is asked to keep the pages of each chunk's temporaries for the next.
+is made, and scatters the values into the lexicographic grid.  Each chunk's
+stacks are new arrays; the C heap is asked to keep the pages of each
+chunk's temporaries for the next, so they are not faulted in again.
 ``epsilon_sweep`` shares that walk: for a family of mixtures ``(1 - eta) *
 base + eta * other`` it builds each chunk's two endpoint stacks once and
 mixes and scores them per ``eta``.
@@ -248,7 +248,7 @@ def epsilon_coefficient(laws: "LawProvider", tau_max: int = 8, mu_max: int = 8) 
     the split into conditioning and future blocks.  A model whose laws
     exceed ``DEFAULT_MAX_CELLS`` cells is rejected before any law is built.
     """
-    return _epsilon_reports(laws, tau_max, mu_max, 1, lambda stack, out: [laws.window_law_stack(stack, out)])[0]
+    return _epsilon_reports(laws, tau_max, mu_max, 1, lambda stack: [laws.window_law_stack(stack)])[0]
 
 
 def epsilon_sweep(
@@ -259,20 +259,17 @@ def epsilon_sweep(
     its laws once and mixes the two stacks per ``eta``."""
     mixtures = [MixtureLawProvider(base, other, eta) for eta in etas]
 
-    def stacks(stack, out):
+    def stacks(stack):
         a, b = base.window_law_stack(stack), other.window_law_stack(stack)
-        return (mixture.mix(a, b, out) for mixture in mixtures)
+        return (mixture.mix(a, b) for mixture in mixtures)
 
     return _epsilon_reports(base, tau_max, mu_max, len(etas), stacks)
 
 
 def _epsilon_reports(laws: "LawProvider", tau_max: int, mu_max: int, n_reports: int, stacks) -> list[EpsilonReport]:
     """Walk the lag grid of :func:`epsilon_coefficient` on the spaces of
-    ``laws``; ``stacks(stack, out)`` yields ``n_reports`` law stacks of a
-    :class:`LagStack`, one per report, each built into ``out`` if its
-    provider takes it.  ``out`` is a view of one buffer, allocated for the
-    largest chunk and reused by every chunk, so no chunk's laws are freed
-    and faulted in again."""
+    ``laws``; ``stacks(stack)`` yields ``n_reports`` law stacks of a
+    :class:`LagStack`, one per report."""
     if tau_max < 0 or mu_max < 0:
         raise IncompatibleSpaceError("lag caps must be nonnegative")
     m = laws.m
@@ -292,33 +289,31 @@ def _epsilon_reports(laws: "LawProvider", tau_max: int, mu_max: int, n_reports: 
             "so use a model with fewer sources, fewer symbols or a shorter window"
         )
 
-    layouts = []
-    for mask in itertools.product((False, True), repeat=m):
-        cols = np.flatnonzero(np.all((mus > 0) == mask, axis=1))
-        if len(cols):
-            future = np.flatnonzero(mask)
-            # cube axes: x@tau per source, y@0, then x@(tau + mu) per masked source
-            sizes = (*map(len, x_spaces), len(y_space), *(len(x_spaces[l]) for l in future))
-            chunk = min(max(1, STACK_CELLS // math.prod(sizes)), len(taus) * len(cols))
-            layouts.append((cols, future, sizes, chunk))
-    buffer = np.empty(max(chunk * math.prod(sizes) for _, _, sizes, chunk in layouts))
     values = np.empty((n_reports, len(taus), len(mus)))
     # each chunk's temporaries, a few stacks at most, then reuse heap pages
     keep_heap_pages(4 * STACK_CELLS * 8)
-    for cols, future, sizes, chunk in layouts:
+    for mask in itertools.product((False, True), repeat=m):
+        cols = np.flatnonzero(np.all((mus > 0) == mask, axis=1))
+        if not len(cols):
+            continue
+        # cube axes: x@tau per source, y@0, then x@(tau + mu) per masked source
+        future = np.flatnonzero(mask)
         sources = (*range(1, m + 1), 0, *(future + 1).tolist())
+        chunk = max(1, STACK_CELLS // (n_x * len(y_space) * math.prod(len(x_spaces[l]) for l in future)))
         # the layout's points, (tau, cols) row-major, one chunk at a time
         for start in range(0, len(taus) * len(cols), chunk):
             rows, at = np.divmod(np.arange(start, min(start + chunk, len(taus) * len(cols))), len(cols))
             columns = cols[at]
             lags = np.column_stack([taus[rows], np.zeros(len(rows), dtype=np.int64),
                                     (taus[rows] + mus[columns])[:, future]])
-            out = buffer[:len(rows) * math.prod(sizes)].reshape(len(rows), *sizes)
-            # drop each stack once it is scored, so the next is built without it
-            for k, probs in enumerate(stacks(LagStack(sources, lags), out)):
+            # drop each stack once it is scored, so the next is built without
+            # it; enumerate would keep the last (k, probs) tuple alive
+            k = 0
+            for probs in stacks(LagStack(sources, lags)):
                 cubes = probs.reshape(len(probs), n_x, len(y_space), -1)
                 values[k][rows, columns] = _chi2_cmi_stack(cubes, x_spaces)
                 del probs, cubes
+                k += 1
     values.setflags(write=False)
     return [_report(taus, mus, v, tau_max, mu_max) for v in values]
 

@@ -377,8 +377,7 @@ class EmpiricalLawProvider:
 
     window_law = window_law_of
 
-    def window_law_stack(self, stack: LagStack, out: np.ndarray | None = None) -> np.ndarray:
-        # ``out`` is not used: a stack's laws keep the per-law memory layout below
+    def window_law_stack(self, stack: LagStack) -> np.ndarray:
         columns = [self.dataset.coded(source_variable(l)) for l in stack.sources]
         counts, n_obs, _ = _stack_counts(self.dataset.t, columns, stack, DEFAULT_MIN_WINDOWS)
         # Each law is laid out in memory as empirical_window_law lays it out,

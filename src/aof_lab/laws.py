@@ -6,12 +6,12 @@ that share a layout, the same sources on the same axes with only the lags
 differing, are asked for as one :class:`LagStack`: the source of each axis
 (0 for the target, ``l`` for source ``l``) plus an int64 ``lags[G, k]``
 array, one row per law.  A provider's one law method, ``window_law_stack``,
-returns them as ``probs[G, ...]`` in the stack's axis order, so a caller
-asks for the order it consumes and scores the batch without a ``JointPmf``
-per law; a caller that reuses a buffer may pass it as ``out``.  Exact providers unroll a process model, empirical providers count
-sliding windows, and the mixture provider blends two compatible providers
-cell by cell with ``MixtureLawProvider.mix``, which sweeps also apply to
-endpoint stacks they build once.
+returns them as a new ``probs[G, ...]`` in the stack's axis order, so a
+caller asks for the order it consumes and scores the batch without a
+``JointPmf`` per law.  Exact providers unroll a process model, empirical
+providers count sliding windows, and the mixture provider blends two
+compatible providers cell by cell with ``MixtureLawProvider.mix``, which
+sweeps also apply to endpoint stacks they build once.
 
 Request tuples such as ``("y", 0)`` or ``("x2", 3)`` are the public edge:
 ``lag_stack`` turns request sets into a stack, each set deduplicated and
@@ -169,13 +169,11 @@ class LawProvider(Protocol):
     def target_space(self) -> OutcomeSpace:
         ...
 
-    def window_law_stack(self, stack: LagStack, out: np.ndarray | None = None) -> np.ndarray:
+    def window_law_stack(self, stack: LagStack) -> np.ndarray:
         """The laws of ``stack`` as ``probs[G, ...]``: ``probs[g]`` is law
         ``g``, with axis ``i`` over the space of ``stack.sources[i]``.  The
-        array is owned by the caller, which may overwrite it (the
-        chi-squared kernel scores it in place).  It is ``out``, filled, if
-        the caller passes a C-contiguous float64 array of that shape and the
-        provider builds into one; else it is new."""
+        array is new and owned by the caller, which may overwrite it (the
+        chi-squared kernel scores it in place)."""
         ...
 
 
@@ -219,13 +217,12 @@ class MixtureLawProvider:
 
     window_law = window_law_of
 
-    def window_law_stack(self, stack: LagStack, out: np.ndarray | None = None) -> np.ndarray:
-        return self.mix(self.base.window_law_stack(stack), self.other.window_law_stack(stack), out)
+    def window_law_stack(self, stack: LagStack) -> np.ndarray:
+        return self.mix(self.base.window_law_stack(stack), self.other.window_law_stack(stack))
 
-    def mix(self, a: np.ndarray, b: np.ndarray, out: np.ndarray | None = None) -> np.ndarray:
-        """``(1 - eta) * a + eta * b`` for a law or a stack of laws of the
-        base and other providers, written into ``out`` if one is given:
-        every law of this provider is built so."""
-        out = np.multiply(a, 1.0 - self.eta, out=out)
+    def mix(self, a: np.ndarray, b: np.ndarray) -> np.ndarray:
+        """``(1 - eta) * a + eta * b``, new, for a law or a stack of laws of
+        the base and other providers: every law of this provider is built so."""
+        out = a * (1.0 - self.eta)
         out += self.eta * b
         return out

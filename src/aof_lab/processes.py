@@ -18,11 +18,11 @@ forward rows left of a balanced split and backward columns right of it meet
 in one batched matmul, with ``T^g`` taken from powers of the transition
 matrix computed once.  A shape's split and digit tables are its plan, built
 once per process and cached by the shape; a part of a group gathers every
-read's ``T^g`` and emission kernel with one index each.  A caller may pass
-the array to fill.  ``exact_window_law`` is the case of one request set.
-``DEFAULT_MAX_CELLS`` bounds the power table as well as each law's table,
-and every bound is checked before a law's table is allocated, so no
-separate cap limits how far apart lags may lie.
+read's ``T^g`` and emission kernel with one index each; each call returns
+a new array.  ``exact_window_law`` is the case of one request set.
+``DEFAULT_MAX_CELLS`` bounds a feature space's labels, the power table and
+each law's table, and every bound is checked before what it bounds is
+built, so no separate cap limits how far apart lags may lie.
 
 The builder snaps the total mass of each law back to one after checking
 that it is within ``NORMALIZATION_ATOL`` of one.
@@ -173,6 +173,11 @@ class ProcessModel:
         base = self.emission_spaces[l - 1]
         if self.window == 1:
             return base
+        # every law over more labels than the cap is over it too, so refuse them before one is
+        # built (past the cap's bit length, any alphabet of two or more symbols is over it)
+        if len(base) ** min(self.window, DEFAULT_MAX_CELLS.bit_length()) > DEFAULT_MAX_CELLS:
+            raise AofLabError(f"source x{l} has {len(base)} symbols and window {self.window}: its "
+                              f"{len(base)}**{self.window} feature labels are over the cap of {DEFAULT_MAX_CELLS} cells")
         labels = tuple(itertools.product(base.labels, repeat=self.window))
         return OutcomeSpace(labels)
 
@@ -313,10 +318,8 @@ def _cells(weights: np.ndarray, split: int, digits_left: np.ndarray, digits_righ
     return (left[:, :, None] + (weights[:, split:] @ digits_right)[:, None, :]).reshape(-1)
 
 
-def exact_window_laws(model: ProcessModel, stack: LagStack, out: np.ndarray | None = None) -> np.ndarray:
-    """Exact laws of a lag stack, as ``probs[G, ...]`` in the stack's axis
-    order, written into ``out`` (a C-contiguous float64 array of that shape)
-    when one is given.
+def exact_window_laws(model: ProcessModel, stack: LagStack) -> np.ndarray:
+    """Exact laws of a lag stack, as a new ``probs[G, ...]`` in its axis order.
 
     A target axis reads one cell at slot ``-lag``; a feature axis reads its
     window newest first from slot ``-(lag + delay)``, read ``j`` being digit
@@ -350,9 +353,6 @@ def exact_window_laws(model: ProcessModel, stack: LagStack, out: np.ndarray | No
     if law_cells > DEFAULT_MAX_CELLS:
         reads = ", ".join(f"{var}@{lag}" for var, lag in stack.requests(0))
         raise AofLabError(f"window law of [{reads}] would need {law_cells} cells (cap {DEFAULT_MAX_CELLS})")
-    shape = (len(stack.lags), *var_sizes)
-    if out is not None and (out.shape != shape or out.dtype != np.float64 or not out.flags.c_contiguous):
-        raise IncompatibleSpaceError(f"out must be a C-contiguous float64 array of shape {shape}")
 
     max_gap = int(gaps_of.max())
     if (max_gap + 1) * n_states**2 > DEFAULT_MAX_CELLS:
@@ -365,7 +365,7 @@ def exact_window_laws(model: ProcessModel, stack: LagStack, out: np.ndarray | No
     for k in range(1, max_gap + 1):
         powers[k] = powers[k - 1] @ model.transition
 
-    probs = (np.empty(shape) if out is None else out).reshape(len(stack.lags), law_cells)
+    probs = np.empty((len(stack.lags), law_cells))
     flat = probs.reshape(-1)
     for u in np.argsort(first):
         members, sizes = np.flatnonzero(group == u), shapes[u]
@@ -385,7 +385,7 @@ def exact_window_laws(model: ProcessModel, stack: LagStack, out: np.ndarray | No
     if drift > NORMALIZATION_ATOL:
         raise NotNormalizedError(f"window laws sum to 1 +- {drift!r} before normalization")
     probs /= sums[:, None]
-    return probs.reshape(shape) if out is None else out
+    return probs.reshape(len(stack.lags), *var_sizes)
 
 
 @dataclass(eq=False)
@@ -408,8 +408,8 @@ class ExactLawProvider:
 
     window_law = window_law_of
 
-    def window_law_stack(self, stack: LagStack, out: np.ndarray | None = None) -> np.ndarray:
-        return exact_window_laws(self.model, stack, out)
+    def window_law_stack(self, stack: LagStack) -> np.ndarray:
+        return exact_window_laws(self.model, stack)
 
 
 def _check_sizes(**sizes: int) -> None:

@@ -5,6 +5,7 @@ import json
 import os
 import subprocess
 import sys
+import tracemalloc
 from dataclasses import dataclass
 from pathlib import Path
 
@@ -267,6 +268,59 @@ def test_bad_option_value_is_a_clean_error(tmp_path, args, needle):
     res = _invoke(["--out", str(out), *(a.format(**files) for a in args)])
     _assert_clean_error(res, needle)
     assert not out.exists()  # nothing written
+
+
+@pytest.mark.parametrize("args", [
+    ["epsilon", "--model", "{model}"],
+    ["epsilon", "--model", "{model}", "--sweep", "--mix-ref", "{model}"],
+    ["cross-loss", "--train", "{model}", "--test", "{model}"],
+    ["cross-loss", "--train", "{model}", "--test", "{model}", "--sweep"],
+])
+def test_a_feature_space_over_the_cell_cap_is_refused_before_it_is_built(tmp_path, args):
+    assert _invoke(["--out", str(tmp_path), "gen", "--window", "30"]).exit_code == 0
+    out = tmp_path / "out"
+    tracemalloc.start()
+    try:
+        res = _invoke(["--out", str(out), *(a.format(model=tmp_path / "model.json") for a in args)])
+        _, peak = tracemalloc.get_traced_memory()
+    finally:
+        tracemalloc.stop()
+    _assert_clean_error(res, "Error: source x1 has 2 symbols and window 30: its 2**30 feature labels are over the "
+                             f"cap of {util.DEFAULT_MAX_CELLS} cells")
+    assert not out.exists()
+    assert peak < 2**20
+
+
+@pytest.mark.parametrize("args,option", [
+    (["epsilon", "--model", "{model}", "--mix-ref", "{model}"], "--mix-ref"),
+    (["epsilon", "--model", "{model}", "--etas", "0.3"], "--etas"),
+    (["epsilon", "--model", "{model}", "--mix-ref", "{model}", "--etas", "0.3"], "--mix-ref"),
+    (["epsilon", "--data", "{data}", "--etas", "0.3"], "--etas"),
+    (["cross-loss", "--train", "{model}", "--test", "{model}", "--etas", "0.3"], "--etas"),
+])
+def test_a_sweep_option_without_sweep_is_a_clean_error(tmp_path, args, option):
+    # once, the option was dropped without a word and a plain run written
+    assert _invoke(["--out", str(tmp_path), "gen", "--length", "200"]).exit_code == 0
+    files = {"model": str(tmp_path / "model.json"), "data": str(tmp_path / "trajectory.csv")}
+    out = tmp_path / "out"
+    res = _invoke(["--out", str(out), *(a.format(**files) for a in args)])
+    _assert_clean_error(res, f"Error: {option} only applies with --sweep")
+    assert not out.exists()
+
+
+@pytest.mark.parametrize("command", [
+    ["epsilon", "--model", "{model}", "--mix-ref", "{model}", "--sweep", "--tau-max", "1", "--mu-max", "1"],
+    ["cross-loss", "--train", "{model}", "--test", "{model}", "--sweep"],
+])
+def test_a_sweep_without_etas_echoes_the_default_etas(tmp_path, command):
+    assert _invoke(["--out", str(tmp_path), "gen"]).exit_code == 0
+    out = tmp_path / "out"
+    assert _invoke(["--out", str(out), *(a.format(model=tmp_path / "model.json") for a in command)]).exit_code == 0
+    (meta,) = out.glob("*.meta.json")
+    etas = json.loads(meta.read_text())["config"]["etas"]
+    assert etas == "0.5,0.25,0.125,0.0625,0.03125,0.015625"
+    rows = (out / meta.name.removesuffix(".meta.json")).read_text().splitlines()[1:]
+    assert [float(row.split(",")[0]) for row in rows] == [float(eta) for eta in etas.split(",")]
 
 
 @pytest.mark.parametrize("law_source", ["--model", "--data"])

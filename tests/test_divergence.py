@@ -443,6 +443,23 @@ def test_epsilon_grid_walk_holds_at_most_two_stacks():
     assert peak <= 2 * STACK_CELLS * 8
 
 
+def test_epsilon_sweep_walk_drops_each_mixed_stack_before_the_next():
+    # the same 702 laws per eta: a chunk's two endpoint stacks stay live
+    # while each eta's mixed stack is built and scored, but a scored stack
+    # is dropped before the next eta's is built (measured: 8.1 MiB; a loop
+    # that kept the previous stack alive peaked at 10.1 MiB)
+    model = make_hidden_nonmarkov(7, n_states=4, n_sources=3, n_symbols=2, n_targets=2, window=2)
+    ref = make_markov_observable(8, n_states=2, n_sources=3, n_targets=2, window=2)
+    etas = [0.5, 0.25, 0.125, 0.0625, 0.03125, 0.015625]
+    tracemalloc.start()
+    try:
+        epsilon_sweep(ExactLawProvider(ref), ExactLawProvider(model), etas, 2, 2)
+        _, peak = tracemalloc.get_traced_memory()
+    finally:
+        tracemalloc.stop()
+    assert peak <= 4.5 * STACK_CELLS * 8
+
+
 @pytest.mark.parametrize("block_cells", [1, 100])
 @pytest.mark.parametrize("m, caps", [(1, 3), (2, 2), (3, 1)])
 def test_epsilon_grid_keeps_its_bits_whatever_the_chi2_block(monkeypatch, m, caps, block_cells):

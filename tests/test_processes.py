@@ -1,4 +1,5 @@
 import hashlib
+import inspect
 import json
 import tracemalloc
 
@@ -24,7 +25,8 @@ from aof_lab import (
 from aof_lab import processes
 from aof_lab._util import CSV_CHUNK_ROWS, write_text_atomic
 from aof_lab.errors import AofLabError, IncompatibleSpaceError
-from aof_lab.laws import DEFAULT_MAX_CELLS, STACK_CELLS, LagStack, axis_spaces, canonical_requests, lag_stack
+from aof_lab.laws import (DEFAULT_MAX_CELLS, STACK_CELLS, LagStack, LawProvider, axis_spaces, canonical_requests,
+                          lag_stack)
 from aof_lab.processes import _stationary_distribution, exact_window_laws, trajectory_csv
 from aof_lab.spaces import NORMALIZATION_ATOL
 
@@ -433,6 +435,34 @@ def _refusal_and_peak(requests):
     return str(err.value), peak
 
 
+def test_a_feature_space_over_the_cell_cap_is_refused_before_its_labels_are_built():
+    # 2**30 window tuples: built first, as they once were, they take gigabytes
+    provider = ExactLawProvider(make_hidden_nonmarkov(3, window=30))
+    tracemalloc.start()
+    try:
+        with pytest.raises(AofLabError) as err:
+            epsilon_coefficient(provider, 1, 1)
+        _, peak = tracemalloc.get_traced_memory()
+    finally:
+        tracemalloc.stop()
+    assert str(err.value) == (f"source x1 has 2 symbols and window 30: its 2**30 feature labels are over the cap "
+                              f"of {DEFAULT_MAX_CELLS} cells")
+    assert peak < 2**20
+
+
+@pytest.mark.parametrize("window,refused", [(3, False), (4, True), (10**18, True)])
+def test_a_feature_space_is_refused_exactly_above_the_cell_cap(monkeypatch, window, refused):
+    # 2**3 labels are at a cap of 8, 2**4 above it; a huge window is refused
+    # without its power being computed
+    monkeypatch.setattr(processes, "DEFAULT_MAX_CELLS", 8)
+    model = make_hidden_nonmarkov(3, n_sources=2, window=window)
+    if refused:
+        with pytest.raises(AofLabError, match=rf"^source x2 has 2 symbols and window {window}: .* cap of 8 cells$"):
+            model.feature_space(2)
+    else:
+        assert len(model.feature_space(2)) == 8
+
+
 def test_an_unrolled_law_over_the_cell_cap_is_refused():
     # x1 read twice 20 slots apart: no read merges, 2**11 x 2**11 x 2 cells x 4 states
     message, peak = _refusal_and_peak([("y", 0), ("x1", 0), ("x1", 20)])
@@ -468,20 +498,11 @@ def test_exact_laws_keep_their_bits_with_a_cold_or_a_warm_plan_cache():
     assert not (left.flags.writeable or right.flags.writeable)
 
 
-def test_exact_laws_fill_a_callers_buffer_with_the_same_bits():
-    model = make_hidden_nonmarkov(23, n_states=3, n_sources=1, n_symbols=3, n_targets=2, window=2, delay=1)
-    stack = _merging_stack()
-    want = exact_window_laws(model, stack)
-    out = np.full(want.shape, np.nan)
-    got = ExactLawProvider(model).window_law_stack(stack, out)
-    assert got is out and out.tobytes() == want.tobytes()
-    # the mixture's stack is written into the buffer too, with the bits of a new one
-    mixture = mix_toward_markov(model, make_markov_observable(24, n_states=3, n_sources=1, n_targets=2, window=2), 0.3)
-    mixed = mixture.window_law_stack(stack)
-    out[...] = np.nan
-    assert mixture.window_law_stack(stack, out) is out and out.tobytes() == mixed.tobytes()
-    with pytest.raises(IncompatibleSpaceError, match="out must be a C-contiguous float64 array"):
-        exact_window_laws(model, stack, np.empty(want.shape)[:, ::-1])
+def test_every_provider_takes_the_protocols_window_law_stack_arguments():
+    # a parameter one provider takes and the others ignore is a second contract
+    want = inspect.signature(LawProvider.window_law_stack)
+    for provider in (ExactLawProvider, EmpiricalLawProvider, MixtureLawProvider):
+        assert inspect.signature(provider.window_law_stack) == want, provider.__name__
 
 
 # Bytes the traced peak of gen's write path may gain from 20,000 to 200,000
