@@ -58,7 +58,7 @@ _EXPORTS = {
         "ExactLawProvider", "ProcessModel", "exact_window_law", "make_hidden_nonmarkov", "make_markov_observable",
         "mix_toward_markov", "sample_trajectory",
     ),
-    "spaces": ("JointPmf", "OutcomeSpace", "Pmf", "mix_joints"),
+    "spaces": ("JointPmf", "OutcomeSpace", "Pmf"),
 }
 _MODULE_OF = {name: module for module, names in _EXPORTS.items() for name in names}
 

@@ -45,6 +45,9 @@ CSV_CHUNK_ROWS = 8192
 # tables cannot fit in memory
 DEFAULT_MAX_CELLS = 4_000_000
 
+# cap of each lag in the epsilon grid, tau_max and mu_max, when none is given
+DEFAULT_LAG_CAP = 8
+
 # largest distance from 1 at which a probability vector counts as normalized
 NORMALIZATION_ATOL = 1e-12
 

@@ -18,11 +18,14 @@ its age vectors, a decomposition one stack of the laws reading each source
 once plus one per walked source of the laws reading it at two lags.
 
 Dynamic ages are handled by mixing per-age laws (the stack of constant-age
-laws weighted by the age law): training with the age as a feature recovers
-the age-weighted average of constant-age losses, training without it
-conditions on the pooled mixture and can only be worse.  Every testing loss
-is one ``conditional_cross_entropy`` call: per-cell Bayes actions trained on
-one provider's age-weighted joint, scored on another's under the same ages.
+laws weighted by the age law) into one joint law of (age, x1..xm, y), the
+variables and age axis (``laws.AGE_VARIABLE``) of the joint that
+``ingest.dynamic_age_law`` counts from data: training with the age as a
+feature recovers the age-weighted average of constant-age losses, training
+without it conditions on the pooled mixture and can only be worse.  Every
+testing loss is one ``conditional_cross_entropy`` call: per-cell Bayes
+actions trained on one provider's age-weighted joint, scored on another's
+under the same ages.
 :func:`cross_loss_sweep` mixes the test laws toward the training ones from
 the two constant-age stacks, each built once.
 
@@ -41,7 +44,7 @@ import numpy as np
 from ._util import DEFAULT_MAX_CELLS, csv_table, whole_numbers, write_text_atomic
 from .errors import AofLabError, IncompatibleSpaceError
 from .information import conditional_cross_entropy, conditional_entropy, conditional_entropy_stack
-from .laws import LagStack, LawProvider, MixtureLawProvider, axis_spaces, source_variable
+from .laws import AGE_VARIABLE, LagStack, LawProvider, MixtureLawProvider, axis_spaces, source_variable
 from .losses import LossSpec
 from .spaces import JointPmf, OutcomeSpace
 
@@ -251,9 +254,6 @@ def loss_curve(laws: LawProvider, grid: Sequence[Sequence[int]], loss: LossSpec)
         loss_kind=loss.kind,
         nonmonotonicity_index=float(index),
     )
-
-
-AGE_VARIABLE = "age"
 
 
 def _age_weighted(ages: AgeDistribution, laws: LawProvider, stack: np.ndarray) -> JointPmf:

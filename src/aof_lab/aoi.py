@@ -231,7 +231,7 @@ class AgeDistribution:
     @classmethod
     def uniform(cls, vectors: Iterable[Sequence[int]]) -> "AgeDistribution":
         vecs = tuple(tuple(v) for v in vectors)
-        return cls(vecs, np.full(len(vecs), 1.0 / len(vecs)))
+        return cls(vecs, np.full(len(vecs), 1.0 / max(len(vecs), 1)))  # no support points: the constructor refuses
 
     def to_json_dict(self) -> dict:
         return {

@@ -33,7 +33,7 @@ from typing import TYPE_CHECKING, Sequence
 if "numpy" not in sys.modules:
     os.environ.setdefault("OPENBLAS_NUM_THREADS", "1")
 
-from ._util import csv_table, read_json, write_text_atomic
+from ._util import DEFAULT_LAG_CAP, csv_table, read_json, write_text_atomic
 from .errors import AofLabError
 
 if TYPE_CHECKING:  # pragma: no cover
@@ -44,7 +44,7 @@ DEFAULTS = {
     "loss": "log",
     "out": ".",
     "lambda": 0.0,
-    "lag_cap": 8,
+    "lag_cap": DEFAULT_LAG_CAP,
 }
 
 

@@ -39,9 +39,9 @@ from typing import TYPE_CHECKING, Iterable, Sequence
 
 import numpy as np
 
-from ._util import keep_heap_pages
+from ._util import DEFAULT_LAG_CAP, DEFAULT_MAX_CELLS, is_whole, keep_heap_pages
 from .errors import AofLabError, IncompatibleSpaceError, PositivityError, ReferenceNotInteriorError
-from .laws import DEFAULT_MAX_CELLS, STACK_CELLS, LagStack, MixtureLawProvider
+from .laws import STACK_CELLS, LagStack, MixtureLawProvider
 from .spaces import JointPmf, OutcomeSpace, Pmf, check_same_variables, grid_label
 
 # triple mass above this on a cell whose product reference is zero breaks the
@@ -234,7 +234,9 @@ class EpsilonReport:
         }
 
 
-def epsilon_coefficient(laws: "LawProvider", tau_max: int = 8, mu_max: int = 8) -> EpsilonReport:
+def epsilon_coefficient(
+    laws: "LawProvider", tau_max: int = DEFAULT_LAG_CAP, mu_max: int = DEFAULT_LAG_CAP
+) -> EpsilonReport:
     """Maximize the chi-squared conditional MI over the capped lag grid.
 
     For every tau vector in [0, tau_max]^m and mu vector in [0, mu_max]^m
@@ -252,7 +254,8 @@ def epsilon_coefficient(laws: "LawProvider", tau_max: int = 8, mu_max: int = 8) 
 
 
 def epsilon_sweep(
-    base: "LawProvider", other: "LawProvider", etas: Sequence[float], tau_max: int = 8, mu_max: int = 8
+    base: "LawProvider", other: "LawProvider", etas: Sequence[float], tau_max: int = DEFAULT_LAG_CAP,
+    mu_max: int = DEFAULT_LAG_CAP,
 ) -> list[EpsilonReport]:
     """:func:`epsilon_coefficient` of ``MixtureLawProvider(base, other, eta)``
     for every ``eta``; each chunk of the lag grid asks both providers for
@@ -269,7 +272,12 @@ def epsilon_sweep(
 def _epsilon_reports(laws: "LawProvider", tau_max: int, mu_max: int, n_reports: int, stacks) -> list[EpsilonReport]:
     """Walk the lag grid of :func:`epsilon_coefficient` on the spaces of
     ``laws``; ``stacks(stack)`` yields ``n_reports`` law stacks of a
-    :class:`LagStack`, one per report."""
+    :class:`LagStack`, one per report.  A cap must pass ``is_whole``, as a
+    lag must: 1.5 or ``True`` is refused, 2.0 reads as 2."""
+    for cap in (tau_max, mu_max):
+        if not is_whole(cap):
+            raise IncompatibleSpaceError(f"lag caps must be whole numbers in the int64 range, got {cap!r}")
+    tau_max, mu_max = int(tau_max), int(mu_max)
     if tau_max < 0 or mu_max < 0:
         raise IncompatibleSpaceError("lag caps must be nonnegative")
     m = laws.m

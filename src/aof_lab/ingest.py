@@ -5,8 +5,10 @@ receiver holds at that slot, their ages, and the target.  Two usages exist:
 
 * raw trajectories carry fresh features (all ages zero); window laws at
   chosen lags are built by shifting along the slot index.
-* dynamic-age datasets carry pre-staled features; per-age laws are built by
-  grouping rows on their age vector, no shifting involved.
+* dynamic-age datasets carry pre-staled features; ``dynamic_age_law``
+  groups rows on their age vector, no shifting involved, into one joint
+  law of (age, x_1..x_m, y), the law ``analysis.dynamic_joint`` gives for
+  a model.
 
 Each label column is held once, as int64 codes into the space of labels it
 contains, encoded when the dataset is built; labels appear again only when
@@ -44,7 +46,7 @@ import numpy as np
 
 from ._util import csv_text, read_csv, read_json, render_cell, trajectory_header, whole_numbers, write_text_atomic
 from .errors import AofLabError, IncompatibleSpaceError
-from .laws import (LagStack, WindowLaw, canonical_requests, lag_stack, source_index, source_variable, variable_name,
+from .laws import (AGE_VARIABLE, LagStack, WindowLaw, lag_stack, source_index, source_variable, variable_name,
                    window_law_of)
 from .spaces import JointPmf, OutcomeSpace
 
@@ -458,41 +460,37 @@ def dynamic_age_law(
     dataset: Dataset,
     min_rows: int = DEFAULT_MIN_WINDOWS,
     spaces: Mapping[str, OutcomeSpace] | None = None,
-) -> tuple[AgeDistribution, dict[tuple[int, ...], WindowLaw]]:
-    """Age-vector frequencies plus one per-age joint law of (x_1..x_m, y).
+) -> tuple[AgeDistribution, JointPmf]:
+    """Age-vector frequencies plus the joint law of (age, x_1..x_m, y).
 
     Rows are grouped on their age columns; features are taken as stored
-    (already staled).  A variable's space is ``spaces[name]``, else its
-    column's own space.  Age cells with fewer than ``min_rows`` rows are
-    reported together in the error message, in order of first appearance.
+    (already staled).  The joint has the variables, order and age axis of
+    ``analysis.dynamic_joint``: ``"age"`` over the sorted age vectors, then
+    ``"x1"``..``"xm"`` and ``"y"``, each over ``spaces[name]``, else its
+    column's own space; a cell's probability is its row count over the
+    dataset's.  The law at one age vector is ``joint.conditional({"age":
+    vec})``.  Age cells with fewer than ``min_rows`` rows are reported
+    together in the error message, in order of first appearance.
     """
     from .aoi import AgeDistribution
 
     ages = np.array(dataset.ages, dtype=np.int64).reshape(dataset.m, len(dataset)).T
     vectors, first, group = np.unique(ages, axis=0, return_index=True, return_inverse=True)
     group = group.reshape(-1)
-    vectors = [tuple(v) for v in vectors.tolist()]
+    vectors = tuple(map(tuple, vectors.tolist()))
     sizes = np.bincount(group, minlength=len(vectors))
     sparse = sorted(np.flatnonzero(sizes < min_rows).tolist(), key=lambda g: first[g])
     if sparse:
         cells = {vectors[g]: int(sizes[g]) for g in sparse}
         raise AofLabError(f"sparse age cells (need >= {min_rows} rows): {cells}")
 
-    names = [f"x{l}" for l in range(1, dataset.m + 1)] + ["y"]
-    variables, codes, spaces = [], [], spaces or {}
-    for name, column in zip(names, dataset.columns):
+    variables, codes, spaces = [(AGE_VARIABLE, OutcomeSpace(vectors))], [group], spaces or {}
+    for name, column in zip(map(source_variable, (*range(1, dataset.m + 1), 0)), dataset.columns):
         space = spaces.get(name, column.space)
         variables.append((name, space))
         codes.append(_recode(column, column.codes, space, name))
-    counts = _count([group, *codes], (len(vectors), *(len(s) for _, s in variables)))
-
-    laws = {}
-    for g, vec in enumerate(vectors):
-        requests = (*zip(names, vec), ("y", 0))
-        named = tuple((variable_name(*req), space) for req, (_, space) in zip(requests, variables))
-        laws[vec] = WindowLaw(law=JointPmf(named, counts[g] / sizes[g]), requests=canonical_requests(requests),
-                              meta={"source": "empirical", "n_windows": int(sizes[g])})
-    return AgeDistribution(tuple(vectors), sizes / len(dataset)), laws
+    counts = _count(codes, tuple(len(space) for _, space in variables))
+    return AgeDistribution(vectors, sizes / len(dataset)), JointPmf(tuple(variables), counts / len(dataset))
 
 
 def assemble_dynamic(dataset: Dataset, ages: AgeProcess) -> Dataset:
@@ -534,8 +532,8 @@ def smooth(law: JointPmf, pseudo_count: float, n_obs: float) -> JointPmf:
     _check_pseudo_count(pseudo_count)
     if pseudo_count == 0.0:
         return law
-    if n_obs <= 0:
-        raise AofLabError("n_obs must be positive")
+    if not 0 < n_obs < math.inf:
+        raise AofLabError(f"n_obs must be positive and finite, got {n_obs}")
     return JointPmf(law.variables, _add_pseudo_count(law.probs, pseudo_count, n_obs, law.probs.size))
 
 

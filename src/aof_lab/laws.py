@@ -17,6 +17,8 @@ Request tuples such as ``("y", 0)`` or ``("x2", 3)`` are the public edge:
 ``lag_stack`` turns request sets into a stack, each set deduplicated and
 sorted (target lags first, then source, lag), and ``window_law_of`` gives
 one set's law with variables named ``"y@<lag>"`` and ``"x<l>@<lag>"``.
+A law under dynamic ages is one joint over ``AGE_VARIABLE`` and the
+unlagged ``"x<l>"`` and ``"y"``, for a model and for data alike.
 """
 
 from __future__ import annotations
@@ -26,14 +28,11 @@ from typing import Protocol, Sequence
 
 import numpy as np
 
-from ._util import DEFAULT_MAX_CELLS, is_whole
+from ._util import is_whole
 from .errors import IncompatibleSpaceError
 from .spaces import JointPmf, OutcomeSpace
 
 Request = tuple[str, int]
-
-# DEFAULT_MAX_CELLS, the cap on any one law's table, lives in ``_util`` so
-# that ``aoi`` can read it without loading this module
 
 # most cells a batched law evaluation keeps live at once; stacks larger than
 # this are built and consumed in chunks
@@ -63,6 +62,10 @@ def source_index(var: str) -> int | None:
 def source_variable(source: int) -> str:
     """The variable a stack axis over ``source`` reads: 'y' for 0, else 'x<l>'."""
     return "y" if source == 0 else f"x{source}"
+
+
+# the variable of a dynamic-age joint law (age vector, x1..xm, y) that holds the age vector
+AGE_VARIABLE = "age"
 
 
 def canonical_requests(requests: Sequence) -> tuple[Request, ...]:

@@ -49,10 +49,10 @@ from typing import TYPE_CHECKING, Sequence
 
 import numpy as np
 
-from ._util import (CSV_CHUNK_ROWS, csv_table, csv_text, is_whole, read_json, render_cell, trajectory_header,
-                    write_text_atomic)
+from ._util import (CSV_CHUNK_ROWS, DEFAULT_MAX_CELLS, csv_table, csv_text, is_whole, read_json, render_cell,
+                    trajectory_header, write_text_atomic)
 from .errors import AofLabError, IncompatibleSpaceError, NotNormalizedError
-from .laws import DEFAULT_MAX_CELLS, STACK_CELLS, LagStack, MixtureLawProvider, WindowLaw, window_law_of
+from .laws import STACK_CELLS, LagStack, MixtureLawProvider, WindowLaw, window_law_of
 from .spaces import NORMALIZATION_ATOL, OutcomeSpace
 
 if TYPE_CHECKING:  # pragma: no cover

@@ -216,10 +216,6 @@ class JointPmf:
         variables = tuple((n, self.space(n)) for n in rest)
         return JointPmf(variables, np.ascontiguousarray(block / mass))
 
-    def rename(self, mapping: Mapping[str, str]) -> "JointPmf":
-        variables = tuple((mapping.get(n, n), s) for n, s in self.variables)
-        return JointPmf(variables, self.probs)
-
     def cells(self):
         """Iterate (label_tuple, probability) over every cell."""
         labels = [s.labels for _, s in self.variables]
@@ -273,16 +269,3 @@ def check_same_variables(a: JointPmf, b: JointPmf) -> None:
         if sa.labels != sb.labels:
             raise IncompatibleSpaceError(f"space mismatch on variable {n!r}")
 
-
-def mix_joints(components: Sequence[tuple[float, JointPmf]]) -> JointPmf:
-    """Convex mixture of joints over identical variables."""
-    if not components:
-        raise IncompatibleSpaceError("empty mixture")
-    _, first = components[0]
-    total = np.zeros_like(first.probs)
-    for w, joint in components:
-        check_same_variables(joint, first)
-        if w < 0:
-            raise NotNormalizedError("mixture weights must be nonnegative")
-        total = total + w * joint.probs
-    return JointPmf(first.variables, total)

@@ -279,8 +279,8 @@ def window_law_by_rows(dataset, requests, spaces=None) -> WindowLaw:
 
 
 def dynamic_age_law_by_rows(dataset, spaces=None):
-    """Per-age laws by grouping row indices on their age tuple in a dict and
-    adding one per row; no minimum group size."""
+    """The (age, x1..xm, y) joint by grouping row indices on their age tuple
+    in a dict and adding one per row; no minimum group size."""
     groups = {}
     for i in range(len(dataset)):
         groups.setdefault(tuple(int(dataset.ages[l][i]) for l in range(dataset.m)), []).append(i)
@@ -289,16 +289,14 @@ def dynamic_age_law_by_rows(dataset, spaces=None):
     # a name the mapping leaves out, or every name without one, gets the
     # labels its column holds
     spaces = {**{name: _observed_space_by_set(col) for name, col in zip(names, columns)}, **(spaces or {})}
-    variables = tuple((name, spaces[name]) for name in names)
     vectors = sorted(groups)
-    laws = {}
-    for vec in vectors:
-        counts = np.zeros(tuple(len(s) for _, s in variables))
+    variables = (("age", OutcomeSpace(tuple(vectors))), *((name, spaces[name]) for name in names))
+    counts = np.zeros(tuple(len(s) for _, s in variables))
+    for a, vec in enumerate(vectors):
         for i in groups[vec]:
-            counts[tuple(spaces[n].index(col[i]) for n, col in zip(names, columns))] += 1.0
-        laws[vec] = (counts / counts.sum(), len(groups[vec]))
+            counts[(a, *(spaces[n].index(col[i]) for n, col in zip(names, columns)))] += 1.0
     probs = np.array([len(groups[v]) / len(dataset) for v in vectors])
-    return AgeDistribution(tuple(vectors), probs), laws
+    return AgeDistribution(tuple(vectors), probs), JointPmf(variables, counts / len(dataset))
 
 
 def trajectory_by_steps(model, length: int, seed: int) -> Dataset:

@@ -24,11 +24,10 @@ from aof_lab import (
     zero_one_loss,
 )
 from aof_lab import analysis
-from aof_lab._util import whole_numbers
+from aof_lab._util import DEFAULT_MAX_CELLS, whole_numbers
 from aof_lab import testing_loss as eval_testing_loss
 from aof_lab.analysis import cross_loss_sweep
 from aof_lab.errors import AofLabError, IncompatibleSpaceError
-from aof_lab.laws import DEFAULT_MAX_CELLS
 
 from oracles import loglog_slope, per_cell_bayes_search
 

@@ -18,9 +18,9 @@ from aof_lab import (
     stochastic_order_univariate,
 )
 from aof_lab import aoi
+from aof_lab._util import DEFAULT_MAX_CELLS
 from aof_lab.aoi import SENTINEL
 from aof_lab.errors import AofLabError, IncompatibleSpaceError, WarmupError
-from aof_lab.laws import DEFAULT_MAX_CELLS
 
 from oracles import (
     max_transport_by_single_paths,
@@ -521,6 +521,18 @@ def test_age_distribution_errors_name_the_first_offending_vector(vectors, messag
         AgeDistribution(vectors, np.full(len(vectors), 1 / len(vectors)))
     assert str(err.value) == message
 
+
+
+@pytest.mark.parametrize("build", [
+    lambda: AgeDistribution.uniform([]),
+    lambda: AgeDistribution.uniform(iter(())),
+    lambda: AgeDistribution.from_mapping({}),
+    lambda: AgeDistribution((), []),
+], ids=["uniform-list", "uniform-iterator", "from-mapping", "constructor"])
+def test_an_age_distribution_without_support_points_is_refused(build):
+    with pytest.raises(AofLabError) as err:
+        build()
+    assert str(err.value) == "age distribution needs support points"
 
 
 def test_age_distribution_probs_of_the_wrong_length_give_both_shapes():

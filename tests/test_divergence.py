@@ -1,4 +1,5 @@
 import itertools
+import math
 import tracemalloc
 
 import numpy as np
@@ -18,7 +19,6 @@ from aof_lab import (
     log_loss,
     make_hidden_nonmarkov,
     make_markov_observable,
-    mix_joints,
     mix_toward_markov,
     quadratic_loss,
     sample_trajectory,
@@ -215,7 +215,7 @@ def test_beta_between_and_mixture_scaling():
     assert beta_between(train, train).beta == 0.0
     base = beta_between(train, other).beta
     for eta in (0.5, 0.25, 0.125):
-        test = mix_joints([(1 - eta, train), (eta, other)])
+        test = JointPmf(train.variables, (1 - eta) * train.probs + eta * other.probs)
         rep = beta_between(train, test)
         assert rep.beta == pytest.approx(eta * base, rel=1e-9)
         assert rep.divergence == pytest.approx(rep.beta**2, rel=1e-12)
@@ -543,3 +543,18 @@ def test_epsilon_sweep_validates_weights_and_providers():
     with pytest.raises(IncompatibleSpaceError, match="feature spaces"):
         epsilon_sweep(ref, other, [0.5], 1, 1)
     assert epsilon_sweep(ref, ExactLawProvider(model), [], 1, 1) == []
+
+
+@pytest.mark.parametrize("cap", [True, 1.5, math.nan, "2"])
+def test_epsilon_refuses_lag_caps_that_are_not_whole_numbers(cap):
+    laws = ExactLawProvider(make_hidden_nonmarkov(5, n_states=3, n_symbols=2, n_targets=2, noise=0.2))
+    for caps in ((cap, 1), (1, cap)):
+        with pytest.raises(IncompatibleSpaceError) as err:
+            epsilon_coefficient(laws, *caps)
+        assert str(err.value) == f"lag caps must be whole numbers in the int64 range, got {cap!r}"
+        with pytest.raises(IncompatibleSpaceError):
+            epsilon_sweep(laws, laws, [0.5], *caps)
+    # a whole float reads as the int it holds
+    rep, want = epsilon_coefficient(laws, 2.0, np.int8(1)), epsilon_coefficient(laws, 2, 1)
+    assert (rep.tau_max, rep.mu_max) == (2, 1) and type(rep.tau_max) is type(rep.mu_max) is int
+    assert np.array_equal(rep.grid, want.grid)

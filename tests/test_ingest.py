@@ -1,3 +1,4 @@
+import math
 import tracemalloc
 import warnings
 
@@ -11,19 +12,22 @@ from aof_lab import (
     Dataset,
     EmpiricalLawProvider,
     ExactLawProvider,
+    JointPmf,
     OutcomeSpace,
     Quantizer,
     assemble_dynamic,
     chi2_divergence,
+    conditional_entropy,
     dynamic_age_law,
     empirical_window_law,
     joint_training_loss,
     log_loss,
     make_hidden_nonmarkov,
-    mix_joints,
+    quadratic_loss,
     quantize,
     sample_trajectory,
     smooth,
+    zero_one_loss,
 )
 from aof_lab import ingest
 from aof_lab._util import CSV_CHUNK_ROWS
@@ -143,17 +147,13 @@ def test_dynamic_age_law_census_and_reconstruction():
     values = [0, 1] * 40
     ages = [0, 1] * 40
     ds = _tiny_dataset(values, ages=ages, y=[v ^ 1 for v in values])
-    dist, laws = dynamic_age_law(ds, min_rows=10)
+    dist, joint = dynamic_age_law(ds, min_rows=10)
     assert dist.vectors == ((0,), (1,))
     assert np.allclose(dist.probs, [0.5, 0.5])
-    # law of total probability: age-weighted per-age laws pool to the
-    # age-marginalized mixture
-    pooled_components = []
-    for vec, w in zip(dist.vectors, dist.probs):
-        law = laws[vec].law
-        renamed = law.rename({n: n.split("@")[0] for n in law.names})
-        pooled_components.append((float(w), renamed.arrange(["x1", "y"])))
-    pooled = mix_joints(pooled_components)
+    assert joint.names == ("age", "x1", "y") and joint.space("age").labels == dist.vectors
+    # law of total probability: the joint marginalized over the age is the
+    # pooled frequency of the rows
+    pooled = joint.arrange(["x1", "y"])
     counts = np.zeros((2, 2))
     for x, y in zip(values, ds.coded("y").labels()):
         counts[x, y] += 1
@@ -204,26 +204,26 @@ def test_assemble_then_group_feeds_joint_training():
     age_row = rng.integers(0, 2, size=30_000)
     ages = AgeProcess(age_row.reshape(1, -1))
     staled = assemble_dynamic(ds, ages)
-    dist, laws = dynamic_age_law(staled, min_rows=30)
+    dist, joint = dynamic_age_law(staled, min_rows=30)
     assert set(dist.vectors) == {(0,), (1,)}
     # empirical mixture loss should approach the exact one
     exact_prov = ExactLawProvider(model)
     exact_loss = joint_training_loss(exact_prov, dist, log_loss(), True)
-    emp_loss = 0.0
-    for vec, w in zip(dist.vectors, dist.probs):
-        from aof_lab import conditional_entropy
-
-        law = laws[vec].law
-        emp_loss += float(w) * conditional_entropy(law, "y@0", [n for n in law.names if n != "y@0"], log_loss())
+    emp_loss = conditional_entropy(joint, "y", ["age", "x1"], log_loss())
     assert abs(emp_loss - exact_loss) < 0.05
+
+
+@pytest.mark.parametrize("n_obs", [0.0, -2.0, math.nan, math.inf])
+def test_smooth_refuses_an_observation_count_that_is_not_positive_and_finite(n_obs):
+    law = JointPmf((("x", OutcomeSpace((0, 1))),), np.array([0.25, 0.75]))
+    with pytest.raises(AofLabError, match=f"n_obs must be positive and finite, got {n_obs}"):
+        smooth(law, 1.0, n_obs)
 
 
 def test_smooth_identity_limit_and_formula():
     rng = np.random.default_rng(1)
     vs = (("x", OutcomeSpace((0, 1))), ("y", OutcomeSpace((0, 1))))
     counts = np.array([[4.0, 0.0], [6.0, 10.0]])
-    from aof_lab import JointPmf
-
     law = JointPmf(vs, counts / counts.sum())
     n = counts.sum()
     assert smooth(law, 0.0, n) is law
@@ -303,7 +303,11 @@ def _datasets(draw, max_m=3, min_rows=6, max_rows=60, aged=False):
         columns.append(draw(st.lists(st.sampled_from(alphabet), min_size=n, max_size=n)))
     age_values = st.integers(0, 2) if aged else st.just(0)
     ages = tuple(draw(st.lists(age_values, min_size=n, max_size=n)) for _ in range(m))
-    ds = Dataset(t=t, xs=tuple(columns[:-1]), ages=ages, y=columns[-1])
+    # drawn through st.builds, so a failing example prints the dataset with
+    # the printer hypothesis records for what it built; printed field by init
+    # field, it would read xs and y, which a dataset does not keep
+    ds = draw(st.builds(Dataset, t=st.just(t), xs=st.just(tuple(columns[:-1])), ages=st.just(ages),
+                        y=st.just(columns[-1])))
     return ds, alphabets
 
 
@@ -366,14 +370,35 @@ def test_dynamic_age_law_equals_per_row_oracle(data):
         left_out = data.draw(st.sets(st.sampled_from(names)))  # the mapping may name only some variables
         spaces = {name: OutcomeSpace(tuple(data.draw(st.permutations([*alphabet, unseen]))))
                   for name, (alphabet, unseen) in zip(names, alphabets) if name not in left_out}
-    dist, laws = dynamic_age_law(ds, min_rows=1, spaces=spaces)
-    want_dist, want_laws = dynamic_age_law_by_rows(ds, spaces)
+    dist, joint = dynamic_age_law(ds, min_rows=1, spaces=spaces)
+    want_dist, want_joint = dynamic_age_law_by_rows(ds, spaces)
     assert dist.vectors == want_dist.vectors
     assert np.array_equal(dist.probs, want_dist.probs)
-    assert list(laws) == list(want_laws)
-    for vec, (probs, rows) in want_laws.items():
-        assert np.array_equal(laws[vec].law.probs, probs)
-        assert laws[vec].meta["n_windows"] == rows
+    assert [(n, s.labels) for n, s in joint.variables] == [(n, s.labels) for n, s in want_joint.variables]
+    assert np.array_equal(joint.probs, want_joint.probs)
+
+
+# a loss is compared with the same loss summed another way: they agree to
+# this share of the larger of 1 and the loss (quadratic losses of labels near
+# 1e6 reach 1e10, where sums in another order differ by a few 1e-6)
+LOSS_RTOL = 1e-12
+
+
+@given(st.data())
+@settings(max_examples=100, deadline=None)
+def test_age_as_a_feature_averages_the_per_age_losses_and_never_hurts(data):
+    ds, _ = data.draw(_datasets(aged=True))
+    dist, joint = dynamic_age_law(ds, min_rows=1)
+    xs = [f"x{l}" for l in range(1, ds.m + 1)]
+    losses = [log_loss(), zero_one_loss()] + ([quadratic_loss()] if joint.space("y").is_numeric else [])
+    for loss in losses:
+        with_age = conditional_entropy(joint, "y", ["age", *xs], loss)
+        per_age = sum(p * conditional_entropy(joint.conditional({"age": vec}), "y", xs, loss)
+                      for vec, p in zip(dist.vectors, dist.probs.tolist()))
+        without = conditional_entropy(joint, "y", xs, loss)
+        tol = LOSS_RTOL * max(1.0, abs(with_age))
+        assert abs(with_age - per_age) <= tol
+        assert with_age <= without + tol
 
 
 def test_missing_labels_are_all_named_and_only_in_usable_windows():

@@ -1,6 +1,8 @@
-"""The lazy package namespace, the modules each CLI command loads and the
-BLAS thread default of a cold CLI process."""
+"""The lazy package namespace, the modules each CLI command loads, the
+BLAS thread default of a cold CLI process, the imports of each module and
+the README's library example."""
 
+import ast
 import importlib
 import json
 import os
@@ -17,7 +19,7 @@ SRC = Path(__file__).resolve().parent.parent / "src"
 
 
 def test_every_public_name_is_the_object_of_its_module():
-    assert len(aof_lab.__all__) == 60
+    assert len(aof_lab.__all__) == 59
     assert aof_lab.__all__ == sorted(set(aof_lab.__all__))
     for module, names in aof_lab._EXPORTS.items():
         owner = importlib.import_module(f"aof_lab.{module}")
@@ -128,3 +130,31 @@ def test_a_cold_cli_process_runs_blas_on_one_thread(case):
     assert value == want
     if want == "1" and threads is not None:
         assert threads == 1
+
+
+def _unused_imports(path: Path) -> list[str]:
+    """``file:line name`` of each name the module imports and never reads;
+    a name inside a quoted annotation counts as read."""
+    tree = ast.parse(path.read_text(), str(path))
+    nodes, imported = list(ast.walk(tree)), {}
+    for node in nodes:
+        if isinstance(node, ast.Import):
+            imported.update({alias.asname or alias.name.split(".")[0]: node.lineno for alias in node.names})
+        elif isinstance(node, ast.ImportFrom) and node.module != "__future__":
+            imported.update({alias.asname or alias.name: node.lineno for alias in node.names})
+    annotations = [node.annotation for node in nodes if isinstance(node, (ast.arg, ast.AnnAssign))]
+    annotations += [node.returns for node in nodes if isinstance(node, (ast.FunctionDef, ast.AsyncFunctionDef))]
+    quoted = [ast.parse(node.value, mode="eval") for annotation in annotations if annotation is not None
+              for node in ast.walk(annotation) if isinstance(node, ast.Constant) and isinstance(node.value, str)]
+    read = {node.id for part in (tree, *quoted) for node in ast.walk(part) if isinstance(node, ast.Name)}
+    return [f"{path.name}:{line} {name}" for name, line in imported.items() if name not in read]
+
+
+def test_no_module_imports_a_name_it_never_uses():
+    assert [found for path in sorted((SRC / "aof_lab").glob("*.py")) for found in _unused_imports(path)] == []
+
+
+def test_the_readme_library_example_runs():
+    section = (SRC.parent / "README.md").read_text().split("## Library example", 1)[1]
+    code = section.split("```python\n", 1)[1].split("```", 1)[0]
+    exec(compile(code, "README.md (Library example)", "exec"), {})

@@ -5,7 +5,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from aof_lab import JointPmf, OutcomeSpace, Pmf, mix_joints
+from aof_lab import JointPmf, OutcomeSpace, Pmf
 from aof_lab.errors import IncompatibleSpaceError, NotNormalizedError
 
 
@@ -74,15 +74,6 @@ def test_joint_json_roundtrip_bit_exact(tmp_path):
     assert np.array_equal(back.probs, j.probs)  # bit-exact decimal round-trip
     data = json.loads(path.read_text())
     assert len(data["probs"]) == 6
-
-
-def test_mix_joints_checks_spaces():
-    j = _joint_2x2()
-    other = JointPmf((("x", OutcomeSpace(("a", "c"))), ("y", OutcomeSpace((0, 1)))), j.probs)
-    with pytest.raises(IncompatibleSpaceError):
-        mix_joints([(0.5, j), (0.5, other)])
-    mixed = mix_joints([(0.25, j), (0.75, j)])
-    assert np.allclose(mixed.probs, j.probs)
 
 
 @given(st.lists(st.integers(1, 30), min_size=2, max_size=6))
