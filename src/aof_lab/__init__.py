@@ -8,10 +8,11 @@ computable window laws, and the loss-versus-age analyses built on top.
 Start-up: ``import aof_lab`` loads no submodule and not numpy.  Each public
 name is imported from its module on first use (PEP 562 ``__getattr__``) and
 then cached here, so ``aof_lab.X`` is the very object ``aof_lab.<module>.X``.
-The CLI imports per command what the command calls: ``--help`` loads
-``cli``, ``_util`` and ``errors``; ``order-check`` and ``simulate-aoi`` add
-only ``aoi``; ``epsilon --model`` adds ``spaces``, ``laws``, ``processes``
-and ``divergence``; ``age-curve --model`` and ``decompose --model`` add
+The CLI imports per command what the command calls: ``--help``, a
+command's help and a rejected command line load ``cli`` and ``errors``,
+not numpy; every command adds ``_util`` and numpy; ``order-check`` and
+``simulate-aoi`` add only ``aoi``; ``epsilon --model`` adds ``spaces``,
+``laws``, ``processes`` and ``divergence``; ``age-curve --model`` and ``decompose --model`` add
 ``analysis``, ``information`` and ``losses`` in place of ``divergence``; a
 ``--data`` command loads ``ingest`` and not ``processes`` (the README's
 "Start-up" section lists every command).  The CLI's only third-party import

@@ -313,8 +313,13 @@ def cross_loss_sweep(
     on ``test_laws`` itself."""
     from .divergence import beta_between
 
-    mixtures = [MixtureLawProvider(train_laws, test_laws, eta) for eta in etas]
+    # each feature space's size, then the training laws, before the mixtures
+    # compare the providers' feature labels: a model over the cell cap is
+    # refused without its labels being built
+    for l in range(1, train_laws.m + 1):
+        train_laws.feature_size(l)
     train = _constant_age_laws(train_laws, ages.vectors)
+    mixtures = [MixtureLawProvider(train_laws, test_laws, eta) for eta in etas]
     test = _constant_age_laws(test_laws, ages.vectors)
     joint_train = _age_weighted(ages, train_laws, train)
     training = conditional_entropy(joint_train, "y", [n for n in joint_train.names if n != "y"], loss)

@@ -250,7 +250,8 @@ def epsilon_coefficient(
     the split into conditioning and future blocks.  A model whose laws
     exceed ``DEFAULT_MAX_CELLS`` cells is rejected before any law is built.
     """
-    return _epsilon_reports(laws, tau_max, mu_max, 1, lambda stack: [laws.window_law_stack(stack)])[0]
+    grid = _lag_grid(laws, tau_max, mu_max)
+    return _epsilon_reports(laws, grid, 1, lambda stack: [laws.window_law_stack(stack)])[0]
 
 
 def epsilon_sweep(
@@ -259,21 +260,24 @@ def epsilon_sweep(
 ) -> list[EpsilonReport]:
     """:func:`epsilon_coefficient` of ``MixtureLawProvider(base, other, eta)``
     for every ``eta``; each chunk of the lag grid asks both providers for
-    its laws once and mixes the two stacks per ``eta``."""
+    its laws once and mixes the two stacks per ``eta``.  The grid is checked
+    before the mixtures compare the providers' feature labels, so a model
+    over the cap is refused without building them."""
+    grid = _lag_grid(base, tau_max, mu_max)
     mixtures = [MixtureLawProvider(base, other, eta) for eta in etas]
 
     def stacks(stack):
         a, b = base.window_law_stack(stack), other.window_law_stack(stack)
         return (mixture.mix(a, b) for mixture in mixtures)
 
-    return _epsilon_reports(base, tau_max, mu_max, len(etas), stacks)
+    return _epsilon_reports(base, grid, len(etas), stacks)
 
 
-def _epsilon_reports(laws: "LawProvider", tau_max: int, mu_max: int, n_reports: int, stacks) -> list[EpsilonReport]:
-    """Walk the lag grid of :func:`epsilon_coefficient` on the spaces of
-    ``laws``; ``stacks(stack)`` yields ``n_reports`` law stacks of a
-    :class:`LagStack`, one per report.  A cap must pass ``is_whole``, as a
-    lag must: 1.5 or ``True`` is refused, 2.0 reads as 2."""
+def _lag_grid(laws: "LawProvider", tau_max: int, mu_max: int) -> tuple[int, int, np.ndarray, np.ndarray]:
+    """``(tau_max, mu_max, taus, mus)``: the checked caps and the lag vectors
+    of :func:`epsilon_coefficient`, once the grid's largest law is known to
+    fit the cap; no feature label is built.  A cap must pass ``is_whole``,
+    as a lag must: 1.5 or ``True`` is refused, 2.0 reads as 2."""
     for cap in (tau_max, mu_max):
         if not is_whole(cap):
             raise IncompatibleSpaceError(f"lag caps must be whole numbers in the int64 range, got {cap!r}")
@@ -286,16 +290,25 @@ def _epsilon_reports(laws: "LawProvider", tau_max: int, mu_max: int, n_reports: 
     mus = np.indices((mu_max + 1,) * m, dtype=np.int64).reshape(m, -1).T[1:]
     if not len(mus):
         raise IncompatibleSpaceError("empty lag grid: mu_max must allow a nonzero lag")
-    y_space = laws.target_space
-    x_spaces = [laws.feature_space(l) for l in range(1, m + 1)]
-    n_x = int(np.prod([len(space) for space in x_spaces]))
-    largest = n_x * len(y_space) * n_x
+    n_x = math.prod(laws.feature_size(l) for l in range(1, m + 1))
+    largest = n_x * len(laws.target_space) * n_x
     if largest > DEFAULT_MAX_CELLS:
         raise AofLabError(
             f"epsilon grid laws need up to {largest} cells (cap {DEFAULT_MAX_CELLS}); "
             "--lag-cap, --tau-max and --mu-max only choose the lags searched, "
             "so use a model with fewer sources, fewer symbols or a shorter window"
         )
+    return tau_max, mu_max, taus, mus
+
+
+def _epsilon_reports(laws: "LawProvider", grid: tuple, n_reports: int, stacks) -> list[EpsilonReport]:
+    """Walk the lag grid ``grid`` of :func:`_lag_grid` on the spaces of
+    ``laws``; ``stacks(stack)`` yields ``n_reports`` law stacks of a
+    :class:`LagStack`, one per report."""
+    tau_max, mu_max, taus, mus = grid
+    m, y_space = laws.m, laws.target_space
+    x_spaces = [laws.feature_space(l) for l in range(1, m + 1)]
+    n_x = math.prod(len(space) for space in x_spaces)
 
     values = np.empty((n_reports, len(taus), len(mus)))
     # each chunk's temporaries, a few stacks at most, then reuse heap pages

@@ -202,6 +202,12 @@ class Dataset:
     def __len__(self) -> int:
         return len(self.t)
 
+    def __repr__(self) -> str:
+        # every column with its labels: with numpy's ``array`` in scope the text builds this dataset again
+        xs = tuple(column.labels().tolist() for column in self.columns[:-1])
+        return (f"Dataset(t={self.t!r}, xs={xs!r}, ages={self.ages!r}, y={self.columns[-1].labels().tolist()!r}, "
+                f"meta={self.meta!r})")
+
     def coded(self, var: str) -> CodedColumn:
         """Codes of variable ``'y'`` or ``'x<l>'``."""
         src = source_index(var)
@@ -373,6 +379,9 @@ class EmpiricalLawProvider:
     def feature_space(self, l: int) -> OutcomeSpace:
         return self.dataset.coded(f"x{l}").space
 
+    def feature_size(self, l: int) -> int:
+        return len(self.feature_space(l))
+
     @property
     def target_space(self) -> OutcomeSpace:
         return self.dataset.coded("y").space
@@ -438,7 +447,7 @@ def _stack_counts(t: np.ndarray, columns: Sequence[CodedColumn], stack: LagStack
             size = int(np.count_nonzero(keep))
             reads = [rows[lag][keep] for lag in row]
         if size < min_windows:
-            raise AofLabError(f"only {size} usable windows; need at least {min_windows}")
+            raise AofLabError(f"only {size} usable windows; need at least {min_windows} for {stack.reads(g)}")
         windows[g] = size
         for i, read in enumerate(reads):
             key = (stack.sources[i], read.start, read.stop) if contiguous else (g, i)

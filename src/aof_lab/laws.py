@@ -126,6 +126,10 @@ class LagStack:
         """Law ``g`` as (variable, lag) requests in axis order."""
         return tuple((source_variable(l), lag) for l, lag in zip(self.sources, self.lags[g].tolist()))
 
+    def reads(self, g: int) -> str:
+        """Law ``g``'s reads as messages name them: ``[y@0, x1@3]``."""
+        return "[" + ", ".join(variable_name(*req) for req in self.requests(g)) + "]"
+
 
 def lag_stack(request_sets: Sequence[Sequence]) -> LagStack:
     """The stack of request sets that must share one layout: once each set
@@ -166,6 +170,11 @@ class LawProvider(Protocol):
 
     def feature_space(self, l: int) -> OutcomeSpace:
         """Outcome space of source ``l`` (1-based)."""
+        ...
+
+    def feature_size(self, l: int) -> int:
+        """``len(feature_space(l))``; a provider whose labels are built on
+        demand counts them without building them."""
         ...
 
     @property
@@ -213,6 +222,9 @@ class MixtureLawProvider:
 
     def feature_space(self, l: int) -> OutcomeSpace:
         return self.base.feature_space(l)
+
+    def feature_size(self, l: int) -> int:
+        return self.base.feature_size(l)
 
     @property
     def target_space(self) -> OutcomeSpace:

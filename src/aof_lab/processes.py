@@ -49,11 +49,11 @@ from typing import TYPE_CHECKING, Sequence
 
 import numpy as np
 
-from ._util import (CSV_CHUNK_ROWS, DEFAULT_MAX_CELLS, csv_table, csv_text, is_whole, read_json, render_cell,
-                    trajectory_header, write_text_atomic)
+from ._util import (CSV_CHUNK_ROWS, DEFAULT_MAX_CELLS, NORMALIZATION_ATOL, csv_table, csv_text, is_whole, read_json,
+                    render_cell, trajectory_header, write_text_atomic)
 from .errors import AofLabError, IncompatibleSpaceError, NotNormalizedError
 from .laws import STACK_CELLS, LagStack, MixtureLawProvider, WindowLaw, window_law_of
-from .spaces import NORMALIZATION_ATOL, OutcomeSpace
+from .spaces import OutcomeSpace
 
 if TYPE_CHECKING:  # pragma: no cover
     from .ingest import Dataset
@@ -169,17 +169,22 @@ class ProcessModel:
     def n_states(self) -> int:
         return len(self.states)
 
+    def feature_size(self, l: int) -> int:
+        """``len(self.feature_space(l))``, found without building the labels."""
+        size = len(self.emission_spaces[l - 1])
+        # every law over more labels than the cap is over it too, so refuse them before one is
+        # built (past the cap's bit length, any alphabet of two or more symbols is over it)
+        if self.window > 1 and size ** min(self.window, DEFAULT_MAX_CELLS.bit_length()) > DEFAULT_MAX_CELLS:
+            raise AofLabError(f"source x{l} has {size} symbols and window {self.window}: its "
+                              f"{size}**{self.window} feature labels are over the cap of {DEFAULT_MAX_CELLS} cells")
+        return size ** self.window
+
     def feature_space(self, l: int) -> OutcomeSpace:
         base = self.emission_spaces[l - 1]
         if self.window == 1:
             return base
-        # every law over more labels than the cap is over it too, so refuse them before one is
-        # built (past the cap's bit length, any alphabet of two or more symbols is over it)
-        if len(base) ** min(self.window, DEFAULT_MAX_CELLS.bit_length()) > DEFAULT_MAX_CELLS:
-            raise AofLabError(f"source x{l} has {len(base)} symbols and window {self.window}: its "
-                              f"{len(base)}**{self.window} feature labels are over the cap of {DEFAULT_MAX_CELLS} cells")
-        labels = tuple(itertools.product(base.labels, repeat=self.window))
-        return OutcomeSpace(labels)
+        self.feature_size(l)  # refuses a space over the cap before its labels are built
+        return OutcomeSpace(tuple(itertools.product(base.labels, repeat=self.window)))
 
     def with_window(self, window: int) -> "ProcessModel":
         return replace(self, window=window)
@@ -351,8 +356,7 @@ def exact_window_laws(model: ProcessModel, stack: LagStack) -> np.ndarray:
             raise AofLabError(f"unrolled law would need {math.prod(sizes) * n_states} cells (cap {DEFAULT_MAX_CELLS})")
     law_cells = math.prod(var_sizes)
     if law_cells > DEFAULT_MAX_CELLS:
-        reads = ", ".join(f"{var}@{lag}" for var, lag in stack.requests(0))
-        raise AofLabError(f"window law of [{reads}] would need {law_cells} cells (cap {DEFAULT_MAX_CELLS})")
+        raise AofLabError(f"window law of {stack.reads(0)} would need {law_cells} cells (cap {DEFAULT_MAX_CELLS})")
 
     max_gap = int(gaps_of.max())
     if (max_gap + 1) * n_states**2 > DEFAULT_MAX_CELLS:
@@ -401,6 +405,9 @@ class ExactLawProvider:
 
     def feature_space(self, l: int) -> OutcomeSpace:
         return self.model.feature_space(l)
+
+    def feature_size(self, l: int) -> int:
+        return self.model.feature_size(l)
 
     @property
     def target_space(self) -> OutcomeSpace:

@@ -276,8 +276,19 @@ def test_bad_option_value_is_a_clean_error(tmp_path, args, needle):
     ["cross-loss", "--train", "{model}", "--test", "{model}"],
     ["cross-loss", "--train", "{model}", "--test", "{model}", "--sweep"],
 ])
-def test_a_feature_space_over_the_cell_cap_is_refused_before_it_is_built(tmp_path, args):
-    assert _invoke(["--out", str(tmp_path), "gen", "--window", "30"]).exit_code == 0
+@pytest.mark.parametrize("window", [20, 30])
+def test_a_feature_space_over_the_cell_cap_is_refused_before_it_is_built(tmp_path, args, window):
+    # at window 30 the 2**30 labels are over the cap; at window 20 the 2**20
+    # labels fit it but the command's laws do not, and building the labels
+    # before refusing took seconds and hundreds of megabytes
+    if window == 30:
+        needle = (f"Error: source x1 has 2 symbols and window 30: its 2**30 feature labels are over the cap of "
+                  f"{util.DEFAULT_MAX_CELLS} cells")
+    elif args[0] == "epsilon":
+        needle = f"Error: epsilon grid laws need up to {2**20 * 2 * 2**20} cells"
+    else:
+        needle = f"Error: unrolled law would need {2**20 * 2 * 4} cells"
+    assert _invoke(["--out", str(tmp_path), "gen", "--window", str(window)]).exit_code == 0
     out = tmp_path / "out"
     tracemalloc.start()
     try:
@@ -285,8 +296,7 @@ def test_a_feature_space_over_the_cell_cap_is_refused_before_it_is_built(tmp_pat
         _, peak = tracemalloc.get_traced_memory()
     finally:
         tracemalloc.stop()
-    _assert_clean_error(res, "Error: source x1 has 2 symbols and window 30: its 2**30 feature labels are over the "
-                             f"cap of {util.DEFAULT_MAX_CELLS} cells")
+    _assert_clean_error(res, needle)
     assert not out.exists()
     assert peak < 2**20
 

@@ -57,6 +57,20 @@ def test_dataset_invariants():
                 ages=(np.array([0, -1]),), y=np.array([1, 2], dtype=object))
 
 
+def test_dataset_repr_shows_every_column_and_builds_the_dataset_again():
+    # a failing property prints its dataset; without the label columns it could not be replayed
+    ds = Dataset(t=np.array([2, 3, 5]), xs=(["a", (1, "b"), "a"], [1.5, 2, 1.5]),
+                 ages=(np.array([0, 1, 0]), np.array([2, 0, 0])), y=[0, 1, "c"], meta={"seed": 7})
+    text = repr(ds)
+    assert "['a', (1, 'b'), 'a']" in text and "y=[0, 1, 'c']" in text
+    again = eval(text, {"array": np.array, "Dataset": Dataset})
+    assert repr(again) == text
+    assert np.array_equal(again.t, ds.t) and all(map(np.array_equal, again.ages, ds.ages))
+    for var in ("x1", "x2", "y"):
+        assert again.coded(var).labels().tolist() == ds.coded(var).labels().tolist()
+    assert again.meta == ds.meta
+
+
 def test_quantizer_binning_conventions():
     q = Quantizer({"x_1": ((0.0, 1.0, 2.0), None)})
     assert q.bin_of("x_1", 0.5) == "B0"
@@ -755,9 +769,10 @@ def _each_law(ds, stack):
     law, from the oracle: each law's drift warning, up to the first law
     short of the minimum windows, whose count is the error."""
     texts, least = [], ingest.DEFAULT_MIN_WINDOWS
-    for law in _oracle_laws(ds, stack):
+    for g, law in enumerate(_oracle_laws(ds, stack)):
         if law.meta["n_windows"] < least:
-            return texts, f"only {law.meta['n_windows']} usable windows; need at least {least}"
+            reads = ", ".join(f"{var}@{lag}" for var, lag in stack.requests(g))
+            return texts, f"only {law.meta['n_windows']} usable windows; need at least {least} for [{reads}]"
         text = _drift_text(law)
         if text is not None:
             texts.append(text)
@@ -786,7 +801,7 @@ def test_stack_counter_fails_at_the_first_law_short_of_windows_after_its_warning
     got = _messages(lambda: EmpiricalLawProvider(ds).window_law_stack(stack))
     want = _each_law(ds, stack)
     assert got == want
-    assert len(want[0]) == 2 and want[1] == "only 15 usable windows; need at least 30"
+    assert len(want[0]) == 2 and want[1] == "only 15 usable windows; need at least 30 for [y@0, x1@185]"
 
 
 def test_a_drifting_law_with_a_label_outside_the_given_space_warns_then_fails():

@@ -42,7 +42,9 @@ def test_unknown_name_is_an_attribute_error_and_submodules_still_import():
     assert aoi is sys.modules["aof_lab.aoi"]
 
 
-BASE = {"numpy", "aof_lab", "aof_lab.cli", "aof_lab._util", "aof_lab.errors"}
+# help, usage errors and argparse's file checks load no numpy; every command loads it through _util
+FRONT = {"aof_lab", "aof_lab.cli", "aof_lab.errors"}
+BASE = FRONT | {"numpy", "aof_lab._util"}
 LAWS = BASE | {"aof_lab.spaces", "aof_lab.laws"}
 AGES = BASE | {"aof_lab.aoi"}
 LOSSES = LAWS | {"aof_lab.analysis", "aof_lab.information", "aof_lab.losses"}
@@ -53,7 +55,10 @@ IMPORT_CASES = {
     "import aof_lab": ("import aof_lab", {"aof_lab"}),
     "from aof_lab import aoi": ("from aof_lab import aoi", {"numpy", "aof_lab", "aof_lab.aoi", "aof_lab._util",
                                                             "aof_lab.errors"}),
-    "--help": (["--help"], BASE),
+    "--help": (["--help"], FRONT),
+    "epsilon --help": (["epsilon", "--help"], FRONT),
+    "usage error": (["epsilon", "--tau-max", "x"], FRONT),
+    "missing --model file": (["epsilon", "--model", "{missing}"], FRONT),
     "simulate-aoi": (["simulate-aoi", "--trace", "{trace}", "--horizon", "6"], AGES),
     "order-check": (["order-check", "--dist-a", "{a}", "--dist-b", "{b}"], AGES),
     "beta": (["beta", "--train", "{joint}", "--test", "{joint}"], LAWS | {"aof_lab.divergence"}),
@@ -72,6 +77,8 @@ IMPORT_CASES = {
     "cross-loss": (["cross-loss", "--train", "{model}", "--test", "{model}"],
                    ANALYSIS | {"aof_lab.aoi", "aof_lab.divergence"}),
 }
+# case -> the exit code of its command line, where it is not 0
+EXIT_CODES = {"usage error": 2, "missing --model file": 2}
 
 
 def _cold_python(code: str, **env: str | None) -> str:
@@ -91,7 +98,8 @@ def test_each_command_loads_only_the_modules_it_calls(tmp_path, case):
     loads; an eager import added later would undo the saving silently."""
     statement, want = IMPORT_CASES[case]
     files = {"model": tmp_path / "model.json", "trace": tmp_path / "trace.csv", "data": tmp_path / "data.csv",
-             "a": tmp_path / "a.json", "b": tmp_path / "b.json", "joint": tmp_path / "joint.json"}
+             "a": tmp_path / "a.json", "b": tmp_path / "b.json", "joint": tmp_path / "joint.json",
+             "missing": tmp_path / "missing.json"}
     model = make_hidden_nonmarkov(3, n_states=3)
     model.save(files["model"])
     sample_trajectory(model, 200, 3).to_csv(files["data"])
@@ -101,7 +109,7 @@ def test_each_command_loads_only_the_modules_it_calls(tmp_path, case):
     JointPmf((("x", OutcomeSpace((0, 1))),), [0.25, 0.75]).save(files["joint"])
     if isinstance(statement, list):
         args = ["--out", str(tmp_path / "out"), *(a.format(**files) for a in statement)]
-        statement = f"from aof_lab.cli import main; assert main({args!r}) == 0"
+        statement = f"from aof_lab.cli import main; assert main({args!r}) == {EXIT_CODES.get(case, 0)}"
     code = (f"import json, sys; {statement}; print(json.dumps(sorted("
             "m for m in sys.modules if m in ('numpy', 'click') or m.split('.')[0] == 'aof_lab')))")
     assert set(json.loads(_cold_python(code))) == want

@@ -23,11 +23,10 @@ from aof_lab import (
     sample_trajectory,
 )
 from aof_lab import processes
-from aof_lab._util import CSV_CHUNK_ROWS, DEFAULT_MAX_CELLS, write_text_atomic
+from aof_lab._util import CSV_CHUNK_ROWS, DEFAULT_MAX_CELLS, NORMALIZATION_ATOL, write_text_atomic
 from aof_lab.errors import AofLabError, IncompatibleSpaceError
 from aof_lab.laws import STACK_CELLS, LagStack, LawProvider, axis_spaces, canonical_requests, lag_stack
 from aof_lab.processes import _stationary_distribution, exact_window_laws, trajectory_csv
-from aof_lab.spaces import NORMALIZATION_ATOL
 
 from oracles import (dataset_csv_by_rows, enumeration_work, loglog_slope, trajectory_by_steps,
                      window_law_by_enumeration)
